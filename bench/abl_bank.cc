@@ -111,56 +111,23 @@ constexpr const char *kValueKeys[] = {
     "conflict_evictions_coherent",
 };
 
-/** Series labels, addressed by index through the benchmark Args. */
-std::vector<std::string> &
-seriesNames()
+/** One simulated point under figure series @p series at x = @p banks.
+ * The series name carries workload, hash and replacer, so replacer
+ * rows (4 banks only) leave "-" gaps at the other bank counts. */
+BenchPoint
+bankPoint(const std::string &series, int banks,
+          std::function<SweepOutcome()> run)
 {
-    static std::vector<std::string> names;
-    return names;
-}
-
-void
-BM_BankPoint(benchmark::State &state)
-{
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    for (const char *key : kValueKeys)
-        state.counters[key] = out.values.at(key);
-
-    // x = bank count; the series name carries workload, hash and
-    // replacer, so replacer rows (4 banks only) leave "-" gaps at
-    // the other bank counts.
-    const auto x = static_cast<std::uint64_t>(state.range(1));
-    const std::string &series =
-        seriesNames()[static_cast<std::size_t>(state.range(2))];
-    FigureTable::instance().record(x, series + "_ms",
-                                   toMs(out.run.ticks));
-    FigureTable::instance().record(
-        x, series + "_dram",
-        static_cast<double>(out.run.dramAccesses));
-    for (const char *key : kValueKeys)
-        FigureTable::instance().record(x, series + "_" + key,
-                                       out.values.at(key));
-}
-
-/** Register one simulated point under figure series @p series. */
-void
-registerPoint(const std::string &name, const std::string &series,
-              int banks, std::function<SweepOutcome()> job)
-{
-    const auto idx =
-        static_cast<std::int64_t>(BenchSweep::instance().add(
-            std::move(job)));
-    const auto series_idx =
-        static_cast<std::int64_t>(seriesNames().size());
-    seriesNames().push_back(series);
-    benchmark::RegisterBenchmark(name.c_str(), BM_BankPoint)
-        ->Args({idx, banks, series_idx})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    return {"abl_bank/" + series + "/banks:" + std::to_string(banks),
+            std::move(run),
+            [series, x = static_cast<std::uint64_t>(banks)](
+                const SweepOutcome &o, FigureTable &t) {
+                t.record(x, series + "_ms", toMs(o.run.ticks));
+                t.record(x, series + "_dram",
+                         static_cast<double>(o.run.dramAccesses));
+                for (const char *key : kValueKeys)
+                    t.record(x, series + "_" + key, o.values.at(key));
+            }};
 }
 
 SweepOutcome
@@ -210,58 +177,50 @@ replayPoint(SliceHashKind hash, ReplacerKind replace)
     return o;
 }
 
-void
-registerAll()
+} // namespace
+} // namespace ccsvm::bench
+
+int
+main()
 {
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
+
+    std::vector<BenchPoint> points;
     for (const Probe &probe : kProbes) {
         for (const int banks : kBanks) {
             for (const SliceHashKind hash : coherence::allSliceHashes) {
-                const std::string tag =
-                    std::string(probe.name) + "_" +
-                    sliceHashName(hash) + "_lru";
-                registerPoint("abl_bank/" + tag + "/banks:" +
-                                  std::to_string(banks),
-                              tag, banks, [probe, banks, hash] {
-                                  return synthPoint(
-                                      probe, banks, hash,
-                                      ReplacerKind::Lru);
-                              });
+                points.push_back(bankPoint(
+                    std::string(probe.name) + "_" + sliceHashName(hash) +
+                        "_lru",
+                    banks, [probe, banks, hash] {
+                        return synthPoint(probe, banks, hash,
+                                          ReplacerKind::Lru);
+                    }));
             }
         }
         for (const ReplacerKind rep : cache::allReplacers) {
             if (rep == ReplacerKind::Lru)
                 continue; // the 4-bank mod+lru point is in the grid
-            const std::string tag = std::string(probe.name) +
-                                    "_mod_" + replacerName(rep);
-            registerPoint("abl_bank/" + tag + "/banks:4", tag, 4,
-                          [probe, rep] {
-                              return synthPoint(probe, 4,
-                                                SliceHashKind::Mod,
-                                                rep);
-                          });
+            points.push_back(bankPoint(
+                std::string(probe.name) + "_mod_" + replacerName(rep), 4,
+                [probe, rep] {
+                    return synthPoint(probe, 4, SliceHashKind::Mod, rep);
+                }));
         }
     }
     for (const SliceHashKind hash : coherence::allSliceHashes) {
         for (const ReplacerKind rep : cache::allReplacers) {
-            const std::string tag = std::string("replay_") +
-                                    sliceHashName(hash) + "_" +
-                                    replacerName(rep);
-            registerPoint("abl_bank/" + tag + "/banks:4", tag, 4,
-                          [hash, rep] {
-                              return replayPoint(hash, rep);
-                          });
+            points.push_back(bankPoint(
+                std::string("replay_") + sliceHashName(hash) + "_" +
+                    replacerName(rep),
+                4, [hash, rep] { return replayPoint(hash, rep); }));
         }
     }
+    return runBench(
+        "Ablation A10: L2/directory bank layer — bank count x slice "
+        "hash x replacement policy (simulated ms, DRAM transactions, "
+        "hottest bank's request share, peak bank occupancy, conflict "
+        "evictions total/coherent; x = bank count)",
+        "banks", std::move(points));
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Ablation A10: L2/directory bank layer — bank count x slice "
-    "hash x replacement policy (simulated ms, DRAM transactions, "
-    "hottest bank's request share, peak bank occupancy, conflict "
-    "evictions total/coherent; x = bank count)",
-    "banks")

@@ -16,14 +16,12 @@
  *     this bench then quantifies.
  *
  *  2. What does the raw (unpartitioned) EventQueue sustain on
- *     schedule+run churn? The second burst re-schedules into a heap
- *     whose high-water reserve is already warm, so the delta between
- *     burst 1 and burst 2 isolates the allocation cost the reserve
- *     removes from the hot path.
+ *     schedule+run churn? The measured second burst re-schedules into
+ *     a heap whose high-water reserve the first burst already grew,
+ *     so it shows the hot path without the reserve's allocations.
  *
  * Unlike the figure benches this binary measures host time, so its
- * own simulation sweep must be sequential: a custom main pins
- * CCSVM_BENCH_JOBS=1 before the sweep runs. Numbers from a
+ * points run one after another (runBench's hostTimed). Numbers from a
  * run_figures.sh session (which runs other benches concurrently) are
  * indicative only; run the binary alone for clean ones.
  */
@@ -72,8 +70,8 @@ engineMatmul(int threads, unsigned n)
 }
 
 /** Raw EventQueue schedule+run churn: @p burst events per burst. The
- * queue outlives both bursts, so burst 2 schedules into the
- * high-water reserve that burst 1 grew. */
+ * queue outlives both bursts, so burst 2 — the measured one —
+ * schedules into the high-water reserve that burst 1 grew. */
 SweepOutcome
 queueChurn(std::size_t burst)
 {
@@ -93,109 +91,50 @@ queueChurn(std::size_t burst)
     SweepOutcome o;
     o.run.ticks = eq.now();
     o.run.correct = true;
-    const auto ev = static_cast<double>(burst);
-    o.values["cold_Mev_per_s"] = ev / burst_ms[0] / 1e3;
-    o.values["warm_Mev_per_s"] = ev / burst_ms[1] / 1e3;
+    o.values["warm_Mev_per_s"] =
+        static_cast<double>(burst) / burst_ms[1] / 1e3;
     return o;
 }
-
-void
-BM_EngineThreads(benchmark::State &state)
-{
-    const auto threads = static_cast<int>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    const auto &base = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    const double wall = out.values.at("wall_ms");
-    const double speedup = wall > 0
-                               ? base.values.at("wall_ms") / wall
-                               : 0.0;
-    state.counters["wall_ms"] = wall;
-    state.counters["Mev_per_s"] = out.values.at("Mev_per_s");
-    state.counters["speedup_vs_1t"] = speedup;
-    const auto x = static_cast<std::uint64_t>(threads);
-    FigureTable::instance().record(x, "wall_ms", wall);
-    FigureTable::instance().record(x, "Mev_per_s",
-                                   out.values.at("Mev_per_s"));
-    FigureTable::instance().record(x, "ev_per_window",
-                                   out.values.at("ev_per_window"));
-    FigureTable::instance().record(x, "speedup_vs_1t", speedup);
-}
-
-void
-BM_QueueChurn(benchmark::State &state)
-{
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-    }
-    state.counters["cold_Mev_per_s"] =
-        out.values.at("cold_Mev_per_s");
-    state.counters["warm_Mev_per_s"] =
-        out.values.at("warm_Mev_per_s");
-    // Row 0: the unpartitioned queue baseline (no engine threads).
-    FigureTable::instance().record(0, "Mev_per_s",
-                                   out.values.at("warm_Mev_per_s"));
-}
-
-void
-registerAll()
-{
-    const unsigned n = largeSweeps() ? 96 : 48;
-    // The 1-thread job doubles as every case's speedup baseline.
-    std::vector<std::int64_t> job;
-    for (const int threads : {1, 2, 4})
-        job.push_back(static_cast<std::int64_t>(
-            BenchSweep::instance().add([threads, n] {
-                return engineMatmul(threads, n);
-            })));
-    for (std::size_t i = 0; i < job.size(); ++i) {
-        const std::int64_t threads[] = {1, 2, 4};
-        benchmark::RegisterBenchmark("abl_engine/threads",
-                                     BM_EngineThreads)
-            ->Args({threads[i], job[i], job[0]})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    const std::size_t burst = largeSweeps() ? 4u << 20 : 1u << 20;
-    const auto churn = static_cast<std::int64_t>(
-        BenchSweep::instance().add([burst] {
-            return queueChurn(burst);
-        }));
-    benchmark::RegisterBenchmark("abl_engine/queue_churn",
-                                 BM_QueueChurn)
-        ->Args({churn})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-}
-
-const int registered = (registerAll(), 0);
 
 } // namespace
 } // namespace ccsvm::bench
 
-// Custom main (see the file comment): host-time measurements need
-// the simulation sweep itself to stay sequential, whatever
-// CCSVM_BENCH_JOBS the caller exported.
 int
-main(int argc, char **argv)
+main()
 {
-    ::setenv("CCSVM_BENCH_JOBS", "1", 1);
-    ::ccsvm::setQuiet(true);
-    ::benchmark::Initialize(&argc, argv);
-    ::ccsvm::bench::BenchSweep::instance().runAll();
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::ccsvm::bench::FigureTable::instance().print(
-        "Ablation A8: engine scaling (x=sim threads; row 0 = raw "
-        "unpartitioned queue)",
-        "threads");
-    ::ccsvm::bench::FigureTable::instance().writeJsonFromEnv(
-        "Ablation A8: engine scaling (x=sim threads; row 0 = raw "
-        "unpartitioned queue)",
-        "threads");
-    return 0;
+    using namespace ccsvm::bench;
+
+    const unsigned n = largeSweeps() ? 96 : 48;
+    double base_wall = 0; // the 1-thread run, every row's baseline
+    std::vector<BenchPoint> points;
+    for (const int threads : {1, 2, 4}) {
+        points.push_back(
+            {"abl_engine/threads/" + std::to_string(threads),
+             [threads, n] { return engineMatmul(threads, n); },
+             [threads, &base_wall](const SweepOutcome &o,
+                                   FigureTable &t) {
+                 const double wall = o.values.at("wall_ms");
+                 if (threads == 1)
+                     base_wall = wall;
+                 const auto x = static_cast<std::uint64_t>(threads);
+                 t.record(x, "wall_ms", wall);
+                 t.record(x, "Mev_per_s", o.values.at("Mev_per_s"));
+                 t.record(x, "ev_per_window",
+                          o.values.at("ev_per_window"));
+                 t.record(x, "speedup_vs_1t",
+                          wall > 0 ? base_wall / wall : 0.0);
+             }});
+    }
+    const std::size_t burst = largeSweeps() ? 4u << 20 : 1u << 20;
+    points.push_back(
+        {"abl_engine/queue_churn",
+         [burst] { return queueChurn(burst); },
+         [](const SweepOutcome &o, FigureTable &t) {
+             // Row 0: the unpartitioned queue baseline (no engine
+             // threads).
+             t.record(0, "Mev_per_s", o.values.at("warm_Mev_per_s"));
+         }});
+    return runBench("Ablation A8: engine scaling (x=sim threads; row 0 = "
+                    "raw unpartitioned queue)",
+                    "threads", std::move(points), true);
 }

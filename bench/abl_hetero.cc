@@ -62,10 +62,6 @@ pairConfig(std::int64_t pair)
     return cfg;
 }
 
-// Simulations run up front through the BenchSweep; each job extracts
-// the pair-sensitive machine stats before its machine dies, and the
-// cases replay the outcomes in registration order.
-
 /** Fold the pair-sensitive traffic stats into the outcome before the
  * machine is destroyed (jobs run on sweep workers). */
 void
@@ -81,128 +77,70 @@ extractStats(system::CcsvmMachine &m, SweepOutcome &o)
         static_cast<double>(system::l1Invalidations(m));
 }
 
-void
-recordRow(const SweepOutcome &out, const char *workload,
-          std::int64_t pair)
+/** One pair x workload point: @p run simulates the workload on the
+ * pair's machine. */
+BenchPoint
+pairPoint(std::int64_t pair, const std::string &workload,
+          std::function<workloads::RunResult(system::CcsvmMachine &)> run)
 {
     const std::string series = pairName(pair) + "_" + workload;
-    auto &table = FigureTable::instance();
-    const auto x = static_cast<std::uint64_t>(pair);
-    table.record(x, series + "_ms", toMs(out.run.ticks));
-    table.record(x, series + "_wb", out.values.at("wb"));
-    table.record(x, series + "_swb_cpu", out.values.at("swb_cpu"));
-    table.record(x, series + "_swb_mttop",
-                 out.values.at("swb_mttop"));
-    table.record(x, series + "_invs", out.values.at("invs"));
-}
-
-void
-BM_HeteroMatmul(benchmark::State &state)
-{
-    const std::int64_t pair = state.range(0);
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, "matmul", pair);
-}
-
-void
-BM_HeteroSpmm(benchmark::State &state)
-{
-    const std::int64_t pair = state.range(0);
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, "spmm", pair);
-}
-
-void
-BM_HeteroSynth(benchmark::State &state)
-{
-    const std::int64_t pair = state.range(0);
-    const auto pat = static_cast<synth::Pattern>(state.range(1));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, synth::patternName(pat), pair);
-}
-
-void
-registerAll()
-{
-    const std::int64_t matmul_n = largeSweeps() ? 32 : 16;
-    const std::int64_t spmm_n = 32;
-    constexpr synth::Pattern kPatterns[] = {synth::Pattern::Migratory,
-                                            synth::Pattern::FalseShare};
-    for (std::int64_t pair = 0; pair < 9; ++pair) {
-        const std::string suffix = "_" + pairName(pair);
-        const auto matmul_job = static_cast<std::int64_t>(
-            BenchSweep::instance().add([pair, matmul_n] {
+    return {"abl_hetero/" + workload + "_" + pairName(pair),
+            [pair, run = std::move(run)] {
                 system::CcsvmMachine m(pairConfig(pair));
                 SweepOutcome o;
-                o.run = workloads::matmulXthreads(
-                    m, static_cast<unsigned>(matmul_n));
+                o.run = run(m);
                 extractStats(m, o);
                 return o;
-            }));
-        benchmark::RegisterBenchmark(
-            ("abl_hetero/matmul" + suffix).c_str(), BM_HeteroMatmul)
-            ->Args({pair, matmul_n, matmul_job})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        const auto spmm_job = static_cast<std::int64_t>(
-            BenchSweep::instance().add([pair, spmm_n] {
-                system::CcsvmMachine m(pairConfig(pair));
-                workloads::SpmmParams p;
-                p.n = static_cast<unsigned>(spmm_n);
-                SweepOutcome o;
-                o.run = workloads::spmmXthreads(m, p);
-                extractStats(m, o);
-                return o;
-            }));
-        benchmark::RegisterBenchmark(
-            ("abl_hetero/spmm" + suffix).c_str(), BM_HeteroSpmm)
-            ->Args({pair, spmm_n, spmm_job})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        for (const synth::Pattern pat : kPatterns) {
-            const auto synth_job = static_cast<std::int64_t>(
-                BenchSweep::instance().add([pair, pat] {
-                    system::CcsvmMachine m(pairConfig(pair));
-                    synth::SynthParams p;
-                    p.pattern = pat;
-                    p.iters = 24;
-                    SweepOutcome o;
-                    o.run = synth::synthXthreads(m, p);
-                    extractStats(m, o);
-                    return o;
-                }));
-            benchmark::RegisterBenchmark(
-                ("abl_hetero/" + std::string(synth::patternName(pat)) +
-                 suffix)
-                    .c_str(),
-                BM_HeteroSynth)
-                ->Args({pair, static_cast<std::int64_t>(pat),
-                        synth_job})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
+            },
+            [series, x = static_cast<std::uint64_t>(pair)](
+                const SweepOutcome &o, FigureTable &t) {
+                t.record(x, series + "_ms", toMs(o.run.ticks));
+                t.record(x, series + "_wb", o.values.at("wb"));
+                t.record(x, series + "_swb_cpu", o.values.at("swb_cpu"));
+                t.record(x, series + "_swb_mttop",
+                         o.values.at("swb_mttop"));
+                t.record(x, series + "_invs", o.values.at("invs"));
+            }};
 }
-
-const int registered = (registerAll(), 0);
 
 } // namespace
 } // namespace ccsvm::bench
 
-CCSVM_BENCH_MAIN(
-    "Ablation A6: per-cluster heterogeneous protocol pairs "
-    "(cpu_mttop; runtime ms, writebacks, per-cluster dirty-read "
-    "writeback split, L1 invalidations; x = pair index)",
-    "pair")
+int
+main()
+{
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
+
+    const unsigned matmul_n = largeSweeps() ? 32 : 16;
+    constexpr synth::Pattern kPatterns[] = {synth::Pattern::Migratory,
+                                            synth::Pattern::FalseShare};
+    std::vector<BenchPoint> points;
+    for (std::int64_t pair = 0; pair < 9; ++pair) {
+        points.push_back(pairPoint(
+            pair, "matmul", [matmul_n](system::CcsvmMachine &m) {
+                return workloads::matmulXthreads(m, matmul_n);
+            }));
+        points.push_back(
+            pairPoint(pair, "spmm", [](system::CcsvmMachine &m) {
+                workloads::SpmmParams p;
+                p.n = 32;
+                return workloads::spmmXthreads(m, p);
+            }));
+        for (const synth::Pattern pat : kPatterns) {
+            points.push_back(pairPoint(
+                pair, synth::patternName(pat),
+                [pat](system::CcsvmMachine &m) {
+                    synth::SynthParams p;
+                    p.pattern = pat;
+                    p.iters = 24;
+                    return synth::synthXthreads(m, p);
+                }));
+        }
+    }
+    return runBench(
+        "Ablation A6: per-cluster heterogeneous protocol pairs "
+        "(cpu_mttop; runtime ms, writebacks, per-cluster dirty-read "
+        "writeback split, L1 invalidations; x = pair index)",
+        "pair", std::move(points));
+}

@@ -77,98 +77,52 @@ apuLaunch(unsigned threads)
         }) - m.config().threadSpawnLatency;
 }
 
-// Simulations run up front through the BenchSweep (each experiment
-// owns its machines); the cases replay the outcomes in registration
-// order.
-
-void
-recordLaunch(benchmark::State &state, const char *series)
-{
-    const auto threads = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const double us = static_cast<double>(out.run.ticks) / tickUs;
-    state.counters["launch_us"] = us;
-    FigureTable::instance().record(threads, series, us);
-}
-
-void
-BM_CcsvmLaunch(benchmark::State &state)
-{
-    recordLaunch(state, "ccsvm_launch_us");
-}
-
-void
-BM_CcsvmLaunchSlowMifd(benchmark::State &state)
-{
-    recordLaunch(state, "ccsvm_slow_mifd_us");
-}
-
-void
-BM_ApuLaunch(benchmark::State &state)
-{
-    recordLaunch(state, "apu_launch_us");
-}
-
-std::int64_t
-addLaunchJob(std::int64_t threads, int flavor)
-{
-    return static_cast<std::int64_t>(
-        BenchSweep::instance().add([threads, flavor] {
-            const auto ut = static_cast<unsigned>(threads);
-            SweepOutcome o;
-            switch (flavor) {
-              case 0:
-                o.run.ticks = ccsvmLaunch(ut, dev::MifdConfig{});
-                break;
-              case 1: {
-                // Ablation within the ablation: a 10x slower MIFD
-                // barely moves the needle — the syscall dominates
-                // the CCSVM launch path.
-                dev::MifdConfig mifd;
-                mifd.taskAcceptLatency *= 10;
-                mifd.chunkDispatchLatency *= 10;
-                o.run.ticks = ccsvmLaunch(ut, mifd);
-                break;
-              }
-              default:
-                o.run.ticks = apuLaunch(ut);
-                break;
-            }
-            o.run.correct = true;
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    for (std::int64_t threads : {8, 64, 256, 1024}) {
-        benchmark::RegisterBenchmark("abl_launch/ccsvm",
-                                     BM_CcsvmLaunch)
-            ->Args({threads, addLaunchJob(threads, 0)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("abl_launch/ccsvm_slow_mifd",
-                                     BM_CcsvmLaunchSlowMifd)
-            ->Args({threads, addLaunchJob(threads, 1)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("abl_launch/apu_opencl",
-                                     BM_ApuLaunch)
-            ->Args({threads, addLaunchJob(threads, 2)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-}
-
-const int registered = (registerAll(), 0);
-
 } // namespace
 } // namespace ccsvm::bench
 
-CCSVM_BENCH_MAIN(
-    "Ablation A1: no-op task launch latency (us) vs thread count",
-    "threads")
+int
+main()
+{
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
+
+    // Ablation within the ablation: a 10x slower MIFD barely moves
+    // the needle — the syscall dominates the CCSVM launch path.
+    dev::MifdConfig slow_mifd;
+    slow_mifd.taskAcceptLatency *= 10;
+    slow_mifd.chunkDispatchLatency *= 10;
+    struct Flavor
+    {
+        const char *name;
+        const char *series;
+        std::function<Tick(unsigned)> launch;
+    };
+    const Flavor flavors[] = {
+        {"abl_launch/ccsvm/", "ccsvm_launch_us",
+         [](unsigned t) { return ccsvmLaunch(t, dev::MifdConfig{}); }},
+        {"abl_launch/ccsvm_slow_mifd/", "ccsvm_slow_mifd_us",
+         [slow_mifd](unsigned t) { return ccsvmLaunch(t, slow_mifd); }},
+        {"abl_launch/apu_opencl/", "apu_launch_us", apuLaunch},
+    };
+    std::vector<BenchPoint> points;
+    for (const unsigned threads : {8, 64, 256, 1024}) {
+        for (const Flavor &f : flavors) {
+            points.push_back(
+                {f.name + std::to_string(threads),
+                 [launch = f.launch, threads] {
+                     SweepOutcome o;
+                     o.run.ticks = launch(threads);
+                     o.run.correct = true;
+                     return o;
+                 },
+                 [threads, series = f.series](const SweepOutcome &o,
+                                              FigureTable &t) {
+                     t.record(threads, series,
+                              static_cast<double>(o.run.ticks) / tickUs);
+                 }});
+        }
+    }
+    return runBench(
+        "Ablation A1: no-op task launch latency (us) vs thread count",
+        "threads", std::move(points));
+}

@@ -31,113 +31,64 @@ using system::l1Invalidations;
 constexpr Protocol kProtocols[] = {Protocol::MSI, Protocol::MESI,
                                    Protocol::MOESI};
 
-// Simulations run up front through the BenchSweep; each job extracts
-// the protocol-sensitive machine stats before its machine dies, and
-// the cases replay the outcomes in registration order.
-
-void
-recordRow(const SweepOutcome &out, const char *pname,
-          const char *workload, std::uint64_t x)
+/** One protocol x workload point; the job extracts the
+ * protocol-sensitive machine stats before its machine dies. */
+BenchPoint
+protocolPoint(Protocol proto, unsigned n, bool spmm)
 {
-    const std::string p = pname;
-    auto &table = FigureTable::instance();
-    table.record(x, p + "_" + workload + "_ms",
-                 toMs(out.run.ticks));
-    table.record(x, p + "_" + workload + "_wb",
-                 out.values.at("wb"));
-    table.record(x, p + "_" + workload + "_invs",
-                 out.values.at("invs"));
+    const std::string p = coherence::protocolName(proto);
+    const std::string workload = spmm ? "spmm" : "matmul";
+    return {"abl_protocol/" + workload + "_" + p + "/" +
+                std::to_string(n),
+            [proto, n, spmm] {
+                system::CcsvmConfig cfg;
+                cfg.protocol = proto;
+                system::CcsvmMachine m(cfg);
+                SweepOutcome o;
+                if (spmm) {
+                    workloads::SpmmParams sp;
+                    sp.n = n;
+                    o.run = workloads::spmmXthreads(m, sp);
+                } else {
+                    o.run = workloads::matmulXthreads(m, n);
+                }
+                o.values["wb"] = static_cast<double>(dirtyWritebacks(m));
+                o.values["invs"] =
+                    static_cast<double>(l1Invalidations(m));
+                return o;
+            },
+            [series = p + "_" + workload, n](const SweepOutcome &o,
+                                             FigureTable &t) {
+                t.record(n, series + "_ms", toMs(o.run.ticks));
+                t.record(n, series + "_wb", o.values.at("wb"));
+                t.record(n, series + "_invs", o.values.at("invs"));
+            }};
 }
-
-void
-BM_ProtocolMatmul(benchmark::State &state)
-{
-    const auto proto = kProtocols[state.range(0)];
-    const auto n = static_cast<unsigned>(state.range(1));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, coherence::protocolName(proto), "matmul", n);
-}
-
-void
-BM_ProtocolSpmm(benchmark::State &state)
-{
-    const auto proto = kProtocols[state.range(0)];
-    const auto n = static_cast<unsigned>(state.range(1));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    recordRow(out, coherence::protocolName(proto), "spmm", n);
-}
-
-std::int64_t
-addProtocolJob(std::int64_t pi, std::int64_t n, bool spmm)
-{
-    return static_cast<std::int64_t>(
-        BenchSweep::instance().add([pi, n, spmm] {
-            system::CcsvmConfig cfg;
-            cfg.protocol = kProtocols[pi];
-            system::CcsvmMachine m(cfg);
-            SweepOutcome o;
-            if (spmm) {
-                workloads::SpmmParams p;
-                p.n = static_cast<unsigned>(n);
-                o.run = workloads::spmmXthreads(m, p);
-            } else {
-                o.run = workloads::matmulXthreads(
-                    m, static_cast<unsigned>(n));
-            }
-            o.values["wb"] =
-                static_cast<double>(dirtyWritebacks(m));
-            o.values["invs"] =
-                static_cast<double>(l1Invalidations(m));
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    std::vector<std::int64_t> matmul_sizes = {16, 32};
-    std::vector<std::int64_t> spmm_sizes = {32};
-    if (largeSweeps()) {
-        matmul_sizes.push_back(64);
-        spmm_sizes.push_back(64);
-    }
-    for (std::int64_t pi = 0; pi < 3; ++pi) {
-        const char *pname = coherence::protocolName(kProtocols[pi]);
-        for (const std::int64_t n : matmul_sizes) {
-            benchmark::RegisterBenchmark(
-                ("abl_protocol/matmul_" + std::string(pname))
-                    .c_str(),
-                BM_ProtocolMatmul)
-                ->Args({pi, n, addProtocolJob(pi, n, false)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-        for (const std::int64_t n : spmm_sizes) {
-            benchmark::RegisterBenchmark(
-                ("abl_protocol/spmm_" + std::string(pname)).c_str(),
-                BM_ProtocolSpmm)
-                ->Args({pi, n, addProtocolJob(pi, n, true)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-}
-
-const int registered = (registerAll(), 0);
 
 } // namespace
 } // namespace ccsvm::bench
 
-CCSVM_BENCH_MAIN(
-    "Ablation A4: coherence protocol sweep (runtime ms, writebacks "
-    "incl. dirty-read WBs, L1 invalidations; per protocol and "
-    "workload)",
-    "n")
+int
+main()
+{
+    using namespace ccsvm::bench;
+
+    std::vector<unsigned> matmul_sizes = {16, 32};
+    std::vector<unsigned> spmm_sizes = {32};
+    if (largeSweeps()) {
+        matmul_sizes.push_back(64);
+        spmm_sizes.push_back(64);
+    }
+    std::vector<BenchPoint> points;
+    for (const Protocol proto : kProtocols) {
+        for (const unsigned n : matmul_sizes)
+            points.push_back(protocolPoint(proto, n, false));
+        for (const unsigned n : spmm_sizes)
+            points.push_back(protocolPoint(proto, n, true));
+    }
+    return runBench(
+        "Ablation A4: coherence protocol sweep (runtime ms, writebacks "
+        "incl. dirty-read WBs, L1 invalidations; per protocol and "
+        "workload)",
+        "n", std::move(points));
+}

@@ -17,9 +17,9 @@
  * scripts/bench_compare.py tracks in BENCH_replay.json against its
  * committed baseline.
  *
- * Like abl_engine this binary measures host time, so a custom main
- * pins CCSVM_BENCH_JOBS=1; numbers from a concurrent run_figures.sh
- * session are indicative only.
+ * Like abl_engine this binary measures host time, so its points run
+ * one after another; numbers from a concurrent run_figures.sh sweep
+ * are indicative only.
  */
 
 #include "bench_common.hh"
@@ -111,89 +111,52 @@ captureReplayProbe(const char *tag, Fn &&workload)
     return o;
 }
 
-void
-BM_CaptureReplay(benchmark::State &state)
-{
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
-    for (const char *key :
-         {"plain_ms", "capture_ms", "replay_ms", "capture_Mev_per_s",
-          "replay_Mev_per_s", "capture_overhead_pct",
-          "replay_capture_ratio"})
-        state.counters[key] = out.values.at(key);
-
-    const auto x = static_cast<std::uint64_t>(state.range(1));
-    for (const char *key :
-         {"plain_ms", "capture_ms", "replay_ms", "capture_Mev_per_s",
-          "replay_Mev_per_s", "capture_overhead_pct",
-          "replay_capture_ratio", "events"})
-        FigureTable::instance().record(x, key, out.values.at(key));
-}
-
-void
-registerAll()
-{
-    const unsigned n = largeSweeps() ? 48 : 24;
-    const unsigned iters = largeSweeps() ? 128 : 48;
-
-    // Row 0: matmul, row 1: synth:false (the bench_compare baseline
-    // keys on these x values).
-    const auto matmul_job = static_cast<std::int64_t>(
-        BenchSweep::instance().add([n] {
-            return captureReplayProbe(
-                "matmul", [n](system::CcsvmMachine &m) {
-                    return workloads::matmulXthreads(m, n);
-                });
-        }));
-    const auto synth_job = static_cast<std::int64_t>(
-        BenchSweep::instance().add([iters] {
-            return captureReplayProbe(
-                "synth_false", [iters](system::CcsvmMachine &m) {
-                    workloads::synth::SynthParams sp;
-                    sp.pattern = workloads::synth::Pattern::FalseShare;
-                    sp.iters = iters;
-                    return workloads::synth::synthXthreads(m, sp);
-                });
-        }));
-
-    benchmark::RegisterBenchmark("abl_replay/matmul",
-                                 BM_CaptureReplay)
-        ->Args({matmul_job, 0})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("abl_replay/synth_false",
-                                 BM_CaptureReplay)
-        ->Args({synth_job, 1})
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-}
-
-const int registered = (registerAll(), 0);
-
 } // namespace
 } // namespace ccsvm::bench
 
-// Custom main (see the file comment): host-time measurements need
-// the simulation sweep itself to stay sequential, whatever
-// CCSVM_BENCH_JOBS the caller exported.
 int
-main(int argc, char **argv)
+main()
 {
-    ::setenv("CCSVM_BENCH_JOBS", "1", 1);
-    ::ccsvm::setQuiet(true);
-    ::benchmark::Initialize(&argc, argv);
-    ::ccsvm::bench::BenchSweep::instance().runAll();
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::ccsvm::bench::FigureTable::instance().print(
-        "Ablation A9: trace capture/replay host cost (x: 0=matmul, "
-        "1=synth:false)",
-        "workload");
-    ::ccsvm::bench::FigureTable::instance().writeJsonFromEnv(
-        "Ablation A9: trace capture/replay host cost (x: 0=matmul, "
-        "1=synth:false)",
-        "workload");
-    return 0;
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
+
+    const unsigned n = largeSweeps() ? 48 : 24;
+    const unsigned iters = largeSweeps() ? 128 : 48;
+    const auto record = [](std::uint64_t x) {
+        return [x](const SweepOutcome &o, FigureTable &t) {
+            for (const char *key :
+                 {"plain_ms", "capture_ms", "replay_ms",
+                  "capture_Mev_per_s", "replay_Mev_per_s",
+                  "capture_overhead_pct", "replay_capture_ratio",
+                  "events"})
+                t.record(x, key, o.values.at(key));
+        };
+    };
+    // Row 0: matmul, row 1: synth:false (the bench_compare baseline
+    // keys on these x values).
+    std::vector<BenchPoint> points;
+    points.push_back(
+        {"abl_replay/matmul",
+         [n] {
+             return captureReplayProbe(
+                 "matmul", [n](system::CcsvmMachine &m) {
+                     return workloads::matmulXthreads(m, n);
+                 });
+         },
+         record(0)});
+    points.push_back(
+        {"abl_replay/synth_false",
+         [iters] {
+             return captureReplayProbe(
+                 "synth_false", [iters](system::CcsvmMachine &m) {
+                     workloads::synth::SynthParams sp;
+                     sp.pattern = workloads::synth::Pattern::FalseShare;
+                     sp.iters = iters;
+                     return workloads::synth::synthXthreads(m, sp);
+                 });
+         },
+         record(1)});
+    return runBench("Ablation A9: trace capture/replay host cost (x: "
+                    "0=matmul, 1=synth:false)",
+                    "workload", std::move(points), true);
 }

@@ -25,29 +25,10 @@ using sim::GuestTask;
 using vm::VAddr;
 namespace xt = ccsvm::xthreads;
 
-// Simulations run up front through the BenchSweep (each experiment
-// owns its machines); the cases replay the outcomes in registration
-// order.
-
-void
-BM_TlbSize(benchmark::State &state)
-{
-    const auto entries = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(entries, "matmul64_ms",
-                                   toMs(r.ticks));
-}
-
 /** The shootdown-interference experiment: MTTOP threads loop over a
  * working set while the CPU unmaps/remaps a scratch page; returns the
- * run's ticks, with the wholesale MTTOP TLB flush count extracted
- * before the machine dies. */
-SweepOutcome
+ * run's ticks. */
+Tick
 shootdownExperiment(unsigned remaps)
 {
     system::CcsvmMachine m;
@@ -126,82 +107,52 @@ shootdownExperiment(unsigned remaps)
             },
             args);
     }
-    SweepOutcome o;
-    o.run.ticks = t;
-    o.run.correct = true;
-    o.values["mttop_tlb_flushes"] = static_cast<double>(
-        m.stats().sumMatching("mttop") > 0
-            ? [&] {
-                  std::uint64_t f = 0;
-                  for (int i = 0; i < m.numMttopCores(); ++i)
-                      f += m.stats().get(
-                          "mttop" + std::to_string(i) +
-                          ".tlb.flushes");
-                  return f;
-              }()
-            : 0);
-    return o;
+    return t;
 }
-
-void
-BM_Shootdown(benchmark::State &state)
-{
-    const auto remaps = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const double us = static_cast<double>(out.run.ticks) / tickUs;
-    state.counters["sim_us"] = us;
-    // Rows keyed 1000+remaps to keep them apart from the TLB sweep.
-    state.counters["mttop_tlb_flushes"] =
-        out.values.at("mttop_tlb_flushes");
-    FigureTable::instance().record(1000 + remaps,
-                                   "shootdown_run_us", us);
-}
-
-void
-registerAll()
-{
-    for (std::int64_t entries : {4, 8, 16, 64}) {
-        const auto job = static_cast<std::int64_t>(
-            BenchSweep::instance().add([entries] {
-                system::CcsvmConfig cfg;
-                cfg.cpu.tlbEntries =
-                    static_cast<unsigned>(entries);
-                cfg.mttop.tlbEntries =
-                    static_cast<unsigned>(entries);
-                SweepOutcome o;
-                o.run = workloads::matmulXthreads(64, cfg);
-                return o;
-            }));
-        benchmark::RegisterBenchmark("abl_tlb/size_sweep",
-                                     BM_TlbSize)
-            ->Args({entries, job})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    for (std::int64_t remaps : {0, 4, 16}) {
-        const auto job = static_cast<std::int64_t>(
-            BenchSweep::instance().add([remaps] {
-                return shootdownExperiment(
-                    static_cast<unsigned>(remaps));
-            }));
-        benchmark::RegisterBenchmark("abl_tlb/shootdowns",
-                                     BM_Shootdown)
-            ->Args({remaps, job})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-}
-
-const int registered = (registerAll(), 0);
 
 } // namespace
 } // namespace ccsvm::bench
 
-CCSVM_BENCH_MAIN(
-    "Ablation A3: TLB size sweep (matmul N=64 runtime, ms) and "
-    "TLB-shootdown interference (runtime, us, rows keyed "
-    "1000+remaps)",
-    "entries|1000+r")
+int
+main()
+{
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
+
+    std::vector<BenchPoint> points;
+    for (const unsigned entries : {4, 8, 16, 64}) {
+        points.push_back(
+            {"abl_tlb/size_sweep/" + std::to_string(entries),
+             [entries] {
+                 system::CcsvmConfig cfg;
+                 cfg.cpu.tlbEntries = entries;
+                 cfg.mttop.tlbEntries = entries;
+                 return SweepOutcome{workloads::matmulXthreads(64, cfg),
+                                     {}};
+             },
+             [entries](const SweepOutcome &o, FigureTable &t) {
+                 t.record(entries, "matmul64_ms", toMs(o.run.ticks));
+             }});
+    }
+    for (const unsigned remaps : {0, 4, 16}) {
+        points.push_back(
+            {"abl_tlb/shootdowns/" + std::to_string(remaps),
+             [remaps] {
+                 SweepOutcome o;
+                 o.run.ticks = shootdownExperiment(remaps);
+                 o.run.correct = true;
+                 return o;
+             },
+             [remaps](const SweepOutcome &o, FigureTable &t) {
+                 // Rows keyed 1000+remaps to keep them apart from the
+                 // TLB sweep.
+                 t.record(1000 + remaps, "shootdown_run_us",
+                          static_cast<double>(o.run.ticks) / tickUs);
+             }});
+    }
+    return runBench(
+        "Ablation A3: TLB size sweep (matmul N=64 runtime, ms) and "
+        "TLB-shootdown interference (runtime, us, rows keyed "
+        "1000+remaps)",
+        "entries|1000+r", std::move(points));
+}

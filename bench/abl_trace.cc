@@ -17,8 +17,8 @@
  * asserted equal across rows: tracing must observe the simulation,
  * never perturb it.
  *
- * Host-time measurement, so the custom main pins CCSVM_BENCH_JOBS=1
- * like abl_engine; numbers from a shared run_figures.sh session are
+ * Host-time measurement, so the points run one after another like
+ * abl_engine's; numbers from a shared run_figures.sh sweep are
  * indicative only.
  */
 
@@ -81,44 +81,15 @@ tracedMatmul(const char *cats, Tick sample_interval, unsigned n)
     return o;
 }
 
-void
-BM_TraceOverhead(benchmark::State &state)
+} // namespace
+} // namespace ccsvm::bench
+
+int
+main()
 {
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    const auto &base = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    setCounters(state, out.run);
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
 
-    // Tracing must not change a single simulated number. The hash is
-    // carried as a double, exact for the comparison's purposes: both
-    // rows round identically or the mismatch is real.
-    ccsvm_assert(out.values.at("stats_hash") ==
-                     base.values.at("stats_hash"),
-                 "tracing perturbed the simulated stats");
-
-    const double wall = out.values.at("wall_ms");
-    const double base_wall = base.values.at("wall_ms");
-    const double overhead_pct =
-        base_wall > 0 ? (wall / base_wall - 1.0) * 100.0 : 0.0;
-    state.counters["wall_ms"] = wall;
-    state.counters["recorded"] = out.values.at("recorded");
-    state.counters["overhead_pct"] = overhead_pct;
-
-    const auto row = static_cast<std::uint64_t>(state.range(0));
-    FigureTable::instance().record(row, "wall_ms", wall);
-    FigureTable::instance().record(row, "recorded",
-                                   out.values.at("recorded"));
-    FigureTable::instance().record(row, "dropped",
-                                   out.values.at("dropped"));
-    FigureTable::instance().record(row, "overhead_pct", overhead_pct);
-}
-
-void
-registerAll()
-{
     const unsigned n = largeSweeps() ? 96 : 48;
     struct Setting
     {
@@ -131,44 +102,37 @@ registerAll()
         {"coh", "coh", 0},
         {"all+sampling", "all", 500000},
     };
-    std::vector<std::int64_t> job;
-    for (const Setting &s : settings)
-        job.push_back(static_cast<std::int64_t>(
-            BenchSweep::instance().add([s, n] {
-                return tracedMatmul(s.cats, s.sampleInterval, n);
-            })));
-    for (std::size_t i = 0; i < job.size(); ++i) {
-        benchmark::RegisterBenchmark("abl_trace/overhead",
-                                     BM_TraceOverhead)
-            ->Args({static_cast<std::int64_t>(i), job[i], job[0]})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    // Row 0 (tracing off) is every row's baseline.
+    double base_wall = 0, base_hash = 0;
+    std::vector<BenchPoint> points;
+    for (std::uint64_t row = 0; row < std::size(settings); ++row) {
+        const Setting s = settings[row];
+        points.push_back(
+            {std::string("abl_trace/overhead/") + s.label,
+             [s, n] { return tracedMatmul(s.cats, s.sampleInterval, n); },
+             [row, &base_wall, &base_hash](const SweepOutcome &o,
+                                           FigureTable &t) {
+                 const double wall = o.values.at("wall_ms");
+                 if (row == 0) {
+                     base_wall = wall;
+                     base_hash = o.values.at("stats_hash");
+                 }
+                 // Tracing must not change a single simulated number.
+                 // The hash is carried as a double, exact for the
+                 // comparison's purposes: both rows round identically
+                 // or the mismatch is real.
+                 ccsvm_assert(o.values.at("stats_hash") == base_hash,
+                              "tracing perturbed the simulated stats");
+                 t.record(row, "wall_ms", wall);
+                 t.record(row, "recorded", o.values.at("recorded"));
+                 t.record(row, "dropped", o.values.at("dropped"));
+                 t.record(row, "overhead_pct",
+                          base_wall > 0
+                              ? (wall / base_wall - 1.0) * 100.0
+                              : 0.0);
+             }});
     }
-}
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-// Custom main (see the file comment): overhead percentages need the
-// simulation sweep itself to stay sequential, whatever
-// CCSVM_BENCH_JOBS the caller exported.
-int
-main(int argc, char **argv)
-{
-    ::setenv("CCSVM_BENCH_JOBS", "1", 1);
-    ::ccsvm::setQuiet(true);
-    ::benchmark::Initialize(&argc, argv);
-    ::ccsvm::bench::BenchSweep::instance().runAll();
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::ccsvm::bench::FigureTable::instance().print(
-        "Ablation A9: observability overhead (row 0 = off, 1 = coh, "
-        "2 = all + sampling)",
-        "setting");
-    ::ccsvm::bench::FigureTable::instance().writeJsonFromEnv(
-        "Ablation A9: observability overhead (row 0 = off, 1 = coh, "
-        "2 = all + sampling)",
-        "setting");
-    return 0;
+    return runBench("Ablation A9: observability overhead (row 0 = off, "
+                    "1 = coh, 2 = all + sampling)",
+                    "setting", std::move(points), true);
 }

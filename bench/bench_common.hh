@@ -2,22 +2,24 @@
  * @file
  * Shared infrastructure for the per-figure benchmark binaries.
  *
- * Each binary registers one google-benchmark case per (system, size)
- * point; every case runs one full simulation (Iterations(1)) and
- * reports the simulated time and DRAM transactions as counters. After
- * the benchmark run, the binary prints the paper-style series (e.g.
- * "runtime relative to the AMD CPU core") so the figure can be read
- * directly off the output.
+ * Each binary's main() lists one BenchPoint per (system, size) point
+ * and returns runBench(): every point runs one full simulation, then
+ * records its figure rows, and the binary prints the paper-style
+ * series (e.g. "runtime relative to the AMD CPU core") so the figure
+ * can be read directly off the output.
  *
  * Environment knobs:
  *   CCSVM_BENCH_LARGE=1  extend sweeps toward the paper's sizes
  *                        (longer host runtime).
+ *   CCSVM_BENCH_JOBS=N   cap the simulation workers (1 = sequential,
+ *                        unset = CCSVM_JOBS, then hardware
+ *                        concurrency).
+ *   CCSVM_BENCH_JSON=P   also write the figure as JSON to P (used by
+ *                        bench/run_figures.sh).
  */
 
 #ifndef CCSVM_BENCH_BENCH_COMMON_HH
 #define CCSVM_BENCH_BENCH_COMMON_HH
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -43,9 +45,10 @@ largeSweeps()
 }
 
 /**
- * What one sweep job produced: the workload's RunResult (or at least
- * run.ticks for hand-rolled experiments) plus any machine stats the
- * bench reads after the run, extracted before the machine dies.
+ * What one point's simulation produced: the workload's RunResult (or
+ * at least run.ticks and run.correct for hand-rolled experiments)
+ * plus any machine stats the bench reads after the run, extracted
+ * before the machine dies.
  */
 struct SweepOutcome
 {
@@ -53,97 +56,10 @@ struct SweepOutcome
     std::map<std::string, double> values;
 };
 
-/**
- * The per-binary simulation sweep. Each figure binary registers one
- * job per (system, size) point at static-init time — a pure function
- * running one full simulation on a machine it owns — and
- * CCSVM_BENCH_MAIN runs them all through one sim::SweepRunner before
- * google-benchmark replays the results. The benchmark cases and the
- * FigureTable recording stay on the main thread in registration
- * order, so stdout and BENCH_*.json are byte-identical for every
- * worker count.
- *
- * Environment: CCSVM_BENCH_JOBS=N caps the workers (1 = sequential,
- * unset = CCSVM_JOBS, then hardware concurrency).
- *
- * Note jobs run regardless of --benchmark_filter: the sweep is the
- * unit of execution, the benchmark cases only read it.
- */
-class BenchSweep
-{
-  public:
-    static BenchSweep &
-    instance()
-    {
-        static BenchSweep s;
-        return s;
-    }
-
-    /** Register one job; returns its index (pass it to the benchmark
-     * case through an Arg). */
-    std::size_t
-    add(std::function<SweepOutcome()> job)
-    {
-        jobs_.push_back(std::move(job));
-        return jobs_.size() - 1;
-    }
-
-    /** Run every registered job (idempotent; the first call does the
-     * simulating). */
-    void
-    runAll()
-    {
-        if (ran_)
-            return;
-        ran_ = true;
-        unsigned jobs = 0;
-        if (const char *env = std::getenv("CCSVM_BENCH_JOBS");
-            env && env[0]) {
-            char *end = nullptr;
-            const unsigned long v = std::strtoul(env, &end, 10);
-            if (!*end)
-                jobs = static_cast<unsigned>(v);
-        }
-        const sim::SweepRunner runner(jobs);
-        results_ = runner.map<SweepOutcome>(jobs_);
-    }
-
-    const SweepOutcome &
-    result(std::size_t idx)
-    {
-        runAll();
-        return results_.at(idx);
-    }
-
-    /** Sum of run.ticks over every outcome — the binary's total
-     * simulated time, reported in the figure JSON. */
-    std::uint64_t
-    totalSimTicks()
-    {
-        runAll();
-        std::uint64_t total = 0;
-        for (const auto &o : results_)
-            total += o.run.ticks;
-        return total;
-    }
-
-  private:
-    std::vector<std::function<SweepOutcome()>> jobs_;
-    std::vector<SweepOutcome> results_;
-    bool ran_ = false;
-};
-
 /** Collected series for the post-run figure table. */
 class FigureTable
 {
   public:
-    static FigureTable &
-    instance()
-    {
-        static FigureTable t;
-        return t;
-    }
-
     void
     record(std::uint64_t x, const std::string &series, double value)
     {
@@ -179,22 +95,22 @@ class FigureTable
     }
 
     /**
-     * Write the figure as JSON: title, x label, series names, and one
-     * row object per x value. Shares the number/escape helpers with
-     * the stats registry so `BENCH_*.json` files and the ccsvm
-     * driver's output form one schema family.
+     * Write the figure as JSON: title, x label, the binary's total
+     * simulated ticks, series names, and one row object per x value.
+     * Shares the number/escape helpers with the stats registry so
+     * `BENCH_*.json` files and the ccsvm driver's output form one
+     * schema family.
      */
     bool
     writeJson(const std::string &path, const char *title,
-              const char *x_label) const
+              const char *x_label, std::uint64_t total_sim_ticks) const
     {
         std::ofstream os(path);
         if (!os)
             return false;
         os << "{\n  \"title\": \"" << sim::jsonEscape(title)
            << "\",\n  \"x_label\": \"" << sim::jsonEscape(x_label)
-           << "\",\n  \"total_sim_ticks\": "
-           << BenchSweep::instance().totalSimTicks()
+           << "\",\n  \"total_sim_ticks\": " << total_sim_ticks
            << ",\n  \"series\": [";
         std::vector<std::string> cols(seriesNames_.size());
         for (const auto &[name, idx] : seriesNames_)
@@ -216,64 +132,87 @@ class FigureTable
         return bool(os.flush());
     }
 
-    /**
-     * Honor the CCSVM_BENCH_JSON environment knob: when set, write
-     * the collected figure there after the run (used by
-     * bench/run_figures.sh to sweep every figure binary).
-     */
-    void
-    writeJsonFromEnv(const char *title, const char *x_label) const
-    {
-        const char *path = std::getenv("CCSVM_BENCH_JSON");
-        if (!path || !path[0])
-            return;
-        if (!writeJson(path, title, x_label))
-            std::fprintf(stderr, "cannot write %s\n", path);
-        else
-            std::printf("figure JSON written to %s\n", path);
-    }
-
   private:
     std::map<std::uint64_t, std::map<std::string, double>> data_;
     std::map<std::string, std::size_t> seriesNames_;
 };
+
+/** One point of a figure. */
+struct BenchPoint
+{
+    /** Names the point when it fails validation. */
+    std::string name;
+    /** One full simulation on a machine the job owns; runs on a
+     * sim::SweepRunner worker. */
+    std::function<SweepOutcome()> run;
+    /** Writes the point's figure rows; runs on the main thread in
+     * list order, so a point may read what earlier points recorded
+     * (e.g. a CPU baseline). */
+    std::function<void(const SweepOutcome &, FigureTable &)> record;
+};
+
+/**
+ * A figure binary's whole main(): run every point's simulation
+ * through one sim::SweepRunner, record the outcomes in list order,
+ * print the table and honor CCSVM_BENCH_JSON. Recording stays on this
+ * thread, so stdout and BENCH_*.json are byte-identical for every
+ * worker count.
+ *
+ * @param hostTimed run the points one after another on this thread,
+ *        whatever CCSVM_BENCH_JOBS says: for figures that measure
+ *        host wall-clock, which concurrent points would distort.
+ * @return the exit code: 1 if any point failed validation (each one
+ *         named on stderr) or the JSON could not be written, else 0.
+ */
+inline int
+runBench(const char *title, const char *x_label,
+         std::vector<BenchPoint> points, bool hostTimed = false)
+{
+    setQuiet(true);
+    unsigned jobs = 0; // SweepRunner's default
+    if (const char *env = std::getenv("CCSVM_BENCH_JOBS"); env && env[0]) {
+        char *end = nullptr;
+        const unsigned long v = std::strtoul(env, &end, 10);
+        if (!*end)
+            jobs = static_cast<unsigned>(v);
+    }
+    std::vector<std::function<SweepOutcome()>> runs;
+    for (BenchPoint &p : points)
+        runs.push_back(std::move(p.run));
+    const std::vector<SweepOutcome> outcomes =
+        sim::SweepRunner(hostTimed ? 1 : jobs).map<SweepOutcome>(runs);
+
+    FigureTable table;
+    std::uint64_t total_sim_ticks = 0;
+    int rc = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        points[i].record(outcomes[i], table);
+        total_sim_ticks += outcomes[i].run.ticks;
+        if (!outcomes[i].run.correct) {
+            std::fprintf(stderr, "%s: failed validation\n",
+                         points[i].name.c_str());
+            rc = 1;
+        }
+    }
+    table.print(title, x_label);
+
+    if (const char *path = std::getenv("CCSVM_BENCH_JSON");
+        path && path[0]) {
+        if (table.writeJson(path, title, x_label, total_sim_ticks)) {
+            std::printf("figure JSON written to %s\n", path);
+        } else {
+            std::fprintf(stderr, "cannot write %s\n", path);
+            rc = 1;
+        }
+    }
+    return rc;
+}
 
 inline double
 toMs(Tick t)
 {
     return static_cast<double>(t) / static_cast<double>(tickMs);
 }
-
-/** Standard counters for a workload run. */
-inline void
-setCounters(benchmark::State &state,
-            const workloads::RunResult &r)
-{
-    state.counters["sim_ms"] = toMs(r.ticks);
-    state.counters["sim_ms_noinit"] = toMs(r.ticksNoInit);
-    state.counters["dram"] = static_cast<double>(r.dramAccesses);
-    state.counters["correct"] = r.correct ? 1 : 0;
-    if (!r.correct) {
-        state.SkipWithError("workload output failed validation");
-    }
-}
-
-/** Main with a figure table printed after the benchmark run. The
- * simulation sweep runs first (multi-threaded, see BenchSweep); the
- * benchmark cases then replay its results on this thread. */
-#define CCSVM_BENCH_MAIN(title, x_label)                              \
-    int main(int argc, char **argv)                                   \
-    {                                                                 \
-        ::ccsvm::setQuiet(true);                                      \
-        ::benchmark::Initialize(&argc, argv);                         \
-        ::ccsvm::bench::BenchSweep::instance().runAll();              \
-        ::benchmark::RunSpecifiedBenchmarks();                        \
-        ::ccsvm::bench::FigureTable::instance().print(title,          \
-                                                      x_label);       \
-        ::ccsvm::bench::FigureTable::instance().writeJsonFromEnv(     \
-            title, x_label);                                          \
-        return 0;                                                     \
-    }
 
 } // namespace ccsvm::bench
 

@@ -14,117 +14,54 @@
 
 #include "bench_common.hh"
 
-namespace ccsvm::bench
+int
+main()
 {
-namespace
-{
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
 
-std::map<unsigned, double> cpu_ms; // baseline per size
-
-// The simulations run up front through the BenchSweep (one job per
-// case, registered below); the cases replay the outcomes in
-// registration order, so the relative series still see the CPU
-// baseline first.
-
-void
-BM_CpuCore(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    cpu_ms[n] = toMs(r.ticks);
-    FigureTable::instance().record(n, "cpu_rel", 1.0);
-    FigureTable::instance().record(n, "cpu_ms", toMs(r.ticks));
-}
-
-void
-BM_Ccsvm(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, "ccsvm_rel", toMs(r.ticks) / cpu_ms[n]);
-}
-
-void
-BM_ApuOpenCl(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, "apu_full_rel", toMs(r.ticks) / cpu_ms[n]);
-    FigureTable::instance().record(
-        n, "apu_noinit_rel", toMs(r.ticksNoInit) / cpu_ms[n]);
-}
-
-std::int64_t
-addRunJob(workloads::RunResult (*fn)(unsigned),
-          std::int64_t n)
-{
-    return static_cast<std::int64_t>(BenchSweep::instance().add(
-        [fn, n] {
-            SweepOutcome o;
-            o.run = fn(static_cast<unsigned>(n));
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    std::vector<std::int64_t> sizes{8, 16, 32, 64};
+    std::vector<unsigned> sizes{8, 16, 32, 64};
     if (largeSweeps()) {
         sizes.push_back(96);
         sizes.push_back(128);
     }
-    auto cpu = [](unsigned n) {
-        return workloads::matmulCpuSingle(n);
-    };
-    auto ccsvm = [](unsigned n) {
-        return workloads::matmulXthreads(n);
-    };
-    auto apu = [](unsigned n) {
-        return workloads::matmulOpenCl(n);
-    };
-    for (auto n : sizes) {
-        // CPU baseline must run first: the others report relative.
-        benchmark::RegisterBenchmark("fig5/cpu_core", BM_CpuCore)
-            ->Args({n, addRunJob(cpu, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+    std::map<unsigned, double> cpu_ms; // baseline per size
+    std::vector<BenchPoint> points;
+    // CPU baseline must record first: the others report relative.
+    for (const unsigned n : sizes)
+        points.push_back(
+            {"fig5/cpu_core/" + std::to_string(n),
+             [n] {
+                 return SweepOutcome{workloads::matmulCpuSingle(n), {}};
+             },
+             [n, &cpu_ms](const SweepOutcome &o, FigureTable &t) {
+                 cpu_ms[n] = toMs(o.run.ticks);
+                 t.record(n, "cpu_rel", 1.0);
+                 t.record(n, "cpu_ms", toMs(o.run.ticks));
+             }});
+    for (const unsigned n : sizes) {
+        points.push_back(
+            {"fig5/ccsvm_xthreads/" + std::to_string(n),
+             [n] {
+                 return SweepOutcome{workloads::matmulXthreads(n), {}};
+             },
+             [n, &cpu_ms](const SweepOutcome &o, FigureTable &t) {
+                 t.record(n, "ccsvm_rel", toMs(o.run.ticks) / cpu_ms[n]);
+             }});
+        points.push_back(
+            {"fig5/apu_opencl/" + std::to_string(n),
+             [n] {
+                 return SweepOutcome{workloads::matmulOpenCl(n), {}};
+             },
+             [n, &cpu_ms](const SweepOutcome &o, FigureTable &t) {
+                 t.record(n, "apu_full_rel",
+                          toMs(o.run.ticks) / cpu_ms[n]);
+                 t.record(n, "apu_noinit_rel",
+                          toMs(o.run.ticksNoInit) / cpu_ms[n]);
+             }});
     }
-    for (auto n : sizes) {
-        benchmark::RegisterBenchmark("fig5/ccsvm_xthreads", BM_Ccsvm)
-            ->Args({n, addRunJob(ccsvm, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("fig5/apu_opencl", BM_ApuOpenCl)
-            ->Args({n, addRunJob(apu, n)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
+    return runBench(
+        "Figure 5: matmul runtime relative to the AMD CPU core "
+        "(lower = faster; paper is log-scale)",
+        "N", std::move(points));
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Figure 5: matmul runtime relative to the AMD CPU core "
-    "(lower = faster; paper is log-scale)",
-    "N")

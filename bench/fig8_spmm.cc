@@ -17,9 +17,6 @@ namespace ccsvm::bench
 namespace
 {
 
-std::map<std::uint64_t, double> cpu_ms_size;
-std::map<std::uint64_t, double> cpu_ms_density;
-
 workloads::SpmmParams
 sizeParams(unsigned n)
 {
@@ -38,128 +35,79 @@ densityParams(unsigned density_permille)
     return p;
 }
 
-// Simulations run up front through the BenchSweep; the cases replay
-// the outcomes in registration order (CPU baselines first).
+/** CPU baseline runtime (ms) per table row. */
+using BaselineMs = std::map<std::uint64_t, double>;
 
-void
-BM_SizeCpu(benchmark::State &state)
+/** The CPU-core point for @p p: records no figure row, only the
+ * baseline runtime that the CCSVM point of row @p x reads. */
+BenchPoint
+cpuPoint(std::string name, workloads::SpmmParams p, std::uint64_t x,
+         BaselineMs &cpu_ms)
 {
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    cpu_ms_size[n] = toMs(r.ticks);
+    return {std::move(name),
+            [p] { return SweepOutcome{workloads::spmmCpuSingle(p), {}}; },
+            [x, &cpu_ms](const SweepOutcome &o, FigureTable &) {
+                cpu_ms[x] = toMs(o.run.ticks);
+            }};
 }
 
-void
-BM_SizeCcsvm(benchmark::State &state)
+/** The CCSVM point for @p p: records its speedup over row @p x's CPU
+ * baseline in @p series. */
+BenchPoint
+ccsvmPoint(std::string name, workloads::SpmmParams p, std::uint64_t x,
+           const char *series, BaselineMs &cpu_ms)
 {
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, "speedup_vs_cpu(size,1%)",
-        cpu_ms_size[n] / toMs(r.ticks));
+    return {std::move(name),
+            [p] { return SweepOutcome{workloads::spmmXthreads(p), {}}; },
+            [x, series, &cpu_ms](const SweepOutcome &o, FigureTable &t) {
+                t.record(x, series, cpu_ms[x] / toMs(o.run.ticks));
+            }};
 }
-
-void
-BM_DensityCpu(benchmark::State &state)
-{
-    const auto permille = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    cpu_ms_density[permille] = toMs(r.ticks);
-}
-
-void
-BM_DensityCcsvm(benchmark::State &state)
-{
-    const auto permille = static_cast<unsigned>(state.range(0));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(1)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    setCounters(state, r);
-    FigureTable::instance().record(
-        1000 + permille, "speedup_vs_cpu(density@fixedN)",
-        cpu_ms_density[permille] / toMs(r.ticks));
-}
-
-std::int64_t
-addSpmmJob(bool ccsvm, workloads::SpmmParams p)
-{
-    return static_cast<std::int64_t>(
-        BenchSweep::instance().add([ccsvm, p] {
-            SweepOutcome o;
-            o.run = ccsvm ? workloads::spmmXthreads(p)
-                          : workloads::spmmCpuSingle(p);
-            return o;
-        }));
-}
-
-void
-registerAll()
-{
-    // Left panel: size sweep at 1% density.
-    std::vector<std::int64_t> sizes{48, 64, 96};
-    if (largeSweeps()) {
-        sizes.push_back(128);
-        sizes.push_back(192);
-    }
-    for (auto n : sizes)
-        benchmark::RegisterBenchmark("fig8/size/cpu_core", BM_SizeCpu)
-            ->Args({n, addSpmmJob(false, sizeParams(
-                                             static_cast<unsigned>(n)))})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    for (auto n : sizes)
-        benchmark::RegisterBenchmark("fig8/size/ccsvm_xthreads",
-                                     BM_SizeCcsvm)
-            ->Args({n, addSpmmJob(true, sizeParams(
-                                            static_cast<unsigned>(n)))})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-
-    // Right panel: density sweep at fixed size (permille units; rows
-    // appear in the table as 1000+permille).
-    std::vector<std::int64_t> densities{5, 10, 20, 40, 80};
-    for (auto d : densities)
-        benchmark::RegisterBenchmark("fig8/density/cpu_core",
-                                     BM_DensityCpu)
-            ->Args({d, addSpmmJob(false,
-                                  densityParams(
-                                      static_cast<unsigned>(d)))})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    for (auto d : densities)
-        benchmark::RegisterBenchmark("fig8/density/ccsvm_xthreads",
-                                     BM_DensityCcsvm)
-            ->Args({d, addSpmmJob(true,
-                                  densityParams(
-                                      static_cast<unsigned>(d)))})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-}
-
-const int registered = (registerAll(), 0);
 
 } // namespace
 } // namespace ccsvm::bench
 
-CCSVM_BENCH_MAIN(
-    "Figure 8: sparse matmul speedup of CCSVM/xthreads over the AMD "
-    "CPU core (rows <1000: size sweep at 1% density; rows 1000+d: "
-    "density sweep, d = permille)",
-    "N|1000+d")
+int
+main()
+{
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
+
+    BaselineMs cpu_ms;
+    std::vector<BenchPoint> points;
+    // CPU baselines record first in each panel.
+
+    // Left panel: size sweep at 1% density.
+    std::vector<unsigned> sizes{48, 64, 96};
+    if (largeSweeps()) {
+        sizes.push_back(128);
+        sizes.push_back(192);
+    }
+    for (const unsigned n : sizes)
+        points.push_back(cpuPoint("fig8/size/cpu_core/" +
+                                      std::to_string(n),
+                                  sizeParams(n), n, cpu_ms));
+    for (const unsigned n : sizes)
+        points.push_back(ccsvmPoint(
+            "fig8/size/ccsvm_xthreads/" + std::to_string(n),
+            sizeParams(n), n, "speedup_vs_cpu(size,1%)", cpu_ms));
+
+    // Right panel: density sweep at fixed size (permille units; rows
+    // appear in the table as 1000+permille).
+    const unsigned densities[] = {5, 10, 20, 40, 80};
+    for (const unsigned d : densities)
+        points.push_back(cpuPoint("fig8/density/cpu_core/" +
+                                      std::to_string(d),
+                                  densityParams(d), 1000 + d, cpu_ms));
+    for (const unsigned d : densities)
+        points.push_back(ccsvmPoint(
+            "fig8/density/ccsvm_xthreads/" + std::to_string(d),
+            densityParams(d), 1000 + d,
+            "speedup_vs_cpu(density@fixedN)", cpu_ms));
+
+    return runBench(
+        "Figure 8: sparse matmul speedup of CCSVM/xthreads over the AMD "
+        "CPU core (rows <1000: size sweep at 1% density; rows 1000+d: "
+        "density sweep, d = permille)",
+        "N|1000+d", std::move(points));
+}

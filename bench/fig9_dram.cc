@@ -12,73 +12,44 @@
 
 #include "bench_common.hh"
 
-namespace ccsvm::bench
+int
+main()
 {
-namespace
-{
+    using namespace ccsvm;
+    using namespace ccsvm::bench;
 
-// Simulations run up front through the BenchSweep; the cases replay
-// the outcomes in registration order.
-
-void
-BM_Dram(benchmark::State &state)
-{
-    const auto n = static_cast<unsigned>(state.range(0));
-    const auto system = static_cast<int>(state.range(1));
-    const auto &out = BenchSweep::instance().result(
-        static_cast<std::size_t>(state.range(2)));
-    for (auto _ : state) {
-    }
-    const workloads::RunResult &r = out.run;
-    const char *series = system == 0   ? "cpu_dram"
-                         : system == 1 ? "ccsvm_dram"
-                                       : "apu_dram";
-    setCounters(state, r);
-    FigureTable::instance().record(
-        n, series, static_cast<double>(r.dramAccesses));
-}
-
-void
-registerAll()
-{
-    std::vector<std::int64_t> sizes{8, 16, 32, 64};
+    std::vector<unsigned> sizes{8, 16, 32, 64};
     if (largeSweeps())
         sizes.push_back(128);
-    const char *names[3] = {"fig9/cpu_core", "fig9/ccsvm_xthreads",
-                            "fig9/apu_opencl"};
-    for (auto n : sizes) {
-        for (std::int64_t sys = 0; sys < 3; ++sys) {
-            const auto job = static_cast<std::int64_t>(
-                BenchSweep::instance().add([n, sys] {
-                    const auto un = static_cast<unsigned>(n);
-                    SweepOutcome o;
-                    switch (sys) {
-                      case 0:
-                        o.run = workloads::matmulCpuSingle(un);
-                        break;
-                      case 1:
-                        o.run = workloads::matmulXthreads(un);
-                        break;
-                      default:
-                        o.run = workloads::matmulOpenCl(un);
-                        break;
-                    }
-                    return o;
-                }));
-            benchmark::RegisterBenchmark(names[sys], BM_Dram)
-                ->Args({n, sys, job})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
+    struct System
+    {
+        const char *name;
+        const char *series;
+        workloads::RunResult (*run)(unsigned);
+    };
+    const System systems[] = {
+        {"fig9/cpu_core/", "cpu_dram",
+         [](unsigned n) { return workloads::matmulCpuSingle(n); }},
+        {"fig9/ccsvm_xthreads/", "ccsvm_dram",
+         [](unsigned n) { return workloads::matmulXthreads(n); }},
+        {"fig9/apu_opencl/", "apu_dram",
+         [](unsigned n) { return workloads::matmulOpenCl(n); }},
+    };
+    std::vector<BenchPoint> points;
+    for (const unsigned n : sizes) {
+        for (const System &sys : systems) {
+            points.push_back(
+                {sys.name + std::to_string(n),
+                 [run = sys.run, n] { return SweepOutcome{run(n), {}}; },
+                 [n, series = sys.series](const SweepOutcome &o,
+                                          FigureTable &t) {
+                     t.record(n, series,
+                              static_cast<double>(o.run.dramAccesses));
+                 }});
         }
     }
+    return runBench(
+        "Figure 9: off-chip DRAM transactions for matmul "
+        "(paper is log-scale)",
+        "N", std::move(points));
 }
-
-const int registered = (registerAll(), 0);
-
-} // namespace
-} // namespace ccsvm::bench
-
-CCSVM_BENCH_MAIN(
-    "Figure 9: off-chip DRAM transactions for matmul "
-    "(paper is log-scale)",
-    "N")

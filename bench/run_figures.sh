@@ -2,6 +2,11 @@
 # Sweep every figure benchmark binary and collect its JSON output,
 # in the spirit of gem5-coherence-benchmark's run_coherence.sh.
 #
+# The bench list is the one the build wrote to
+# $BUILD_DIR/bench/benches.txt (CCSVM_BENCH_BINARIES in
+# bench/CMakeLists.txt). A bench exits 1 when one of its points fails
+# validation; this script then names it and exits 1 too.
+#
 # The benches run concurrently, bounded by --jobs (default: nproc);
 # each binary additionally parallelizes its own simulation sweep
 # (CCSVM_BENCH_JOBS, see bench_common.hh). Per-bench wall-clock and
@@ -37,9 +42,12 @@ if ! [[ $JOBS =~ ^[0-9]+$ ]] || [[ $JOBS -lt 1 ]]; then
     exit 2
 fi
 
-FIGURES=(fig5_matmul fig6_apsp fig7_barneshut fig8_spmm fig9_dram
-         abl_launch abl_tlb abl_atomics abl_protocol abl_synth
-         abl_hetero abl_region abl_engine abl_trace abl_replay)
+LIST="$BUILD_DIR/bench/benches.txt"
+if [[ ! -f $LIST ]]; then
+    echo "run_figures: missing $LIST (build with CCSVM_BUILD_BENCH=ON)" >&2
+    exit 1
+fi
+mapfile -t FIGURES < "$LIST"
 
 mkdir -p "$OUT_DIR"
 for fig in "${FIGURES[@]}"; do
@@ -99,14 +107,15 @@ for pid in "${pids[@]}"; do
     if ! wait "$pid" 2>/dev/null; then failed=1; fi
 done
 
-# table2_config is a plain report, not a google-benchmark sweep.
-"$BUILD_DIR/bench/table2_config" > "$OUT_DIR/table2_config.txt"
-
 total_t1="$(now_ms)"
 total_wall=$((total_t1 - total_t0))
 
 if [[ $failed -ne 0 ]]; then
-    echo "run_figures: a bench failed; logs in $OUT_DIR/*.log" >&2
+    for fig in "${FIGURES[@]}"; do
+        if [[ "$(cat "$OUT_DIR/$fig.wall_ms")" == FAILED ]]; then
+            echo "run_figures: $fig failed; see $OUT_DIR/$fig.log" >&2
+        fi
+    done
     exit 1
 fi
 

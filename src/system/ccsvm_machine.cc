@@ -135,9 +135,9 @@ CcsvmMachine::onWindowBarrier(Tick base, Tick end)
     if (cfg_.sampleInterval > 0 && base >= nextSample_) {
         Sample s;
         s.t = base;
-        s.dram = stats_.sumMatching("dram.");
-        s.l1Hits = stats_.sumMatchingSuffix(".hits");
-        s.l1Misses = stats_.sumMatchingSuffix(".misses");
+        s.dram = dramAccesses();
+        s.l1Hits = stats_.sumMatchingSuffix(".l1.hits");
+        s.l1Misses = stats_.sumMatchingSuffix(".l1.misses");
         s.nocPackets = stats_.get("noc.packets");
         s.nocBytes = stats_.get("noc.bytes");
         s.pageFaults = stats_.get("kernel.pageFaults");

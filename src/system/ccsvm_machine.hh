@@ -234,9 +234,9 @@ class CcsvmMachine : public runtime::FunctionalMem
     struct Sample
     {
         Tick t = 0;
-        std::uint64_t dram = 0;       ///< sum of "dram.*"
-        std::uint64_t l1Hits = 0;     ///< sum of "*.hits"
-        std::uint64_t l1Misses = 0;   ///< sum of "*.misses"
+        std::uint64_t dram = 0;       ///< dramAccesses()
+        std::uint64_t l1Hits = 0;     ///< sum of "*.l1.hits"
+        std::uint64_t l1Misses = 0;   ///< sum of "*.l1.misses"
         std::uint64_t nocPackets = 0;
         std::uint64_t nocBytes = 0;
         std::uint64_t pageFaults = 0;

@@ -123,12 +123,16 @@ TEST(TraceJson, StructureAndMicrosecondFormatting)
     EXPECT_NE(out.find("\"recorded\": 2"), std::string::npos);
 }
 
-/** Trace + series of one traced matmul run at @p sim_threads. */
+/** Trace + series of one traced matmul run at @p sim_threads, plus
+ * the final totals the series columns count toward. */
 struct TracedRun
 {
     std::string trace;
     std::vector<system::CcsvmMachine::Sample> samples;
     std::uint64_t recorded = 0;
+    std::uint64_t dram = 0;     ///< final dramAccesses()
+    std::uint64_t l1Hits = 0;   ///< final sum of every L1's hits
+    std::uint64_t l1Misses = 0; ///< final sum of every L1's misses
 };
 
 TracedRun
@@ -147,6 +151,16 @@ runTraced(int sim_threads, const std::string &cats)
     m.stats().tracer().writeJson(ss);
     out.trace = ss.str();
     out.samples = m.samples();
+    out.dram = m.dramAccesses();
+    std::vector<std::string> l1s;
+    for (int i = 0; i < m.numCpuCores(); ++i)
+        l1s.push_back("cpu" + std::to_string(i) + ".l1");
+    for (int i = 0; i < m.numMttopCores(); ++i)
+        l1s.push_back("mttop" + std::to_string(i) + ".l1");
+    for (const std::string &l1 : l1s) {
+        out.l1Hits += m.stats().get(l1 + ".hits");
+        out.l1Misses += m.stats().get(l1 + ".misses");
+    }
     return out;
 }
 
@@ -169,6 +183,23 @@ TEST(TraceMachine, ByteIdenticalAcrossSimThreads)
         EXPECT_EQ(t1.samples[i].pageFaults,
                   t4.samples[i].pageFaults);
     }
+
+    // The columns are cumulative totals of the counters they name:
+    // never decreasing, and never past the run's final totals.
+    for (std::size_t i = 1; i < t1.samples.size(); ++i) {
+        const auto &prev = t1.samples[i - 1];
+        const auto &cur = t1.samples[i];
+        EXPECT_LE(prev.dram, cur.dram) << "sample " << i;
+        EXPECT_LE(prev.l1Hits, cur.l1Hits) << "sample " << i;
+        EXPECT_LE(prev.l1Misses, cur.l1Misses) << "sample " << i;
+        EXPECT_LE(prev.nocPackets, cur.nocPackets) << "sample " << i;
+        EXPECT_LE(prev.nocBytes, cur.nocBytes) << "sample " << i;
+        EXPECT_LE(prev.pageFaults, cur.pageFaults) << "sample " << i;
+    }
+    const auto &last = t1.samples.back();
+    EXPECT_LE(last.dram, t1.dram);
+    EXPECT_LE(last.l1Hits, t1.l1Hits);
+    EXPECT_LE(last.l1Misses, t1.l1Misses);
 }
 
 TEST(TraceMachine, CategoryFilterRestrictsEvents)
