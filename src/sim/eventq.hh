@@ -9,6 +9,15 @@
  * deterministic. A queue is single-threaded; concurrency comes from
  * sim::PartEngine running several queues in conservative windows
  * (see parteventq.hh).
+ *
+ * The queue is time-bucketed. It orders only the distinct
+ * (when, priority) keys; each key holds a FIFO of the callbacks
+ * scheduled for it, in insertion order. The MTTOP's 1,280 hardware
+ * contexts put most events on a clock edge that already has pending
+ * work, so most schedules are an O(1) append to an existing FIFO.
+ * Callbacks live in one slot pool shared by every key, with inline
+ * storage for captures of up to Callback::inlineBytes, so steady-state
+ * scheduling allocates nothing.
  */
 
 #ifndef CCSVM_SIM_EVENTQ_HH
@@ -16,8 +25,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,15 +51,170 @@ enum : int
 };
 
 /**
+ * Move-only `void()` callable with inline storage: the event type.
+ *
+ * A capture of up to inlineBytes bytes (pointer-aligned, with a
+ * noexcept move) is stored in the object itself. That covers the
+ * NoC's per-hop closure (64 B) and the L1 completion closure (40 B).
+ * A larger capture, such as a send carrying a whole CohMsg, falls
+ * back to one heap allocation. Moving relocates the capture and
+ * leaves the source empty.
+ */
+class Callback
+{
+  public:
+    static constexpr std::size_t inlineBytes = 112;
+
+    Callback() noexcept = default;
+
+    /** Wrap @p f (implicit, like std::function's constructor). */
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_same_v<std::decay_t<F>, Callback>>>
+    Callback(F &&f)
+    {
+        emplace(std::forward<F>(f));
+    }
+
+    /** Replace the held callable with @p f, constructed in place. */
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_same_v<std::decay_t<F>, Callback>>>
+    Callback &
+    operator=(F &&f)
+    {
+        reset();
+        emplace(std::forward<F>(f));
+        return *this;
+    }
+
+    Callback(Callback &&o) noexcept { take(o); }
+
+    Callback &
+    operator=(Callback &&o) noexcept
+    {
+        if (this != &o) {
+            reset();
+            take(o);
+        }
+        return *this;
+    }
+
+    Callback(const Callback &) = delete;
+    Callback &operator=(const Callback &) = delete;
+
+    ~Callback() { reset(); }
+
+    /** @pre *this holds a callable. */
+    void operator()() { ops_->invoke(buf_); }
+
+  private:
+    struct Ops
+    {
+        void (*invoke)(void *buf);
+        /** Move-construct into dst and destroy src; null when copying
+         * the buffer's bytes does both. */
+        void (*relocate)(void *dst, void *src) noexcept;
+        /** Null when destruction is a no-op. */
+        void (*destroy)(void *buf) noexcept;
+    };
+
+    template <typename D>
+    static constexpr bool fitsInline =
+        sizeof(D) <= inlineBytes && alignof(D) <= alignof(void *) &&
+        std::is_nothrow_move_constructible_v<D>;
+
+    /** The callable in @p buf: in place, or behind a heap pointer. */
+    template <typename D>
+    static D &
+    held(void *buf) noexcept
+    {
+        if constexpr (fitsInline<D>)
+            return *std::launder(static_cast<D *>(buf));
+        else
+            return **std::launder(static_cast<D **>(buf));
+    }
+
+    template <typename D>
+    static const Ops *
+    opsFor() noexcept
+    {
+        static constexpr Ops ops = [] {
+            Ops o{[](void *buf) { held<D>(buf)(); }, nullptr, nullptr};
+            if constexpr (!fitsInline<D>) {
+                o.destroy = [](void *buf) noexcept {
+                    delete &held<D>(buf);
+                };
+            } else {
+                if constexpr (!std::is_trivially_copyable_v<D>)
+                    o.relocate = [](void *dst, void *src) noexcept {
+                        D &s = held<D>(src);
+                        ::new (dst) D(std::move(s));
+                        s.~D();
+                    };
+                if constexpr (!std::is_trivially_destructible_v<D>)
+                    o.destroy = [](void *buf) noexcept {
+                        held<D>(buf).~D();
+                    };
+            }
+            return o;
+        }();
+        return &ops;
+    }
+
+    /** @pre *this is empty. */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (fitsInline<D>)
+            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        else
+            ::new (static_cast<void *>(buf_)) D *(new D(std::forward<F>(f)));
+        ops_ = opsFor<D>();
+    }
+
+    void
+    take(Callback &o) noexcept
+    {
+        ops_ = o.ops_;
+        if (!ops_)
+            return;
+        if (ops_->relocate)
+            ops_->relocate(buf_, o.buf_);
+        else
+            std::memcpy(buf_, o.buf_, inlineBytes);
+        o.ops_ = nullptr;
+    }
+
+    void
+    reset() noexcept
+    {
+        if (ops_ && ops_->destroy)
+            ops_->destroy(buf_);
+        ops_ = nullptr;
+    }
+
+    alignas(void *) unsigned char buf_[inlineBytes];
+    const Ops *ops_ = nullptr;
+};
+
+/**
  * Deterministic discrete-event queue.
  *
- * Events are arbitrary callables. The queue itself is not thread
- * safe: only one host thread may schedule into or run it at a time.
+ * Events are arbitrary callables, run in (when, priority, insertion)
+ * order. Internally the distinct pending (when, priority) keys sit in
+ * a small vector sorted descending, so the next key is its back and a
+ * schedule finds its key by binary search. Each key links a FIFO of
+ * slots in the shared callback pool; a freed slot goes on a free list
+ * and is reused, so storage stays proportional to the pending events.
+ *
+ * The queue itself is not thread safe: only one host thread may
+ * schedule into or run it at a time.
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = sim::Callback;
 
     static constexpr Tick maxTick = std::numeric_limits<Tick>::max();
 
@@ -57,30 +224,15 @@ class EventQueue
     /** Total events executed so far (for progress/perf reporting). */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
-
-    /** Largest number of pending events ever held. */
-    std::size_t highWaterMark() const { return highWater_; }
+    bool empty() const { return keys_.empty(); }
+    std::size_t size() const { return size_; }
 
     /**
-     * Pre-size the heap: reserve space for @p hint entries, or for
-     * the observed high-water mark if that is larger. Benches and
-     * the partition engine call this so steady-state scheduling
-     * never reallocates.
-     */
-    void
-    reserve(std::size_t hint = 0)
-    {
-        heap_.reserve(std::max(hint, highWater_));
-    }
-
-    /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p cb to run at absolute time @p when, after every
+     * pending event with the same (when, priority).
      *
-     * Takes the callable by forwarding reference: the std::function
-     * is constructed directly in the heap entry, skipping one
-     * std::function move per schedule on the hot path.
+     * Takes the callable by forwarding reference: it is constructed
+     * directly in its pool slot.
      * @pre when >= now()
      */
     template <typename F>
@@ -90,13 +242,29 @@ class EventQueue
         ccsvm_assert(when >= now_,
                      "scheduling in the past: when=%llu now=%llu",
                      (unsigned long long)when, (unsigned long long)now_);
-        if (heap_.size() == heap_.capacity())
-            heap_.reserve(std::max<std::size_t>(
-                64, std::max(highWater_, 2 * heap_.size())));
-        heap_.push_back(
-            Entry{when, priority, seq_++, std::forward<F>(cb)});
-        std::push_heap(heap_.begin(), heap_.end(), Entry::later);
-        highWater_ = std::max(highWater_, heap_.size());
+        std::uint32_t s = free_;
+        if (s != nil) {
+            free_ = slots_[s].next;
+        } else {
+            s = static_cast<std::uint32_t>(slots_.size());
+            slots_.emplace_back();
+        }
+        slots_[s].cb = std::forward<F>(cb);
+        ++size_;
+
+        // keys_ is sorted descending: skip every key that runs later.
+        const auto it = std::partition_point(
+            keys_.begin(), keys_.end(), [&](const Key &k) {
+                return k.when != when ? k.when > when
+                                      : k.priority > priority;
+            });
+        if (it != keys_.end() && it->when == when &&
+            it->priority == priority) {
+            slots_[it->tail].next = s;
+            it->tail = s;
+        } else {
+            keys_.insert(it, Key{when, priority, s, s});
+        }
     }
 
     /** Schedule @p cb to run @p delta ticks from now. */
@@ -114,20 +282,27 @@ class EventQueue
     bool
     runOne()
     {
-        if (heap_.empty())
+        if (keys_.empty())
             return false;
-        // pop_heap swaps the earliest entry to the back (move-
-        // assigning whole entries; it never compares an entry that
-        // has been moved from), so extraction does not depend on the
-        // comparator tolerating a moved-from std::function. The entry
-        // is fully moved out before cb() runs, since running it may
-        // schedule (and so reallocate the heap).
-        std::pop_heap(heap_.begin(), heap_.end(), Entry::later);
-        Entry e = std::move(heap_.back());
-        heap_.pop_back();
-        now_ = e.when;
+        // The back key is re-read for every event: a callback may
+        // add a same-tick key with a lower priority value, which must
+        // run before the rest of the current key.
+        Key &k = keys_.back();
+        const std::uint32_t s = k.head;
+        now_ = k.when;
+        if (s == k.tail)
+            keys_.pop_back();
+        else
+            k.head = slots_[s].next;
+        // Move the callback out and free its slot before running it:
+        // the callback may schedule, which can grow (reallocate) the
+        // pool.
+        Callback cb = std::move(slots_[s].cb);
+        slots_[s].next = free_;
+        free_ = s;
+        --size_;
         ++executed_;
-        e.cb();
+        cb();
         return true;
     }
 
@@ -139,7 +314,7 @@ class EventQueue
     Tick
     run(Tick limit = maxTick)
     {
-        while (!heap_.empty() && heap_.front().when <= limit)
+        while (!keys_.empty() && keys_.back().when <= limit)
             runOne();
         return now_;
     }
@@ -154,7 +329,7 @@ class EventQueue
     {
         if (done())
             return true;
-        while (!heap_.empty() && heap_.front().when <= limit) {
+        while (!keys_.empty() && keys_.back().when <= limit) {
             runOne();
             if (done())
                 return true;
@@ -169,7 +344,7 @@ class EventQueue
     void
     runWindow(Tick end)
     {
-        while (!heap_.empty() && heap_.front().when < end)
+        while (!keys_.empty() && keys_.back().when < end)
             runOne();
     }
 
@@ -177,7 +352,7 @@ class EventQueue
     Tick
     peekWhen() const
     {
-        return heap_.empty() ? maxTick : heap_.front().when;
+        return keys_.empty() ? maxTick : keys_.back().when;
     }
 
     /** Partition engine this queue belongs to (null standalone). */
@@ -188,33 +363,34 @@ class EventQueue
   private:
     friend class PartEngine;
 
-    struct Entry
+    /** End of the free list. */
+    static constexpr std::uint32_t nil = ~std::uint32_t{0};
+
+    /** One distinct pending (when, priority): a FIFO of slots from
+     * head to tail. The tail's next link is never read. */
+    struct Key
     {
         Tick when;
         int priority;
-        std::uint64_t seq;
-        Callback cb;
-
-        /** Heap order: a runs after b. std::*_heap with this
-         * comparator keeps the earliest event at the front. */
-        static bool
-        later(const Entry &a, const Entry &b)
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
-        }
+        std::uint32_t head;
+        std::uint32_t tail;
     };
 
-    /** Min-heap over Entry::later, managed with std::push_heap /
-     * std::pop_heap; front() is the earliest event. */
-    std::vector<Entry> heap_;
+    /** A pooled callback; next links its key's FIFO or, once the
+     * slot is free, the free list. */
+    struct Slot
+    {
+        Callback cb;
+        std::uint32_t next = nil;
+    };
+
+    /** Pending keys sorted descending: back() is the next to run. */
+    std::vector<Key> keys_;
+    std::vector<Slot> slots_;
+    std::uint32_t free_ = nil;
+    std::size_t size_ = 0;
     Tick now_ = 0;
-    std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
-    std::size_t highWater_ = 0;
 
     /** Set by PartEngine::adopt; stamps cross-partition sends. */
     PartEngine *engine_ = nullptr;
