@@ -23,62 +23,13 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -DCCSVM_TRACES_DIR=<dir> -P CheckBankSweep.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_OUT_DIR OR NOT CCSVM_TRACES_DIR)
-  message(FATAL_ERROR
-          "CCSVM_DRIVER, CCSVM_OUT_DIR and CCSVM_TRACES_DIR are "
-          "required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR CCSVM_TRACES_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
-# Harvest the driver's own enum tables so the sweep tracks additions.
-function(list_from_driver flag out_var)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} ${flag}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${flag} exited ${rc}\nstderr: ${err}")
-  endif()
-  string(STRIP "${out}" out)
-  string(REPLACE "\n" ";" names "${out}")
-  set(${out_var} ${names} PARENT_SCOPE)
-endfunction()
-
-list_from_driver(--list-protocols protocols)
-list_from_driver(--list-slice-hashes hashes)
-list_from_driver(--list-replacers replacers)
-
-# Run the driver, fail loudly, and require a passing validation.
-function(run_ccsvm json)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} ${ARGN} --json ${json}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "ccsvm ${ARGN} exited ${rc}\n"
-                        "stdout: ${out}\nstderr: ${err}")
-  endif()
-  file(READ ${json} doc)
-  string(JSON correct GET "${doc}" sim correct)
-  if(NOT correct STREQUAL "ON" AND NOT correct STREQUAL "true")
-    message(FATAL_ERROR "ccsvm ${ARGN}: failed validation")
-  endif()
-endfunction()
-
-# Sum dirN.<suffix> over every bank of the machine in ${doc}.
-function(sum_dir_counter doc suffix out_var)
-  string(JSON banks GET "${doc}" machine l2_banks)
-  set(total 0)
-  math(EXPR last "${banks} - 1")
-  foreach(b RANGE ${last})
-    string(JSON v GET "${doc}" stats counters dir${b}.${suffix})
-    math(EXPR total "${total} + ${v}")
-  endforeach()
-  set(${out_var} ${total} PARENT_SCOPE)
-endfunction()
+ccsvm_list(--list-protocols protocols)
+ccsvm_list(--list-slice-hashes hashes)
+ccsvm_list(--list-replacers replacers)
 
 # Max of dirN.<suffix> over every bank of the machine in ${doc}.
 function(max_dir_counter doc suffix out_var)
@@ -108,9 +59,9 @@ foreach(proto IN LISTS protocols)
     string(REGEX REPLACE "[^a-z0-9_]" "" wl_tag "${wl_tag}")
     set(base ${CCSVM_OUT_DIR}/bank_base_${proto}_${wl_tag}.json)
     set(expl ${CCSVM_OUT_DIR}/bank_expl_${proto}_${wl_tag}.json)
-    run_ccsvm(${base} ${wl} --protocol ${proto})
-    run_ccsvm(${expl} ${wl} --protocol ${proto}
-              --slice-hash mod --l2-replace lru)
+    ccsvm_run(${wl} --protocol ${proto} JSON ${base})
+    ccsvm_run(${wl} --protocol ${proto}
+              --slice-hash mod --l2-replace lru JSON ${expl})
     file(READ ${base} base_doc)
     file(READ ${expl} expl_doc)
     # The machine section legitimately echoes the policy names, so
@@ -134,14 +85,13 @@ foreach(wl_packed IN LISTS identity_workloads)
   string(REPLACE "|" ";" wl "${wl_packed}")
   string(REPLACE "|" "_" wl_tag "${wl_packed}")
   string(REGEX REPLACE "[^a-z0-9_]" "" wl_tag "${wl_tag}")
-  run_ccsvm(${CCSVM_OUT_DIR}/bank_t1_${wl_tag}.json ${wl}
-            --slice-hash mod --l2-replace lru --sim-threads 1)
-  run_ccsvm(${CCSVM_OUT_DIR}/bank_t4_${wl_tag}.json ${wl}
-            --slice-hash mod --l2-replace lru --sim-threads 4)
-  file(READ ${CCSVM_OUT_DIR}/bank_t1_${wl_tag}.json t1_doc)
-  file(READ ${CCSVM_OUT_DIR}/bank_t4_${wl_tag}.json t4_doc)
-  string(JSON t1_stats GET "${t1_doc}" stats)
-  string(JSON t4_stats GET "${t4_doc}" stats)
+  foreach(threads 1 4)
+    set(json ${CCSVM_OUT_DIR}/bank_t${threads}_${wl_tag}.json)
+    ccsvm_run(${wl} --slice-hash mod --l2-replace lru
+              --sim-threads ${threads} JSON ${json})
+    file(READ ${json} doc)
+    string(JSON t${threads}_stats GET "${doc}" stats)
+  endforeach()
   if(NOT t1_stats STREQUAL t4_stats)
     message(FATAL_ERROR "${wl_tag}: default bank policies are not "
             "--sim-threads invariant:\n--- 1 thread:\n${t1_stats}\n"
@@ -152,41 +102,34 @@ endforeach()
 # --- 2. xorfold spreads the strided stream mod pins on one bank -----
 # stride 256 = one access every 4 blocks: under mod with 4 banks the
 # home bank is a pure function of the bits the stride holds constant.
-set(skew_cfg --workload synth:stream --iters 1 --synth-threads 16
-    --footprint-kb 1024 --stride 256)
-run_ccsvm(${CCSVM_OUT_DIR}/bank_skew_mod.json ${skew_cfg}
-          --slice-hash mod)
-run_ccsvm(${CCSVM_OUT_DIR}/bank_skew_xorfold.json ${skew_cfg}
-          --slice-hash xorfold)
-file(READ ${CCSVM_OUT_DIR}/bank_skew_mod.json mod_doc)
-file(READ ${CCSVM_OUT_DIR}/bank_skew_xorfold.json xor_doc)
-max_dir_counter("${mod_doc}" occupancy mod_occ)
-max_dir_counter("${xor_doc}" occupancy xor_occ)
+foreach(hash mod xorfold)
+  set(json ${CCSVM_OUT_DIR}/bank_skew_${hash}.json)
+  ccsvm_run(--workload synth:stream --iters 1 --synth-threads 16
+            --footprint-kb 1024 --stride 256 --slice-hash ${hash}
+            JSON ${json})
+  file(READ ${json} doc)
+  max_dir_counter("${doc}" occupancy ${hash}_occ)
+endforeach()
 message(STATUS "strided stream peak bank occupancy: mod=${mod_occ} "
-               "xorfold=${xor_occ}")
-if(NOT xor_occ LESS mod_occ)
+               "xorfold=${xorfold_occ}")
+if(NOT xorfold_occ LESS mod_occ)
   message(FATAL_ERROR "xorfold did not lower the hottest bank's peak "
-          "occupancy on a 256B-strided stream (${xor_occ} vs mod's "
-          "${mod_occ})")
+          "occupancy on a 256B-strided stream (${xorfold_occ} vs "
+          "mod's ${mod_occ})")
 endif()
 
 # --- 3. the region replacer shields coherent lines under conflict ---
 # Tiny banks (4 sets) put matmul's region-annotated read-mostly
 # inputs and its coherent output in the same sets; lru evicts
 # whatever is oldest, region spends the evictions on annotated lines.
-set(region_cfg --workload matmul --n 32 --region-hints
-    --l2-bank-kb 4)
-run_ccsvm(${CCSVM_OUT_DIR}/bank_rep_lru.json ${region_cfg}
-          --l2-replace lru)
-run_ccsvm(${CCSVM_OUT_DIR}/bank_rep_region.json ${region_cfg}
-          --l2-replace region)
-file(READ ${CCSVM_OUT_DIR}/bank_rep_lru.json lru_doc)
-file(READ ${CCSVM_OUT_DIR}/bank_rep_region.json region_doc)
-sum_dir_counter("${lru_doc}" conflictEvictions lru_evs)
-sum_dir_counter("${region_doc}" conflictEvictions region_evs)
-sum_dir_counter("${lru_doc}" conflictEvictions.coherent lru_coh)
-sum_dir_counter("${region_doc}" conflictEvictions.coherent
-                region_coh)
+foreach(rep lru region)
+  set(json ${CCSVM_OUT_DIR}/bank_rep_${rep}.json)
+  ccsvm_run(--workload matmul --n 32 --region-hints --l2-bank-kb 4
+            --l2-replace ${rep} JSON ${json})
+  file(READ ${json} doc)
+  ccsvm_sum("${doc}" DIR conflictEvictions ${rep}_evs)
+  ccsvm_sum("${doc}" DIR conflictEvictions.coherent ${rep}_coh)
+endforeach()
 message(STATUS "conflict evictions (coherent/total): "
                "lru=${lru_coh}/${lru_evs} "
                "region=${region_coh}/${region_evs}")
@@ -207,9 +150,9 @@ if(NOT EXISTS ${trace})
 endif()
 foreach(hash IN LISTS hashes)
   foreach(rep IN LISTS replacers)
-    run_ccsvm(${CCSVM_OUT_DIR}/bank_replay_${hash}_${rep}.json
-              --workload replay --trace ${trace}
-              --slice-hash ${hash} --l2-replace ${rep})
+    ccsvm_run(--workload replay --trace ${trace}
+              --slice-hash ${hash} --l2-replace ${rep}
+              JSON ${CCSVM_OUT_DIR}/bank_replay_${hash}_${rep}.json)
   endforeach()
 endforeach()
 

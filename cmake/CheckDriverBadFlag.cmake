@@ -4,155 +4,59 @@
 #
 # Usage: cmake -DCCSVM_DRIVER=<path> -P CheckDriverBadFlag.cmake
 
-if(NOT CCSVM_DRIVER)
-  message(FATAL_ERROR "CCSVM_DRIVER is required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER)
 
 # Unknown option: error + usage hint, exit 2.
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --definitely-not-a-flag
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "unknown flag exited ${rc}, want 2\n"
-                      "stdout: ${out}\nstderr: ${err}")
-endif()
-if(NOT err MATCHES "unknown option '--definitely-not-a-flag'")
-  message(FATAL_ERROR "missing unknown-option error on stderr:\n"
-                      "${err}")
-endif()
-if(NOT err MATCHES "usage:")
-  message(FATAL_ERROR "missing usage hint on stderr:\n${err}")
-endif()
+ccsvm_run(--definitely-not-a-flag EXIT 2
+          MATCHES "unknown option '--definitely-not-a-flag'.*usage:")
 
 # Bad value for a validated flag: error naming the flag AND the
 # accepted values (from the same enum table --list-protocols prints),
-# exit 2. All three --protocol-family flags share the path.
+# exit 2. All three --protocol-family flags share the path, and so do
+# the bank-layer policy flags.
 foreach(flag --protocol --cpu-protocol --mttop-protocol)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} ${flag} mosi
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "bad ${flag} exited ${rc}, want 2\n"
-                        "stdout: ${out}\nstderr: ${err}")
-  endif()
-  if(NOT err MATCHES "${flag}")
-    message(FATAL_ERROR "bad ${flag} error does not name the "
-                        "flag:\n${err}")
-  endif()
-  if(NOT err MATCHES "msi, mesi, moesi")
-    message(FATAL_ERROR "bad ${flag} error does not list the "
-                        "accepted protocol names:\n${err}")
-  endif()
+  ccsvm_run(${flag} mosi EXIT 2
+            MATCHES "${flag} wants one of msi, mesi, moesi")
 endforeach()
-
-# The bank-layer policy flags share the same validated-enum path.
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --slice-hash crc32
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "bad --slice-hash exited ${rc}, want 2\n"
-                      "stdout: ${out}\nstderr: ${err}")
-endif()
-if(NOT err MATCHES "--slice-hash" OR NOT err MATCHES "mod, xorfold, skew")
-  message(FATAL_ERROR "bad --slice-hash error does not name the flag "
-                      "and the accepted hashes:\n${err}")
-endif()
-
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --l2-replace plru
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "bad --l2-replace exited ${rc}, want 2\n"
-                      "stdout: ${out}\nstderr: ${err}")
-endif()
-if(NOT err MATCHES "--l2-replace" OR NOT err MATCHES "lru, fifo, rand, region")
-  message(FATAL_ERROR "bad --l2-replace error does not name the flag "
-                      "and the accepted replacers:\n${err}")
-endif()
+ccsvm_run(--slice-hash crc32 EXIT 2
+          MATCHES "--slice-hash wants one of mod, xorfold, skew")
+ccsvm_run(--l2-replace plru EXIT 2
+          MATCHES "--l2-replace wants one of lru, fifo, rand, region")
 
 # Geometry the cache arrays cannot index: zero or non-power-of-two
 # set counts must be rejected up front with a diagnostic, exit 2.
-foreach(geom "--l2-banks;0" "--l2-bank-kb;0" "--l2-bank-kb;3"
-             "--cpu-l1-kb;0")
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} ${geom} --workload synth:false --iters 1
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "bad geometry '${geom}' exited ${rc}, "
-                        "want 2\nstdout: ${out}\nstderr: ${err}")
-  endif()
+foreach(geom "--l2-banks;0" "--l2-bank-kb;0" "--cpu-l1-kb;0")
+  ccsvm_run(${geom} --workload synth:false --iters 1 EXIT 2)
 endforeach()
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --l2-bank-kb 3 --workload synth:false
-          --iters 1
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT err MATCHES "power of two")
-  message(FATAL_ERROR "non-power-of-two set count diagnostic does "
-                      "not say so:\n${err}")
-endif()
+ccsvm_run(--l2-bank-kb 3 --workload synth:false --iters 1 EXIT 2
+          MATCHES "power of two")
+
+# Integer flags take decimal digits only, within the range of the
+# field they land in: a sign must not wrap to a huge count and a
+# too-large value must not be truncated. Each exits 2 naming the flag.
+foreach(bad "--cpu-cores;-1" "--mttop-cores;-1" "--mttop-contexts;-1"
+            "--n;4294967296" "--sim-threads;-1" "--jobs;-1"
+            "--sample-interval;-1" "--l2-banks;4294967295"
+            "--iters;+5" "--seed;18446744073709551616")
+  list(GET bad 0 flag)
+  ccsvm_run(${bad} --workload synth:false --iters 1 EXIT 2
+            MATCHES "^ccsvm: ${flag} ")
+endforeach()
 
 # The --list flags must enumerate their tables, one name per line.
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --list-protocols
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--list-protocols exited ${rc}\n"
-                      "stderr: ${err}")
-endif()
-if(NOT out MATCHES "msi\nmesi\nmoesi")
-  message(FATAL_ERROR "--list-protocols output unexpected:\n${out}")
-endif()
-
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --list-slice-hashes
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--list-slice-hashes exited ${rc}\n"
-                      "stderr: ${err}")
-endif()
-if(NOT out MATCHES "mod\nxorfold\nskew")
-  message(FATAL_ERROR "--list-slice-hashes output unexpected:\n"
-                      "${out}")
-endif()
-
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --list-replacers
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--list-replacers exited ${rc}\n"
-                      "stderr: ${err}")
-endif()
-if(NOT out MATCHES "lru\nfifo\nrand\nregion")
-  message(FATAL_ERROR "--list-replacers output unexpected:\n${out}")
-endif()
+foreach(list_want "--list-protocols;msi\nmesi\nmoesi"
+                  "--list-slice-hashes;mod\nxorfold\nskew"
+                  "--list-replacers;lru\nfifo\nrand\nregion")
+  list(GET list_want 0 flag)
+  list(GET list_want 1 want)
+  ccsvm_run(${flag} STDOUT out)
+  if(NOT out MATCHES "${want}")
+    message(FATAL_ERROR "${flag} output unexpected:\n${out}")
+  endif()
+endforeach()
 
 # Flag missing its argument: exit 2.
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "missing argument exited ${rc}, want 2\n"
-                      "stdout: ${out}\nstderr: ${err}")
-endif()
+ccsvm_run(--workload EXIT 2)
 
 message(STATUS "driver flag validation ok")

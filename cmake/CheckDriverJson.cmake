@@ -4,36 +4,22 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_JSON_OUT=<path>
 #              -P CheckDriverJson.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_JSON_OUT)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_JSON_OUT are required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_JSON_OUT)
 
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload matmul --n 8
-          --json ${CCSVM_JSON_OUT}
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "driver exited ${rc}\nstdout: ${out}\n"
-                      "stderr: ${err}")
-endif()
-
+# JSON also requires the workload output to pass validation.
+ccsvm_run(--workload matmul --n 8 JSON ${CCSVM_JSON_OUT})
 file(READ ${CCSVM_JSON_OUT} doc)
 
 # string(JSON ...) hard-errors on malformed JSON or a missing key,
 # which is exactly the assertion we want.
 string(JSON ticks GET "${doc}" sim ticks)
 string(JSON dram GET "${doc}" sim dram_accesses)
-string(JSON correct GET "${doc}" sim correct)
 string(JSON dram_reads GET "${doc}" stats counters dram.reads)
 string(JSON sim_ticks_counter GET "${doc}" stats counters sim.ticks)
 
 if(ticks LESS_EQUAL 0)
   message(FATAL_ERROR "sim.ticks not positive: ${ticks}")
-endif()
-if(NOT correct STREQUAL "ON" AND NOT correct STREQUAL "true")
-  message(FATAL_ERROR "workload output failed validation: ${correct}")
 endif()
 if(NOT ticks EQUAL sim_ticks_counter)
   message(FATAL_ERROR "sim.ticks counter (${sim_ticks_counter}) "
@@ -43,14 +29,8 @@ endif()
 # --- --json - : machine-parseable stdout ----------------------------
 # --iters is a synth-only flag, so matmul warns about it; the warning
 # (and the run summary) must land on stderr, leaving stdout pure JSON.
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload matmul --n 8 --iters 4 --json -
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE stdout_doc
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--json - run exited ${rc}\nstderr: ${err}")
-endif()
+ccsvm_run(--workload matmul --n 8 --iters 4 --json -
+          STDOUT stdout_doc STDERR err)
 string(JSON stdout_ticks GET "${stdout_doc}" sim ticks)
 if(NOT stdout_ticks EQUAL ticks)
   message(FATAL_ERROR "--json - ticks (${stdout_ticks}) disagrees "

@@ -17,65 +17,32 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckHeteroSweep.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_OUT_DIR)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_OUT_DIR are required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --list-protocols
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE proto_out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--list-protocols exited ${rc}\nstderr: ${err}")
-endif()
-string(STRIP "${proto_out}" proto_out)
-string(REPLACE "\n" ";" protocols "${proto_out}")
+ccsvm_list(--list-protocols protocols)
 list(LENGTH protocols nproto)
 if(nproto LESS 3)
   message(FATAL_ERROR "--list-protocols returned only ${nproto} "
-                      "protocols: '${proto_out}'")
+                      "protocols: '${protocols}'")
 endif()
 
 set(workload --workload synth:migratory --iters 12)
 
 # Single-protocol reference runs for the homogeneous comparison.
 foreach(proto IN LISTS protocols)
-  set(json ${CCSVM_OUT_DIR}/hetero_single_${proto}.json)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} ${workload} --protocol ${proto}
-            --json ${json}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "--protocol ${proto} exited ${rc}\n"
-                        "stdout: ${out}\nstderr: ${err}")
-  endif()
+  ccsvm_run(${workload} --protocol ${proto}
+            JSON ${CCSVM_OUT_DIR}/hetero_single_${proto}.json)
 endforeach()
 
 # All CPU x MTTOP pairs.
 foreach(cpu IN LISTS protocols)
   foreach(mttop IN LISTS protocols)
     set(json ${CCSVM_OUT_DIR}/hetero_${cpu}_${mttop}.json)
-    execute_process(
-      COMMAND ${CCSVM_DRIVER} ${workload} --cpu-protocol ${cpu}
-              --mttop-protocol ${mttop} --json ${json}
-      RESULT_VARIABLE rc
-      OUTPUT_VARIABLE out
-      ERROR_VARIABLE err)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "pair ${cpu}/${mttop} exited ${rc}\n"
-                          "stdout: ${out}\nstderr: ${err}")
-    endif()
-
+    ccsvm_run(${workload} --cpu-protocol ${cpu}
+              --mttop-protocol ${mttop} JSON ${json})
     file(READ ${json} doc)
-    string(JSON correct GET "${doc}" sim correct)
-    if(NOT correct STREQUAL "ON" AND NOT correct STREQUAL "true")
-      message(FATAL_ERROR "${cpu}/${mttop}: failed validation")
-    endif()
     string(JSON echoed_cpu GET "${doc}" machine cpu_protocol)
     string(JSON echoed_mttop GET "${doc}" machine mttop_protocol)
     if(NOT echoed_cpu STREQUAL cpu OR
@@ -98,16 +65,9 @@ foreach(cpu IN LISTS protocols)
     endif()
 
     # Sum the per-cluster dirty-read writebacks over every bank.
-    string(JSON banks GET "${doc}" machine l2_banks)
-    set(swb_mttop 0)
-    math(EXPR last_bank "${banks} - 1")
-    foreach(b RANGE ${last_bank})
-      string(JSON v GET "${doc}" stats counters
-             dir${b}.sharingWb.mttop)
-      math(EXPR swb_mttop "${swb_mttop} + ${v}")
-    endforeach()
-    set(swb_mttop_${cpu}_${mttop} ${swb_mttop})
-    message(STATUS "${cpu}/${mttop}: mttop sharingWb=${swb_mttop}")
+    ccsvm_sum("${doc}" DIR sharingWb.mttop swb_mttop_${cpu}_${mttop})
+    message(STATUS "${cpu}/${mttop}: mttop sharingWb="
+                   "${swb_mttop_${cpu}_${mttop}}")
   endforeach()
 endforeach()
 

@@ -20,76 +20,36 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckParallelEngine.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_OUT_DIR)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_OUT_DIR are required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
-
-function(run_point json wl proto threads)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} --workload ${wl} --protocol ${proto}
-            --n 16 --iters 16 --sim-threads ${threads} --json ${json}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-            "${wl}/${proto} --sim-threads ${threads} exited ${rc}\n"
-            "stdout: ${out}\nstderr: ${err}")
-  endif()
-endfunction()
-
-# Drop the one legitimately thread-count-dependent field before
-# comparing.
-function(normalized var json)
-  file(READ ${json} doc)
-  string(REGEX REPLACE "\"sim_threads\": [0-9]+"
-         "\"sim_threads\": 0" doc "${doc}")
-  set(${var} "${doc}" PARENT_SCOPE)
-endfunction()
 
 foreach(wl matmul synth:false)
   foreach(proto msi moesi)
     string(REPLACE ":" "_" tag "${wl}_${proto}")
-    set(seq ${CCSVM_OUT_DIR}/pengine_${tag}_t1.json)
-    set(par ${CCSVM_OUT_DIR}/pengine_${tag}_t4.json)
-    run_point(${seq} ${wl} ${proto} 1)
-    run_point(${par} ${wl} ${proto} 4)
-
-    normalized(seq_doc ${seq})
-    normalized(par_doc ${par})
-    if(NOT seq_doc STREQUAL par_doc)
+    foreach(threads 1 4)
+      set(json ${CCSVM_OUT_DIR}/pengine_${tag}_t${threads}.json)
+      ccsvm_run(--workload ${wl} --protocol ${proto} --n 16 --iters 16
+                --sim-threads ${threads} JSON ${json})
+      ccsvm_normalize(doc_t${threads} ${json})
+    endforeach()
+    if(NOT doc_t1 STREQUAL doc_t4)
       message(FATAL_ERROR "${wl}/${proto}: JSON differs between "
               "--sim-threads 1 and --sim-threads 4:\n"
-              "--- threads 1:\n${seq_doc}\n"
-              "--- threads 4:\n${par_doc}")
+              "--- threads 1:\n${doc_t1}\n"
+              "--- threads 4:\n${doc_t4}")
     endif()
-
-    string(JSON correct GET "${seq_doc}" sim correct)
-    if(NOT correct STREQUAL "ON" AND NOT correct STREQUAL "true")
-      message(FATAL_ERROR "${wl}/${proto}: failed validation under "
-              "the partitioned engine")
-    endif()
-    string(JSON threads GET "${par_doc}" machine sim_threads)
+    string(JSON threads GET "${doc_t4}" machine sim_threads)
   endforeach()
 endforeach()
 
 # --- the CCSVM_SIM_THREADS environment knob -------------------------
 set(env_json ${CCSVM_OUT_DIR}/pengine_env_t4.json)
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env CCSVM_SIM_THREADS=4
-          ${CCSVM_DRIVER} --workload matmul --protocol msi
-          --n 16 --iters 16 --json ${env_json}
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "CCSVM_SIM_THREADS=4 run exited ${rc}\n"
-                      "stdout: ${out}\nstderr: ${err}")
-endif()
-normalized(env_doc ${env_json})
-normalized(flag_doc ${CCSVM_OUT_DIR}/pengine_matmul_msi_t4.json)
+ccsvm_run(ENV CCSVM_SIM_THREADS=4
+          --workload matmul --protocol msi --n 16 --iters 16
+          JSON ${env_json})
+ccsvm_normalize(env_doc ${env_json})
+ccsvm_normalize(flag_doc ${CCSVM_OUT_DIR}/pengine_matmul_msi_t4.json)
 if(NOT env_doc STREQUAL flag_doc)
   message(FATAL_ERROR "CCSVM_SIM_THREADS=4 differs from "
           "--sim-threads 4:\n--- env:\n${env_doc}\n"

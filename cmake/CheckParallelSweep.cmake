@@ -17,10 +17,8 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckParallelSweep.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_OUT_DIR)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_OUT_DIR are required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
 set(workloads matmul synth:hot synth:migratory)
@@ -28,23 +26,12 @@ set(protocols msi moesi)
 set(grid --workload matmul,synth:hot,synth:migratory
     --protocol msi,moesi --n 12 --iters 16)
 
-function(run_sweep json jobs)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} ${grid} --jobs ${jobs} --json ${json}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "sweep --jobs ${jobs} exited ${rc}\n"
-                        "stdout: ${out}\nstderr: ${err}")
-  endif()
-endfunction()
-
 # --- 1. byte-identity: --jobs 1 vs --jobs 4 -------------------------
 set(seq ${CCSVM_OUT_DIR}/psweep_jobs1.json)
 set(par ${CCSVM_OUT_DIR}/psweep_jobs4.json)
-run_sweep(${seq} 1)
-run_sweep(${par} 4)
+# The sweep document nests sim.correct per point; section 2 checks it.
+ccsvm_run(${grid} --jobs 1 --json ${seq})
+ccsvm_run(${grid} --jobs 4 --json ${par})
 
 file(READ ${seq} seq_doc)
 file(READ ${par} par_doc)
@@ -64,38 +51,24 @@ if(NOT got_points EQUAL want_points)
           "${want_points}")
 endif()
 
-math(EXPR last "${want_points} - 1")
 set(idx 0)
 foreach(wl IN LISTS workloads)
   foreach(proto IN LISTS protocols)
     string(JSON pt GET "${seq_doc}" points ${idx})
     string(JSON got_wl GET "${pt}" workload)
     string(JSON got_proto GET "${pt}" machine protocol)
-    string(JSON correct GET "${pt}" sim correct)
     if(NOT got_wl STREQUAL wl OR NOT got_proto STREQUAL proto)
       message(FATAL_ERROR "point ${idx}: got ${got_wl}/${got_proto}, "
               "want ${wl}/${proto} (workload-major order)")
     endif()
-    if(NOT correct STREQUAL "ON" AND NOT correct STREQUAL "true")
-      message(FATAL_ERROR "point ${idx} (${wl}/${proto}): failed "
-              "validation")
-    endif()
+    ccsvm_require_correct("${pt}" "point ${idx} (${wl}/${proto})")
     math(EXPR idx "${idx} + 1")
   endforeach()
 endforeach()
 
 # --- 3. single point keeps the historical JSON shape ----------------
 set(single ${CCSVM_OUT_DIR}/psweep_single.json)
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload matmul --n 12 --jobs 4
-          --json ${single}
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "single-point --jobs 4 exited ${rc}\n"
-                      "stdout: ${out}\nstderr: ${err}")
-endif()
+ccsvm_run(--workload matmul --n 12 --jobs 4 JSON ${single})
 file(READ ${single} single_doc)
 string(JSON sweep_key ERROR_VARIABLE no_sweep GET "${single_doc}"
        sweep)

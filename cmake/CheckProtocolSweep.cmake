@@ -9,68 +9,29 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckProtocolSweep.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_OUT_DIR)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_OUT_DIR are required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
 foreach(proto IN ITEMS msi mesi moesi)
   set(json ${CCSVM_OUT_DIR}/protocol_sweep_${proto}.json)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} --workload matmul --n 16
-            --protocol ${proto} --json ${json}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "--protocol ${proto} exited ${rc}\n"
-                        "stdout: ${out}\nstderr: ${err}")
-  endif()
-
+  ccsvm_run(--workload matmul --n 16 --protocol ${proto} JSON ${json})
   file(READ ${json} doc)
-  string(JSON correct GET "${doc}" sim correct)
-  if(NOT correct STREQUAL "ON" AND NOT correct STREQUAL "true")
-    message(FATAL_ERROR "${proto}: workload failed validation")
-  endif()
   string(JSON echoed GET "${doc}" machine protocol)
   if(NOT echoed STREQUAL proto)
     message(FATAL_ERROR "${proto}: JSON echoes protocol '${echoed}'")
   endif()
 
-  # Machine geometry comes from the JSON itself, so the aggregation
-  # below tracks any future change to the driver defaults.
-  string(JSON banks GET "${doc}" machine l2_banks)
-  string(JSON cpus GET "${doc}" machine cpu_cores)
-  string(JSON mttops GET "${doc}" machine mttop_cores)
-
   # Writebacks: off-chip dirty evictions plus the dirty-read
-  # writebacks protocols without an O state pay at the home.
-  set(wb 0)
-  math(EXPR last_bank "${banks} - 1")
-  foreach(b RANGE ${last_bank})
-    string(JSON v GET "${doc}" stats counters dir${b}.writebacks)
-    math(EXPR wb "${wb} + ${v}")
-    string(JSON v GET "${doc}" stats counters dir${b}.sharingWb)
-    math(EXPR wb "${wb} + ${v}")
-  endforeach()
-
-  # Invalidations received across every L1.
-  set(invs 0)
-  math(EXPR last_cpu "${cpus} - 1")
-  foreach(c RANGE ${last_cpu})
-    string(JSON v GET "${doc}" stats counters cpu${c}.l1.invs)
-    math(EXPR invs "${invs} + ${v}")
-  endforeach()
-  math(EXPR last_mttop "${mttops} - 1")
-  foreach(mt RANGE ${last_mttop})
-    string(JSON v GET "${doc}" stats counters mttop${mt}.l1.invs)
-    math(EXPR invs "${invs} + ${v}")
-  endforeach()
-
-  set(wb_${proto} ${wb})
-  set(invs_${proto} ${invs})
-  message(STATUS "${proto}: wb=${wb} invs=${invs}")
+  # writebacks protocols without an O state pay at the home; and
+  # invalidations received across every L1. The machine geometry
+  # comes from the JSON itself, so the sums track any future change
+  # to the driver defaults.
+  ccsvm_sum("${doc}" DIR writebacks offchip_wb)
+  ccsvm_sum("${doc}" DIR sharingWb sharing_wb)
+  math(EXPR wb_${proto} "${offchip_wb} + ${sharing_wb}")
+  ccsvm_sum("${doc}" L1 invs invs_${proto})
+  message(STATUS "${proto}: wb=${wb_${proto}} invs=${invs_${proto}}")
 endforeach()
 
 if(NOT wb_msi GREATER wb_moesi)

@@ -10,18 +10,10 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_README=<path>
 #              -P CheckReadmeFlags.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_README)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_README are required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_README)
 
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --help
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE help)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "ccsvm --help exited ${rc}")
-endif()
-
+ccsvm_run(--help STDOUT help)
 string(REGEX MATCHALL "--[a-z][a-z0-9-]*" help_flags "${help}")
 list(REMOVE_DUPLICATES help_flags)
 list(LENGTH help_flags n_help)

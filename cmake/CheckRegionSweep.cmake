@@ -29,70 +29,11 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckRegionSweep.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_OUT_DIR)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_OUT_DIR are required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --list-protocols
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE proto_out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--list-protocols exited ${rc}\nstderr: ${err}")
-endif()
-string(STRIP "${proto_out}" proto_out)
-string(REPLACE "\n" ";" protocols "${proto_out}")
-
-# Run the driver, fail loudly, and require a passing validation.
-function(run_ccsvm json)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} ${ARGN} --json ${json}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "ccsvm ${ARGN} exited ${rc}\n"
-                        "stdout: ${out}\nstderr: ${err}")
-  endif()
-  file(READ ${json} doc)
-  string(JSON correct GET "${doc}" sim correct)
-  if(NOT correct STREQUAL "ON" AND NOT correct STREQUAL "true")
-    message(FATAL_ERROR "ccsvm ${ARGN}: failed validation")
-  endif()
-endfunction()
-
-# Sum dirN.<suffix> over every bank of the machine in ${doc}.
-function(sum_dir_counter doc suffix out_var)
-  string(JSON banks GET "${doc}" machine l2_banks)
-  set(total 0)
-  math(EXPR last "${banks} - 1")
-  foreach(b RANGE ${last})
-    string(JSON v GET "${doc}" stats counters dir${b}.${suffix})
-    math(EXPR total "${total} + ${v}")
-  endforeach()
-  set(${out_var} ${total} PARENT_SCOPE)
-endfunction()
-
-# Sum <core>.l1.<suffix> over every CPU and MTTOP L1.
-function(sum_l1_counter doc suffix out_var)
-  string(JSON cpus GET "${doc}" machine cpu_cores)
-  string(JSON mttops GET "${doc}" machine mttop_cores)
-  set(total 0)
-  math(EXPR last_cpu "${cpus} - 1")
-  foreach(i RANGE ${last_cpu})
-    string(JSON v GET "${doc}" stats counters cpu${i}.l1.${suffix})
-    math(EXPR total "${total} + ${v}")
-  endforeach()
-  math(EXPR last_mttop "${mttops} - 1")
-  foreach(j RANGE ${last_mttop})
-    string(JSON v GET "${doc}" stats counters mttop${j}.l1.${suffix})
-    math(EXPR total "${total} + ${v}")
-  endforeach()
-  set(${out_var} ${total} PARENT_SCOPE)
-endfunction()
+ccsvm_list(--list-protocols protocols)
 
 # The guest heap's fixed virtual window (vm::AddressLayout).
 set(heap_region heap:0x20000000:0x40000000)
@@ -102,9 +43,9 @@ set(identity --workload synth:stream --iters 4)
 foreach(proto IN LISTS protocols)
   set(base ${CCSVM_OUT_DIR}/region_base_${proto}.json)
   set(coh ${CCSVM_OUT_DIR}/region_coherent_${proto}.json)
-  run_ccsvm(${base} ${identity} --protocol ${proto})
-  run_ccsvm(${coh} ${identity} --protocol ${proto}
-            --region ${heap_region}:coherent)
+  ccsvm_run(${identity} --protocol ${proto} JSON ${base})
+  ccsvm_run(${identity} --protocol ${proto}
+            --region ${heap_region}:coherent JSON ${coh})
   file(READ ${base} base_doc)
   file(READ ${coh} coh_doc)
   # The machine section legitimately echoes the region table, so
@@ -128,20 +69,19 @@ set(stream_cfg --workload synth:stream --iters 1 --synth-threads 16
 foreach(proto IN LISTS protocols)
   set(coh ${CCSVM_OUT_DIR}/region_stream_coh_${proto}.json)
   set(byp ${CCSVM_OUT_DIR}/region_stream_byp_${proto}.json)
-  run_ccsvm(${coh} ${stream_cfg} --protocol ${proto})
-  run_ccsvm(${byp} ${stream_cfg} --protocol ${proto} --region-hints)
+  ccsvm_run(${stream_cfg} --protocol ${proto} JSON ${coh})
+  ccsvm_run(${stream_cfg} --protocol ${proto} --region-hints JSON ${byp})
   file(READ ${coh} coh_doc)
   file(READ ${byp} byp_doc)
 
   foreach(side coh byp)
-    sum_dir_counter("${${side}_doc}" fetches ${side}_fills)
-    sum_dir_counter("${${side}_doc}" recalls ${side}_recalls)
-    sum_dir_counter("${${side}_doc}" invsSent.cpu ${side}_invs_cpu)
-    sum_dir_counter("${${side}_doc}" invsSent.mttop
-                    ${side}_invs_mttop)
-    sum_dir_counter("${${side}_doc}" bypassReads ${side}_breads)
-    sum_dir_counter("${${side}_doc}" bypassWrites ${side}_bwrites)
-    sum_l1_counter("${${side}_doc}" misses ${side}_l1_fills)
+    ccsvm_sum("${${side}_doc}" DIR fetches ${side}_fills)
+    ccsvm_sum("${${side}_doc}" DIR recalls ${side}_recalls)
+    ccsvm_sum("${${side}_doc}" DIR invsSent.cpu ${side}_invs_cpu)
+    ccsvm_sum("${${side}_doc}" DIR invsSent.mttop ${side}_invs_mttop)
+    ccsvm_sum("${${side}_doc}" DIR bypassReads ${side}_breads)
+    ccsvm_sum("${${side}_doc}" DIR bypassWrites ${side}_bwrites)
+    ccsvm_sum("${${side}_doc}" L1 misses ${side}_l1_fills)
     math(EXPR ${side}_dirinvs "${${side}_invs_cpu} + ${${side}_invs_mttop} + ${${side}_recalls}")
   endforeach()
 
@@ -182,14 +122,14 @@ endforeach()
 # read-then-write loop gets clean-exclusive fills, so the explicit
 # upgrade transactions MSI pays must strictly drop.
 set(ovr_cfg --workload synth:stream --iters 2 --footprint-kb 64)
-run_ccsvm(${CCSVM_OUT_DIR}/region_msi_plain.json ${ovr_cfg}
-          --protocol msi)
-run_ccsvm(${CCSVM_OUT_DIR}/region_msi_override.json ${ovr_cfg}
-          --protocol msi --region ${heap_region}:mesi)
+ccsvm_run(${ovr_cfg} --protocol msi
+          JSON ${CCSVM_OUT_DIR}/region_msi_plain.json)
+ccsvm_run(${ovr_cfg} --protocol msi --region ${heap_region}:mesi
+          JSON ${CCSVM_OUT_DIR}/region_msi_override.json)
 file(READ ${CCSVM_OUT_DIR}/region_msi_plain.json plain_doc)
 file(READ ${CCSVM_OUT_DIR}/region_msi_override.json ovr_doc)
-sum_l1_counter("${plain_doc}" upgrades plain_upgrades)
-sum_l1_counter("${ovr_doc}" upgrades ovr_upgrades)
+ccsvm_sum("${plain_doc}" L1 upgrades plain_upgrades)
+ccsvm_sum("${ovr_doc}" L1 upgrades ovr_upgrades)
 message(STATUS "override msi->mesi: upgrades plain=${plain_upgrades} "
                "override=${ovr_upgrades}")
 if(NOT ovr_upgrades LESS plain_upgrades)
@@ -199,35 +139,23 @@ endif()
 
 # --- 4. region misuse is handled, not crashed -----------------------
 # Overlapping --region flags must exit 2 with a CLI diagnostic.
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload synth:stream --iters 2
+ccsvm_run(--workload synth:stream --iters 2
           --region a:0x20000000:0x2000:bypass
           --region b:0x20001000:0x2000:coherent
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "overlapping --region flags exited ${rc} "
-          "(want 2)\nstdout: ${out}\nstderr: ${err}")
-endif()
-if(NOT err MATCHES "overlaps")
-  message(FATAL_ERROR "overlapping --region diagnostic missing: "
-          "${err}")
-endif()
+          EXIT 2 MATCHES "overlaps")
 
 # An explicit region covering a workload buffer takes precedence over
 # the workload's --region-hints annotation: the run must still
 # validate (hint yields with a warning) instead of aborting on the
 # region-table overlap assert.
-run_ccsvm(${CCSVM_OUT_DIR}/region_precedence.json
-          --workload synth:stream --iters 2 --region-hints
-          --region ${heap_region}:coherent)
+ccsvm_run(--workload synth:stream --iters 2 --region-hints
+          --region ${heap_region}:coherent
+          JSON ${CCSVM_OUT_DIR}/region_precedence.json)
 
 # matmul's read-mostly annotation must validate under every protocol.
 foreach(proto IN LISTS protocols)
-  run_ccsvm(${CCSVM_OUT_DIR}/region_matmul_${proto}.json
-            --workload matmul --n 16 --protocol ${proto}
-            --region-hints)
+  ccsvm_run(--workload matmul --n 16 --protocol ${proto} --region-hints
+            JSON ${CCSVM_OUT_DIR}/region_matmul_${proto}.json)
 endforeach()
 
 list(LENGTH protocols nproto)

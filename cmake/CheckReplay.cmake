@@ -19,41 +19,16 @@
 #              -DCCSVM_OUT_DIR=<dir> [-DCCSVM_TRACES_DIR=<dir>]
 #              -P CheckReplay.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_TRACE_TOOL OR NOT CCSVM_OUT_DIR)
-  message(FATAL_ERROR
-          "CCSVM_DRIVER, CCSVM_TRACE_TOOL and CCSVM_OUT_DIR are "
-          "required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_TRACE_TOOL CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
-
-function(run rc_var out_var err_var)
-  execute_process(
-    COMMAND ${ARGN}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  set(${rc_var} "${rc}" PARENT_SCOPE)
-  set(${out_var} "${out}" PARENT_SCOPE)
-  set(${err_var} "${err}" PARENT_SCOPE)
-endfunction()
-
-function(run_ok)
-  run(rc out err ${ARGN})
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "command exited ${rc}: ${ARGN}\n"
-            "stdout: ${out}\nstderr: ${err}")
-  endif()
-endfunction()
 
 # The simulation result: everything in the JSON from the "sim"
 # summary on (summary + full stats registry), with the echoed
 # sim_threads normalized. The leading workload/params echo is the one
 # part that legitimately differs between a capture run and its replay.
 function(sim_and_stats var json)
-  file(READ ${json} doc)
-  string(REGEX REPLACE "\"sim_threads\": [0-9]+"
-         "\"sim_threads\": 0" doc "${doc}")
+  ccsvm_normalize(doc ${json})
   string(FIND "${doc}" "\"sim\": {" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "${json} has no sim section:\n${doc}")
@@ -68,13 +43,12 @@ function(check_workload tag)
   set(wl_flags ${ARGN})
   set(trace ${CCSVM_OUT_DIR}/replay_${tag}.ccsvmt)
   set(cap_json ${CCSVM_OUT_DIR}/replay_${tag}_cap.json)
-  run_ok(${CCSVM_DRIVER} ${wl_flags} --capture-out ${trace}
-         --json ${cap_json})
+  ccsvm_run(${wl_flags} --capture-out ${trace} JSON ${cap_json})
 
   foreach(threads 1 4)
     set(rep_json ${CCSVM_OUT_DIR}/replay_${tag}_t${threads}.json)
-    run_ok(${CCSVM_DRIVER} --workload replay --trace ${trace}
-           --sim-threads ${threads} --json ${rep_json})
+    ccsvm_run(--workload replay --trace ${trace}
+              --sim-threads ${threads} JSON ${rep_json})
     sim_and_stats(cap_doc ${cap_json})
     sim_and_stats(rep_doc ${rep_json})
     if(NOT cap_doc STREQUAL rep_doc)
@@ -86,8 +60,7 @@ function(check_workload tag)
 
   # The trace file itself is part of the determinism contract.
   set(trace4 ${CCSVM_OUT_DIR}/replay_${tag}_t4.ccsvmt)
-  run_ok(${CCSVM_DRIVER} ${wl_flags} --capture-out ${trace4}
-         --sim-threads 4)
+  ccsvm_run(${wl_flags} --capture-out ${trace4} --sim-threads 4)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files ${trace} ${trace4}
     RESULT_VARIABLE same)
@@ -97,12 +70,12 @@ function(check_workload tag)
   endif()
 
   # The inspection tool must accept what the capture path wrote.
-  run_ok(${CCSVM_TRACE_TOOL} validate ${trace})
-  run_ok(${CCSVM_TRACE_TOOL} inspect ${trace})
-  run(rc out err ${CCSVM_TRACE_TOOL} stats ${trace})
-  if(NOT rc EQUAL 0 OR NOT out MATCHES "by kind:")
-    message(FATAL_ERROR "${tag}: ccsvm-trace stats failed (${rc}):\n"
-            "${out}\n${err}")
+  ccsvm_run(TOOL ${CCSVM_TRACE_TOOL} validate ${trace})
+  ccsvm_run(TOOL ${CCSVM_TRACE_TOOL} inspect ${trace})
+  ccsvm_run(TOOL ${CCSVM_TRACE_TOOL} stats ${trace} STDOUT out)
+  if(NOT out MATCHES "by kind:")
+    message(FATAL_ERROR "${tag}: ccsvm-trace stats lacks 'by kind:':\n"
+            "${out}")
   endif()
   set(fresh_trace ${trace} PARENT_SCOPE)
 endfunction()
@@ -112,25 +85,11 @@ check_workload(matmul --workload matmul --n 8)
 
 # --- CLI error paths ------------------------------------------------
 
-run(rc out err ${CCSVM_DRIVER} --workload replay --trace
-    ${fresh_trace} --cpu-cores 2)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "machine shape")
-  message(FATAL_ERROR "shape-mismatched replay must exit 2 with a "
-          "machine-shape diagnostic, got rc=${rc}:\n${err}")
-endif()
-
-run(rc out err ${CCSVM_DRIVER} --workload replay)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "--trace")
-  message(FATAL_ERROR "--workload replay without --trace must exit "
-          "2, got rc=${rc}:\n${err}")
-endif()
-
-run(rc out err ${CCSVM_TRACE_TOOL} validate
-    ${CCSVM_OUT_DIR}/replay_nonexistent.ccsvmt)
-if(NOT rc EQUAL 1)
-  message(FATAL_ERROR "ccsvm-trace validate on a missing file must "
-          "exit 1, got ${rc}:\n${out}${err}")
-endif()
+ccsvm_run(--workload replay --trace ${fresh_trace} --cpu-cores 2
+          EXIT 2 MATCHES "machine shape")
+ccsvm_run(--workload replay EXIT 2 MATCHES "--trace")
+ccsvm_run(TOOL ${CCSVM_TRACE_TOOL}
+          validate ${CCSVM_OUT_DIR}/replay_nonexistent.ccsvmt EXIT 1)
 
 # --- the committed trace library ------------------------------------
 
@@ -141,8 +100,8 @@ if(CCSVM_TRACES_DIR)
     message(FATAL_ERROR "no .ccsvmt traces under ${CCSVM_TRACES_DIR}")
   endif()
   foreach(trace IN LISTS committed)
-    run_ok(${CCSVM_TRACE_TOOL} validate ${trace})
-    run_ok(${CCSVM_DRIVER} --workload replay --trace ${trace})
+    ccsvm_run(TOOL ${CCSVM_TRACE_TOOL} validate ${trace})
+    ccsvm_run(--workload replay --trace ${trace})
   endforeach()
   message(STATUS "trace library ok: ${n} committed traces validate "
                  "and replay")

@@ -10,40 +10,17 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckSynthSweep.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_OUT_DIR)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_OUT_DIR are required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
 # Aggregate dir writebacks+sharingWb and L1 invs from a driver JSON.
 function(synth_metrics json wb_out invs_out)
   file(READ ${json} doc)
-  string(JSON banks GET "${doc}" machine l2_banks)
-  string(JSON cpus GET "${doc}" machine cpu_cores)
-  string(JSON mttops GET "${doc}" machine mttop_cores)
-
-  set(wb 0)
-  math(EXPR last_bank "${banks} - 1")
-  foreach(b RANGE ${last_bank})
-    string(JSON v GET "${doc}" stats counters dir${b}.writebacks)
-    math(EXPR wb "${wb} + ${v}")
-    string(JSON v GET "${doc}" stats counters dir${b}.sharingWb)
-    math(EXPR wb "${wb} + ${v}")
-  endforeach()
-
-  set(invs 0)
-  math(EXPR last_cpu "${cpus} - 1")
-  foreach(c RANGE ${last_cpu})
-    string(JSON v GET "${doc}" stats counters cpu${c}.l1.invs)
-    math(EXPR invs "${invs} + ${v}")
-  endforeach()
-  math(EXPR last_mttop "${mttops} - 1")
-  foreach(mt RANGE ${last_mttop})
-    string(JSON v GET "${doc}" stats counters mttop${mt}.l1.invs)
-    math(EXPR invs "${invs} + ${v}")
-  endforeach()
-
+  ccsvm_sum("${doc}" DIR writebacks offchip_wb)
+  ccsvm_sum("${doc}" DIR sharingWb sharing_wb)
+  math(EXPR wb "${offchip_wb} + ${sharing_wb}")
+  ccsvm_sum("${doc}" L1 invs invs)
   set(${wb_out} ${wb} PARENT_SCOPE)
   set(${invs_out} ${invs} PARENT_SCOPE)
 endfunction()
@@ -53,18 +30,8 @@ endfunction()
 foreach(pattern IN ITEMS padded false hot migratory prodcons stream
                          ptrchase readmostly)
   foreach(proto IN ITEMS msi mesi moesi)
-    set(json ${CCSVM_OUT_DIR}/synth_${pattern}_${proto}.json)
-    execute_process(
-      COMMAND ${CCSVM_DRIVER} --workload synth:${pattern}
-              --iters 48 --protocol ${proto} --json ${json}
-      RESULT_VARIABLE rc
-      OUTPUT_VARIABLE out
-      ERROR_VARIABLE err)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "synth:${pattern} --protocol ${proto} "
-                          "exited ${rc}\nstdout: ${out}\n"
-                          "stderr: ${err}")
-    endif()
+    ccsvm_run(--workload synth:${pattern} --iters 48 --protocol ${proto}
+              JSON ${CCSVM_OUT_DIR}/synth_${pattern}_${proto}.json)
   endforeach()
 endforeach()
 

@@ -18,32 +18,17 @@
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckTrace.cmake
 
-if(NOT CCSVM_DRIVER OR NOT CCSVM_OUT_DIR)
-  message(FATAL_ERROR "CCSVM_DRIVER and CCSVM_OUT_DIR are required")
-endif()
-
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
-function(run_traced trace json threads)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} --workload matmul --n 8
-            --sim-threads ${threads} --sample-interval 500000
-            --trace-out ${trace} --json ${json}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "traced run (--sim-threads ${threads}) "
-            "exited ${rc}\nstdout: ${out}\nstderr: ${err}")
-  endif()
-endfunction()
-
-set(tr1 ${CCSVM_OUT_DIR}/trace_t1.json)
-set(tr4 ${CCSVM_OUT_DIR}/trace_t4.json)
-set(j1 ${CCSVM_OUT_DIR}/trace_stats_t1.json)
-set(j4 ${CCSVM_OUT_DIR}/trace_stats_t4.json)
-run_traced(${tr1} ${j1} 1)
-run_traced(${tr4} ${j4} 4)
+foreach(threads 1 4)
+  set(tr${threads} ${CCSVM_OUT_DIR}/trace_t${threads}.json)
+  set(j${threads} ${CCSVM_OUT_DIR}/trace_stats_t${threads}.json)
+  ccsvm_run(--workload matmul --n 8 --sim-threads ${threads}
+            --sample-interval 500000 --trace-out ${tr${threads}}
+            JSON ${j${threads}})
+endforeach()
 
 # --- trace byte-identity at any thread count ------------------------
 file(READ ${tr1} trace1)
@@ -65,17 +50,10 @@ endif()
 
 find_program(CCSVM_PYTHON3 python3)
 if(CCSVM_PYTHON3)
-  execute_process(
-    COMMAND ${CCSVM_PYTHON3} -c
+  ccsvm_run(TOOL ${CCSVM_PYTHON3} -c
             "import json,sys; d=json.load(open(sys.argv[1])); \
 assert d['traceEvents'], 'empty traceEvents'"
-            ${tr1}
-    RESULT_VARIABLE rc
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "python3 json.load rejected the trace: "
-            "${err}")
-  endif()
+            ${tr1})
 else()
   message(STATUS "python3 not found; cmake-only trace parse")
 endif()
@@ -84,15 +62,8 @@ endif()
 # Same point, same thread count, no --trace-out (sampling stays on so
 # the documents are comparable): every byte must match.
 set(joff ${CCSVM_OUT_DIR}/trace_stats_off.json)
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload matmul --n 8 --sim-threads 1
-          --sample-interval 500000 --json ${joff}
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "untraced run exited ${rc}\nstderr: ${err}")
-endif()
+ccsvm_run(--workload matmul --n 8 --sim-threads 1
+          --sample-interval 500000 JSON ${joff})
 file(READ ${j1} traced_doc)
 file(READ ${joff} untraced_doc)
 if(NOT traced_doc STREQUAL untraced_doc)
@@ -117,11 +88,8 @@ if(s0_t LESS_EQUAL 0)
 endif()
 # Identical at 4 threads (already implied by the byte compare of j1
 # vs j4 modulo the echoed sim_threads field).
-file(READ ${j4} doc4)
-string(REGEX REPLACE "\"sim_threads\": [0-9]+" "\"sim_threads\": 0"
-       doc4 "${doc4}")
-string(REGEX REPLACE "\"sim_threads\": [0-9]+" "\"sim_threads\": 0"
-       doc1 "${traced_doc}")
+ccsvm_normalize(doc4 ${j4})
+ccsvm_normalize(doc1 ${j1})
 if(NOT doc1 STREQUAL doc4)
   message(FATAL_ERROR "stats/series JSON differs between "
           "--sim-threads 1 and 4")
@@ -131,14 +99,7 @@ endif()
 foreach(wl matmul synth:false synth:stream)
   string(REPLACE ":" "_" tag "${wl}")
   set(json ${CCSVM_OUT_DIR}/trace_histo_${tag}.json)
-  execute_process(
-    COMMAND ${CCSVM_DRIVER} --workload ${wl} --n 8 --iters 16
-            --json ${json}
-    RESULT_VARIABLE rc
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${wl} exited ${rc}\nstderr: ${err}")
-  endif()
+  ccsvm_run(--workload ${wl} --n 8 --iters 16 JSON ${json})
   file(READ ${json} doc)
   foreach(cls cpu mttop)
     string(JSON cnt GET "${doc}" stats histograms

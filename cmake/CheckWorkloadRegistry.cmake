@@ -2,6 +2,10 @@
 #
 #   - --list-workloads exits 0 and names every paper workload and
 #     every synth pattern
+#   - every flag a workload lists as consumed (the [...] of
+#     --list-workloads) is a flag --help documents: the driver derives
+#     its ignored-flag warning from those lists, so a misspelt entry
+#     would otherwise silently never warn
 #   - an unknown --workload exits 2 and its error lists the registry
 #     names (so the message cannot drift from the dispatch)
 #   - a workload-parameter flag the selected workload ignores warns
@@ -9,54 +13,41 @@
 #
 # Usage: cmake -DCCSVM_DRIVER=<path> -P CheckWorkloadRegistry.cmake
 
-if(NOT CCSVM_DRIVER)
-  message(FATAL_ERROR "CCSVM_DRIVER is required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
+ccsvm_require(CCSVM_DRIVER)
 
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --list-workloads
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--list-workloads exited ${rc}: ${err}")
-endif()
+ccsvm_run(--list-workloads STDOUT out)
 foreach(name IN ITEMS matmul apsp barneshut spmm synth:padded
                       synth:false synth:hot synth:migratory
                       synth:prodcons synth:stream synth:ptrchase
-                      synth:readmostly)
+                      synth:readmostly synth:conflict)
   if(NOT out MATCHES "${name}")
     message(FATAL_ERROR "--list-workloads is missing '${name}':\n"
                         "${out}")
   endif()
 endforeach()
 
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload definitely-not-a-workload
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "unknown workload exited ${rc}, want 2")
+ccsvm_run(--help STDOUT help)
+string(REGEX MATCHALL "\\[[-a-z0-9 ]*\\]" brackets "${out}")
+string(REGEX MATCHALL "--[a-z][a-z0-9-]*" consumed "${brackets}")
+list(REMOVE_DUPLICATES consumed)
+list(LENGTH consumed n_consumed)
+if(n_consumed LESS 10)
+  message(FATAL_ERROR "only ${n_consumed} consumed flags in "
+                      "--list-workloads; parse broke?\n${out}")
 endif()
-if(NOT err MATCHES "unknown workload" OR
-   NOT err MATCHES "synth:migratory")
-  message(FATAL_ERROR "unknown-workload error does not list the "
-                      "registry names:\n${err}")
-endif()
+foreach(flag IN LISTS consumed)
+  if(NOT help MATCHES "  ${flag}[ \n]")
+    message(FATAL_ERROR "--list-workloads says a workload consumes "
+                        "${flag}, but --help has no such flag")
+  endif()
+endforeach()
 
-execute_process(
-  COMMAND ${CCSVM_DRIVER} --workload synth:padded --iters 4
-          --density 0.5
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "run with ignored flag exited ${rc}: ${err}")
-endif()
-if(NOT err MATCHES "warning: --density is ignored")
-  message(FATAL_ERROR "expected an ignored-flag warning for "
-                      "--density, got:\n${err}")
-endif()
+ccsvm_run(--workload definitely-not-a-workload EXIT 2
+          MATCHES "unknown workload.*synth:migratory")
 
-message(STATUS "workload registry checks ok")
+ccsvm_run(--workload synth:padded --iters 4 --density 0.5
+          MATCHES "warning: --density is ignored")
+
+message(STATUS "workload registry checks ok (${n_consumed} consumed "
+               "flags documented)")

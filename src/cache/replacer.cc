@@ -1,6 +1,6 @@
 #include "cache/replacer.hh"
 
-#include <cctype>
+#include "base/enum_names.hh"
 
 namespace ccsvm::cache
 {
@@ -42,30 +42,13 @@ replacerName(ReplacerKind k)
 std::string
 replacerNameList(std::string_view sep)
 {
-    std::string out;
-    for (const ReplacerKind k : allReplacers) {
-        if (!out.empty())
-            out += sep;
-        out += replacerName(k);
-    }
-    return out;
+    return enumNameList(allReplacers, replacerName, sep);
 }
 
 bool
 replacerFromName(std::string_view name, ReplacerKind &out)
 {
-    std::string lower;
-    lower.reserve(name.size());
-    for (const char ch : name)
-        lower.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(ch))));
-    for (const ReplacerKind k : allReplacers) {
-        if (lower == replacerName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
+    return enumFromName(allReplacers, replacerName, name, out);
 }
 
 int

@@ -1,8 +1,8 @@
 #include "coherence/protocol.hh"
 
-#include <cctype>
 #include <string>
 
+#include "base/enum_names.hh"
 #include "base/logging.hh"
 
 namespace ccsvm::coherence
@@ -51,30 +51,13 @@ protocolName(Protocol p)
 std::string
 protocolNameList(std::string_view sep)
 {
-    std::string out;
-    for (const Protocol p : allProtocols) {
-        if (!out.empty())
-            out += sep;
-        out += protocolName(p);
-    }
-    return out;
+    return enumNameList(allProtocols, protocolName, sep);
 }
 
 bool
 protocolFromName(std::string_view name, Protocol &out)
 {
-    std::string lower;
-    lower.reserve(name.size());
-    for (const char ch : name)
-        lower.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(ch))));
-    for (const Protocol p : allProtocols) {
-        if (lower == protocolName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
+    return enumFromName(allProtocols, protocolName, name, out);
 }
 
 const ProtocolPolicy &

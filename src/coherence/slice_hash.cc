@@ -1,8 +1,8 @@
 #include "coherence/slice_hash.hh"
 
-#include <cctype>
 #include <string>
 
+#include "base/enum_names.hh"
 #include "base/logging.hh"
 #include "mem/phys_mem.hh"
 
@@ -87,30 +87,13 @@ sliceHashName(SliceHashKind k)
 std::string
 sliceHashNameList(std::string_view sep)
 {
-    std::string out;
-    for (const SliceHashKind k : allSliceHashes) {
-        if (!out.empty())
-            out += sep;
-        out += sliceHashName(k);
-    }
-    return out;
+    return enumNameList(allSliceHashes, sliceHashName, sep);
 }
 
 bool
 sliceHashFromName(std::string_view name, SliceHashKind &out)
 {
-    std::string lower;
-    lower.reserve(name.size());
-    for (const char ch : name)
-        lower.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(ch))));
-    for (const SliceHashKind k : allSliceHashes) {
-        if (lower == sliceHashName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
+    return enumFromName(allSliceHashes, sliceHashName, name, out);
 }
 
 const SliceHash &

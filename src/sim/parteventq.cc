@@ -14,7 +14,7 @@ namespace ccsvm::sim
 
 namespace detail
 {
-thread_local EventQueue *tlsActiveQueue = nullptr;
+constinit thread_local EventQueue *tlsActiveQueue = nullptr;
 } // namespace detail
 
 PartEngine::PartEngine(int partitions, Tick lookahead, int threads)

@@ -44,8 +44,12 @@ namespace ccsvm::sim
 namespace detail
 {
 /** Queue whose window the calling host thread is currently running;
- * null outside PartEngine windows (host code, standalone queues). */
-extern thread_local EventQueue *tlsActiveQueue;
+ * null outside PartEngine windows (host code, standalone queues).
+ * constinit tells every including file that no dynamic TLS
+ * initializer exists, so a read is one plain thread-local load. Without
+ * it GCC calls through a weak TLS-init symbol first, and UBSan reports
+ * that call as a load through a null pointer. */
+extern constinit thread_local EventQueue *tlsActiveQueue;
 } // namespace detail
 
 /** The event queue whose event is executing on this host thread. */

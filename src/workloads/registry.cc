@@ -2,7 +2,9 @@
  * @file
  * Workload registrations. To add a workload: append one entry here
  * (name, summary, consumed flags, factory) — the driver's dispatch,
- * usage text and --list-workloads pick it up automatically.
+ * --list-workloads and ignored-flag warning pick it up automatically.
+ * Every consumed flag must be a driver flag; the
+ * ccsvm_driver_unknown_workload ctest checks --help documents it.
  */
 
 #include "workloads/registry.hh"

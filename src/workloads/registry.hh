@@ -8,10 +8,12 @@
  * carries its name, a one-line summary, the set of driver flags the
  * workload actually consumes (so the driver can warn when a flag is
  * set that the selected workload ignores), and a factory that runs it
- * on a caller-provided CcsvmMachine. The driver's dispatch, its
- * usage text, `--list-workloads`, the unknown-workload error, and CI's
- * synth smoke loop all enumerate this table, so adding a workload is
- * one registration in registry.cc (see README "Workloads").
+ * on a caller-provided CcsvmMachine. The driver's dispatch,
+ * `--list-workloads`, the unknown-workload error, the ignored-flag
+ * warning (whose watched flags are the union of every entry's
+ * `flags`), and CI's synth smoke loop all enumerate this table, so
+ * adding a workload is one registration in registry.cc (see README
+ * "Workloads").
  */
 
 #ifndef CCSVM_WORKLOADS_REGISTRY_HH

@@ -22,7 +22,6 @@
 #include "workloads/synth/synth.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -53,23 +52,6 @@ patternName(Pattern p)
       case Pattern::Conflict: return "conflict";
     }
     return "?";
-}
-
-bool
-patternFromName(std::string_view name, Pattern &out)
-{
-    std::string lower(name);
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) {
-                       return static_cast<char>(std::tolower(c));
-                   });
-    for (const Pattern p : allPatterns) {
-        if (lower == patternName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
 }
 
 const char *

@@ -45,7 +45,6 @@
 #define CCSVM_WORKLOADS_SYNTH_SYNTH_HH
 
 #include <array>
-#include <string_view>
 
 #include "workloads/workloads.hh"
 
@@ -75,9 +74,6 @@ inline constexpr std::array<Pattern, 9> allPatterns = {
 /** Lower-case pattern name as used in workload names
  * ("synth:<name>") and the driver. */
 const char *patternName(Pattern p);
-
-/** Parse a pattern name (case-insensitive); false on unknown. */
-bool patternFromName(std::string_view name, Pattern &out);
 
 /** One-line description of what the pattern stresses. */
 const char *patternSummary(Pattern p);

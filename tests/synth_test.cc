@@ -176,21 +176,6 @@ TEST(SynthDiscrimination, PrivatePatternsAreProtocolIndifferent)
     }
 }
 
-TEST(PatternNames, RoundTripAndRejectUnknown)
-{
-    for (const Pattern p : allPatterns) {
-        Pattern out;
-        EXPECT_TRUE(patternFromName(patternName(p), out))
-            << patternName(p);
-        EXPECT_EQ(out, p);
-    }
-    Pattern out;
-    EXPECT_FALSE(patternFromName("hotline", out));
-    EXPECT_FALSE(patternFromName("", out));
-    EXPECT_TRUE(patternFromName("MIGRATORY", out)); // case-blind
-    EXPECT_EQ(out, Pattern::Migratory);
-}
-
 TEST(Registry, EveryPaperWorkloadAndPatternIsRegistered)
 {
     const auto &reg = WorkloadRegistry::instance();

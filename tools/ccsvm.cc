@@ -12,19 +12,23 @@
  *   ccsvm --workload matmul,synth:hot --protocol msi,moesi --jobs 4
  *   ccsvm --list-workloads
  *
- * Comma lists on --workload / --protocol form a sweep grid
- * (workload-major); the points run on --jobs worker threads through
+ * Every flag is one row of kFlags: its name, argument, help text and
+ * setter. The parser, --help, the --list-* flags and the "wants one
+ * of" errors all read those rows, so adding a flag is adding a row.
+ *
+ * Comma lists on --workload, --protocol, --slice-hash and --l2-replace
+ * form a sweep grid (workload-major, then the sweeping rows in table
+ * order); the points run on --jobs worker threads through
  * sim::SweepRunner, and every output — stdout summaries, --stats
  * text, the JSON file — is emitted in point order, byte-identical
  * for every worker count.
  *
  * Workloads come from the workload registry
  * (src/workloads/registry.hh): the paper's four applications plus the
- * synthetic coherence-traffic patterns (synth:*). The usage text, the
- * unknown-workload error and --list-workloads all enumerate the
- * registry, and a workload-parameter flag the selected workload does
- * not consume produces a warning on stderr instead of silently doing
- * nothing.
+ * synthetic coherence-traffic patterns (synth:*). The unknown-workload
+ * error and --list-workloads enumerate the registry, and a flag that
+ * some registered workload consumes but the selected one does not
+ * produces a warning on stderr instead of silently doing nothing.
  *
  * The JSON file carries a "sim" summary (ticks, DRAM transactions,
  * validation verdict) plus the complete counter/distribution registry,
@@ -32,15 +36,19 @@
  * one schema for every machine-readable artifact this repo produces.
  */
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/replacer.hh"
@@ -58,21 +66,18 @@ namespace
 
 using namespace ccsvm;
 
+struct Flag;
+
 struct DriverOptions
 {
+    const char *argv0 = "ccsvm"; ///< for the usage line of --help
     /** Selected workloads (--workload accepts a comma list; more
      * than one name turns the run into a sweep). */
     std::vector<std::string> workloads = {"matmul"};
-    /** Protocol axis (--protocol accepts a comma list); empty =
-     * the config default, a single protocol behaves exactly like the
-     * historical single-valued flag. */
-    std::vector<coherence::Protocol> protocols;
-    /** Home-slice hash axis (--slice-hash accepts a comma list);
-     * empty = the config default (mod). */
-    std::vector<coherence::SliceHashKind> sliceHashes;
-    /** L2 replacement-policy axis (--l2-replace accepts a comma
-     * list); empty = the config default (lru). */
-    std::vector<cache::ReplacerKind> replacers;
+    /** The names given to each sweeping flag, in command-line order;
+     * main expands them into the grid. An absent flag contributes the
+     * config default. */
+    std::map<const Flag *, std::vector<std::string>> axes;
     /** Sweep worker threads (--jobs): 0 = hardware concurrency,
      * 1 = the historical sequential order. Only sweeps (more than
      * one grid point) spawn workers at all. */
@@ -92,7 +97,7 @@ struct DriverOptions
     bool verbose = false;
 };
 
-/** One point of the workload x protocol grid. */
+/** One point of the sweep grid. */
 struct PointSpec
 {
     std::string workload;
@@ -112,143 +117,34 @@ struct PointOutput
     bool correct = false;
 };
 
-void
-usage(const char *argv0, std::FILE *out = stdout)
+/** A flag as its setter sees it. */
+struct Arg
 {
-    const auto &reg = workloads::WorkloadRegistry::instance();
-    std::fprintf(
-        out,
-        "usage: %s [options]\n"
-        "\n"
-        "workload selection:\n"
-        "  --workload NAMES    one of (comma-separate to sweep): %s\n"
-        "                      (default matmul)\n"
-        "  --list-workloads    list every workload with its summary "
-        "and flags\n"
-        "\n"
-        "parallel sweeps (multiple --workload/--protocol values form "
-        "a grid;\nsee README \"Parallel sweeps\"):\n"
-        "  --jobs N            run sweep points on N worker threads\n"
-        "                      (default: hardware concurrency; 1 = "
-        "sequential\n"
-        "                      order; results are deterministic "
-        "either way)\n"
-        "\n"
-        "workload parameters (each consumed only by some workloads;\n"
-        "setting one the selected workload ignores warns):\n"
-        "  --n N               matrix dimension for matmul/apsp/spmm "
-        "(default 32)\n"
-        "  --bodies N          barneshut body count (default 256)\n"
-        "  --steps N           barneshut time steps (default 2)\n"
-        "  --density F         spmm non-zero fraction (default 0.01)\n"
-        "  --seed N            barneshut/spmm input seed, "
-        "synth:ptrchase ring seed\n"
-        "  --iters N           synth main-loop iterations per thread "
-        "(default 64)\n"
-        "  --synth-threads N   synth MTTOP traffic threads "
-        "(default 16)\n"
-        "  --rpw N             synth extra reads per write "
-        "(default 4)\n"
-        "  --footprint-kb K    synth stream/ptrchase total footprint "
-        "(default 64)\n"
-        "  --stride B          synth stream/ptrchase access stride "
-        "bytes (default 64)\n"
-        "  --sharing N         synth sharing degree: threads/line "
-        "(false), lines (readmostly)\n"
-        "\n"
-        "region-based coherence (see README \"Region-based "
-        "coherence\"):\n"
-        "  --region N:B:S:A    declare virtual region named N at "
-        "page-aligned base B,\n"
-        "                      size S (0x-hex or decimal, K/M "
-        "suffixes) with attribute A:\n"
-        "                      coherent | bypass | readmostly | a "
-        "protocol name\n"
-        "                      (protocol name = coherent under that "
-        "protocol; repeatable)\n"
-        "  --region-hints      apply the workload's default region "
-        "annotations\n"
-        "                      (synth:stream buffer -> bypass, "
-        "matmul A/B -> readmostly)\n"
-        "\n"
-        "machine configuration (defaults = paper Table 2):\n"
-        "  --protocol P[,P..]  chip-wide coherence protocol: %s "
-        "(default moesi;\n"
-        "                      a comma list sweeps the protocol "
-        "axis)\n"
-        "  --cpu-protocol P    CPU-cluster protocol (default: "
-        "--protocol)\n"
-        "  --mttop-protocol P  MTTOP-cluster protocol (default: "
-        "--protocol)\n"
-        "  --list-protocols    list every protocol name, one per "
-        "line\n"
-        "  --cpu-cores N       in-order CPU cores (default 4)\n"
-        "  --mttop-cores N     MTTOP cores (default 10)\n"
-        "  --mttop-contexts N  thread contexts per MTTOP core "
-        "(default 128)\n"
-        "  --l2-banks N        L2/directory bank count (default 4)\n"
-        "  --cpu-l1-kb K       CPU L1 size (default 64)\n"
-        "  --mttop-l1-kb K     MTTOP L1 size (default 16)\n"
-        "  --l2-bank-kb K      per-bank L2 size (default 1024)\n"
-        "  --slice-hash H[,H..]\n"
-        "                      home-slice (bank-select) hash: %s\n"
-        "                      (default mod; a comma list sweeps the "
-        "hash axis;\n"
-        "                      see README \"Sharded home banks\")\n"
-        "  --list-slice-hashes\n"
-        "                      list every slice-hash name, one per "
-        "line\n"
-        "  --l2-replace R[,R..]\n"
-        "                      L2/directory replacement policy: %s\n"
-        "                      (default lru; a comma list sweeps the "
-        "replacer axis)\n"
-        "  --list-replacers    list every replacement-policy name, "
-        "one per line\n"
-        "  --dram-ns N         flat DRAM latency (default 100)\n"
-        "  --no-swmr           disable the SWMR checker (faster host "
-        "run)\n"
-        "  --sim-threads N     host threads for the partitioned event "
-        "engine\n"
-        "                      (default: CCSVM_SIM_THREADS env or 1; "
-        "0 = hardware\n"
-        "                      concurrency; stats are identical at "
-        "any value;\n"
-        "                      see README \"Parallel engine\")\n"
-        "\n"
-        "output:\n"
-        "  --json FILE         write summary + full stats registry as "
-        "JSON\n"
-        "                      (FILE '-' = stdout; summaries/--stats "
-        "move to stderr)\n"
-        "  --stats             dump the stats registry as text on "
-        "stdout\n"
-        "observability (see README \"Observability\"):\n"
-        "  --trace-out FILE    write a Chrome trace-event JSON "
-        "(single point only;\n"
-        "                      load in Perfetto / chrome://tracing)\n"
-        "  --trace-categories LIST\n"
-        "                      comma list of coh,noc,vm,kernel,engine "
-        "or all\n"
-        "                      (default all when --trace-out is set)\n"
-        "  --sample-interval TICKS\n"
-        "                      sample counter totals every TICKS into "
-        "a \"series\"\n"
-        "                      section of the JSON (0 = off)\n"
-        "trace capture & replay (see README \"Trace capture & "
-        "replay\"):\n"
-        "  --capture-out FILE  record the guest memory-op stream to a "
-        ".ccsvmt\n"
-        "                      trace (single point only; format in "
-        "docs/TRACE_FORMAT.md)\n"
-        "  --trace FILE        the .ccsvmt trace --workload replay "
-        "re-issues\n"
-        "  --verbose           keep simulator log output\n"
-        "  --help              this text\n",
-        argv0, reg.nameList(" | ").c_str(),
-        coherence::protocolNameList(" | ").c_str(),
-        coherence::sliceHashNameList(" | ").c_str(),
-        cache::replacerNameList(" | ").c_str());
-}
+    const char *flag;  ///< the flag's name, for error messages
+    const char *value; ///< its argument; nullptr for a switch
+};
+
+/**
+ * One command-line flag. A plain row stores its argument through
+ * `set`. An enum row instead names its value table (`names`), stores
+ * one of those names into a config (`pick`), may have a `--list-*`
+ * companion that prints the table, and may sweep: then a comma list
+ * makes one grid point per name.
+ */
+struct Flag
+{
+    const char *name; ///< nullptr: a --help section heading (`help`)
+    const char *arg;  ///< argument placeholder; nullptr: a switch
+    const char *help; ///< --help text; '\n' continues on a new line
+    void (*set)(DriverOptions &, const Arg &) = nullptr;
+    std::string (*names)(std::string_view sep) = nullptr;
+    /** False when @p name is not in the value table. */
+    bool (*pick)(system::CcsvmConfig &, std::string_view name) = nullptr;
+    const char *list = nullptr;
+    bool sweeps = false;
+};
+
+void usage(const char *argv0, std::FILE *out);
 
 void
 listWorkloads()
@@ -265,70 +161,37 @@ listWorkloads()
 }
 
 /**
- * Parse the next argument of flag @p name as an unsigned integer.
- * Count-like flags (core counts, sizes) reject 0; flags where 0 is
- * meaningful (--seed, --steps, --dram-ns, --rpw) pass @p allow_zero.
+ * The argument of @p a as a decimal integer in [@p lo, the largest
+ * T], where T is the type of the field it lands in. Anything else —
+ * a sign, a non-digit, a value T cannot hold — exits 2 naming the
+ * flag, so "-1" cannot wrap to a huge count and a narrowing store
+ * cannot truncate. @p lo is 1 for counts and sizes, 0 where zero
+ * means something (--seed, --steps, --dram-ns, --rpw, ...).
  */
-unsigned
-parseUnsigned(const char *name, const char *value,
-              bool allow_zero = false)
+template <typename T>
+T
+integer(const Arg &a, T lo)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    if (!value[0] || *end || (v == 0 && !allow_zero)) {
-        std::fprintf(stderr, "ccsvm: %s needs a %s integer, "
-                     "got '%s'\n", name,
-                     allow_zero ? "non-negative" : "positive", value);
+    const char *const end = a.value + std::strlen(a.value);
+    std::uint64_t v = 0;
+    const auto [stop, err] = std::from_chars(a.value, end, v);
+    if (err == std::errc::invalid_argument || stop != end ||
+        (err == std::errc() && v < std::uint64_t(lo))) {
+        std::fprintf(stderr, "ccsvm: %s needs a %s integer, got '%s'\n",
+                     a.flag, lo > 0 ? "positive" : "non-negative",
+                     a.value);
         std::exit(2);
     }
-    return static_cast<unsigned>(v);
-}
-
-/** Parse a protocol name for a --protocol-family flag; exits 2 with
- * the accepted names (from the same table --list-protocols prints)
- * on an unknown value. */
-coherence::Protocol
-parseProtocol(const char *name, const char *value)
-{
-    coherence::Protocol p;
-    if (!coherence::protocolFromName(value, p)) {
+    constexpr T hi = std::numeric_limits<T>::max();
+    if (err != std::errc() || v > std::uint64_t(hi)) {
         std::fprintf(stderr,
-                     "ccsvm: %s wants one of %s, got '%s'\n", name,
-                     coherence::protocolNameList(", ").c_str(), value);
+                     "ccsvm: %s is out of range (at most %llu), got "
+                     "'%s'\n",
+                     a.flag, static_cast<unsigned long long>(hi),
+                     a.value);
         std::exit(2);
     }
-    return p;
-}
-
-/** Parse a slice-hash name for --slice-hash; exits 2 with the
- * accepted names (the --list-slice-hashes table) on unknown. */
-coherence::SliceHashKind
-parseSliceHash(const char *name, const char *value)
-{
-    coherence::SliceHashKind k;
-    if (!coherence::sliceHashFromName(value, k)) {
-        std::fprintf(stderr,
-                     "ccsvm: %s wants one of %s, got '%s'\n", name,
-                     coherence::sliceHashNameList(", ").c_str(),
-                     value);
-        std::exit(2);
-    }
-    return k;
-}
-
-/** Parse a replacement-policy name for --l2-replace; exits 2 with
- * the accepted names (the --list-replacers table) on unknown. */
-cache::ReplacerKind
-parseReplacer(const char *name, const char *value)
-{
-    cache::ReplacerKind k;
-    if (!cache::replacerFromName(value, k)) {
-        std::fprintf(stderr,
-                     "ccsvm: %s wants one of %s, got '%s'\n", name,
-                     cache::replacerNameList(", ").c_str(), value);
-        std::exit(2);
-    }
-    return k;
+    return static_cast<T>(v);
 }
 
 /** Parse a byte count: 0x-hex or decimal, optional K/M/G suffix. */
@@ -460,210 +323,339 @@ splitList(const char *flag, const std::string &value)
 }
 
 double
-parseDouble(const char *name, const char *value)
+parseDouble(const Arg &a)
 {
     char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (!value[0] || *end) {
+    const double v = std::strtod(a.value, &end);
+    if (!a.value[0] || *end) {
         std::fprintf(stderr, "ccsvm: %s needs a number, got '%s'\n",
-                     name, value);
+                     a.flag, a.value);
         std::exit(2);
     }
     return v;
+}
+
+/**
+ * Every flag the driver accepts, in --help order. The sweeping rows'
+ * order is also the grid's: protocol, then hash, then replacer. The
+ * setters are generic lambdas; each converts to the Flag::set or
+ * Flag::pick signature, so `o` is the DriverOptions, `a` the Arg and
+ * `c` the CcsvmConfig.
+ */
+const Flag kFlags[] = {
+    {nullptr, nullptr, "workload selection:"},
+    {"--workload", "NAMES",
+     "workload(s) to run; a comma list sweeps\n"
+     "(default matmul; --list-workloads names them)",
+     [](auto &o, auto &a) { o.workloads = splitList(a.flag, a.value); }},
+    {"--list-workloads", nullptr,
+     "list every workload with its summary and flags",
+     [](auto &, auto &) {
+         listWorkloads();
+         std::exit(0);
+     }},
+
+    {nullptr, nullptr,
+     "parallel sweeps (comma lists on --workload, --protocol,\n"
+     "--slice-hash and --l2-replace form a grid; see README\n"
+     "\"Parallel sweeps\"):"},
+    {"--jobs", "N",
+     "run sweep points on N worker threads\n"
+     "(default: hardware concurrency; 1 = sequential\n"
+     "order; results are deterministic either way)",
+     [](auto &o, auto &a) { o.jobs = integer<unsigned>(a, 0); }},
+
+    {nullptr, nullptr,
+     "workload parameters (each consumed only by some workloads;\n"
+     "setting one the selected workload ignores warns):"},
+    {"--n", "N", "matrix dimension for matmul/apsp/spmm (default 32)",
+     [](auto &o, auto &a) { o.params.n = integer<unsigned>(a, 1); }},
+    {"--bodies", "N", "barneshut body count (default 256)",
+     [](auto &o, auto &a) { o.params.bh.bodies = integer<unsigned>(a, 1); }},
+    {"--steps", "N", "barneshut time steps (default 2)",
+     [](auto &o, auto &a) { o.params.bh.steps = integer<unsigned>(a, 0); }},
+    {"--density", "F", "spmm non-zero fraction (default 0.01)",
+     [](auto &o, auto &a) { o.params.spmm.density = parseDouble(a); }},
+    {"--seed", "N",
+     "input seed for matmul, barneshut, spmm and\n"
+     "the synth:ptrchase rings",
+     [](auto &o, auto &a) {
+         auto &p = o.params;
+         p.bh.seed = p.spmm.seed = p.synth.seed = p.matmulSeed =
+             integer<std::uint64_t>(a, 0);
+     }},
+    {"--iters", "N", "synth main-loop iterations per thread (default 64)",
+     [](auto &o, auto &a) {
+         o.params.synth.iters = integer<unsigned>(a, 1);
+     }},
+    {"--synth-threads", "N", "synth MTTOP traffic threads (default 16)",
+     [](auto &o, auto &a) {
+         o.params.synth.threads = integer<unsigned>(a, 1);
+     }},
+    {"--rpw", "N", "synth extra reads per write (default 4)",
+     [](auto &o, auto &a) {
+         o.params.synth.readsPerWrite = integer<unsigned>(a, 0);
+     }},
+    {"--footprint-kb", "K",
+     "synth stream/ptrchase total footprint (default 64)",
+     [](auto &o, auto &a) {
+         o.params.synth.footprintBytes =
+             Addr(integer<unsigned>(a, 1)) * 1024;
+     }},
+    {"--stride", "B",
+     "synth stream/ptrchase access stride bytes (default 64)",
+     [](auto &o, auto &a) {
+         o.params.synth.strideBytes = integer<unsigned>(a, 1);
+     }},
+    {"--sharing", "N",
+     "synth sharing degree: threads/line (false),\n"
+     "lines (readmostly), lines/thread (conflict)",
+     [](auto &o, auto &a) {
+         o.params.synth.sharingDegree = integer<unsigned>(a, 1);
+     }},
+
+    {nullptr, nullptr,
+     "region-based coherence (see README \"Region-based coherence\"):"},
+    {"--region", "N:B:S:A",
+     "declare virtual region named N at page-aligned base B,\n"
+     "size S (0x-hex or decimal, K/M suffixes) with attribute A:\n"
+     "coherent | bypass | readmostly | a protocol name\n"
+     "(protocol name = coherent under that protocol; repeatable)",
+     [](auto &o, auto &a) {
+         o.cfg.regions.push_back(parseRegion(a.value));
+     }},
+    {"--region-hints", nullptr,
+     "apply the workload's default region annotations\n"
+     "(synth:stream buffer -> bypass, matmul A/B -> readmostly)",
+     [](auto &o, auto &) { o.params.regionHints = true; }},
+
+    {nullptr, nullptr, "machine configuration (defaults = paper Table 2):"},
+    {.name = "--protocol", .arg = "P[,P..]",
+     .help = "chip-wide coherence protocol (default moesi)",
+     .names = coherence::protocolNameList,
+     .pick = [](auto &c, auto v) {
+         return coherence::protocolFromName(v, c.protocol);
+     },
+     .list = "--list-protocols", .sweeps = true},
+    {.name = "--cpu-protocol", .arg = "P",
+     .help = "CPU-cluster protocol (default: --protocol)",
+     .names = coherence::protocolNameList,
+     .pick = [](auto &c, auto v) {
+         return coherence::protocolFromName(v, c.cpuProtocol.emplace());
+     }},
+    {.name = "--mttop-protocol", .arg = "P",
+     .help = "MTTOP-cluster protocol (default: --protocol)",
+     .names = coherence::protocolNameList,
+     .pick = [](auto &c, auto v) {
+         return coherence::protocolFromName(v, c.mttopProtocol.emplace());
+     }},
+    {"--cpu-cores", "N", "in-order CPU cores (default 4)",
+     [](auto &o, auto &a) { o.cfg.numCpuCores = integer<int>(a, 1); }},
+    {"--mttop-cores", "N", "MTTOP cores (default 10)",
+     [](auto &o, auto &a) { o.cfg.numMttopCores = integer<int>(a, 1); }},
+    {"--mttop-contexts", "N", "thread contexts per MTTOP core (default 128)",
+     [](auto &o, auto &a) {
+         o.cfg.mttop.numContexts = integer<unsigned>(a, 1);
+     }},
+    {"--l2-banks", "N", "L2/directory bank count (default 4)",
+     [](auto &o, auto &a) { o.cfg.numL2Banks = integer<int>(a, 1); }},
+    {"--cpu-l1-kb", "K", "CPU L1 size (default 64)",
+     [](auto &o, auto &a) {
+         o.cfg.cpuL1.sizeBytes = Addr(integer<unsigned>(a, 1)) * 1024;
+     }},
+    {"--mttop-l1-kb", "K", "MTTOP L1 size (default 16)",
+     [](auto &o, auto &a) {
+         o.cfg.mttopL1.sizeBytes = Addr(integer<unsigned>(a, 1)) * 1024;
+     }},
+    {"--l2-bank-kb", "K", "per-bank L2 size (default 1024)",
+     [](auto &o, auto &a) {
+         o.cfg.l2.bankSizeBytes = Addr(integer<unsigned>(a, 1)) * 1024;
+     }},
+    {.name = "--slice-hash", .arg = "H[,H..]",
+     .help = "home-slice (bank-select) hash (default mod;\n"
+             "see README \"Sharded home banks\")",
+     .names = coherence::sliceHashNameList,
+     .pick = [](auto &c, auto v) {
+         return coherence::sliceHashFromName(v, c.sliceHash);
+     },
+     .list = "--list-slice-hashes", .sweeps = true},
+    {.name = "--l2-replace", .arg = "R[,R..]",
+     .help = "L2/directory replacement policy (default lru)",
+     .names = cache::replacerNameList,
+     .pick = [](auto &c, auto v) {
+         return cache::replacerFromName(v, c.l2Replace);
+     },
+     .list = "--list-replacers", .sweeps = true},
+    {"--dram-ns", "N", "flat DRAM latency (default 100)",
+     [](auto &o, auto &a) {
+         o.cfg.dram.accessLatency = Tick(integer<unsigned>(a, 0)) * tickNs;
+     }},
+    {"--no-swmr", nullptr, "disable the SWMR checker (faster host run)",
+     [](auto &o, auto &) { o.cfg.swmrChecks = false; }},
+    {"--sim-threads", "N",
+     "host threads for the partitioned event engine\n"
+     "(default: CCSVM_SIM_THREADS env or 1; 0 = hardware\n"
+     "concurrency; stats are identical at any value;\n"
+     "see README \"Parallel engine\")",
+     [](auto &o, auto &a) { o.cfg.simThreads = integer<int>(a, 0); }},
+
+    {nullptr, nullptr, "output:"},
+    {"--json", "FILE",
+     "write summary + full stats registry as JSON\n"
+     "(FILE '-' = stdout; summaries/--stats move to stderr)",
+     [](auto &o, auto &a) { o.jsonPath = a.value; }},
+    {"--stats", nullptr, "dump the stats registry as text on stdout",
+     [](auto &o, auto &) { o.textStats = true; }},
+    {"--verbose", nullptr, "keep simulator log output",
+     [](auto &o, auto &) { o.verbose = true; }},
+    {"--help", nullptr, "this text (also -h)",
+     [](auto &o, auto &) {
+         usage(o.argv0, stdout);
+         std::exit(0);
+     }},
+
+    {nullptr, nullptr, "observability (see README \"Observability\"):"},
+    {"--trace-out", "FILE",
+     "write a Chrome trace-event JSON (single point only;\n"
+     "load in Perfetto / chrome://tracing)",
+     [](auto &o, auto &a) { o.traceOut = a.value; }},
+    {"--trace-categories", "LIST",
+     "comma list of coh,noc,vm,kernel,engine or all\n"
+     "(default all when --trace-out is set)",
+     [](auto &o, auto &a) {
+         unsigned mask = 0;
+         if (!sim::Tracer::parseCategories(a.value, mask)) {
+             std::fprintf(stderr,
+                          "ccsvm: --trace-categories wants a comma list "
+                          "of coh, noc, vm, kernel, engine or all, got "
+                          "'%s'\n",
+                          a.value);
+             std::exit(2);
+         }
+         o.traceCategories = a.value;
+     }},
+    {"--sample-interval", "TICKS",
+     "sample counter totals every TICKS into a \"series\"\n"
+     "section of the JSON (0 = off)",
+     [](auto &o, auto &a) { o.cfg.sampleInterval = integer<Tick>(a, 0); }},
+
+    {nullptr, nullptr,
+     "trace capture & replay (see README \"Trace capture & replay\"):"},
+    {"--capture-out", "FILE",
+     "record the guest memory-op stream to a .ccsvmt\n"
+     "trace (single point only; format in docs/TRACE_FORMAT.md)",
+     [](auto &o, auto &a) { o.cfg.captureOut = a.value; }},
+    {"--trace", "FILE", "the .ccsvmt trace --workload replay re-issues",
+     [](auto &o, auto &a) { o.params.replayTrace = a.value; }},
+};
+
+/** Print one --help entry: @p flag in a 20-column field (alone on its
+ * line when wider), then @p text, each '\n' in it continuing on a new
+ * line at the text's indent. */
+void
+printHelp(std::FILE *out, const std::string &flag, const std::string &text)
+{
+    const std::string indent(22, ' ');
+    std::string entry = "  " + flag;
+    entry += flag.size() <= 18 ? std::string(20 - flag.size(), ' ')
+                               : "\n" + indent;
+    for (const char c : text) {
+        entry += c;
+        if (c == '\n')
+            entry += indent;
+    }
+    std::fprintf(out, "%s\n", entry.c_str());
+}
+
+void
+usage(const char *argv0, std::FILE *out)
+{
+    std::fprintf(out, "usage: %s [options]\n", argv0);
+    for (const Flag &f : kFlags) {
+        if (!f.name) {
+            std::fprintf(out, "\n%s\n", f.help);
+            continue;
+        }
+        std::string text = f.help;
+        if (f.names) {
+            text += "\none of " + f.names(" | ") +
+                    (f.sweeps ? "; a comma list sweeps" : "");
+        }
+        printHelp(out, f.arg ? std::string(f.name) + " " + f.arg : f.name,
+                  text);
+        if (f.list) {
+            printHelp(out, f.list,
+                      std::string("list every ") + f.name +
+                          " value, one per line");
+        }
+    }
+}
+
+/** True when some registered workload consumes @p flag: the flags
+ * the ignored-flag warning watches. */
+bool
+workloadFlag(std::string_view flag)
+{
+    const auto &entries = workloads::WorkloadRegistry::instance().entries();
+    return std::any_of(entries.begin(), entries.end(),
+                       [flag](const workloads::WorkloadEntry &e) {
+                           return e.consumesFlag(flag);
+                       });
 }
 
 DriverOptions
 parseArgs(int argc, char **argv)
 {
     DriverOptions o;
+    o.argv0 = argv[0];
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "ccsvm: %s needs an argument\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        // Record a workload-parameter flag for the ignored-flag
-        // warning (machine/output flags apply to every workload).
-        auto wlFlag = [&]() { o.setFlags.push_back(arg); };
-
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            std::exit(0);
-        } else if (arg == "--list-workloads") {
-            listWorkloads();
-            std::exit(0);
-        } else if (arg == "--workload") {
-            o.workloads = splitList("--workload", next());
-        } else if (arg == "--jobs") {
-            o.jobs = parseUnsigned("--jobs", next(), true);
-        } else if (arg == "--n") {
-            o.params.n = parseUnsigned("--n", next());
-            wlFlag();
-        } else if (arg == "--bodies") {
-            o.params.bh.bodies = parseUnsigned("--bodies", next());
-            wlFlag();
-        } else if (arg == "--steps") {
-            o.params.bh.steps =
-                parseUnsigned("--steps", next(), true);
-            wlFlag();
-        } else if (arg == "--density") {
-            o.params.spmm.density = parseDouble("--density", next());
-            wlFlag();
-        } else if (arg == "--seed") {
-            const unsigned s = parseUnsigned("--seed", next(), true);
-            o.params.bh.seed = s;
-            o.params.spmm.seed = s;
-            o.params.synth.seed = s;
-            o.params.matmulSeed = s;
-            wlFlag();
-        } else if (arg == "--iters") {
-            o.params.synth.iters = parseUnsigned("--iters", next());
-            wlFlag();
-        } else if (arg == "--synth-threads") {
-            o.params.synth.threads =
-                parseUnsigned("--synth-threads", next());
-            wlFlag();
-        } else if (arg == "--rpw") {
-            o.params.synth.readsPerWrite =
-                parseUnsigned("--rpw", next(), true);
-            wlFlag();
-        } else if (arg == "--footprint-kb") {
-            o.params.synth.footprintBytes =
-                Addr(parseUnsigned("--footprint-kb", next())) * 1024;
-            wlFlag();
-        } else if (arg == "--stride") {
-            o.params.synth.strideBytes =
-                parseUnsigned("--stride", next());
-            wlFlag();
-        } else if (arg == "--sharing") {
-            o.params.synth.sharingDegree =
-                parseUnsigned("--sharing", next());
-            wlFlag();
-        } else if (arg == "--region") {
-            o.cfg.regions.push_back(parseRegion(next()));
-        } else if (arg == "--region-hints") {
-            o.params.regionHints = true;
-            wlFlag();
-        } else if (arg == "--protocol") {
-            o.protocols.clear();
-            for (const auto &name :
-                 splitList("--protocol", next())) {
-                o.protocols.push_back(
-                    parseProtocol("--protocol", name.c_str()));
-            }
-        } else if (arg == "--cpu-protocol") {
-            o.cfg.cpuProtocol =
-                parseProtocol("--cpu-protocol", next());
-        } else if (arg == "--mttop-protocol") {
-            o.cfg.mttopProtocol =
-                parseProtocol("--mttop-protocol", next());
-        } else if (arg == "--list-protocols") {
-            for (const auto p : coherence::allProtocols)
-                std::printf("%s\n", coherence::protocolName(p));
-            std::exit(0);
-        } else if (arg == "--slice-hash") {
-            o.sliceHashes.clear();
-            for (const auto &name :
-                 splitList("--slice-hash", next())) {
-                o.sliceHashes.push_back(
-                    parseSliceHash("--slice-hash", name.c_str()));
-            }
-        } else if (arg == "--list-slice-hashes") {
-            for (const auto k : coherence::allSliceHashes)
-                std::printf("%s\n", coherence::sliceHashName(k));
-            std::exit(0);
-        } else if (arg == "--l2-replace") {
-            o.replacers.clear();
-            for (const auto &name :
-                 splitList("--l2-replace", next())) {
-                o.replacers.push_back(
-                    parseReplacer("--l2-replace", name.c_str()));
-            }
-        } else if (arg == "--list-replacers") {
-            for (const auto k : cache::allReplacers)
-                std::printf("%s\n", cache::replacerName(k));
-            std::exit(0);
-        } else if (arg == "--cpu-cores") {
-            o.cfg.numCpuCores =
-                static_cast<int>(parseUnsigned("--cpu-cores", next()));
-        } else if (arg == "--mttop-cores") {
-            o.cfg.numMttopCores = static_cast<int>(
-                parseUnsigned("--mttop-cores", next()));
-        } else if (arg == "--mttop-contexts") {
-            o.cfg.mttop.numContexts =
-                parseUnsigned("--mttop-contexts", next());
-        } else if (arg == "--l2-banks") {
-            o.cfg.numL2Banks =
-                static_cast<int>(parseUnsigned("--l2-banks", next()));
-        } else if (arg == "--cpu-l1-kb") {
-            o.cfg.cpuL1.sizeBytes =
-                Addr(parseUnsigned("--cpu-l1-kb", next())) * 1024;
-        } else if (arg == "--mttop-l1-kb") {
-            o.cfg.mttopL1.sizeBytes =
-                Addr(parseUnsigned("--mttop-l1-kb", next())) * 1024;
-        } else if (arg == "--l2-bank-kb") {
-            o.cfg.l2.bankSizeBytes =
-                Addr(parseUnsigned("--l2-bank-kb", next())) * 1024;
-        } else if (arg == "--dram-ns") {
-            o.cfg.dram.accessLatency =
-                Tick(parseUnsigned("--dram-ns", next(), true)) *
-                tickNs;
-        } else if (arg == "--sim-threads") {
-            o.cfg.simThreads = static_cast<int>(
-                parseUnsigned("--sim-threads", next(), true));
-        } else if (arg == "--no-swmr") {
-            o.cfg.swmrChecks = false;
-        } else if (arg == "--json") {
-            o.jsonPath = next();
-        } else if (arg == "--trace-out") {
-            o.traceOut = next();
-        } else if (arg == "--capture-out") {
-            o.cfg.captureOut = next();
-        } else if (arg == "--trace") {
-            o.params.replayTrace = next();
-            wlFlag();
-        } else if (arg == "--trace-categories") {
-            o.traceCategories = next();
-            unsigned mask = 0;
-            if (!sim::Tracer::parseCategories(o.traceCategories,
-                                              mask)) {
-                std::fprintf(
-                    stderr,
-                    "ccsvm: --trace-categories wants a comma list "
-                    "of coh, noc, vm, kernel, engine or all, got "
-                    "'%s'\n",
-                    o.traceCategories.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--sample-interval") {
-            // Ticks are picoseconds; intervals routinely exceed the
-            // 32-bit range parseUnsigned would clip to.
-            const char *v = next();
-            char *end = nullptr;
-            o.cfg.sampleInterval = std::strtoull(v, &end, 10);
-            if (!v[0] || (end && *end)) {
-                std::fprintf(stderr,
-                             "ccsvm: --sample-interval needs a tick "
-                             "count, got '%s'\n", v);
-                std::exit(2);
-            }
-        } else if (arg == "--stats") {
-            o.textStats = true;
-        } else if (arg == "--verbose") {
-            o.verbose = true;
-        } else {
+        const std::string_view arg =
+            std::strcmp(argv[i], "-h") == 0 ? "--help" : argv[i];
+        const Flag *f = std::find_if(
+            std::begin(kFlags), std::end(kFlags), [arg](const Flag &r) {
+                return r.name && (arg == r.name || (r.list && arg == r.list));
+            });
+        if (f == std::end(kFlags)) {
             std::fprintf(stderr,
                          "ccsvm: unknown option '%s' (run %s --help "
                          "for the full flag list)\n",
-                         arg.c_str(), argv[0]);
+                         argv[i], argv[0]);
             usage(argv[0], stderr);
             std::exit(2);
         }
+        if (f->list && arg == f->list) {
+            std::printf("%s\n", f->names("\n").c_str());
+            std::exit(0);
+        }
+        const char *value = nullptr;
+        if (f->arg) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "ccsvm: %s needs an argument\n",
+                             f->name);
+                std::exit(2);
+            }
+            value = argv[++i];
+        }
+        if (workloadFlag(f->name))
+            o.setFlags.push_back(f->name);
+        if (f->set) {
+            f->set(o, {f->name, value});
+            continue;
+        }
+        std::vector<std::string> names =
+            f->sweeps ? splitList(f->name, value)
+                      : std::vector<std::string>{value};
+        for (const std::string &name : names) {
+            if (!f->pick(o.cfg, name)) {
+                std::fprintf(stderr,
+                             "ccsvm: %s wants one of %s, got '%s'\n",
+                             f->name, f->names(", ").c_str(),
+                             name.c_str());
+                std::exit(2);
+            }
+        }
+        if (f->sweeps)
+            o.axes[f] = std::move(names);
     }
     // Tracing is only armed when there is somewhere to write it;
     // --trace-categories alone is almost certainly a mistake, so
@@ -723,6 +715,7 @@ parseArgs(int argc, char **argv)
     }
     return o;
 }
+
 
 /**
  * Resolve every selected workload in the registry; exits with the
@@ -923,31 +916,28 @@ main(int argc, char **argv)
     if (!o.verbose)
         setQuiet(true);
 
-    // The workload x protocol x slice-hash x replacer grid,
-    // workload-major. Every empty axis contributes one config-default
-    // point, so a run without sweep flags (or with single values) is
-    // the historical driver.
-    std::vector<PointSpec> points;
-    const std::size_t np = o.protocols.empty() ? 1 : o.protocols.size();
-    const std::size_t nh =
-        o.sliceHashes.empty() ? 1 : o.sliceHashes.size();
-    const std::size_t nr = o.replacers.empty() ? 1 : o.replacers.size();
-    for (std::size_t wi = 0; wi < o.workloads.size(); ++wi) {
-        for (std::size_t pi = 0; pi < np; ++pi) {
-            for (std::size_t hi = 0; hi < nh; ++hi) {
-                for (std::size_t ri = 0; ri < nr; ++ri) {
-                    system::CcsvmConfig cfg = o.cfg;
-                    if (!o.protocols.empty())
-                        cfg.protocol = o.protocols[pi];
-                    if (!o.sliceHashes.empty())
-                        cfg.sliceHash = o.sliceHashes[hi];
-                    if (!o.replacers.empty())
-                        cfg.l2Replace = o.replacers[ri];
-                    points.push_back(
-                        {o.workloads[wi], entries[wi], cfg});
-                }
+    // The workload x protocol x slice-hash x replacer grid: workload
+    // outermost, then each sweeping flag in table order. A flag not
+    // given contributes one config-default point, so a run without
+    // sweep flags (or with single values) is the historical driver.
+    std::vector<system::CcsvmConfig> cfgs = {o.cfg};
+    for (const Flag &f : kFlags) {
+        const auto axis = o.axes.find(&f);
+        if (axis == o.axes.end())
+            continue;
+        std::vector<system::CcsvmConfig> grid;
+        for (const system::CcsvmConfig &c : cfgs) {
+            for (const std::string &name : axis->second) {
+                grid.push_back(c);
+                f.pick(grid.back(), name);
             }
         }
+        cfgs = std::move(grid);
+    }
+    std::vector<PointSpec> points;
+    for (std::size_t wi = 0; wi < o.workloads.size(); ++wi) {
+        for (const system::CcsvmConfig &c : cfgs)
+            points.push_back({o.workloads[wi], entries[wi], c});
     }
 
     // A transaction trace of a whole sweep would interleave unrelated
