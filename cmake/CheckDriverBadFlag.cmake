@@ -44,6 +44,29 @@ foreach(bad "--cpu-cores;-1" "--mttop-cores;-1" "--mttop-contexts;-1"
             MATCHES "^ccsvm: ${flag} ")
 endforeach()
 
+# Byte counts are digits only (0x-hex or decimal, optional K/M/G): a
+# sign must not wrap, a suffix must not overflow, and a region must
+# end inside the 64-bit address space. --density is a finite fraction
+# in [0, 1]. Each exits 2 naming the flag.
+foreach(bad "--region;r:0x10000000:-4096:bypass"
+            "--region;r:0x10000000:17179869185g:bypass"
+            "--region;r:0x10000000:0xfffffffffffff000:bypass"
+            "--region;r:-4096:4096:bypass"
+            "--density;nan" "--density;inf" "--density;-1"
+            "--density;1.5")
+  list(GET bad 0 flag)
+  ccsvm_run(${bad} --workload spmm EXIT 2 MATCHES "^ccsvm: ${flag} ")
+endforeach()
+
+# A directory line keeps its sharers in a 32-bit mask, one bit per L1
+# (one per CPU or MTTOP core): 33 L1s are rejected naming both flags
+# and the limit, 32 run and validate.
+ccsvm_run(--workload synth:hot --synth-threads 64 --iters 64
+          --mttop-cores 29 EXIT 2
+          MATCHES "^ccsvm: --cpu-cores 4 \\+ --mttop-cores 29 .*at most 32")
+ccsvm_run(--workload synth:hot --synth-threads 64 --iters 64
+          --mttop-cores 28)
+
 # The --list flags must enumerate their tables, one name per line.
 foreach(list_want "--list-protocols;msi\nmesi\nmoesi"
                   "--list-slice-hashes;mod\nxorfold\nskew"

@@ -4,7 +4,10 @@
 #
 #   - --sim-threads 1 (windows run inline on the calling thread) vs
 #     --sim-threads 4 (worker pool) across a
-#     {matmul, synth:false} x {msi, moesi} grid. The partition/window
+#     {matmul, synth:false, barneshut, matmul on 62 L2 banks} x
+#     {msi, moesi} grid. barneshut is the benchmark's threaded
+#     workload; 62 banks make 65 engine partitions (every stat has
+#     one slot per partition, whatever the count). The partition/window
 #     schedule is the same at any thread count and cross-partition
 #     mailboxes commit in sorted (when, priority, srcPart, srcSeq)
 #     order, so every tick count and every stat must match byte for
@@ -24,17 +27,25 @@ include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
 ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
-foreach(wl matmul synth:false)
+# One grid point per line: a tag, then the workload and its flags.
+set(points
+  "matmul --workload matmul --n 16 --iters 16"
+  "synth_false --workload synth:false --n 16 --iters 16"
+  "barneshut --workload barneshut --bodies 32 --steps 1"
+  "banks62 --workload matmul --n 16 --l2-banks 62")
+foreach(point IN LISTS points)
+  separate_arguments(point)
+  list(POP_FRONT point name)
   foreach(proto msi moesi)
-    string(REPLACE ":" "_" tag "${wl}_${proto}")
+    set(tag "${name}_${proto}")
     foreach(threads 1 4)
       set(json ${CCSVM_OUT_DIR}/pengine_${tag}_t${threads}.json)
-      ccsvm_run(--workload ${wl} --protocol ${proto} --n 16 --iters 16
+      ccsvm_run(${point} --protocol ${proto}
                 --sim-threads ${threads} JSON ${json})
       ccsvm_normalize(doc_t${threads} ${json})
     endforeach()
     if(NOT doc_t1 STREQUAL doc_t4)
-      message(FATAL_ERROR "${wl}/${proto}: JSON differs between "
+      message(FATAL_ERROR "${tag}: JSON differs between "
               "--sim-threads 1 and --sim-threads 4:\n"
               "--- threads 1:\n${doc_t1}\n"
               "--- threads 4:\n${doc_t4}")
@@ -62,5 +73,5 @@ if(NOT echoed)
           "machine section:\n${env_raw}")
 endif()
 
-message(STATUS "parallel engine ok: 4 grid points byte-identical "
+message(STATUS "parallel engine ok: 8 grid points byte-identical "
                "at --sim-threads 1 vs 4 (+ env knob)")

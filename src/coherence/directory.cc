@@ -96,6 +96,9 @@ Directory::Directory(sim::EventQueue &eq, sim::StatRegistry &stats,
 void
 Directory::connectL1s(std::vector<L1Ref> l1s)
 {
+    ccsvm_assert(l1s.size() <= std::size_t(maxL1s),
+                 "%zu L1s: a directory's sharer mask tracks at most %d",
+                 l1s.size(), maxL1s);
     l1s_ = std::move(l1s);
 }
 
@@ -178,7 +181,7 @@ Directory::funcWriteBlock(Addr block_addr, unsigned offset,
 }
 
 unsigned
-Directory::popcount(std::uint32_t m)
+Directory::popcount(SharerMask m)
 {
     return static_cast<unsigned>(std::popcount(m));
 }

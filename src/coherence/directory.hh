@@ -27,6 +27,7 @@
 #define CCSVM_COHERENCE_DIRECTORY_HH
 
 #include <deque>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -96,12 +97,17 @@ struct DirConfig
 class Directory
 {
   public:
+    /** A line's sharer set, one bit per L1 (bit i = L1Id i). */
+    using SharerMask = std::uint32_t;
+    /** L1s one directory can track: the bits of a SharerMask. */
+    static constexpr int maxL1s = std::numeric_limits<SharerMask>::digits;
+
     Directory(sim::EventQueue &eq, sim::StatRegistry &stats,
               const std::string &name, const DirConfig &cfg, int bank_id,
               int num_banks, noc::Network &net, noc::NodeId my_node,
               mem::DramCtrl &dram, mem::PhysMem &phys);
 
-    /** Wire up the L1s (index = L1Id). */
+    /** Wire up the L1s (index = L1Id); at most maxL1s of them. */
     void connectL1s(std::vector<L1Ref> l1s);
 
     /** Network-side entry point. */
@@ -137,7 +143,7 @@ class Directory
         bool dirty = false;  ///< L2 data newer than DRAM
         DirState st = DirState::S;
         L1Id owner = noL1;
-        std::uint32_t sharers = 0;
+        SharerMask sharers = 0;
         /** Region class of the block, recorded from its requests. A
          * block belongs to exactly one VM region, so every request
          * agrees; ProtocolOverride lines resolve both ends of a
@@ -202,7 +208,7 @@ class Directory
     void absorbDirtyData(L2Line &line, const CohMsg &msg);
 
     // --- helpers ---
-    static unsigned popcount(std::uint32_t m);
+    static unsigned popcount(SharerMask m);
     bool isSharer(const L2Line &line, L1Id id) const;
     /** L1 @p id belongs to the MTTOP cluster (cluster split active
      * and id at or past the boundary). */

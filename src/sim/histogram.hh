@@ -1,6 +1,7 @@
 /**
  * @file
- * Log2-bucketed latency histogram.
+ * Sample statistics: the moments accumulator that Distribution and
+ * LatencyHistogram share, and the log2-bucketed latency histogram.
  *
  * The paper's argument is about latency *shape*, not just means: the
  * multi-tenant tail-latency scenario (ROADMAP) needs p99s, and the
@@ -9,9 +10,9 @@
  * Tick range at fixed memory cost and gives percentiles by linear
  * interpolation inside the containing bucket.
  *
- * Samples accumulate into per-partition shards exactly like
- * Distribution: bucket counts are integers (commute), the running sum
- * is a double folded in fixed shard order, so results are
+ * Samples accumulate into one slot per engine partition
+ * (PerPartition): counts and buckets are integers (commute), and the
+ * running sums are doubles folded in slot order, so results are
  * byte-identical at any --sim-threads value.
  */
 
@@ -22,6 +23,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "sim/parteventq.hh"
@@ -29,20 +31,113 @@
 namespace ccsvm::sim
 {
 
-/** Power-of-two-bucketed histogram of unsigned samples (ticks). */
-class LatencyHistogram
+/** Count, sum, min and max of a stream of samples of type V. */
+template <typename V>
+struct Moments
+{
+    std::uint64_t count = 0;
+    double sum = 0;
+    V min = std::numeric_limits<V>::max();
+    V max = std::numeric_limits<V>::lowest();
+
+    void
+    add(V x)
+    {
+        ++count;
+        sum += static_cast<double>(x);
+        min = std::min(min, x);
+        max = std::max(max, x);
+    }
+
+    void
+    fold(const Moments &o)
+    {
+        count += o.count;
+        sum += o.sum;
+        min = std::min(min, o.min);
+        max = std::max(max, o.max);
+    }
+};
+
+/**
+ * A named sample statistic over per-partition Slots (Moments or a
+ * type derived from it). Reads fold every slot in index order; the
+ * minimum and maximum of an empty statistic read as 0.
+ */
+template <typename Slot>
+class SampleStat
 {
   public:
-    /** Bucket 0 holds the value 0; bucket b >= 1 holds
-     * [2^(b-1), 2^b). 64-bit samples need buckets 0..64. */
-    static constexpr unsigned kBuckets = 65;
+    using Value = decltype(Slot::min);
 
-    LatencyHistogram(std::string name, std::string desc)
-        : name_(std::move(name)), desc_(std::move(desc))
+    SampleStat(std::string name, std::string desc, int slots = 1)
+        : name_(std::move(name)), desc_(std::move(desc)), slots_(slots)
     {}
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
+
+    std::uint64_t count() const { return total().count; }
+    double sum() const { return total().sum; }
+
+    double
+    mean() const
+    {
+        const Slot t = total();
+        return t.count ? t.sum / t.count : 0.0;
+    }
+
+    Value
+    minValue() const
+    {
+        const Slot t = total();
+        return t.count ? t.min : Value{};
+    }
+
+    Value
+    maxValue() const
+    {
+        const Slot t = total();
+        return t.count ? t.max : Value{};
+    }
+
+  protected:
+    Slot
+    total() const
+    {
+        Slot t;
+        for (const Slot &s : slots_)
+            t.fold(s);
+        return t;
+    }
+
+    std::string name_;
+    std::string desc_;
+    PerPartition<Slot> slots_;
+};
+
+/** LatencyHistogram's slot: the moments plus the bucket counts.
+ * Bucket 0 holds the value 0; bucket b >= 1 holds [2^(b-1), 2^b),
+ * so 64-bit samples need buckets 0..64. */
+struct Log2Buckets : Moments<std::uint64_t>
+{
+    static constexpr unsigned kBuckets = 65;
+    std::array<std::uint64_t, kBuckets> buckets{};
+
+    void
+    fold(const Log2Buckets &o)
+    {
+        Moments::fold(o);
+        for (unsigned b = 0; b < kBuckets; ++b)
+            buckets[b] += o.buckets[b];
+    }
+};
+
+/** Power-of-two-bucketed histogram of unsigned samples (ticks). */
+class LatencyHistogram : public SampleStat<Log2Buckets>
+{
+  public:
+    using SampleStat::SampleStat;
 
     static unsigned
     bucketOf(std::uint64_t v)
@@ -53,55 +148,9 @@ class LatencyHistogram
     void
     record(std::uint64_t v)
     {
-        Shard &s = shards_[activePartition()];
-        ++s.count;
-        s.sum += static_cast<double>(v);
-        s.min = std::min(s.min, v);
-        s.max = std::max(s.max, v);
+        Log2Buckets &s = slots_.local();
+        s.add(v);
         ++s.buckets[bucketOf(v)];
-    }
-
-    std::uint64_t
-    count() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &s : shards_)
-            n += s.count;
-        return n;
-    }
-
-    double
-    sum() const
-    {
-        double v = 0;
-        for (const Shard &s : shards_)
-            v += s.sum;
-        return v;
-    }
-
-    double mean() const { const auto n = count(); return n ? sum() / n : 0.0; }
-
-    std::uint64_t
-    minValue() const
-    {
-        std::uint64_t v = ~std::uint64_t(0);
-        bool any = false;
-        for (const Shard &s : shards_)
-            if (s.count) {
-                v = std::min(v, s.min);
-                any = true;
-            }
-        return any ? v : 0;
-    }
-
-    std::uint64_t
-    maxValue() const
-    {
-        std::uint64_t v = 0;
-        for (const Shard &s : shards_)
-            if (s.count)
-                v = std::max(v, s.max);
-        return v;
     }
 
     /**
@@ -113,21 +162,16 @@ class LatencyHistogram
     double
     percentile(double p) const
     {
-        const std::uint64_t n = count();
-        if (n == 0)
+        const Log2Buckets t = total();
+        if (t.count == 0)
             return 0.0;
-        std::array<std::uint64_t, kBuckets> total{};
-        for (const Shard &s : shards_)
-            for (unsigned b = 0; b < kBuckets; ++b)
-                total[b] += s.buckets[b];
-
         const double target =
-            std::max(1.0, p / 100.0 * static_cast<double>(n));
+            std::max(1.0, p / 100.0 * static_cast<double>(t.count));
         double cum = 0;
-        for (unsigned b = 0; b < kBuckets; ++b) {
-            if (total[b] == 0)
+        for (unsigned b = 0; b < Log2Buckets::kBuckets; ++b) {
+            if (t.buckets[b] == 0)
                 continue;
-            const double cnt = static_cast<double>(total[b]);
+            const double cnt = static_cast<double>(t.buckets[b]);
             if (cum + cnt >= target) {
                 const double lo =
                     b == 0 ? 0.0
@@ -136,53 +180,23 @@ class LatencyHistogram
                 const double hi = b == 0 ? 0.0 : lo * 2.0;
                 const double frac = (target - cum) / cnt;
                 const double v = lo + frac * (hi - lo);
-                return std::clamp(v,
-                                  static_cast<double>(minValue()),
-                                  static_cast<double>(maxValue()));
+                return std::clamp(v, static_cast<double>(t.min),
+                                  static_cast<double>(t.max));
             }
             cum += cnt;
         }
-        return static_cast<double>(maxValue());
+        return static_cast<double>(t.max);
     }
 
-    void
-    reset()
-    {
-        for (Shard &s : shards_)
-            s = Shard{};
-    }
-
-    /** Fold another histogram in, shard-by-shard (see Distribution). */
+    /** Fold every slot of @p o, whatever its slot count, into the
+     * executing partition's slot. */
     void
     merge(const LatencyHistogram &o)
     {
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            const Shard &os = o.shards_[i];
-            if (os.count == 0)
-                continue;
-            Shard &s = shards_[i];
-            s.count += os.count;
-            s.sum += os.sum;
-            s.min = std::min(s.min, os.min);
-            s.max = std::max(s.max, os.max);
-            for (unsigned b = 0; b < kBuckets; ++b)
-                s.buckets[b] += os.buckets[b];
-        }
+        Log2Buckets &s = slots_.local();
+        for (const Log2Buckets &os : o.slots_)
+            s.fold(os);
     }
-
-  private:
-    struct Shard
-    {
-        std::uint64_t count = 0;
-        double sum = 0;
-        std::uint64_t min = ~std::uint64_t(0);
-        std::uint64_t max = 0;
-        std::array<std::uint64_t, kBuckets> buckets{};
-    };
-
-    std::string name_;
-    std::string desc_;
-    std::array<Shard, PartEngine::kMaxPartitions> shards_{};
 };
 
 } // namespace ccsvm::sim

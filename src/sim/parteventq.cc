@@ -24,9 +24,9 @@ PartEngine::PartEngine(int partitions, Tick lookahead, int threads)
         throw std::invalid_argument(
             "PartEngine: lookahead must be > 0 (a zero window gives "
             "no conservative horizon)");
-    if (partitions < 1 || partitions > kMaxPartitions)
+    if (partitions < 1)
         throw std::invalid_argument(
-            "PartEngine: partition count out of range");
+            "PartEngine: needs at least one partition");
     queues_.reserve(partitions);
     mail_.reserve(partitions);
     for (int p = 0; p < partitions; ++p) {

@@ -68,6 +68,46 @@ activePartition()
 }
 
 /**
+ * One T per engine partition: the storage of every statistic and
+ * trace ring. An event writes only the slot of activePartition(), so
+ * partitions running on different host threads never share a slot;
+ * readers fold the slots in index order, on the host or at a window
+ * barrier. Host code and standalone queues use slot 0. Writing from a
+ * partition with no slot is a wiring bug (a stat sized for a smaller
+ * engine) and panics instead of writing out of bounds.
+ */
+template <typename T>
+class PerPartition
+{
+  public:
+    explicit PerPartition(int slots = 1)
+        : size_(slots), slots_(std::make_unique<T[]>(slots))
+    {
+        ccsvm_assert(slots >= 1, "PerPartition needs at least one slot");
+    }
+
+    /** The executing partition's slot. */
+    T &
+    local()
+    {
+        const int p = activePartition();
+        ccsvm_assert(p < size_, "partition %d written through a "
+                     "%d-slot statistic", p, size_);
+        return slots_[p];
+    }
+
+    int size() const { return size_; }
+    T *begin() { return slots_.get(); }
+    T *end() { return slots_.get() + size_; }
+    const T *begin() const { return slots_.get(); }
+    const T *end() const { return slots_.get() + size_; }
+
+  private:
+    int size_;
+    std::unique_ptr<T[]> slots_;
+};
+
+/**
  * Conservative window-synchronized engine over N partition queues.
  *
  * Construction adopts `partitions` fresh queues; components are then
@@ -80,8 +120,6 @@ class PartEngine
 {
   public:
     static constexpr Tick maxTick = EventQueue::maxTick;
-    /** Upper bound on partitions (also sizes stat shards). */
-    static constexpr int kMaxPartitions = 64;
 
     /**
      * @param partitions number of partition queues (>= 1)

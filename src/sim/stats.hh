@@ -1,15 +1,14 @@
 /**
  * @file
- * A small statistics package: named counters and distributions owned by
- * a per-machine registry, dumpable as text and queryable by benches.
+ * A small statistics package: named counters, distributions and
+ * latency histograms owned by a per-machine registry, dumpable as text
+ * and queryable by benches. Every stat keeps one slot per partition of
+ * the machine's engine (PerPartition).
  */
 
 #ifndef CCSVM_SIM_STATS_HH
 #define CCSVM_SIM_STATS_HH
 
-#include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -17,7 +16,6 @@
 #include <ostream>
 #include <string>
 
-#include "base/logging.hh"
 #include "sim/histogram.hh"
 #include "sim/parteventq.hh"
 #include "sim/trace.hh"
@@ -71,19 +69,17 @@ jsonNumber(double x)
 }
 
 /**
- * Monotonically increasing event counter.
- *
- * Increments are relaxed atomics: integer sums commute, so a counter
- * shared across partition queues (e.g. the torus packet counters)
- * stays deterministic at any host thread count. Reads during a
- * window see the owner partition's own increments exactly; totals
- * are read at barriers or after the run.
+ * Monotonically increasing event counter, one plain integer slot per
+ * engine partition (see PerPartition). Integer sums commute, so a
+ * counter bumped from several partitions (the torus packet counters)
+ * totals exactly at any host thread count. value() folds every slot:
+ * read it on the host or at a window barrier.
  */
 class Counter
 {
   public:
-    Counter(std::string name, std::string desc)
-        : name_(std::move(name)), desc_(std::move(desc))
+    Counter(std::string name, std::string desc, int slots = 1)
+        : name_(std::move(name)), desc_(std::move(desc)), slots_(slots)
     {}
 
     const std::string &name() const { return name_; }
@@ -92,186 +88,74 @@ class Counter
     std::uint64_t
     value() const
     {
-        return value_.load(std::memory_order_relaxed);
+        std::uint64_t n = 0;
+        for (const std::uint64_t v : slots_)
+            n += v;
+        return n;
     }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
 
     Counter &
     operator++()
     {
-        value_.fetch_add(1, std::memory_order_relaxed);
+        ++slots_.local();
         return *this;
     }
 
     Counter &
     operator+=(std::uint64_t n)
     {
-        value_.fetch_add(n, std::memory_order_relaxed);
+        slots_.local() += n;
         return *this;
     }
 
   private:
     std::string name_;
     std::string desc_;
-    std::atomic<std::uint64_t> value_{0};
+    PerPartition<std::uint64_t> slots_;
 };
 
-/**
- * Running distribution: count, min, max, mean.
- *
- * Samples accumulate into per-partition shards (indexed by the
- * executing event's partition, shard 0 outside an engine) and are
- * folded in fixed shard order on read. Double addition is not
- * associative, so sharding — not atomics — is what keeps sums
- * byte-identical at any host thread count when a distribution is
- * recorded from several partitions (e.g. the torus latency stat,
- * recorded at each destination node).
- */
-class Distribution
+/** Running distribution of double samples: count, sum, mean, min and
+ * max (see SampleStat). */
+class Distribution : public SampleStat<Moments<double>>
 {
   public:
-    Distribution(std::string name, std::string desc)
-        : name_(std::move(name)), desc_(std::move(desc))
-    {}
+    using SampleStat::SampleStat;
 
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-    void
-    record(double x)
-    {
-        Shard &s = shards_[activePartition()];
-        ++s.count;
-        s.sum += x;
-        s.min = std::min(s.min, x);
-        s.max = std::max(s.max, x);
-    }
-
-    std::uint64_t
-    count() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &s : shards_)
-            n += s.count;
-        return n;
-    }
-
-    double
-    sum() const
-    {
-        double v = 0;
-        for (const Shard &s : shards_)
-            v += s.sum;
-        return v;
-    }
-
-    double mean() const { const auto n = count(); return n ? sum() / n : 0.0; }
-
-    double
-    minValue() const
-    {
-        double v = 1e300;
-        for (const Shard &s : shards_)
-            if (s.count)
-                v = std::min(v, s.min);
-        return v == 1e300 ? 0.0 : v;
-    }
-
-    double
-    maxValue() const
-    {
-        double v = -1e300;
-        for (const Shard &s : shards_)
-            if (s.count)
-                v = std::max(v, s.max);
-        return v == -1e300 ? 0.0 : v;
-    }
-
-    void
-    reset()
-    {
-        for (Shard &s : shards_)
-            s = Shard{};
-    }
-
-    /** Fold another distribution's samples into this one,
-     * shard-by-shard so the fold itself is order-stable. */
-    void
-    merge(const Distribution &o)
-    {
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            const Shard &os = o.shards_[i];
-            if (os.count == 0)
-                continue;
-            Shard &s = shards_[i];
-            s.count += os.count;
-            s.sum += os.sum;
-            s.min = std::min(s.min, os.min);
-            s.max = std::max(s.max, os.max);
-        }
-    }
-
-  private:
-    struct Shard
-    {
-        std::uint64_t count = 0;
-        double sum = 0;
-        double min = 1e300;
-        double max = -1e300;
-    };
-
-    std::string name_;
-    std::string desc_;
-    std::array<Shard, PartEngine::kMaxPartitions> shards_{};
+    void record(double x) { slots_.local().add(x); }
 };
 
 /**
  * Owns all statistics for one simulated machine. Components request
  * counters by hierarchical dotted name (e.g. "dram.reads"); requesting
  * an existing name returns the existing stat so multiple components can
- * share an aggregate.
+ * share an aggregate. Every stat and the tracer get one slot per
+ * partition of the engine the machine runs on.
  */
 class StatRegistry
 {
   public:
+    /** @param partitions the engine's partition count; 1 for stats
+     * written only outside an engine. */
+    explicit StatRegistry(int partitions = 1)
+        : partitions_(partitions), tracer_(partitions)
+    {}
+
     Counter &
     counter(const std::string &name, const std::string &desc = "")
     {
-        auto it = counters_.find(name);
-        if (it == counters_.end()) {
-            it = counters_
-                     .emplace(name,
-                              std::make_unique<Counter>(name, desc))
-                     .first;
-        }
-        return *it->second;
+        return getOrCreate(counters_, name, desc);
     }
 
     Distribution &
     distribution(const std::string &name, const std::string &desc = "")
     {
-        auto it = dists_.find(name);
-        if (it == dists_.end()) {
-            it = dists_
-                     .emplace(name,
-                              std::make_unique<Distribution>(name, desc))
-                     .first;
-        }
-        return *it->second;
+        return getOrCreate(dists_, name, desc);
     }
 
     LatencyHistogram &
     histogram(const std::string &name, const std::string &desc = "")
     {
-        auto it = histos_.find(name);
-        if (it == histos_.end()) {
-            it = histos_
-                     .emplace(name, std::make_unique<LatencyHistogram>(
-                                        name, desc))
-                     .first;
-        }
-        return *it->second;
+        return getOrCreate(histos_, name, desc);
     }
 
     /** The machine's trace recorder (off until a category mask is
@@ -291,63 +175,6 @@ class StatRegistry
     hasCounter(const std::string &name) const
     {
         return counters_.count(name) != 0;
-    }
-
-    /** Sum of all counters whose names start with @p prefix. */
-    std::uint64_t
-    sumMatching(const std::string &prefix) const
-    {
-        std::uint64_t total = 0;
-        for (const auto &[name, c] : counters_) {
-            if (name.rfind(prefix, 0) == 0)
-                total += c->value();
-        }
-        return total;
-    }
-
-    /** Sum of all counters whose names end with @p suffix (e.g.
-     * ".l1.misses" across every core). The time-series sampler uses
-     * this to snapshot per-component families as one column. */
-    std::uint64_t
-    sumMatchingSuffix(const std::string &suffix) const
-    {
-        std::uint64_t total = 0;
-        for (const auto &[name, c] : counters_) {
-            if (name.size() >= suffix.size() &&
-                name.compare(name.size() - suffix.size(),
-                             suffix.size(), suffix) == 0)
-                total += c->value();
-        }
-        return total;
-    }
-
-    /**
-     * Deep-copy every counter and distribution of @p other into this
-     * registry (matching names accumulate). This is how a sweep
-     * worker snapshots a machine's registry before the machine is
-     * torn down: the snapshot is plain data, safe to move across the
-     * thread boundary back to the sweep's caller.
-     */
-    void
-    absorb(const StatRegistry &other)
-    {
-        for (const auto &[name, c] : other.counters_)
-            counter(name, c->desc()) += c->value();
-        for (const auto &[name, d] : other.dists_)
-            distribution(name, d->desc()).merge(*d);
-        for (const auto &[name, h] : other.histos_)
-            histogram(name, h->desc()).merge(*h);
-    }
-
-    void
-    resetAll()
-    {
-        for (auto &[name, c] : counters_)
-            c->reset();
-        for (auto &[name, d] : dists_)
-            d->reset();
-        for (auto &[name, h] : histos_)
-            h->reset();
     }
 
     /** Text dump in name order, gem5 stats.txt style. */
@@ -430,6 +257,22 @@ class StatRegistry
     }
 
   private:
+    template <typename S>
+    S &
+    getOrCreate(std::map<std::string, std::unique_ptr<S>> &stats,
+                const std::string &name, const std::string &desc)
+    {
+        auto it = stats.find(name);
+        if (it == stats.end()) {
+            it = stats
+                     .emplace(name, std::make_unique<S>(name, desc,
+                                                        partitions_))
+                     .first;
+        }
+        return *it->second;
+    }
+
+    int partitions_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Distribution>> dists_;
     std::map<std::string, std::unique_ptr<LatencyHistogram>> histos_;

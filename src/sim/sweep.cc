@@ -79,14 +79,4 @@ SweepRunner::forEachIndex(
         std::rethrow_exception(first_error);
 }
 
-std::vector<StatRegistry>
-SweepRunner::run(const std::vector<SweepPoint> &points) const
-{
-    std::vector<StatRegistry> out(points.size());
-    forEachIndex(points.size(), [&](std::size_t i) {
-        points[i].run(out[i]);
-    });
-    return out;
-}
-
 } // namespace ccsvm::sim

@@ -7,9 +7,9 @@
  * of it — is a grid of design points (protocol x pattern x core
  * count x ...), and the points share nothing: each one builds its own
  * CcsvmMachine, runs it to completion, and reads its own stats
- * registry. A simulated machine stays single-threaded (one event
- * queue); the SweepRunner exploits the *between*-machine parallelism
- * by executing each point on a worker-pool thread.
+ * registry. Whatever a machine does inside (see PartEngine), the
+ * SweepRunner exploits the *between*-machine parallelism by executing
+ * each point on a worker-pool thread.
  *
  * Determinism is the contract: results are indexed by point order,
  * not completion order, and a task must be self-contained (no state
@@ -24,10 +24,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
-
-#include "sim/stats.hh"
 
 namespace ccsvm::sim
 {
@@ -45,19 +42,6 @@ unsigned hardwareJobs();
  * set (1 = sequential), else hardwareJobs().
  */
 unsigned defaultSweepJobs();
-
-/**
- * One design point of a declarative sweep: a name (for progress and
- * error reporting) and a self-contained task that builds its own
- * machine, runs it to completion, and snapshots whatever statistics
- * the consumer wants into the provided registry (typically via
- * StatRegistry::absorb of the machine's registry).
- */
-struct SweepPoint
-{
-    std::string name;
-    std::function<void(StatRegistry &out)> run;
-};
 
 /**
  * Executes independent tasks across a worker pool.
@@ -100,13 +84,6 @@ class SweepRunner
                      [&](std::size_t i) { out[i] = tasks[i](); });
         return out;
     }
-
-    /**
-     * The declarative form: run every point and return one stats
-     * snapshot per point, in point order.
-     */
-    std::vector<StatRegistry>
-    run(const std::vector<SweepPoint> &points) const;
 
   private:
     unsigned jobs_;

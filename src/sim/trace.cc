@@ -72,7 +72,7 @@ Tracer::setRingCapacity(std::size_t cap)
 void
 Tracer::push(TraceEvent ev)
 {
-    Ring &r = rings_[activePartition()];
+    Ring &r = rings_.local();
     ev.srcPart = activePartition();
     ev.srcSeq = r.seq++;
     if (r.buf.size() < ringCap_) {

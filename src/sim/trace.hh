@@ -6,8 +6,9 @@
  * transaction lifetimes, NoC packet flights, TLB walks/shootdowns,
  * kernel launches, engine windows — into per-partition ring buffers.
  * Recording is race-free under the partitioned engine for the same
- * reason Distribution shards are: an event only ever touches the ring
- * of the partition it executes in. At every window barrier the engine
+ * reason every statistic is: the rings are per-partition slots
+ * (PerPartition), and an event only ever touches the ring of the
+ * partition it executes in. At every window barrier the engine
  * (single-threaded again) flushes the rings into one merged vector;
  * writeJson() sorts it by (when, priority, srcPart, srcSeq) before
  * emitting, so the exported trace is byte-identical at any
@@ -27,7 +28,6 @@
 #ifndef CCSVM_SIM_TRACE_HH
 #define CCSVM_SIM_TRACE_HH
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -73,6 +73,9 @@ struct TraceEvent
 class Tracer
 {
   public:
+    /** @param partitions one ring per engine partition */
+    explicit Tracer(int partitions = 1) : rings_(partitions) {}
+
     /** Is any record site for @p cat (a TraceCat bit) live? */
     bool enabled(unsigned cat) const { return (mask_ & cat) != 0; }
     bool anyEnabled() const { return mask_ != 0; }
@@ -169,7 +172,7 @@ class Tracer
     unsigned mask_ = 0;
     std::size_t ringCap_ = std::size_t(1) << 16;
     std::vector<std::string> lanes_;
-    std::array<Ring, PartEngine::kMaxPartitions> rings_;
+    PerPartition<Ring> rings_;
     std::vector<TraceEvent> merged_;
     bool sorted_ = true;
 };

@@ -41,6 +41,7 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
               static_cast<Tick>(cfg_.noc.hopLatency) *
                   cfg_.noc.clockPeriod,
               resolveSimThreads(cfg_.simThreads)),
+      stats_(engine_.partitions()),
       phys_(cfg_.physMemBytes)
 {
     // Bind each cluster's protocol (defaulting to the chip-wide one)
@@ -105,6 +106,8 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
         cfg_.physMemBytes - cfg_.framePoolBase);
 
     buildNodes();
+    if (cfg_.sampleInterval > 0)
+        resolveSeries();
 
     // The barrier hook is pure observability cost: only installed
     // when something consumes it (tracing, sampling, trace capture).
@@ -133,20 +136,49 @@ CcsvmMachine::onWindowBarrier(Tick base, Tick end)
         capture_->atBarrier();
 
     if (cfg_.sampleInterval > 0 && base >= nextSample_) {
-        Sample s;
+        Sample &s = samples_.emplace_back();
         s.t = base;
-        s.dram = dramAccesses();
-        s.l1Hits = stats_.sumMatchingSuffix(".l1.hits");
-        s.l1Misses = stats_.sumMatchingSuffix(".l1.misses");
-        s.nocPackets = stats_.get("noc.packets");
-        s.nocBytes = stats_.get("noc.bytes");
-        s.pageFaults = stats_.get("kernel.pageFaults");
-        samples_.push_back(s);
+        for (const SeriesColumn &col : series_) {
+            std::uint64_t v = 0;
+            for (const sim::Counter *c : col.counters)
+                v += c->value();
+            s.values.push_back(v);
+        }
         // One sample per crossed boundary set, however many intervals
         // this window skipped.
         do {
             nextSample_ += cfg_.sampleInterval;
         } while (nextSample_ <= base);
+    }
+}
+
+void
+CcsvmMachine::resolveSeries()
+{
+    auto l1s = [this](const std::string &suffix) {
+        std::vector<std::string> names;
+        for (int i = 0; i < cfg_.numCpuCores; ++i)
+            names.push_back("cpu" + std::to_string(i) + ".l1" + suffix);
+        for (int j = 0; j < cfg_.numMttopCores; ++j)
+            names.push_back("mttop" + std::to_string(j) + ".l1" + suffix);
+        return names;
+    };
+    const std::pair<const char *, std::vector<std::string>> columns[] = {
+        {"dram", {"dram.reads", "dram.writes"}},
+        {"l1_hits", l1s(".hits")},
+        {"l1_misses", l1s(".misses")},
+        {"noc_packets", {"noc.packets"}},
+        {"noc_bytes", {"noc.bytes"}},
+        {"page_faults", {"kernel.pageFaults"}},
+    };
+    for (const auto &[name, counters] : columns) {
+        SeriesColumn &col = series_.emplace_back(SeriesColumn{name, {}});
+        for (const std::string &c : counters) {
+            ccsvm_assert(stats_.hasCounter(c),
+                         "series column %s: no counter %s", name,
+                         c.c_str());
+            col.counters.push_back(&stats_.counter(c));
+        }
     }
 }
 

@@ -229,18 +229,28 @@ class CcsvmMachine : public runtime::FunctionalMem
     /** Off-chip DRAM transactions so far (Figure 9's metric). */
     std::uint64_t dramAccesses() const;
 
-    /** One time-series sample: cumulative counter totals committed at
-     * a window barrier (tick = the window base). */
+    /** One time-series column: its JSON name and the counters whose
+     * sum it records. */
+    struct SeriesColumn
+    {
+        const char *name;
+        std::vector<const sim::Counter *> counters;
+    };
+
+    /** One time-series sample: each column's cumulative total,
+     * committed at a window barrier (tick = the window base). */
     struct Sample
     {
         Tick t = 0;
-        std::uint64_t dram = 0;       ///< dramAccesses()
-        std::uint64_t l1Hits = 0;     ///< sum of "*.l1.hits"
-        std::uint64_t l1Misses = 0;   ///< sum of "*.l1.misses"
-        std::uint64_t nocPackets = 0;
-        std::uint64_t nocBytes = 0;
-        std::uint64_t pageFaults = 0;
+        std::vector<std::uint64_t> values; ///< one per seriesColumns()
     };
+
+    /** The time-series columns (empty unless sampleInterval > 0). */
+    const std::vector<SeriesColumn> &
+    seriesColumns() const
+    {
+        return series_;
+    }
 
     /** Samples collected so far (empty unless sampleInterval > 0). */
     const std::vector<Sample> &samples() const { return samples_; }
@@ -254,6 +264,9 @@ class CcsvmMachine : public runtime::FunctionalMem
 
   private:
     void buildNodes();
+    /** Resolve the time-series columns to their counters (after
+     * buildNodes, which creates every one of them). */
+    void resolveSeries();
     /** Engine barrier hook: trace flush + time-series sampling. */
     void onWindowBarrier(Tick base, Tick end);
 
@@ -310,6 +323,7 @@ class CcsvmMachine : public runtime::FunctionalMem
     std::vector<std::unique_ptr<runtime::Process>> processes_;
     std::vector<std::unique_ptr<CpuThread>> cpuThreads_;
 
+    std::vector<SeriesColumn> series_;
     std::vector<Sample> samples_;
     Tick nextSample_ = 0;
     int engineLane_ = 0;

@@ -119,9 +119,9 @@ TEST(Apu, GpuRunsWorkItemsAndCoalesces)
                   static_cast<std::uint64_t>(7 * i + 1));
     // 16 lanes reading 4-byte elements from one block: misses to the
     // same block must coalesce.
-    EXPECT_GT(m.stats().sumMatching("gpu0.coalesced") +
-                  m.stats().sumMatching("gpu1.coalesced") +
-                  m.stats().sumMatching("gpu2.coalesced"),
+    EXPECT_GT(m.stats().get("gpu0.coalesced") +
+                  m.stats().get("gpu1.coalesced") +
+                  m.stats().get("gpu2.coalesced"),
               0u);
 }
 

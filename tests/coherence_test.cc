@@ -675,5 +675,12 @@ INSTANTIATE_TEST_SUITE_P(ProtocolPairs, HeteroCoherenceP,
                          ::testing::ValuesIn(testProtocolPairs()),
                          ProtocolPairParamName{});
 
+TEST(DirectoryDeathTest, MoreL1sThanSharerBitsPanics)
+{
+    // Sharer sets are one bit per L1: a 33rd L1 would alias L1 0.
+    EXPECT_DEATH(CohHarness(Directory::maxL1s + 1, 1),
+                 "33 L1s: a directory's sharer mask tracks at most 32");
+}
+
 } // namespace
 } // namespace ccsvm::test

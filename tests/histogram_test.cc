@@ -8,7 +8,7 @@
  *  - percentile interpolation: a single repeated value reports
  *    exactly that value at every percentile (the clamp contract), a
  *    known uniform input interpolates to a hand-computed answer
- *  - merge (sweep-absorb path) and reset
+ *  - merge across different slot counts
  *  - dumpJson emits a "histograms" section with p50/p90/p99/p999
  *  - jsonEscape neutralises hostile stat names (quotes, backslashes,
  *    control bytes, high-bit chars) so the registry JSON always
@@ -83,10 +83,12 @@ TEST(LatencyHistogram, KnownInputInterpolates)
     EXPECT_DOUBLE_EQ(h.percentile(100), 8.0);
 }
 
-TEST(LatencyHistogram, MergeAndReset)
+TEST(LatencyHistogram, MergeFoldsAnySlotCount)
 {
+    // A standalone (1-slot) histogram folds in one sized for a
+    // 7-partition engine, and the other way round.
     sim::LatencyHistogram a("a", "test");
-    sim::LatencyHistogram b("b", "test");
+    sim::LatencyHistogram b("b", "test", 7);
     a.record(4);
     a.record(16);
     b.record(1);
@@ -97,11 +99,11 @@ TEST(LatencyHistogram, MergeAndReset)
     EXPECT_EQ(a.minValue(), 1u);
     EXPECT_EQ(a.maxValue(), 256u);
     EXPECT_DOUBLE_EQ(a.sum(), 277.0);
+    EXPECT_DOUBLE_EQ(a.percentile(100), 256.0);
 
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.maxValue(), 0u);
-    EXPECT_DOUBLE_EQ(a.percentile(50), 0.0);
+    b.merge(a);
+    EXPECT_EQ(b.count(), 6u);
+    EXPECT_DOUBLE_EQ(b.sum(), 534.0);
 }
 
 TEST(StatRegistry, DumpJsonHasHistogramSection)
@@ -134,17 +136,6 @@ TEST(StatRegistry, HistogramIsSharedByName)
     a.record(3);
     b.record(5);
     EXPECT_EQ(a.count(), 2u);
-}
-
-TEST(StatRegistry, AbsorbMergesHistograms)
-{
-    sim::StatRegistry a;
-    sim::StatRegistry b;
-    a.histogram("lat", "d").record(2);
-    b.histogram("lat", "d").record(1000);
-    a.absorb(b);
-    EXPECT_EQ(a.histogram("lat", "d").count(), 2u);
-    EXPECT_EQ(a.histogram("lat", "d").maxValue(), 1000u);
 }
 
 TEST(JsonEscape, NeutralisesHostileNames)

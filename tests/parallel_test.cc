@@ -85,54 +85,11 @@ TEST(SweepRunner, WorkerExceptionPropagatesToCaller)
     EXPECT_THROW(runner.map<int>(tasks), std::runtime_error);
 }
 
-TEST(SweepRunner, RunCollectsStatRegistrySnapshots)
-{
-    std::vector<sim::SweepPoint> points;
-    for (int i = 0; i < 6; ++i) {
-        points.push_back({"p" + std::to_string(i),
-                          [i](sim::StatRegistry &out) {
-                              out.counter("point.value") +=
-                                  static_cast<std::uint64_t>(10 + i);
-                          }});
-    }
-    const sim::SweepRunner runner(3);
-    const std::vector<sim::StatRegistry> stats = runner.run(points);
-    ASSERT_EQ(stats.size(), points.size());
-    for (int i = 0; i < 6; ++i) {
-        EXPECT_EQ(stats[static_cast<std::size_t>(i)].get(
-                      "point.value"),
-                  static_cast<std::uint64_t>(10 + i));
-    }
-}
-
 TEST(SweepRunner, ZeroJobsResolvesToAtLeastOneWorker)
 {
     const sim::SweepRunner runner(0);
     EXPECT_GE(runner.jobs(), 1u);
     EXPECT_GE(sim::defaultSweepJobs(), 1u);
-}
-
-TEST(Stats, AbsorbDeepCopiesCountersAndDistributions)
-{
-    sim::StatRegistry a;
-    a.counter("x", "a counter") += 3;
-    a.distribution("d", "a dist").record(2.0);
-    a.distribution("d").record(6.0);
-
-    sim::StatRegistry b;
-    b.counter("x") += 1;
-    b.absorb(a);
-    EXPECT_EQ(b.get("x"), 4u);
-    EXPECT_EQ(b.distribution("d").count(), 2u);
-    EXPECT_DOUBLE_EQ(b.distribution("d").mean(), 4.0);
-    EXPECT_DOUBLE_EQ(b.distribution("d").minValue(), 2.0);
-    EXPECT_DOUBLE_EQ(b.distribution("d").maxValue(), 6.0);
-
-    // The source is untouched, and absorbing an empty registry is a
-    // no-op.
-    EXPECT_EQ(a.get("x"), 3u);
-    b.absorb(sim::StatRegistry{});
-    EXPECT_EQ(b.get("x"), 4u);
 }
 
 /** One experiment: run a workload on a fresh machine, return the

@@ -1,8 +1,9 @@
 /**
  * @file
  * PartEngine tests: conservative window invariants, deterministic
- * cross-partition ordering, thread-count-independent statistics, and
- * the worker-count resolution helpers. The suite carries the
+ * cross-partition ordering, thread-count-independent statistics
+ * (per-partition stat slots written from every partition at once),
+ * and the worker-count resolution helpers. The suite carries the
  * "concurrent" ctest label so the CI ThreadSanitizer lane exercises
  * the multi-threaded window paths.
  */
@@ -16,6 +17,7 @@
 
 #include "runtime/xthreads.hh"
 #include "sim/parteventq.hh"
+#include "sim/stats.hh"
 #include "sim/sweep.hh"
 #include "system/ccsvm_machine.hh"
 
@@ -30,8 +32,6 @@ TEST(PartEngine, RejectsDegenerateConfigs)
     // run ahead of, so construction must refuse it outright.
     EXPECT_THROW(PartEngine(2, 0), std::invalid_argument);
     EXPECT_THROW(PartEngine(0, 10), std::invalid_argument);
-    EXPECT_THROW(PartEngine(PartEngine::kMaxPartitions + 1, 10),
-                 std::invalid_argument);
 }
 
 TEST(PartEngine, RunsPartitionsWithEmptyOnesIdle)
@@ -151,6 +151,92 @@ TEST(PartEngine, ThreadCountIsBookkeepingOnly)
     EXPECT_EQ(eng.threads(), 1);
     eng.setThreads(3);
     EXPECT_EQ(eng.threads(), 3);
+}
+
+// gtest runs *DeathTest suites first, before any other test of this
+// binary has started engine worker threads.
+TEST(PerPartitionDeathTest, UnsizedStatPanicsInsteadOfWritingPastIt)
+{
+    // A standalone (1-slot) counter bumped by an event of partition 3
+    // is a wiring bug: the bounds assert must catch it.
+    EXPECT_DEATH(
+        {
+            PartEngine eng(4, 10);
+            StatRegistry stats;
+            Counter &c = stats.counter("c");
+            eng.queue(3).schedule(1, [&c] { ++c; });
+            eng.run();
+        },
+        "partition 3 written through a 1-slot statistic");
+}
+
+/** Shared stats of a 4-partition engine run at @p threads host
+ * workers: 100 events in every partition bump one counter and record
+ * into one distribution and one histogram. */
+struct SharedStats
+{
+    std::uint64_t events = 0, weight = 0;
+    std::uint64_t distCount = 0, latCount = 0;
+    double distMean = 0, distMin = 0, distMax = 0, latSum = 0;
+    std::uint64_t latMin = 0, latMax = 0;
+    std::string json;
+};
+
+SharedStats
+runSharedStats(int threads)
+{
+    constexpr int kParts = 4;
+    PartEngine eng(kParts, 10, threads);
+    StatRegistry stats(eng.partitions());
+    Counter &events = stats.counter("test.events", "events run");
+    Counter &weight = stats.counter("test.weight", "partition ids");
+    Distribution &dist = stats.distribution("test.dist", "2 (p + 1)");
+    LatencyHistogram &lat = stats.histogram("test.lat", "t (p + 1)");
+    // Events 7 ticks apart in windows 10 wide: most windows hold
+    // events of several partitions, which then run concurrently.
+    for (int p = 0; p < kParts; ++p)
+        for (Tick t = 1; t <= 100; ++t)
+            eng.queue(p).schedule(t * 7 + p, [&, p, t] {
+                ++events;
+                weight += static_cast<std::uint64_t>(p);
+                dist.record(2.0 * (p + 1));
+                lat.record(t * static_cast<Tick>(p + 1));
+            });
+    eng.run();
+
+    SharedStats out;
+    out.events = events.value();
+    out.weight = weight.value();
+    out.distCount = dist.count();
+    out.distMean = dist.mean();
+    out.distMin = dist.minValue();
+    out.distMax = dist.maxValue();
+    out.latCount = lat.count();
+    out.latSum = lat.sum();
+    out.latMin = lat.minValue();
+    out.latMax = lat.maxValue();
+    std::ostringstream os;
+    stats.dumpJson(os);
+    out.json = os.str();
+    return out;
+}
+
+TEST(PerPartition, SharedStatsAreExactAtAnyThreadCount)
+{
+    for (const int threads : {1, 4}) {
+        const SharedStats s = runSharedStats(threads);
+        EXPECT_EQ(s.events, 400u) << "threads=" << threads;
+        EXPECT_EQ(s.weight, 600u);
+        EXPECT_EQ(s.distCount, 400u);
+        EXPECT_DOUBLE_EQ(s.distMean, 5.0);
+        EXPECT_DOUBLE_EQ(s.distMin, 2.0);
+        EXPECT_DOUBLE_EQ(s.distMax, 8.0);
+        EXPECT_EQ(s.latCount, 400u);
+        EXPECT_DOUBLE_EQ(s.latSum, 50500.0);
+        EXPECT_EQ(s.latMin, 1u);
+        EXPECT_EQ(s.latMax, 400u);
+    }
+    EXPECT_EQ(runSharedStats(1).json, runSharedStats(4).json);
 }
 
 } // namespace

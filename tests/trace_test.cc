@@ -20,6 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/trace.hh"
 #include "system/ccsvm_machine.hh"
@@ -128,11 +129,13 @@ TEST(TraceJson, StructureAndMicrosecondFormatting)
 struct TracedRun
 {
     std::string trace;
+    std::vector<std::string> columns;
     std::vector<system::CcsvmMachine::Sample> samples;
     std::uint64_t recorded = 0;
-    std::uint64_t dram = 0;     ///< final dramAccesses()
-    std::uint64_t l1Hits = 0;   ///< final sum of every L1's hits
-    std::uint64_t l1Misses = 0; ///< final sum of every L1's misses
+    /** Per column: the final total read from the machine directly,
+     * and the final sum of the counters the column resolved to. */
+    std::vector<std::uint64_t> finals;
+    std::vector<std::uint64_t> resolved;
 };
 
 TracedRun
@@ -151,16 +154,29 @@ runTraced(int sim_threads, const std::string &cats)
     m.stats().tracer().writeJson(ss);
     out.trace = ss.str();
     out.samples = m.samples();
-    out.dram = m.dramAccesses();
-    std::vector<std::string> l1s;
-    for (int i = 0; i < m.numCpuCores(); ++i)
-        l1s.push_back("cpu" + std::to_string(i) + ".l1");
-    for (int i = 0; i < m.numMttopCores(); ++i)
-        l1s.push_back("mttop" + std::to_string(i) + ".l1");
-    for (const std::string &l1 : l1s) {
-        out.l1Hits += m.stats().get(l1 + ".hits");
-        out.l1Misses += m.stats().get(l1 + ".misses");
+    for (const auto &col : m.seriesColumns()) {
+        out.columns.push_back(col.name);
+        std::uint64_t v = 0;
+        for (const sim::Counter *c : col.counters)
+            v += c->value();
+        out.resolved.push_back(v);
     }
+    auto l1s = [&m](const std::string &suffix) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < m.numCpuCores(); ++i)
+            v += m.stats().get("cpu" + std::to_string(i) + ".l1" +
+                               suffix);
+        for (int i = 0; i < m.numMttopCores(); ++i)
+            v += m.stats().get("mttop" + std::to_string(i) + ".l1" +
+                               suffix);
+        return v;
+    };
+    out.finals = {m.dramAccesses(),
+                  l1s(".hits"),
+                  l1s(".misses"),
+                  m.stats().get("noc.packets"),
+                  m.stats().get("noc.bytes"),
+                  m.kernel().pageFaults()};
     return out;
 }
 
@@ -171,35 +187,34 @@ TEST(TraceMachine, ByteIdenticalAcrossSimThreads)
     EXPECT_GT(t1.recorded, 0u);
     EXPECT_EQ(t1.trace, t4.trace);
 
+    // The driver's "series" keys, in order.
+    EXPECT_EQ(t1.columns,
+              (std::vector<std::string>{"dram", "l1_hits", "l1_misses",
+                                        "noc_packets", "noc_bytes",
+                                        "page_faults"}));
     ASSERT_EQ(t1.samples.size(), t4.samples.size());
     ASSERT_FALSE(t1.samples.empty());
     for (std::size_t i = 0; i < t1.samples.size(); ++i) {
         EXPECT_EQ(t1.samples[i].t, t4.samples[i].t);
-        EXPECT_EQ(t1.samples[i].dram, t4.samples[i].dram);
-        EXPECT_EQ(t1.samples[i].l1Hits, t4.samples[i].l1Hits);
-        EXPECT_EQ(t1.samples[i].l1Misses, t4.samples[i].l1Misses);
-        EXPECT_EQ(t1.samples[i].nocPackets, t4.samples[i].nocPackets);
-        EXPECT_EQ(t1.samples[i].nocBytes, t4.samples[i].nocBytes);
-        EXPECT_EQ(t1.samples[i].pageFaults,
-                  t4.samples[i].pageFaults);
+        EXPECT_EQ(t1.samples[i].values, t4.samples[i].values)
+            << "sample " << i;
+        ASSERT_EQ(t1.samples[i].values.size(), t1.columns.size());
     }
 
-    // The columns are cumulative totals of the counters they name:
-    // never decreasing, and never past the run's final totals.
-    for (std::size_t i = 1; i < t1.samples.size(); ++i) {
-        const auto &prev = t1.samples[i - 1];
-        const auto &cur = t1.samples[i];
-        EXPECT_LE(prev.dram, cur.dram) << "sample " << i;
-        EXPECT_LE(prev.l1Hits, cur.l1Hits) << "sample " << i;
-        EXPECT_LE(prev.l1Misses, cur.l1Misses) << "sample " << i;
-        EXPECT_LE(prev.nocPackets, cur.nocPackets) << "sample " << i;
-        EXPECT_LE(prev.nocBytes, cur.nocBytes) << "sample " << i;
-        EXPECT_LE(prev.pageFaults, cur.pageFaults) << "sample " << i;
-    }
-    const auto &last = t1.samples.back();
-    EXPECT_LE(last.dram, t1.dram);
-    EXPECT_LE(last.l1Hits, t1.l1Hits);
-    EXPECT_LE(last.l1Misses, t1.l1Misses);
+    // Each column sums exactly the counters it names: at the end of
+    // the run its counters total what the machine reports directly.
+    EXPECT_EQ(t1.resolved, t1.finals);
+
+    // The columns are cumulative totals of those counters: never
+    // decreasing, and never past the run's final totals.
+    for (std::size_t i = 1; i < t1.samples.size(); ++i)
+        for (std::size_t c = 0; c < t1.columns.size(); ++c)
+            EXPECT_LE(t1.samples[i - 1].values[c],
+                      t1.samples[i].values[c])
+                << "sample " << i << " column " << t1.columns[c];
+    for (std::size_t c = 0; c < t1.columns.size(); ++c)
+        EXPECT_LE(t1.samples.back().values[c], t1.finals[c])
+            << t1.columns[c];
 }
 
 TEST(TraceMachine, CategoryFilterRestrictsEvents)

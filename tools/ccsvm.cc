@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -194,32 +195,39 @@ integer(const Arg &a, T lo)
     return static_cast<T>(v);
 }
 
-/** Parse a byte count: 0x-hex or decimal, optional K/M/G suffix. */
+/**
+ * Parse a byte count: 0x-hex or decimal, optional K/M/G suffix. A
+ * sign (which strtoull would wrap: "-4096" is 2^64 - 4096) and a
+ * count past 2^64 - 1, suffix included, exit 2 naming the flag.
+ */
 Addr
 parseBytes(const char *flag, const std::string &value)
 {
+    const auto fail = [&](const char *why) {
+        std::fprintf(stderr, "ccsvm: %s %s, got '%s'\n", flag, why,
+                     value.c_str());
+        std::exit(2);
+    };
+    const char *const syntax =
+        "needs a byte count (hex/decimal, optional K/M/G)";
+    if (!std::isdigit(static_cast<unsigned char>(value.c_str()[0])))
+        fail(syntax);
+    errno = 0;
     char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 0);
-    Addr bytes = v;
-    if (end && end[0] && !end[1]) {
+    const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
+    Addr unit = 1;
+    if (end[0] && !end[1]) {
         switch (std::tolower(static_cast<unsigned char>(end[0]))) {
-          case 'k': bytes = v * 1024ull; end = nullptr; break;
-          case 'm': bytes = v * 1024ull * 1024; end = nullptr; break;
-          case 'g':
-            bytes = v * 1024ull * 1024 * 1024;
-            end = nullptr;
-            break;
+          case 'k': unit = Addr(1) << 10; ++end; break;
+          case 'm': unit = Addr(1) << 20; ++end; break;
+          case 'g': unit = Addr(1) << 30; ++end; break;
         }
     }
-    if (value.empty() || (end && *end)) {
-        std::fprintf(stderr,
-                     "ccsvm: %s needs a byte count (hex/decimal, "
-                     "optional K/M/G), got '%s'\n",
-                     flag, value.c_str());
-        std::exit(2);
-    }
-    return bytes;
+    if (*end)
+        fail(syntax);
+    if (errno == ERANGE || v > std::numeric_limits<Addr>::max() / unit)
+        fail("is out of range (at most 18446744073709551615 bytes)");
+    return v * unit;
 }
 
 /**
@@ -294,6 +302,14 @@ parseRegion(const std::string &spec)
                      unsigned(mem::pageBytes));
         std::exit(2);
     }
+    if (r.size > std::numeric_limits<Addr>::max() - r.base) {
+        std::fprintf(stderr,
+                     "ccsvm: --region '%s' ends past the 64-bit "
+                     "address space (base=0x%llx size=0x%llx)\n",
+                     r.name.c_str(), (unsigned long long)r.base,
+                     (unsigned long long)r.size);
+        std::exit(2);
+    }
     return r;
 }
 
@@ -322,13 +338,17 @@ splitList(const char *flag, const std::string &value)
     return out;
 }
 
+/** The argument of @p a as a fraction: a finite number in [0, 1].
+ * Anything else (nan, inf, a negative, more than 1) exits 2 naming
+ * the flag. */
 double
-parseDouble(const Arg &a)
+fraction(const Arg &a)
 {
     char *end = nullptr;
     const double v = std::strtod(a.value, &end);
-    if (!a.value[0] || *end) {
-        std::fprintf(stderr, "ccsvm: %s needs a number, got '%s'\n",
+    if (!a.value[0] || *end || !(v >= 0.0 && v <= 1.0)) {
+        std::fprintf(stderr,
+                     "ccsvm: %s needs a number in [0, 1], got '%s'\n",
                      a.flag, a.value);
         std::exit(2);
     }
@@ -375,7 +395,7 @@ const Flag kFlags[] = {
     {"--steps", "N", "barneshut time steps (default 2)",
      [](auto &o, auto &a) { o.params.bh.steps = integer<unsigned>(a, 0); }},
     {"--density", "F", "spmm non-zero fraction (default 0.01)",
-     [](auto &o, auto &a) { o.params.spmm.density = parseDouble(a); }},
+     [](auto &o, auto &a) { o.params.spmm.density = fraction(a); }},
     {"--seed", "N",
      "input seed for matmul, barneshut, spmm and\n"
      "the synth:ptrchase rings",
@@ -449,9 +469,11 @@ const Flag kFlags[] = {
      .pick = [](auto &c, auto v) {
          return coherence::protocolFromName(v, c.mttopProtocol.emplace());
      }},
-    {"--cpu-cores", "N", "in-order CPU cores (default 4)",
+    {"--cpu-cores", "N",
+     "in-order CPU cores (default 4; CPU + MTTOP cores <= 32)",
      [](auto &o, auto &a) { o.cfg.numCpuCores = integer<int>(a, 1); }},
-    {"--mttop-cores", "N", "MTTOP cores (default 10)",
+    {"--mttop-cores", "N",
+     "MTTOP cores (default 10; CPU + MTTOP cores <= 32)",
      [](auto &o, auto &a) { o.cfg.numMttopCores = integer<int>(a, 1); }},
     {"--mttop-contexts", "N", "thread contexts per MTTOP core (default 128)",
      [](auto &o, auto &a) {
@@ -713,6 +735,18 @@ parseArgs(int argc, char **argv)
                      o.cfg.numL2Banks);
         std::exit(2);
     }
+    // Every core has one L1, and a directory line keeps its sharers
+    // in a bit mask of maxL1s bits.
+    const long long l1s =
+        static_cast<long long>(o.cfg.numCpuCores) + o.cfg.numMttopCores;
+    if (l1s > coherence::Directory::maxL1s) {
+        std::fprintf(stderr,
+                     "ccsvm: --cpu-cores %d + --mttop-cores %d is %lld "
+                     "L1s; a directory tracks at most %d\n",
+                     o.cfg.numCpuCores, o.cfg.numMttopCores, l1s,
+                     coherence::Directory::maxL1s);
+        std::exit(2);
+    }
     return o;
 }
 
@@ -823,19 +857,17 @@ renderPointJson(std::ostream &os, const DriverOptions &o,
         // Time series: cumulative counter totals at each interval
         // boundary. Only present when sampling is on, so default
         // JSON output is byte-identical to the sampling-less driver.
-        const std::vector<system::CcsvmMachine::Sample> &samples =
-            m.samples();
+        const auto &columns = m.seriesColumns();
+        const auto &samples = m.samples();
         os << "  \"series\": {\"interval\": " << spec.cfg.sampleInterval
            << ", \"samples\": [";
         for (std::size_t i = 0; i < samples.size(); ++i) {
-            const system::CcsvmMachine::Sample &s = samples[i];
-            os << (i ? ",\n    " : "\n    ") << "{\"t\": " << s.t
-               << ", \"dram\": " << s.dram
-               << ", \"l1_hits\": " << s.l1Hits
-               << ", \"l1_misses\": " << s.l1Misses
-               << ", \"noc_packets\": " << s.nocPackets
-               << ", \"noc_bytes\": " << s.nocBytes
-               << ", \"page_faults\": " << s.pageFaults << "}";
+            os << (i ? ",\n    " : "\n    ") << "{\"t\": "
+               << samples[i].t;
+            for (std::size_t c = 0; c < columns.size(); ++c)
+                os << ", \"" << columns[c].name
+                   << "\": " << samples[i].values[c];
+            os << "}";
         }
         os << (samples.empty() ? "]" : "\n  ]") << "},\n";
     }
