@@ -19,6 +19,9 @@
 #     flag must behave like the flag (same normalized bytes), since
 #     that is how the test suites opt whole binaries into the
 #     threaded engine.
+#   - --sim-threads 2147483647 runs one worker per partition (a
+#     window never has more queues to hand out) and must match the
+#     --sim-threads 1 bytes, not allocate a pool per requested thread.
 #
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckParallelEngine.cmake
@@ -73,5 +76,17 @@ if(NOT echoed)
           "machine section:\n${env_raw}")
 endif()
 
+# --- a thread count far above the partition count ------------------
+set(big_json ${CCSVM_OUT_DIR}/pengine_matmul_msi_tmax.json)
+ccsvm_run(--workload matmul --n 16 --iters 16 --protocol msi
+          --sim-threads 2147483647 JSON ${big_json})
+ccsvm_normalize(big_doc ${big_json})
+ccsvm_normalize(serial_doc ${CCSVM_OUT_DIR}/pengine_matmul_msi_t1.json)
+if(NOT big_doc STREQUAL serial_doc)
+  message(FATAL_ERROR "--sim-threads 2147483647 differs from "
+          "--sim-threads 1:\n--- max:\n${big_doc}\n"
+          "--- serial:\n${serial_doc}")
+endif()
+
 message(STATUS "parallel engine ok: 8 grid points byte-identical "
-               "at --sim-threads 1 vs 4 (+ env knob)")
+               "at --sim-threads 1 vs 4 (+ env knob, + INT_MAX threads)")

@@ -55,11 +55,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # any thread count, so exactly the same assertions must hold.
 # litmus_test carries the long label but is named here anyway: its
 # repeated task resubmission is what caught the engine's clock-skew
-# bug.
+# bug. The list names every machine-building suite but the trace,
+# replay and parallel ones, which the TSan lane already runs threaded,
+# so MIFD launches, MTTOP fault relays and task completions cross
+# partitions here too.
+MACHINE_SUITES='machine_test|mifd_test|litmus_test|coherence_test'
+MACHINE_SUITES+='|parteventq_test|process_test|synth_test'
+MACHINE_SUITES+='|workloads_test|xthreads_test'
 echo "=== machine suites on the 4-thread engine ==="
 CCSVM_SIM_THREADS=4 ctest --test-dir "$BUILD_DIR" \
-    --output-on-failure -j "$(nproc)" \
-    -R 'machine_test|mifd_test|litmus_test|coherence_test|parteventq_test'
+    --output-on-failure -j "$(nproc)" -R "$MACHINE_SUITES"
 
 # Driver smoke on the threaded engine (the quantitative byte-identity
 # grid lives in the ccsvm_parallel_engine ctest, run above).

@@ -1,5 +1,7 @@
 #include "core/cpu_core.hh"
 
+#include "core/translate.hh"
+
 namespace ccsvm::core
 {
 
@@ -121,38 +123,23 @@ CpuCore::pollHostWait(ThreadContext &tc)
 void
 CpuCore::translateAndAccess(ThreadContext &tc)
 {
-    GuestOp &op = tc.pendingOp();
-    vm::TlbEntry te;
-    if (tlb_.lookup(op.va, te)) {
-        accessMemory(tc, te.frame | (op.va & mem::pageOffsetMask), te);
-        return;
-    }
-    // Hardware page walk; on a true fault, trap to the kernel and
-    // retry the translation afterwards.
-    runtime::Process &proc = *tc.process();
-    walker_->walk(proc.addressSpace().pageTable(), op.va,
-                  [this, &tc, &proc](vm::WalkResult r) {
-                      GuestOp &o = tc.pendingOp();
-                      if (r.present) {
-                          vm::TlbEntry te{r.frame, r.writable};
-                          if (const vm::MemRegion *mr =
-                                  proc.addressSpace().regionFor(o.va)) {
-                              te.attr = mr->attr;
-                              te.prot = mr->protocol;
-                          }
-                          tlb_.insert(o.va, te.frame, te.writable,
-                                      te.attr, te.prot);
-                          accessMemory(
-                              tc,
-                              te.frame | (o.va & mem::pageOffsetMask),
-                              te);
-                          return;
-                      }
-                      ++faults_;
-                      kernel_->handlePageFault(
-                          proc.addressSpace(), o.va,
-                          [this, &tc] { translateAndAccess(tc); });
-                  });
+    translateAndIssue(
+        tlb_, *walker_, tc,
+        [this, &tc](Addr paddr, const vm::TlbEntry &te) {
+            if (uncached_.contains(paddr))
+                accessUncached(tc, paddr);
+            else
+                issueToL1(*l1_, tc, paddr, te);
+        },
+        // A true fault traps to the kernel; the translation is
+        // retried afterwards.
+        [this, &tc](runtime::Process &proc, vm::VAddr va) {
+            ++faults_;
+            kernel_->handlePageFault(proc.addressSpace(), va,
+                                     [this, &tc] {
+                                         translateAndAccess(tc);
+                                     });
+        });
 }
 
 void
@@ -213,41 +200,6 @@ CpuCore::accessUncached(ThreadContext &tc, Addr paddr)
                                    tc.completeOp(old_val);
                                });
     });
-}
-
-void
-CpuCore::accessMemory(ThreadContext &tc, Addr paddr,
-                      const vm::TlbEntry &te)
-{
-    if (uncached_.contains(paddr)) {
-        accessUncached(tc, paddr);
-        return;
-    }
-    GuestOp &op = tc.pendingOp();
-    auto req = std::make_unique<coherence::MemRequest>();
-    req->paddr = paddr;
-    req->size = op.size;
-    req->region = te.attr;
-    req->regionProt = te.prot;
-    switch (op.kind) {
-      case OpKind::Load:
-        req->kind = coherence::MemRequest::Kind::Read;
-        break;
-      case OpKind::Store:
-        req->kind = coherence::MemRequest::Kind::Write;
-        req->wdata = op.wdata;
-        break;
-      case OpKind::Amo:
-        req->kind = coherence::MemRequest::Kind::Amo;
-        req->amoOp = op.amoOp;
-        req->operand = op.operand;
-        req->operand2 = op.operand2;
-        break;
-      default:
-        ccsvm_panic("non-memory op in accessMemory");
-    }
-    req->onDone = [&tc](std::uint64_t v) { tc.completeOp(v); };
-    l1_->access(std::move(req));
 }
 
 void

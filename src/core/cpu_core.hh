@@ -105,8 +105,6 @@ class CpuCore : public CoreModel
   private:
     void issue(ThreadContext &tc);
     void translateAndAccess(ThreadContext &tc);
-    void accessMemory(ThreadContext &tc, Addr paddr,
-                      const vm::TlbEntry &te);
     void accessUncached(ThreadContext &tc, Addr paddr);
     void doSyscall(ThreadContext &tc);
     void pollHostWait(ThreadContext &tc);

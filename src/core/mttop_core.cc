@@ -1,5 +1,6 @@
 #include "core/mttop_core.hh"
 
+#include "core/translate.hh"
 #include "sim/parteventq.hh"
 
 namespace ccsvm::core
@@ -12,7 +13,7 @@ MttopCore::MttopCore(sim::EventQueue &eq, sim::StatRegistry &stats,
                      vm::Kernel &kernel)
     : eq_(&eq), cfg_(cfg), clock_(eq, cfg.clockPeriod), l1_(&l1),
       walker_(&walker), tlb_(stats, name + ".tlb", cfg.tlbEntries),
-      freeSlots_(cfg.numContexts),
+      doneq_(&eq), freeSlots_(cfg.numContexts),
       instructions_(stats.counter(name + ".instructions",
                                   "guest instructions retired")),
       memOps_(stats.counter(name + ".memOps",
@@ -85,18 +86,10 @@ MttopCore::onThreadDone(ThreadContext &tc)
         ++freeSlots_;
         auto state = std::move(slot->state);
         slot->desc.reset();
-        if (state && --state->remaining == 0 && state->onComplete) {
-            // Task-completion bookkeeping belongs to the launching
-            // side; relay it to its partition when one is wired.
-            if (doneq_ && sim::crossPartition(*doneq_)) {
-                sim::postToPartition(*doneq_,
-                                     [cb = state->onComplete] {
-                                         cb();
-                                     });
-            } else {
-                state->onComplete();
-            }
-        }
+        // Task-completion bookkeeping belongs to the launching side:
+        // it runs in the completion queue's partition.
+        if (state && --state->remaining == 0 && state->onComplete)
+            sim::callIn(*doneq_, state->onComplete);
         if (mifd_)
             mifd_->notifyContextsFreed(mifdPort_);
         return;
@@ -176,68 +169,19 @@ MttopCore::processOp(ThreadContext &tc)
 void
 MttopCore::translateAndAccess(ThreadContext &tc)
 {
-    GuestOp &op = tc.pendingOp();
-    vm::TlbEntry te;
-    if (tlb_.lookup(op.va, te)) {
-        accessMemory(tc, te.frame | (op.va & mem::pageOffsetMask), te);
-        return;
-    }
-    runtime::Process &proc = *tc.process();
-    walker_->walk(
-        proc.addressSpace().pageTable(), op.va,
-        [this, &tc, &proc](vm::WalkResult r) {
-            GuestOp &o = tc.pendingOp();
-            if (r.present) {
-                vm::TlbEntry te{r.frame, r.writable};
-                if (const vm::MemRegion *mr =
-                        proc.addressSpace().regionFor(o.va)) {
-                    te.attr = mr->attr;
-                    te.prot = mr->protocol;
-                }
-                tlb_.insert(o.va, te.frame, te.writable, te.attr,
-                            te.prot);
-                accessMemory(
-                    tc, te.frame | (o.va & mem::pageOffsetMask), te);
-                return;
-            }
-            // MTTOP cores do not run the OS: raise the fault to a CPU
-            // core through the MIFD (paper Sec. 3.2.1).
+    translateAndIssue(
+        tlb_, *walker_, tc,
+        [this, &tc](Addr paddr, const vm::TlbEntry &te) {
+            issueToL1(*l1_, tc, paddr, te);
+        },
+        // MTTOP cores do not run the OS: raise the fault to a CPU
+        // core through the MIFD (paper Sec. 3.2.1).
+        [this, &tc](runtime::Process &proc, vm::VAddr va) {
             ++faults_;
             ccsvm_assert(mifd_, "MTTOP page fault without a MIFD");
-            mifd_->relayPageFault(
-                proc, o.va, [this, &tc] { translateAndAccess(tc); });
+            mifd_->relayPageFault(proc, va,
+                                  [this, &tc] { translateAndAccess(tc); });
         });
-}
-
-void
-MttopCore::accessMemory(ThreadContext &tc, Addr paddr,
-                        const vm::TlbEntry &te)
-{
-    GuestOp &op = tc.pendingOp();
-    auto req = std::make_unique<coherence::MemRequest>();
-    req->paddr = paddr;
-    req->size = op.size;
-    req->region = te.attr;
-    req->regionProt = te.prot;
-    switch (op.kind) {
-      case OpKind::Load:
-        req->kind = coherence::MemRequest::Kind::Read;
-        break;
-      case OpKind::Store:
-        req->kind = coherence::MemRequest::Kind::Write;
-        req->wdata = op.wdata;
-        break;
-      case OpKind::Amo:
-        req->kind = coherence::MemRequest::Kind::Amo;
-        req->amoOp = op.amoOp;
-        req->operand = op.operand;
-        req->operand2 = op.operand2;
-        break;
-      default:
-        ccsvm_panic("non-memory op in accessMemory");
-    }
-    req->onDone = [&tc](std::uint64_t v) { tc.completeOp(v); };
-    l1_->access(std::move(req));
 }
 
 } // namespace ccsvm::core

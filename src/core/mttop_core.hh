@@ -66,10 +66,10 @@ class MttopCore : public CoreModel
      * Queue whose partition owns task-completion callbacks
      * (TaskState::onComplete). Launch-side bookkeeping lives with the
      * launching CPU cores, so under a PartEngine completions are
-     * relayed there instead of running in the MTTOP partition. Null
-     * (the default) runs them inline.
+     * relayed there instead of running in the MTTOP partition. The
+     * default is the core's own queue.
      */
-    void setCompletionQueue(sim::EventQueue *q) { doneq_ = q; }
+    void setCompletionQueue(sim::EventQueue &q) { doneq_ = &q; }
 
     unsigned freeContexts() const { return freeSlots_; }
     unsigned totalContexts() const { return cfg_.numContexts; }
@@ -112,8 +112,6 @@ class MttopCore : public CoreModel
     void cycle();
     void processOp(ThreadContext &tc);
     void translateAndAccess(ThreadContext &tc);
-    void accessMemory(ThreadContext &tc, Addr paddr,
-                      const vm::TlbEntry &te);
 
     sim::EventQueue *eq_;
     MttopCoreConfig cfg_;
@@ -123,7 +121,7 @@ class MttopCore : public CoreModel
     vm::Tlb tlb_;
     MifdIface *mifd_ = nullptr;
     unsigned mifdPort_ = 0;
-    sim::EventQueue *doneq_ = nullptr;
+    sim::EventQueue *doneq_;
     CaptureHook captureHook_;
 
     std::vector<std::unique_ptr<Slot>> slots_;

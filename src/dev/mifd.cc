@@ -44,18 +44,14 @@ Mifd::totalFreeContexts() const
 void
 Mifd::submitTask(core::TaskDescriptor desc)
 {
-    if (sim::crossPartition(*eq_)) {
-        sim::postToPartition(*eq_,
-                             [this, desc = std::move(desc)]() mutable {
-                                 submitTask(std::move(desc));
-                             });
-        return;
-    }
-    // The device itself serializes descriptor handling.
-    const Tick start = std::max(eq_->now(), deviceFree_);
-    deviceFree_ = start + cfg_.taskAcceptLatency;
-    eq_->schedule(deviceFree_, [this, desc = std::move(desc)]() mutable {
-        acceptTask(std::move(desc));
+    sim::callIn(*eq_, [this, desc = std::move(desc)]() mutable {
+        // The device itself serializes descriptor handling.
+        const Tick start = std::max(eq_->now(), deviceFree_);
+        deviceFree_ = start + cfg_.taskAcceptLatency;
+        eq_->schedule(deviceFree_,
+                      [this, desc = std::move(desc)]() mutable {
+                          acceptTask(std::move(desc));
+                      });
     });
 }
 
@@ -154,30 +150,22 @@ Mifd::dispatch()
 void
 Mifd::notifyContextsFreed(unsigned port)
 {
-    if (sim::crossPartition(*eq_)) {
-        sim::postToPartition(*eq_,
-                             [this, port] { freedLocal(port); });
-        return;
-    }
-    freedLocal(port);
-}
-
-void
-Mifd::freedLocal(unsigned port)
-{
-    ccsvm_assert(port < ctxFree_.size(), "freed on unknown port %u",
-                 port);
-    ++ctxFree_[port];
-    ccsvm_assert(ctxFree_[port] <= mttops_[port].core->totalContexts(),
-                 "context mirror overflowed on port %u", port);
-    if (pending_.empty() || dispatchScheduled_)
-        return;
-    // Batch re-dispatch onto a fresh event (contexts free during
-    // other processing).
-    dispatchScheduled_ = true;
-    eq_->scheduleIn(cfg_.chunkDispatchLatency, [this] {
-        dispatchScheduled_ = false;
-        dispatch();
+    sim::callIn(*eq_, [this, port] {
+        ccsvm_assert(port < ctxFree_.size(),
+                     "freed on unknown port %u", port);
+        ++ctxFree_[port];
+        ccsvm_assert(ctxFree_[port] <=
+                         mttops_[port].core->totalContexts(),
+                     "context mirror overflowed on port %u", port);
+        if (pending_.empty() || dispatchScheduled_)
+            return;
+        // Batch re-dispatch onto a fresh event (contexts free during
+        // other processing).
+        dispatchScheduled_ = true;
+        eq_->scheduleIn(cfg_.chunkDispatchLatency, [this] {
+            dispatchScheduled_ = false;
+            dispatch();
+        });
     });
 }
 
@@ -185,32 +173,26 @@ void
 Mifd::relayPageFault(runtime::Process &proc, vm::VAddr va,
                      std::function<void()> retry)
 {
-    if (sim::crossPartition(*eq_)) {
-        // Hop to the device's partition; the faulting core retries in
-        // its own partition once the kernel has serviced the fault.
-        sim::EventQueue *src = sim::activeQueue();
-        sim::postToPartition(
-            *eq_, [this, &proc, va, src,
-                   cb = std::move(retry)]() mutable {
-                relayPageFault(proc, va,
-                               [src, cb = std::move(cb)]() mutable {
-                                   sim::postToPartition(
-                                       *src, std::move(cb));
-                               });
-            });
-        return;
-    }
-    ++faultRelays_;
-    if (trc_.enabled(sim::traceVm))
-        trc_.complete(sim::traceVm, lane_, "faultRelay", eq_->now(),
-                      eq_->now() + cfg_.faultRelayLatency, va);
-    // Interrupt a CPU core with {cause=page fault, CR3}; the CPU-side
-    // handler cost is the kernel model's fault latency.
-    eq_->scheduleIn(cfg_.faultRelayLatency,
-                    [this, &proc, va, retry = std::move(retry)] {
-                        kernel_->handlePageFault(proc.addressSpace(),
-                                                 va, std::move(retry));
-                    });
+    // The faulting core retries in its own partition once the kernel
+    // has serviced the fault.
+    auto reply = sim::replyFrom(*eq_, std::move(retry));
+    sim::callIn(*eq_, [this, &proc, va,
+                       reply = std::move(reply)]() mutable {
+        ++faultRelays_;
+        if (trc_.enabled(sim::traceVm))
+            trc_.complete(sim::traceVm, lane_, "faultRelay",
+                          eq_->now(),
+                          eq_->now() + cfg_.faultRelayLatency, va);
+        // Interrupt a CPU core with {cause=page fault, CR3}; the
+        // CPU-side handler cost is the kernel model's fault latency.
+        eq_->scheduleIn(cfg_.faultRelayLatency,
+                        [this, &proc, va,
+                         reply = std::move(reply)]() mutable {
+                            kernel_->handlePageFault(
+                                proc.addressSpace(), va,
+                                std::move(reply));
+                        });
+    });
 }
 
 } // namespace ccsvm::dev

@@ -69,9 +69,10 @@ class Mifd : public core::MifdIface
     void clearErrorRegister() { errorReg_ = 0; }
 
     // MifdIface. All three entry points may be called from another
-    // partition (CPU syscall, MTTOP fault/completion); each routes
-    // itself onto the device's own queue so the pending queue, the
-    // context mirror, and deviceFree_ are touched only there.
+    // partition (CPU syscall, MTTOP fault/completion); each enters
+    // the device's own partition through sim::callIn, so the pending
+    // queue, the context mirror, and deviceFree_ are touched only
+    // there.
     void submitTask(core::TaskDescriptor desc) override;
     void relayPageFault(runtime::Process &proc, vm::VAddr va,
                         std::function<void()> retry) override;
@@ -88,7 +89,6 @@ class Mifd : public core::MifdIface
 
     void acceptTask(core::TaskDescriptor desc);
     void dispatch();
-    void freedLocal(unsigned port);
     unsigned totalFreeContexts() const;
 
     sim::EventQueue *eq_;

@@ -60,11 +60,10 @@ class DramCtrl
      *
      * Under a PartEngine, the channel-reservation state lives in the
      * controller's own partition: a request from another partition
-     * (a directory bank, a walker) is routed there over the
-     * conservative horizon and the completion is routed back to the
-     * caller's partition, so `channelFree_` is only ever touched in
-     * deterministic partition-local order. Standalone (and
-     * same-partition) callers keep the direct call.
+     * (a directory bank, a walker) runs there through sim::callIn and
+     * its completion returns through sim::replyFrom, so
+     * `channelFree_` is only ever touched in deterministic
+     * partition-local order.
      *
      * @param is_write direction of the transfer
      * @param on_done invoked, in the caller's partition, when the
@@ -74,43 +73,27 @@ class DramCtrl
     access(bool is_write, unsigned bytes,
            std::function<void()> on_done)
     {
-        if (!sim::crossPartition(*eq_)) {
-            accessLocal(is_write, bytes, std::move(on_done));
-            return;
-        }
-        sim::EventQueue *src = sim::activeQueue();
-        sim::postToPartition(
-            *eq_, [this, is_write, bytes, src,
-                   cb = std::move(on_done)]() mutable {
-                accessLocal(is_write, bytes,
-                            [src, cb = std::move(cb)]() mutable {
-                                sim::postToPartition(*src,
-                                                     std::move(cb));
-                            });
-            });
+        auto reply = sim::replyFrom(*eq_, std::move(on_done));
+        sim::callIn(*eq_, [this, is_write, bytes,
+                           reply = std::move(reply)]() mutable {
+            if (is_write)
+                ++writes_;
+            else
+                ++reads_;
+            bytes_ += bytes;
+
+            const Tick ser = serializationTicks(bytes);
+            const Tick start = std::max(eq_->now(), channelFree_);
+            channelFree_ = start + ser;
+            eq_->schedule(start + ser + cfg_.accessLatency,
+                          std::move(reply));
+        });
     }
 
     std::uint64_t reads() const { return reads_.value(); }
     std::uint64_t writes() const { return writes_.value(); }
 
   private:
-    void
-    accessLocal(bool is_write, unsigned bytes,
-                std::function<void()> on_done)
-    {
-        if (is_write)
-            ++writes_;
-        else
-            ++reads_;
-        bytes_ += bytes;
-
-        const Tick ser = serializationTicks(bytes);
-        const Tick start = std::max(eq_->now(), channelFree_);
-        channelFree_ = start + ser;
-        const Tick done = start + ser + cfg_.accessLatency;
-        eq_->schedule(done, std::move(on_done));
-    }
-
     Tick
     serializationTicks(unsigned bytes) const
     {

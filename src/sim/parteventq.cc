@@ -46,8 +46,16 @@ PartEngine::setThreads(int n)
     threads_ = std::max(1, n);
     // The pool is (re)built lazily in runWindowAll: machines set the
     // thread count at construction, long before the first window.
-    if (static_cast<int>(workers_.size()) + 1 != threads_)
+    if (static_cast<int>(workers_.size()) != poolSize())
         stopWorkers();
+}
+
+int
+PartEngine::poolSize() const
+{
+    // A window claims at most one queue per partition, so workers
+    // past partitions() - 1 (the coordinator is the other) never run.
+    return std::min(threads_, partitions()) - 1;
 }
 
 void
@@ -226,7 +234,8 @@ PartEngine::runWindowAll(Tick end)
     for (int p = 0; p < partitions(); ++p)
         if (queues_[p]->peekWhen() < end)
             active_.push_back(p);
-    if (threads_ == 1 || active_.size() <= 1) {
+    const int pool = poolSize();
+    if (pool == 0 || active_.size() <= 1) {
         // Nothing to overlap: run inline on the calling thread with
         // no worker hand-off. Identical partition/window schedule to
         // the threaded path (partition order within a window is
@@ -240,8 +249,8 @@ PartEngine::runWindowAll(Tick end)
         return;
     }
     if (workers_.empty()) {
-        workers_.reserve(threads_ - 1);
-        for (int i = 0; i < threads_ - 1; ++i)
+        workers_.reserve(pool);
+        for (int i = 0; i < pool; ++i)
             workers_.emplace_back([this] { workerLoop(); });
     }
     {
@@ -258,8 +267,8 @@ PartEngine::runWindowAll(Tick end)
     // 8-thread engine costs one wakeup, not seven. A missed wake is
     // harmless — claiming is dynamic and the coordinator always
     // participates.
-    const int wake = std::min(threads_ - 1,
-                              static_cast<int>(active_.size()) - 1);
+    const int wake =
+        std::min(pool, static_cast<int>(active_.size()) - 1);
     for (int i = 0; i < wake; ++i)
         cv_.notify_one();
     claimLoop(); // the coordinator is worker 0
@@ -276,28 +285,9 @@ PartEngine::runWindowAll(Tick end)
     open_ = false;
 }
 
-Tick
-PartEngine::run(Tick limit)
-{
-    for (;;) {
-        drainMailboxes();
-        const Tick w = nextEventTime();
-        if (w == maxTick || w > limit)
-            return now_;
-        now_ = w;
-        advanceTo(w);
-        const Tick end =
-            (w > maxTick - lookahead_) ? maxTick : w + lookahead_;
-        const Tick wend =
-            limit == maxTick ? end : std::min(end, limit + 1);
-        runWindowAll(wend);
-        if (barrierHook_)
-            barrierHook_(w, wend);
-    }
-}
-
+template <typename Done>
 bool
-PartEngine::runUntil(const std::function<bool()> &done, Tick limit)
+PartEngine::runWindows(const Done &done, Tick limit)
 {
     for (;;) {
         drainMailboxes();
@@ -316,6 +306,19 @@ PartEngine::runUntil(const std::function<bool()> &done, Tick limit)
         if (barrierHook_)
             barrierHook_(w, wend);
     }
+}
+
+Tick
+PartEngine::run(Tick limit)
+{
+    runWindows([] { return false; }, limit);
+    return now_;
+}
+
+bool
+PartEngine::runUntil(const std::function<bool()> &done, Tick limit)
+{
+    return runWindows(done, limit);
 }
 
 } // namespace ccsvm::sim

@@ -138,7 +138,8 @@ class PartEngine
     EventQueue &queue(int p) { return *queues_[p]; }
     Tick lookahead() const { return lookahead_; }
 
-    /** Host workers per window; 1 = run inline on the caller. */
+    /** Host workers per window; 1 = run inline on the caller. A
+     * count above partitions() runs one worker per partition. */
     void setThreads(int n);
     int threads() const { return threads_; }
 
@@ -209,6 +210,14 @@ class PartEngine
         std::vector<CrossEvent> items;
     };
 
+    /** The window loop of run and runUntil: stops when @p done
+     * returns true at a barrier (@return true), or when every
+     * partition drains or time would pass @p limit. */
+    template <typename Done>
+    bool runWindows(const Done &done, Tick limit);
+    /** Pool workers beside the coordinator: threads() capped at one
+     * per partition. */
+    int poolSize() const;
     /** Earliest pending tick across all queues (mailboxes drained). */
     Tick nextEventTime() const;
     /** Fast-forward every queue's clock to the window base @p w. */
@@ -260,7 +269,7 @@ class PartEngine
  * same engine as @p target — i.e. a call into a component owned by
  * @p target must be routed through PartEngine::post rather than made
  * directly. False for standalone queues, host-side code, and
- * same-partition calls, which keep their direct (legacy) semantics.
+ * same-partition calls, which call directly.
  */
 inline bool
 crossPartition(const EventQueue &target)
@@ -272,21 +281,57 @@ crossPartition(const EventQueue &target)
 
 /**
  * Post @p cb to @p target's partition at the earliest conservative
- * tick: caller's now() + lookahead, plus optional @p extra ticks.
+ * tick: the caller's now() + lookahead, default priority.
  * @pre crossPartition(target)
  */
 inline void
-postToPartition(EventQueue &target, EventQueue::Callback cb,
-                Tick extra = 0, int priority = prioDefault)
+postToPartition(EventQueue &target, EventQueue::Callback cb)
 {
     EventQueue *src = detail::tlsActiveQueue;
     ccsvm_assert(src && src->engine() == target.engine() &&
                      target.engine(),
                  "postToPartition outside an engine window");
     target.engine()->post(target,
-                          src->now() + target.engine()->lookahead() +
-                              extra,
-                          std::move(cb), priority);
+                          src->now() + target.engine()->lookahead(),
+                          std::move(cb));
+}
+
+/**
+ * Run @p fn in @p owner's partition: the one way a component calls
+ * into another partition's state (the torus's per-hop post, at a
+ * computed arrival tick, is the only other cross-partition send).
+ * Inline, before callIn returns, when the caller already runs in that
+ * partition or outside an engine window (host code, standalone
+ * queues); otherwise posted to @p owner at the caller's now() +
+ * lookahead().
+ */
+template <typename F>
+void
+callIn(EventQueue &owner, F &&fn)
+{
+    if (crossPartition(owner))
+        postToPartition(owner, std::forward<F>(fn));
+    else
+        fn();
+}
+
+/**
+ * The completion to hand to work started by callIn(owner, ...), made
+ * in the caller's partition: when @p owner's partition calls it, it
+ * runs @p done back in the caller's partition one lookahead later.
+ * @p done itself when no partition boundary lies between the two.
+ */
+template <typename... Args>
+std::function<void(Args...)>
+replyFrom(const EventQueue &owner, std::function<void(Args...)> done)
+{
+    if (!crossPartition(owner))
+        return done;
+    return [src = detail::tlsActiveQueue,
+            done = std::move(done)](Args... args) mutable {
+        postToPartition(*src, [done = std::move(done),
+                               args...]() mutable { done(args...); });
+    };
 }
 
 } // namespace ccsvm::sim

@@ -1,5 +1,6 @@
 #include "system/ccsvm_machine.hh"
 
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -21,7 +22,7 @@ resolveSimThreads(int requested)
         if (const char *env = std::getenv("CCSVM_SIM_THREADS")) {
             char *end = nullptr;
             const long v = std::strtol(env, &end, 10);
-            if (env[0] && end && !*end && v >= 0) {
+            if (env[0] && end && !*end && v >= 0 && v <= INT_MAX) {
                 requested = static_cast<int>(v);
             } else {
                 ccsvm_warn("CCSVM_SIM_THREADS='%s' is not a "
@@ -248,7 +249,7 @@ CcsvmMachine::buildNodes()
             *l1s_[cfg_.numCpuCores + j], *walkers_.back(), *kernel_));
         // Task completions decrement launch-side bookkeeping owned by
         // the CPU cluster.
-        mttopCores_.back()->setCompletionQueue(&cpuQ());
+        mttopCores_.back()->setCompletionQueue(cpuQ());
     }
 
     // The MIFD.

@@ -131,20 +131,20 @@ class Kernel
     /**
      * Register a CPU TLB (receives precise invalidations). @p owner
      * is the partition queue of the core holding the TLB, so
-     * shootdowns can invalidate it in its own partition; null (the
-     * default, for standalone tests) invalidates directly.
+     * shootdowns invalidate it in its own partition; the default is
+     * the kernel's own queue (standalone tests).
      */
     void
     registerCpuTlb(Tlb *tlb, sim::EventQueue *owner = nullptr)
     {
-        cpuTlbs_.push_back(OwnedTlb{tlb, owner});
+        cpuTlbs_.push_back(OwnedTlb{tlb, owner ? owner : eq_});
     }
 
     /** Register an MTTOP TLB (flushed wholesale on shootdown). */
     void
     registerMttopTlb(Tlb *tlb, sim::EventQueue *owner = nullptr)
     {
-        mttopTlbs_.push_back(OwnedTlb{tlb, owner});
+        mttopTlbs_.push_back(OwnedTlb{tlb, owner ? owner : eq_});
     }
 
     /**
@@ -156,28 +156,34 @@ class Kernel
      * an MTTOP core through the MIFD interrupt (the MIFD adds its own
      * relay latency before calling this). Under a PartEngine the
      * kernel's state (fault queue, frame allocator, page tables)
-     * lives in its own partition: cross-partition faulters are routed
-     * there over the conservative horizon, keeping the coalescing map
-     * and allocator in deterministic partition-local order.
+     * lives in its own partition: faulters from other partitions
+     * enter it through sim::callIn, keeping the coalescing map and
+     * allocator in deterministic partition-local order.
      */
     void
     handlePageFault(AddressSpace &as, VAddr va,
                     std::function<void()> on_done)
     {
-        if (sim::crossPartition(*eq_)) {
-            sim::EventQueue *src = sim::activeQueue();
-            sim::postToPartition(
-                *eq_, [this, &as, va, src,
-                       cb = std::move(on_done)]() mutable {
-                    faultLocal(as, va,
-                               [src, cb = std::move(cb)]() mutable {
-                                   sim::postToPartition(
-                                       *src, std::move(cb));
-                               });
-                });
-            return;
-        }
-        faultLocal(as, va, std::move(on_done));
+        auto reply = sim::replyFrom(*eq_, std::move(on_done));
+        sim::callIn(*eq_, [this, &as, va,
+                           reply = std::move(reply)]() mutable {
+            // Coalesce concurrent faulters on the same page: only the
+            // first pays the full handler; the rest block on the
+            // page-table lock and retry together once the mapping
+            // exists — without this, a fresh page touched by hundreds
+            // of MTTOP threads at once serializes into a fault storm
+            // no real OS exhibits.
+            const auto key = std::make_pair(&as, va >> mem::pageShift);
+            auto it = waiting_.find(key);
+            if (it != waiting_.end()) {
+                it->second.push_back(std::move(reply));
+                return;
+            }
+            waiting_[key].push_back(std::move(reply));
+            faultQueue_.push_back(Fault{&as, va});
+            if (!faultInService_)
+                serviceNextFault();
+        });
     }
 
     /**
@@ -192,21 +198,27 @@ class Kernel
     unmapAndShootdown(AddressSpace &as, VAddr va,
                       std::function<void()> on_done)
     {
-        if (sim::crossPartition(*eq_)) {
-            sim::EventQueue *src = sim::activeQueue();
-            sim::postToPartition(
-                *eq_, [this, &as, va, src,
-                       cb = std::move(on_done)]() mutable {
-                    shootdownLocal(
-                        as, va,
-                        [src, cb = std::move(cb)]() mutable {
-                            sim::postToPartition(*src,
-                                                 std::move(cb));
-                        });
-                });
-            return;
-        }
-        shootdownLocal(as, va, std::move(on_done));
+        auto reply = sim::replyFrom(*eq_, std::move(on_done));
+        sim::callIn(*eq_, [this, &as, va,
+                           reply = std::move(reply)]() mutable {
+            ++shootdowns_;
+            if (trc_.enabled(sim::traceVm))
+                trc_.complete(sim::traceVm, lane_, "shootdown",
+                              eq_->now(),
+                              eq_->now() + cfg_.shootdownLatency, va);
+            WalkResult r = as.pageTable().walk(va);
+            if (r.present) {
+                as.pageTable().unmap(va);
+                frames_.free(r.frame);
+            }
+            for (const OwnedTlb &t : cpuTlbs_)
+                sim::callIn(*t.owner,
+                            [tlb = t.tlb, va] { tlb->invalidate(va); });
+            for (const OwnedTlb &t : mttopTlbs_)
+                sim::callIn(*t.owner,
+                            [tlb = t.tlb] { tlb->flushAll(); });
+            eq_->scheduleIn(cfg_.shootdownLatency, std::move(reply));
+        });
     }
 
     std::uint64_t pageFaults() const { return faults_.value(); }
@@ -221,67 +233,8 @@ class Kernel
     struct OwnedTlb
     {
         Tlb *tlb;
-        sim::EventQueue *owner; ///< null = invalidate directly
+        sim::EventQueue *owner; ///< partition of the holding core
     };
-
-    void
-    faultLocal(AddressSpace &as, VAddr va,
-               std::function<void()> on_done)
-    {
-        // Coalesce concurrent faulters on the same page: only the
-        // first pays the full handler; the rest block on the page-
-        // table lock and retry together once the mapping exists —
-        // without this, a fresh page touched by hundreds of MTTOP
-        // threads at once serializes into a fault storm no real OS
-        // exhibits.
-        const VAddr page = va >> mem::pageShift;
-        const auto key = std::make_pair(&as, page);
-        auto it = waiting_.find(key);
-        if (it != waiting_.end()) {
-            it->second.push_back(std::move(on_done));
-            return;
-        }
-        waiting_[key].push_back(std::move(on_done));
-        faultQueue_.push_back(Fault{&as, va});
-        if (!faultInService_)
-            serviceNextFault();
-    }
-
-    void
-    shootdownLocal(AddressSpace &as, VAddr va,
-                   std::function<void()> on_done)
-    {
-        ++shootdowns_;
-        if (trc_.enabled(sim::traceVm))
-            trc_.complete(sim::traceVm, lane_, "shootdown",
-                          eq_->now(),
-                          eq_->now() + cfg_.shootdownLatency, va);
-        WalkResult r = as.pageTable().walk(va);
-        if (r.present) {
-            as.pageTable().unmap(va);
-            frames_.free(r.frame);
-        }
-        for (const OwnedTlb &t : cpuTlbs_) {
-            if (t.owner && sim::crossPartition(*t.owner)) {
-                sim::postToPartition(
-                    *t.owner, [tlb = t.tlb, va] {
-                        tlb->invalidate(va);
-                    });
-            } else {
-                t.tlb->invalidate(va);
-            }
-        }
-        for (const OwnedTlb &t : mttopTlbs_) {
-            if (t.owner && sim::crossPartition(*t.owner)) {
-                sim::postToPartition(*t.owner, [tlb = t.tlb] {
-                    tlb->flushAll();
-                });
-            } else {
-                t.tlb->flushAll();
-            }
-        }
-        eq_->scheduleIn(cfg_.shootdownLatency, std::move(on_done));
-    }
 
     void
     serviceNextFault()

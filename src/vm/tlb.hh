@@ -73,18 +73,6 @@ class Tlb
         return true;
     }
 
-    /** Legacy 3-out-param lookup (tests and attr-oblivious callers). */
-    bool
-    lookup(VAddr va, Addr &frame, bool &writable)
-    {
-        TlbEntry e;
-        if (!lookup(va, e))
-            return false;
-        frame = e.frame;
-        writable = e.writable;
-        return true;
-    }
-
     /** Install a translation, evicting true-LRU if full. */
     void
     insert(VAddr va, Addr frame, bool writable,

@@ -7,8 +7,9 @@
  * (charged at shared-L2 latency) or goes off-chip (charged and counted
  * at the DRAM controller). PTE data itself is read functionally from
  * simulated physical memory; page tables are kernel-managed and are
- * never cached dirty in L1s, so PhysMem is authoritative for them
- * (design decision documented in DESIGN.md).
+ * never cached dirty in L1s, so PhysMem is authoritative for them: the
+ * walk charges PTE-read timing without routing PTE data through the
+ * coherence protocol.
  */
 
 #ifndef CCSVM_VM_WALKER_HH
@@ -37,10 +38,12 @@ struct WalkerConfig
 };
 
 /**
- * Machine-wide model of PTE lines resident in the shared cache
- * hierarchy: after any core's walker fetches a PTE line, other cores
- * find it on-chip instead of re-reading DRAM (in the paper's chip the
- * walkers' fills land in the inclusive shared L2). Bounded LRU.
+ * A bounded LRU set of PTE lines. Each walker keeps one as its
+ * page-walk cache. One more, shared by every walker, models the PTE
+ * lines resident in the shared cache hierarchy: after any core's
+ * walker fetches a PTE line, other cores find it on-chip instead of
+ * re-reading DRAM (in the paper's chip the walkers' fills land in the
+ * inclusive shared L2).
  */
 class PteLineFilter
 {
@@ -88,6 +91,7 @@ class Walker
            const std::string &name, const WalkerConfig &cfg,
            mem::DramCtrl &dram, PteLineFilter *shared = nullptr)
         : eq_(&eq), cfg_(cfg), dram_(&dram), shared_(shared),
+          pwc_(cfg.pwcEntries),
           walks_(stats.counter(name + ".walks", "page walks started")),
           pwcHits_(stats.counter(name + ".pwcHits",
                                  "PTE reads served by walk cache")),
@@ -105,9 +109,9 @@ class Walker
      * The walkers share one PteLineFilter and all sit (with the page
      * tables' authoritative PhysMem image) in the system partition
      * under a PartEngine, so a walk requested from a core partition
-     * is routed there over the conservative horizon and the result
-     * comes back in the caller's partition — the shared LRU state is
-     * only ever touched in deterministic partition-local order.
+     * runs there through sim::callIn and its result returns through
+     * sim::replyFrom: the shared LRU state is only ever touched in
+     * deterministic partition-local order.
      *
      * @param on_done receives the functional walk result, in the
      *        caller's partition, once the dependent PTE reads have
@@ -117,46 +121,27 @@ class Walker
     walk(const PageTable &pt, VAddr va,
          std::function<void(WalkResult)> on_done)
     {
-        if (sim::crossPartition(*eq_)) {
-            sim::EventQueue *src = sim::activeQueue();
-            sim::postToPartition(
-                *eq_, [this, &pt, va, src,
-                       cb = std::move(on_done)]() mutable {
-                    walkLocal(pt, va,
-                              [src, cb = std::move(cb)](
-                                  WalkResult r) mutable {
-                                  sim::postToPartition(
-                                      *src,
-                                      [cb = std::move(cb),
-                                       r]() mutable { cb(r); });
-                              });
-                });
-            return;
-        }
-        walkLocal(pt, va, std::move(on_done));
+        auto reply = sim::replyFrom(*eq_, std::move(on_done));
+        sim::callIn(*eq_, [this, &pt, va,
+                           reply = std::move(reply)]() mutable {
+            ++walks_;
+            if (trc_.enabled(sim::traceVm)) {
+                // Wrap the completion so the span closes when the
+                // last PTE access resolves, still in this walker's
+                // partition.
+                const Tick t0 = eq_->now();
+                reply = [this, t0, va, cb = std::move(reply)](
+                            WalkResult res) mutable {
+                    trc_.complete(sim::traceVm, lane_, "walk", t0,
+                                  eq_->now(), va);
+                    cb(res);
+                };
+            }
+            stepWalk(pt.walk(va), 0, std::move(reply));
+        });
     }
 
   private:
-    void
-    walkLocal(const PageTable &pt, VAddr va,
-              std::function<void(WalkResult)> on_done)
-    {
-        ++walks_;
-        if (trc_.enabled(sim::traceVm)) {
-            // Wrap the completion so the span closes when the last
-            // PTE access resolves, still in this walker's partition.
-            const Tick t0 = eq_->now();
-            on_done = [this, t0, va, cb = std::move(on_done)](
-                          WalkResult res) mutable {
-                trc_.complete(sim::traceVm, lane_, "walk", t0,
-                              eq_->now(), va);
-                cb(res);
-            };
-        }
-        WalkResult r = pt.walk(va);
-        stepWalk(r, 0, std::move(on_done));
-    }
-
     void
     stepWalk(WalkResult r, unsigned lvl,
              std::function<void(WalkResult)> on_done)
@@ -166,7 +151,7 @@ class Walker
             return;
         }
         const Addr line = mem::blockAlign(r.pteAddrs[lvl]);
-        if (pwcLookup(line)) {
+        if (pwc_.lookup(line)) {
             ++pwcHits_;
             eq_->scheduleIn(cfg_.pwcHitLatency,
                             [this, r, lvl,
@@ -178,7 +163,7 @@ class Walker
             // Another core's walk left this PTE line in the shared
             // cache hierarchy: on-chip hit.
             ++sharedHits_;
-            pwcInsert(line);
+            pwc_.insert(line);
             eq_->scheduleIn(cfg_.sharedHitLatency,
                             [this, r, lvl,
                              on_done = std::move(on_done)]() mutable {
@@ -190,7 +175,7 @@ class Walker
             dram_->access(false, mem::blockBytes,
                           [this, r, lvl, line,
                            on_done = std::move(on_done)]() mutable {
-                              pwcInsert(line);
+                              pwc_.insert(line);
                               if (shared_)
                                   shared_->insert(line);
                               stepWalk(r, lvl + 1,
@@ -199,37 +184,11 @@ class Walker
         }
     }
 
-    bool
-    pwcLookup(Addr line)
-    {
-        auto it = pwc_.find(line);
-        if (it == pwc_.end())
-            return false;
-        it->second = ++useClock_;
-        return true;
-    }
-
-    void
-    pwcInsert(Addr line)
-    {
-        if (pwc_.size() >= cfg_.pwcEntries &&
-            pwc_.find(line) == pwc_.end()) {
-            auto lru = pwc_.begin();
-            for (auto it = pwc_.begin(); it != pwc_.end(); ++it) {
-                if (it->second < lru->second)
-                    lru = it;
-            }
-            pwc_.erase(lru);
-        }
-        pwc_[line] = ++useClock_;
-    }
-
     sim::EventQueue *eq_;
     WalkerConfig cfg_;
     mem::DramCtrl *dram_;
     PteLineFilter *shared_;
-    std::unordered_map<Addr, std::uint64_t> pwc_;
-    std::uint64_t useClock_ = 0;
+    PteLineFilter pwc_;
 
     sim::Counter &walks_;
     sim::Counter &pwcHits_;

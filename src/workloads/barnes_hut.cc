@@ -11,8 +11,9 @@
  * integrates positions — on the MTTOP (xthreads), on 4 APU CPU cores
  * (pthreads), or on one CPU core. We use a 2-D quadtree (the paper
  * ports "the well-known barnes-hut" benchmark without specifying
- * dimensionality; 2-D preserves the pointer-chasing structure at
- * lower simulation cost — recorded in DESIGN.md).
+ * dimensionality; 2-D keeps the pointer-chasing structure, the
+ * recursion and the phase toggling that the benchmark is there for,
+ * at lower simulation cost).
  *
  * Guest float arithmetic happens host-side between guest memory
  * operations in exactly the order the golden model uses, so results

@@ -1,7 +1,8 @@
 /**
  * @file
  * PartEngine tests: conservative window invariants, deterministic
- * cross-partition ordering, thread-count-independent statistics
+ * cross-partition ordering, the callIn/replyFrom routing contract,
+ * thread-count-independent statistics
  * (per-partition stat slots written from every partition at once),
  * and the worker-count resolution helpers. The suite carries the
  * "concurrent" ctest label so the CI ThreadSanitizer lane exercises
@@ -11,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,12 +148,110 @@ TEST(PartEngine, HostScheduleAfterRunStaysConservative)
     EXPECT_TRUE(eng.empty());
 }
 
+TEST(PartEngine, CallInRunsInOwnerAndReplyFromReturns)
+{
+    // Partitions 1-3 each call into partition 0 in the same window
+    // (so at 4 threads they run on different workers). Each call runs
+    // in partition 0 one lookahead after its caller; its replyFrom
+    // completion, called there, runs back in the caller's partition
+    // one lookahead later, with the reply's argument.
+    struct Seen
+    {
+        int callPart = -1, replyPart = -1, value = 0;
+        Tick callAt = 0, replyAt = 0;
+    };
+    for (const int threads : {1, 4}) {
+        PartEngine eng(4, 10, threads);
+        EventQueue &owner = eng.queue(0);
+        Seen seen[4];
+        for (int p = 1; p < 4; ++p) {
+            eng.queue(p).schedule(5, [&eng, &owner, &s = seen[p], p] {
+                auto reply = replyFrom(
+                    owner, std::function<void(int)>([&eng, &s, p](int v) {
+                        s.replyPart = activePartition();
+                        s.replyAt = eng.queue(p).now();
+                        s.value = v;
+                    }));
+                callIn(owner, [&owner, &s, p,
+                               reply = std::move(reply)]() mutable {
+                    s.callPart = activePartition();
+                    s.callAt = owner.now();
+                    reply(10 * p);
+                });
+                EXPECT_EQ(s.callPart, -1)
+                    << "a cross-partition call ran inline";
+            });
+        }
+        eng.run();
+        for (int p = 1; p < 4; ++p) {
+            const Seen &s = seen[p];
+            EXPECT_EQ(s.callPart, 0) << "threads=" << threads;
+            EXPECT_EQ(s.callAt, 15u);
+            EXPECT_EQ(s.replyPart, p);
+            EXPECT_EQ(s.replyAt, 25u);
+            EXPECT_EQ(s.value, 10 * p);
+        }
+        EXPECT_TRUE(eng.empty());
+    }
+}
+
+TEST(PartEngine, CallInIsInlineInItsOwnPartitionAndFromHostCode)
+{
+    // No partition boundary: callIn runs before it returns, and
+    // replyFrom hands back a completion that also runs inline.
+    for (const int threads : {1, 4}) {
+        PartEngine eng(4, 10, threads);
+        EventQueue &owner = eng.queue(1);
+        auto callAndReply = [&](int expect_part) {
+            bool called = false, replied = false;
+            auto reply = replyFrom(owner, std::function<void()>([&] {
+                                       EXPECT_EQ(activePartition(),
+                                                 expect_part);
+                                       replied = true;
+                                   }));
+            callIn(owner, [&] {
+                EXPECT_EQ(activePartition(), expect_part);
+                called = true;
+                reply();
+            });
+            EXPECT_TRUE(called) << "threads=" << threads;
+            EXPECT_TRUE(replied) << "threads=" << threads;
+        };
+        callAndReply(0); // host code: no engine window is running
+        bool ran = false;
+        owner.schedule(5, [&] {
+            callAndReply(1);
+            EXPECT_EQ(owner.now(), 5u);
+            ran = true;
+        });
+        eng.run();
+        EXPECT_TRUE(ran);
+        EXPECT_TRUE(eng.empty());
+    }
+}
+
 TEST(PartEngine, ThreadCountIsBookkeepingOnly)
 {
     PartEngine eng(2, 10, 0); // clamped to >= 1
     EXPECT_EQ(eng.threads(), 1);
     eng.setThreads(3);
     EXPECT_EQ(eng.threads(), 3);
+}
+
+TEST(PartEngine, OversizedThreadCountRunsOneWorkerPerPartition)
+{
+    // A window claims at most one queue per partition, so a thread
+    // count far above the partition count must neither allocate nor
+    // spawn the surplus workers. Both partitions hold events in every
+    // window, so the worker pool is built and used.
+    PartEngine eng(2, 10, std::numeric_limits<int>::max());
+    EXPECT_EQ(eng.threads(), std::numeric_limits<int>::max());
+    for (int p = 0; p < 2; ++p)
+        for (Tick t = 1; t <= 50; ++t)
+            eng.queue(p).schedule(t * 3, [] {});
+    eng.run();
+    EXPECT_EQ(eng.eventsExecuted(), 100u);
+    EXPECT_TRUE(eng.empty());
 }
 
 // gtest runs *DeathTest suites first, before any other test of this
@@ -318,6 +419,9 @@ TEST(SimThreads, ResolveFromEnvironment)
     EXPECT_EQ(resolveSimThreads(-1),
               static_cast<int>(sim::hardwareJobs()));
     ::setenv("CCSVM_SIM_THREADS", "banana", 1);
+    EXPECT_EQ(resolveSimThreads(-1), 1);
+    // Above INT_MAX: invalid too, not narrowed to some other count.
+    ::setenv("CCSVM_SIM_THREADS", "99999999999", 1);
     EXPECT_EQ(resolveSimThreads(-1), 1);
     // An explicit config wins without consulting the environment.
     ::setenv("CCSVM_SIM_THREADS", "7", 1);

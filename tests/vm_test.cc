@@ -104,23 +104,22 @@ TEST_F(VmFixture, SparseHighAddressesWork)
 TEST_F(VmFixture, TlbHitMissAndLru)
 {
     Tlb tlb(stats, "tlb", 4);
-    Addr frame;
-    bool w;
-    EXPECT_FALSE(tlb.lookup(0x1000, frame, w));
+    TlbEntry e;
+    EXPECT_FALSE(tlb.lookup(0x1000, e));
     tlb.insert(0x1000, 0xa000, true);
-    ASSERT_TRUE(tlb.lookup(0x1000, frame, w));
-    EXPECT_EQ(frame, 0xa000u);
-    EXPECT_TRUE(w);
+    ASSERT_TRUE(tlb.lookup(0x1000, e));
+    EXPECT_EQ(e.frame, 0xa000u);
+    EXPECT_TRUE(e.writable);
 
     // Fill to capacity, then add one more: LRU (0x1000 is most
     // recently used thanks to the lookup) must survive.
     tlb.insert(0x2000, 0xb000, true);
     tlb.insert(0x3000, 0xc000, true);
     tlb.insert(0x4000, 0xd000, true);
-    ASSERT_TRUE(tlb.lookup(0x1000, frame, w));
+    ASSERT_TRUE(tlb.lookup(0x1000, e));
     tlb.insert(0x5000, 0xe000, true);
     EXPECT_EQ(tlb.size(), 4u);
-    EXPECT_TRUE(tlb.lookup(0x1000, frame, w)) << "MRU evicted";
+    EXPECT_TRUE(tlb.lookup(0x1000, e)) << "MRU evicted";
 }
 
 TEST_F(VmFixture, TlbExactLruOrderUnderChurn)
@@ -130,21 +129,20 @@ TEST_F(VmFixture, TlbExactLruOrderUnderChurn)
     // re-inserts and misses so any future structure change must keep
     // true-LRU behavior.
     Tlb tlb(stats, "lrutlb", 3);
-    Addr frame;
-    bool w;
+    TlbEntry e;
     tlb.insert(0x1000, 0xa000, true);
     tlb.insert(0x2000, 0xb000, true);
     tlb.insert(0x3000, 0xc000, true);
     // Recency now 3,2,1. Touch 1 -> 1,3,2; re-insert 2 -> 2,1,3.
-    ASSERT_TRUE(tlb.lookup(0x1000, frame, w));
+    ASSERT_TRUE(tlb.lookup(0x1000, e));
     tlb.insert(0x2000, 0xb100, true);
     // Next two inserts evict 3 then... 1 (2 was freshened).
     tlb.insert(0x4000, 0xd000, true);
-    EXPECT_FALSE(tlb.lookup(0x3000, frame, w));
+    EXPECT_FALSE(tlb.lookup(0x3000, e));
     tlb.insert(0x5000, 0xe000, true);
-    EXPECT_FALSE(tlb.lookup(0x1000, frame, w));
-    ASSERT_TRUE(tlb.lookup(0x2000, frame, w));
-    EXPECT_EQ(frame, 0xb100u) << "re-insert must update in place";
+    EXPECT_FALSE(tlb.lookup(0x1000, e));
+    ASSERT_TRUE(tlb.lookup(0x2000, e));
+    EXPECT_EQ(e.frame, 0xb100u) << "re-insert must update in place";
     EXPECT_EQ(tlb.size(), 3u);
 }
 
@@ -181,11 +179,10 @@ TEST_F(VmFixture, ShootdownPolicyCountsFlushes)
 
     // CPU TLBs: precise invalidation, unrelated entries survive, no
     // whole-TLB flush counted.
-    Addr f;
-    bool w;
+    TlbEntry e;
     for (Tlb *t : {&cpu0, &cpu1}) {
-        EXPECT_FALSE(t->lookup(0x2000'0000, f, w));
-        EXPECT_TRUE(t->lookup(0x3000'0000, f, w));
+        EXPECT_FALSE(t->lookup(0x2000'0000, e));
+        EXPECT_TRUE(t->lookup(0x3000'0000, e));
     }
     EXPECT_EQ(stats.get("sd.cpu0.flushes"), 0u);
     EXPECT_EQ(stats.get("sd.cpu1.flushes"), 0u);
@@ -214,11 +211,10 @@ TEST_F(VmFixture, TlbInvalidateAndFlush)
     tlb.insert(0x1000, 0xa000, true);
     tlb.insert(0x2000, 0xb000, false);
     tlb.invalidate(0x1234); // same page as 0x1000
-    Addr frame;
-    bool w;
-    EXPECT_FALSE(tlb.lookup(0x1000, frame, w));
-    EXPECT_TRUE(tlb.lookup(0x2000, frame, w));
-    EXPECT_FALSE(w);
+    TlbEntry e;
+    EXPECT_FALSE(tlb.lookup(0x1000, e));
+    EXPECT_TRUE(tlb.lookup(0x2000, e));
+    EXPECT_FALSE(e.writable);
     tlb.flushAll();
     EXPECT_EQ(tlb.size(), 0u);
     EXPECT_EQ(stats.get("tlb.flushes"), 1u);
@@ -334,11 +330,10 @@ TEST_F(VmFixture, ShootdownFlushesMttopTlbsAndInvalidatesCpuTlbs)
     ASSERT_TRUE(done);
     EXPECT_FALSE(as->pageTable().walk(0x2000'0000).present);
 
-    Addr f;
-    bool w;
+    TlbEntry e;
     // CPU TLB: precise invalidation, other entries survive.
-    EXPECT_FALSE(cpu_tlb.lookup(0x2000'0000, f, w));
-    EXPECT_TRUE(cpu_tlb.lookup(0x3000'0000, f, w));
+    EXPECT_FALSE(cpu_tlb.lookup(0x2000'0000, e));
+    EXPECT_TRUE(cpu_tlb.lookup(0x3000'0000, e));
     // MTTOP TLB: conservative full flush (paper Sec. 3.2.1).
     EXPECT_EQ(mttop_tlb.size(), 0u);
 }
