@@ -137,7 +137,7 @@ synthPoint(const Probe &probe, int banks, SliceHashKind hash,
     system::CcsvmConfig cfg;
     cfg.numL2Banks = banks;
     cfg.sliceHash = hash;
-    cfg.l2Replace = replace;
+    cfg.l2.replace = replace;
     system::CcsvmMachine m(cfg);
     SweepOutcome o;
     o.run = synth::synthXthreads(m, probeParams(probe));
@@ -168,7 +168,7 @@ replayPoint(SliceHashKind hash, ReplacerKind replace)
     }
     system::CcsvmConfig cfg;
     cfg.sliceHash = hash;
-    cfg.l2Replace = replace;
+    cfg.l2.replace = replace;
     system::CcsvmMachine m(cfg);
     SweepOutcome o;
     o.run = workloads::replay::runReplay(m, trace);

@@ -34,10 +34,12 @@ ccsvm_run(--l2-bank-kb 3 --workload synth:false --iters 1 EXIT 2
 
 # Integer flags take decimal digits only, within the range of the
 # field they land in: a sign must not wrap to a huge count and a
-# too-large value must not be truncated. Each exits 2 naming the flag.
+# too-large value must not be truncated. An MTTOP core needs room for
+# one SIMD-width (8-thread) chunk, or no launch could ever dispatch.
+# Each exits 2 naming the flag.
 foreach(bad "--cpu-cores;-1" "--mttop-cores;-1" "--mttop-contexts;-1"
-            "--n;4294967296" "--sim-threads;-1" "--jobs;-1"
-            "--sample-interval;-1" "--l2-banks;4294967295"
+            "--mttop-contexts;7" "--n;4294967296" "--sim-threads;-1"
+            "--jobs;-1" "--sample-interval;-1" "--l2-banks;4294967295"
             "--iters;+5" "--seed;18446744073709551616")
   list(GET bad 0 flag)
   ccsvm_run(${bad} --workload synth:false --iters 1 EXIT 2

@@ -1,0 +1,97 @@
+#!/usr/bin/env bash
+# Byte-identity check between two builds of this repo: run the same
+# driver command lines and figure benches with each, and compare
+# everything they print and write.
+#
+# For each line of scripts/identity_corpus.txt it runs both builds'
+# tools/ccsvm under the same argv[0] ("ccsvm"; --help prints it) in a
+# fresh directory per build, and compares the exit code, stdout,
+# stderr and every output file byte for byte. In a corpus line,
+# @OUT@ is an output directory and @REPO@ this repo's root.
+#
+# It then does the same for every bench binary the build lists in
+# bench/benches.txt, comparing exit code, stdout, stderr and the
+# CCSVM_BENCH_JSON file, except abl_engine, abl_trace and abl_replay,
+# whose tables carry host-time columns.
+#
+# Exits 0 when nothing differs, 1 naming the first difference, 2 on
+# bad usage. The outputs go to a temporary directory, deleted when
+# nothing differs and kept (its path printed) otherwise.
+#
+# usage: scripts/identity_check.sh OLD_BUILD NEW_BUILD
+#   CCSVM_BENCH_JOBS=N     sweep workers per bench (default 2)
+set -euo pipefail
+
+[[ $# -eq 2 ]] || {
+    echo "usage: $0 OLD_BUILD NEW_BUILD" >&2
+    exit 2
+}
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+old="$(cd "$1" && pwd)"
+new="$(cd "$2" && pwd)"
+corpus="$repo/scripts/identity_corpus.txt"
+for b in "$old" "$new"; do
+    [[ -x $b/tools/ccsvm && -f $b/bench/benches.txt ]] || {
+        echo "identity_check: $b is not a build with benches" >&2
+        exit 2
+    }
+done
+
+work="$(mktemp -d)"
+trap 'rc=$?; if ((rc == 0)); then rm -rf "$work"; else
+    echo "identity_check: outputs kept in $work" >&2; fi' EXIT
+export CCSVM_BENCH_JOBS="${CCSVM_BENCH_JOBS:-2}"
+
+# run SIDE NAME BIN ARGS...: run BIN with argv[0] NAME inside
+# $work/SIDE/<case>/run (a bench writes its JSON to out/), capturing
+# its exit code and output beside that directory.
+run() {
+    local dir="$work/$1/$case_id"
+    mkdir -p "$dir/run/out"
+    local rc=0
+    (cd "$dir/run" && export TMPDIR="$dir/run" \
+        CCSVM_BENCH_JSON=out/BENCH.json && exec -a "$2" "${@:3}") \
+        >"$dir/stdout" 2>"$dir/stderr" || rc=$?
+    echo "$rc" >"$dir/exit"
+}
+
+# compare WHAT: fail on the first byte that differs between sides.
+compare() {
+    local a="$work/old/$case_id" b="$work/new/$case_id" f
+    for f in exit stdout stderr; do
+        if ! cmp -s "$a/$f" "$b/$f"; then
+            echo "identity_check: $1: $f differs" >&2
+            diff "$a/$f" "$b/$f" | head -20 >&2 || true
+            exit 1
+        fi
+    done
+    if ! diff -rq "$a/run" "$b/run" >&2; then
+        echo "identity_check: $1: output files differ" >&2
+        exit 1
+    fi
+}
+
+n=0
+while IFS= read -r line || [[ -n $line ]]; do
+    [[ $line =~ ^[[:space:]]*(#|$) ]] && continue
+    n=$((n + 1))
+    case_id="driver-$n"
+    line="${line//@OUT@/out}"
+    line="${line//@REPO@/$repo}"
+    read -ra args <<<"$line"
+    run old ccsvm "$old/tools/ccsvm" "${args[@]}"
+    run new ccsvm "$new/tools/ccsvm" "${args[@]}"
+    compare "ccsvm $line"
+done <"$corpus"
+echo "identity_check: $n driver lines identical"
+
+benches=0
+while IFS= read -r bench; do
+    case "$bench" in abl_engine | abl_trace | abl_replay) continue ;; esac
+    case_id="bench-$bench"
+    run old "$bench" "$old/bench/$bench"
+    run new "$bench" "$new/bench/$bench"
+    compare "bench $bench"
+    benches=$((benches + 1))
+done <"$old/bench/benches.txt"
+echo "identity_check: $benches benches identical"

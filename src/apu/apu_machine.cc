@@ -1,7 +1,5 @@
 #include "apu/apu_machine.hh"
 
-#include <cstring>
-
 namespace ccsvm::apu
 {
 
@@ -9,48 +7,32 @@ ApuMachine::ApuMachine(ApuConfig cfg)
     : cfg_(std::move(cfg)), phys_(cfg_.physMemBytes),
       pinnedBrk_(cfg_.pinnedBase)
 {
-    // The directory-at-memory must be able to track every privately
-    // cached line (inclusive): size it at 2x aggregate private cache.
-    cfg_.dir.memoryResident = true;
-    cfg_.dir.bankSizeBytes = 2 * static_cast<Addr>(cfg_.numCpuCores) *
-                             cfg_.cpuCache.sizeBytes;
-    cfg_.dir.assoc = 32;
-    cfg_.dir.ctrlLatency = 2 * tickNs; // UNB probe path
-
     dram_ = std::make_unique<mem::DramCtrl>(eq_, stats_, "dram",
                                             cfg_.dram);
     cfg_.xbar.nodes = cfg_.numCpuCores + 1;
     xbar_ = std::make_unique<noc::CrossbarNetwork>(eq_, stats_,
                                                    "xbar", cfg_.xbar);
-    if (cfg_.swmrChecks)
-        monitor_ = std::make_unique<coherence::SwmrMonitor>();
-
     ccsvm_assert(cfg_.framePoolBase < cfg_.pinnedBase,
                  "frame pool overlaps pinned region");
     kernel_ = std::make_unique<vm::Kernel>(
         eq_, stats_, phys_, cfg_.kernel, cfg_.framePoolBase,
         cfg_.pinnedBase - cfg_.framePoolBase);
 
-    // CPU cluster: L1 ids/nodes 0..n-1, directory at node n.
-    for (int i = 0; i < cfg_.numCpuCores; ++i) {
-        l1s_.push_back(std::make_unique<coherence::L1Controller>(
-            eq_, stats_, "cpu" + std::to_string(i) + ".cache",
-            cfg_.cpuCache, i, *xbar_, i, monitor_.get()));
-    }
-    dirBank_ = std::make_unique<coherence::Directory>(
-        eq_, stats_, "unb", cfg_.dir, 0, 1, *xbar_,
-        cfg_.numCpuCores, *dram_, phys_);
-
-    std::vector<coherence::L1Ref> l1refs;
-    for (int i = 0; i < cfg_.numCpuCores; ++i)
-        l1refs.push_back({l1s_[i].get(), i});
-    std::vector<coherence::DirRef> dirrefs{
-        {dirBank_.get(), cfg_.numCpuCores}};
-    for (auto &l1 : l1s_) {
-        l1->connectDirectories(dirrefs);
-        l1->connectPeers(l1refs);
-    }
-    dirBank_->connectL1s(l1refs);
+    // The CPU cluster's private caches share one directory at memory
+    // (no data cache), which must be able to track every privately
+    // cached line (inclusive): size it at 2x aggregate private cache.
+    coherence::CacheSystemConfig caches;
+    caches.clusters = {{coherence::CoreKind::Cpu, cfg_.numCpuCores,
+                        cfg_.cpuCache, coherence::Protocol::MOESI, &eq_}};
+    caches.bank.memoryResident = true;
+    caches.bank.bankSizeBytes = 2 * static_cast<Addr>(cfg_.numCpuCores) *
+                                cfg_.cpuCache.sizeBytes;
+    caches.bank.assoc = 32;
+    caches.bank.ctrlLatency = 2 * tickNs; // UNB probe path
+    caches.bankQueues = {&eq_};
+    caches.swmrChecks = cfg_.swmrChecks;
+    caches_ = std::make_unique<coherence::CacheSystem>(
+        caches, stats_, *xbar_, *dram_, phys_);
 
     // PTE lines cached across the CPUs' private hierarchies.
     pteFilter_ = std::make_unique<vm::PteLineFilter>();
@@ -60,7 +42,8 @@ ApuMachine::ApuMachine(ApuConfig cfg)
             cfg_.walker, *dram_, pteFilter_.get()));
         cpuCores_.push_back(std::make_unique<core::CpuCore>(
             eq_, stats_, "cpu" + std::to_string(i), cfg_.cpu,
-            *l1s_[i], *walkers_.back(), *kernel_, *xbar_, i));
+            caches_->l1(i), *walkers_.back(), *kernel_, *xbar_,
+            caches_->l1(i).node()));
         core::UncachedWindow win;
         win.base = cfg_.pinnedBase;
         win.size = cfg_.pinnedSize;
@@ -84,7 +67,7 @@ runtime::Process &
 ApuMachine::createProcess()
 {
     processes_.push_back(std::make_unique<runtime::Process>(
-        static_cast<int>(processes_.size()), *kernel_, *this));
+        static_cast<int>(processes_.size()), *kernel_, *caches_));
     return *processes_.back();
 }
 
@@ -189,52 +172,6 @@ std::uint64_t
 ApuMachine::dramAccesses() const
 {
     return dram_->reads() + dram_->writes();
-}
-
-void
-ApuMachine::funcRead(Addr pa, void *dst, unsigned len)
-{
-    auto *out = static_cast<std::uint8_t *>(dst);
-    while (len > 0) {
-        const Addr block = mem::blockAlign(pa);
-        const unsigned off = static_cast<unsigned>(pa - block);
-        const unsigned chunk =
-            std::min<unsigned>(len, mem::blockBytes - off);
-
-        std::uint8_t buf[mem::blockBytes];
-        bool found = false;
-        for (auto &l1 : l1s_) {
-            if (l1->funcReadBlock(block, buf)) {
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            phys_.readBlock(block, buf);
-        std::memcpy(out, buf + off, chunk);
-        pa += chunk;
-        out += chunk;
-        len -= chunk;
-    }
-}
-
-void
-ApuMachine::funcWrite(Addr pa, const void *src, unsigned len)
-{
-    const auto *in = static_cast<const std::uint8_t *>(src);
-    while (len > 0) {
-        const Addr block = mem::blockAlign(pa);
-        const unsigned off = static_cast<unsigned>(pa - block);
-        const unsigned chunk =
-            std::min<unsigned>(len, mem::blockBytes - off);
-        phys_.write(pa, in, chunk);
-        for (auto &l1 : l1s_)
-            l1->funcWriteBlock(block, off, in, chunk);
-        dirBank_->funcWriteBlock(block, off, in, chunk);
-        pa += chunk;
-        in += chunk;
-        len -= chunk;
-    }
 }
 
 } // namespace ccsvm::apu

@@ -26,14 +26,11 @@
 #include <vector>
 
 #include "apu/gpu.hh"
-#include "coherence/directory.hh"
-#include "coherence/l1_cache.hh"
-#include "coherence/monitor.hh"
+#include "coherence/cache_system.hh"
 #include "core/cpu_core.hh"
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
 #include "noc/crossbar.hh"
-#include "runtime/functional_mem.hh"
 #include "runtime/process.hh"
 #include "sim/eventq.hh"
 #include "sim/stats.hh"
@@ -54,7 +51,6 @@ struct ApuConfig
     /** Private per-core cache (L1+L2 collapsed: 1 MB capacity at a
      * blended latency; Fig. 9 depends on capacity, not levels). */
     coherence::L1Config cpuCache{1024 * 1024, 16, 2000, 8};
-    coherence::DirConfig dir; ///< memoryResident, set in ctor
     GpuSimdUnitConfig gpu;
 
     mem::DramConfig dram{72 * tickNs, 25.6};
@@ -73,11 +69,11 @@ struct ApuConfig
 };
 
 /** The simulated Llano-class APU. */
-class ApuMachine : public runtime::FunctionalMem
+class ApuMachine
 {
   public:
     explicit ApuMachine(ApuConfig cfg = {});
-    ~ApuMachine() override;
+    ~ApuMachine();
 
     runtime::Process &createProcess();
 
@@ -96,6 +92,9 @@ class ApuMachine : public runtime::FunctionalMem
     sim::EventQueue &eventq() { return eq_; }
     sim::StatRegistry &stats() { return stats_; }
     mem::PhysMem &physMem() { return phys_; }
+    /** The CPU caches and their directory at memory; also the
+     * coherent functional view of memory. */
+    coherence::CacheSystem &caches() { return *caches_; }
     vm::Kernel &kernel() { return *kernel_; }
     const ApuConfig &config() const { return cfg_; }
 
@@ -113,13 +112,6 @@ class ApuMachine : public runtime::FunctionalMem
     /** Off-chip DRAM transactions so far (Figure 9's metric). */
     std::uint64_t dramAccesses() const;
 
-    /** Text dump of every statistic (gem5 stats.txt style). */
-    void dumpStats(std::ostream &os) const { stats_.dump(os); }
-
-    // FunctionalMem.
-    void funcRead(Addr pa, void *dst, unsigned len) override;
-    void funcWrite(Addr pa, const void *src, unsigned len) override;
-
   private:
     void dispatchGpu();
 
@@ -130,11 +122,9 @@ class ApuMachine : public runtime::FunctionalMem
 
     std::unique_ptr<mem::DramCtrl> dram_;
     std::unique_ptr<noc::CrossbarNetwork> xbar_;
-    std::unique_ptr<coherence::SwmrMonitor> monitor_;
     std::unique_ptr<vm::Kernel> kernel_;
 
-    std::vector<std::unique_ptr<coherence::L1Controller>> l1s_;
-    std::unique_ptr<coherence::Directory> dirBank_;
+    std::unique_ptr<coherence::CacheSystem> caches_;
     std::unique_ptr<vm::PteLineFilter> pteFilter_;
     std::vector<std::unique_ptr<vm::Walker>> walkers_;
     std::vector<std::unique_ptr<core::CpuCore>> cpuCores_;

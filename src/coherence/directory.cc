@@ -4,32 +4,22 @@
 #include <cstring>
 
 #include "base/logging.hh"
+#include "coherence/cache_system.hh"
 
 namespace ccsvm::coherence
 {
 
-void
-directoryDeliver(Directory *dir, CohMsg msg)
-{
-    dir->handleMessage(std::move(msg));
-}
-
-Directory::Directory(sim::EventQueue &eq, sim::StatRegistry &stats,
-                     const std::string &name, const DirConfig &cfg,
-                     int bank_id, int num_banks, noc::Network &net,
-                     noc::NodeId my_node, mem::DramCtrl &dram,
-                     mem::PhysMem &phys)
-    : eq_(&eq), cfg_(cfg),
-      cpuPolicy_(&protocolPolicy(cfg.firstMttopL1 >= 0
-                                     ? cfg.cpuProtocol
-                                     : cfg.protocol)),
-      mttopPolicy_(&protocolPolicy(cfg.firstMttopL1 >= 0
-                                       ? cfg.mttopProtocol
-                                       : cfg.protocol)),
-      bankId_(bank_id), numBanks_(num_banks),
-      net_(&net), node_(my_node), dram_(&dram), phys_(&phys),
+Directory::Directory(const CacheSystem &sys, sim::EventQueue &eq,
+                     sim::StatRegistry &stats, const std::string &name,
+                     const DirConfig &cfg, int bank_id,
+                     noc::NodeId node, noc::Network &net,
+                     mem::DramCtrl &dram, mem::PhysMem &phys)
+    : sys_(&sys), eq_(&eq), cfg_(cfg), bankId_(bank_id),
+      net_(&net), node_(node), dram_(&dram), phys_(&phys),
+      // Each bank offsets the stochastic (rand) replacer's seed by
+      // its id so banks draw independent victim streams.
       array_(cfg.bankSizeBytes, cfg.assoc, cfg.replace,
-             cfg.replaceSeed + static_cast<std::uint64_t>(bank_id)),
+             0x2545F4914F6CDD1Dull + static_cast<std::uint64_t>(bank_id)),
       getS_(stats.counter(name + ".getS", "GetS requests processed")),
       getM_(stats.counter(name + ".getM", "GetM requests processed")),
       fetches_(stats.counter(name + ".fetches",
@@ -92,15 +82,6 @@ Directory::Directory(sim::EventQueue &eq, sim::StatRegistry &stats,
                               "request accepted to Unblock")),
       trc_(stats.tracer()), lane_(stats.tracer().lane(name))
 {}
-
-void
-Directory::connectL1s(std::vector<L1Ref> l1s)
-{
-    ccsvm_assert(l1s.size() <= std::size_t(maxL1s),
-                 "%zu L1s: a directory's sharer mask tracks at most %d",
-                 l1s.size(), maxL1s);
-    l1s_ = std::move(l1s);
-}
 
 std::size_t
 Directory::pendingWork() const
@@ -165,7 +146,7 @@ bool
 Directory::funcReadBlock(Addr block_addr, std::uint8_t *out)
 {
     L2Line *line = array_.lookup(mem::blockAlign(block_addr));
-    if (!line)
+    if (!line || cfg_.memoryResident)
         return false;
     std::memcpy(out, line->data.data(), mem::blockBytes);
     return true;
@@ -195,13 +176,13 @@ Directory::isSharer(const L2Line &line, L1Id id) const
 bool
 Directory::isMttopL1(L1Id id) const
 {
-    return cfg_.firstMttopL1 >= 0 && id >= cfg_.firstMttopL1;
+    return sys_->l1(id).kind() == CoreKind::Mttop;
 }
 
 const ProtocolPolicy &
 Directory::policyFor(L1Id id) const
 {
-    return isMttopL1(id) ? *mttopPolicy_ : *cpuPolicy_;
+    return sys_->l1(id).policy();
 }
 
 const ProtocolPolicy &
@@ -234,14 +215,12 @@ Directory::stampRegion(L2Line &line, const CohMsg &msg)
 void
 Directory::handleMessage(CohMsg msg)
 {
-    // Both ends of the chip resolve the same SliceHash from the
-    // config; a mismatch would home blocks inconsistently.
-    ccsvm_assert(
-        sliceHash(cfg_.sliceHash).bankOf(msg.blockAddr, numBanks_) ==
-            bankId_,
-        "block 0x%llx routed to wrong bank %d (hash %s)",
-        (unsigned long long)msg.blockAddr, bankId_,
-        sliceHashName(cfg_.sliceHash));
+    // Senders route through the cache system's homeOf; a block
+    // arriving anywhere else would be homed inconsistently.
+    ccsvm_assert(&sys_->homeOf(msg.blockAddr) == this,
+                 "block 0x%llx routed to wrong bank %d (hash %s)",
+                 (unsigned long long)msg.blockAddr, bankId_,
+                 sys_->hash().name());
 
     switch (msg.type) {
       case MsgType::GetS:
@@ -471,7 +450,7 @@ Directory::processGetM(CohMsg &msg, L2Line *line)
 void
 Directory::sendInvs(L2Line &line, L1Id skip, L1Id ack_dest)
 {
-    for (L1Id id = 0; static_cast<std::size_t>(id) < l1s_.size(); ++id) {
+    for (L1Id id = 0; id < sys_->numL1s(); ++id) {
         if (id == skip || !isSharer(line, id))
             continue;
         CohMsg inv;
@@ -909,13 +888,10 @@ Directory::finishRecall(Addr victim_addr)
 void
 Directory::sendToL1(L1Id dst, CohMsg msg, Tick extra_latency)
 {
-    ccsvm_assert(dst >= 0 &&
-                     static_cast<std::size_t>(dst) < l1s_.size(),
-                 "bad L1 id %d", dst);
-    L1Controller *l1 = l1s_[dst].ctrl;
+    L1Controller *l1 = &sys_->l1(dst);
     const unsigned bytes = msg.wireBytes();
     const noc::VNet vnet = msg.vnet();
-    const noc::NodeId dst_node = l1s_[dst].node;
+    const noc::NodeId dst_node = l1->node();
     eq_->scheduleIn(extra_latency, [this, l1, dst_node, vnet, bytes,
                                     msg = std::move(msg)]() mutable {
         net_->send(node_, dst_node, vnet, bytes,

@@ -2,13 +2,13 @@
  * @file
  * Banked, inclusive shared L2 cache with an embedded directory.
  * Protocol-specific decisions (E fills, Owned vs writeback-on-read)
- * are delegated to the ProtocolPolicy selected by DirConfig, so the
- * same bank runs MSI, MESI or MOESI (the default) — and, with a
- * cluster split configured, a different protocol per cluster: the
- * bank resolves every transaction against the requestor's cluster
- * policy (sole-copy fills) or the owner/requestor pair (dirty
- * sharing), so a MOESI CPU cluster and an MSI MTTOP cluster share
- * one directory soundly.
+ * are delegated to the ProtocolPolicy of the L1s involved, which the
+ * bank looks up through its CacheSystem, so the same bank runs MSI,
+ * MESI or MOESI (the default) — and a different protocol per L1
+ * cluster: the bank resolves every transaction against the
+ * requestor's cluster policy (sole-copy fills) or the
+ * owner/requestor pair (dirty sharing), so a MOESI CPU cluster and
+ * an MSI MTTOP cluster share one directory soundly.
  *
  * This is the paper's home node: "the shared L2 cache is banked and
  * co-located with a banked directory that holds state used for cache
@@ -35,9 +35,8 @@
 #include "base/types.hh"
 #include "cache/cache_array.hh"
 #include "cache/replacer.hh"
-#include "coherence/l1_cache.hh"
 #include "coherence/msgs.hh"
-#include "coherence/slice_hash.hh"
+#include "coherence/protocol.hh"
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
 #include "noc/network.hh"
@@ -47,6 +46,8 @@
 namespace ccsvm::coherence
 {
 
+class CacheSystem;
+
 /** Geometry and timing of one L2 bank + directory slice. */
 struct DirConfig
 {
@@ -54,22 +55,6 @@ struct DirConfig
     unsigned assoc = 16;
     Tick l2DataLatency = 3450;  ///< ~10 CPU cycles / 2 MTTOP cycles
     Tick ctrlLatency = 1000;    ///< directory state access
-
-    /** Coherence protocol for every L1 when no cluster split is
-     * configured (firstMttopL1 < 0); must match the L1 controllers'. */
-    Protocol protocol = Protocol::MOESI;
-
-    /**
-     * Per-cluster heterogeneous protocols. When firstMttopL1 >= 0,
-     * L1 ids below the boundary belong to the CPU cluster and run
-     * cpuProtocol, ids at or above it are MTTOP L1s running
-     * mttopProtocol; `protocol` is ignored. The directory mediates
-     * mixed pairs: sole-copy fills follow the requestor's policy and
-     * dirty sharing requires the O state at both ends.
-     */
-    Protocol cpuProtocol = Protocol::MOESI;
-    Protocol mttopProtocol = Protocol::MOESI;
-    int firstMttopL1 = -1;
 
     /**
      * Directory-at-memory mode (the APU baseline's CPU cluster): the
@@ -80,17 +65,8 @@ struct DirConfig
      */
     bool memoryResident = false;
 
-    /** Home-slice hash; must match the L1 controllers' (and the
-     * machine's functional accessors') so every site agrees on each
-     * block's home bank. The bank only asserts it, it never routes. */
-    SliceHashKind sliceHash = SliceHashKind::Mod;
-
     /** L2/directory-entry replacement policy for victim selection. */
     cache::ReplacerKind replace = cache::ReplacerKind::Lru;
-
-    /** Seed for stochastic replacement (rand); each bank offsets it
-     * by its bank id so banks draw independent victim streams. */
-    std::uint64_t replaceSeed = 0x2545F4914F6CDD1Dull;
 };
 
 /** One L2 bank with embedded directory state. */
@@ -102,13 +78,11 @@ class Directory
     /** L1s one directory can track: the bits of a SharerMask. */
     static constexpr int maxL1s = std::numeric_limits<SharerMask>::digits;
 
-    Directory(sim::EventQueue &eq, sim::StatRegistry &stats,
-              const std::string &name, const DirConfig &cfg, int bank_id,
-              int num_banks, noc::Network &net, noc::NodeId my_node,
-              mem::DramCtrl &dram, mem::PhysMem &phys);
-
-    /** Wire up the L1s (index = L1Id); at most maxL1s of them. */
-    void connectL1s(std::vector<L1Ref> l1s);
+    Directory(const CacheSystem &sys, sim::EventQueue &eq,
+              sim::StatRegistry &stats, const std::string &name,
+              const DirConfig &cfg, int bank_id, noc::NodeId node,
+              noc::Network &net, mem::DramCtrl &dram,
+              mem::PhysMem &phys);
 
     /** Network-side entry point. */
     void handleMessage(CohMsg msg);
@@ -126,7 +100,8 @@ class Directory
     bool probe(Addr block_addr, DirState &st, L1Id &owner,
                unsigned &num_sharers);
 
-    /** Functional probe: copy L2 data if the block is resident. */
+    /** Functional probe: copy L2 data if the block is resident. A
+     * memory-resident bank has no data cache and never answers. */
     bool funcReadBlock(Addr block_addr, std::uint8_t *out);
 
     /** Functional write-through into a resident L2 copy. */
@@ -210,8 +185,7 @@ class Directory
     // --- helpers ---
     static unsigned popcount(SharerMask m);
     bool isSharer(const L2Line &line, L1Id id) const;
-    /** L1 @p id belongs to the MTTOP cluster (cluster split active
-     * and id at or past the boundary). */
+    /** L1 @p id serves an MTTOP core. */
     bool isMttopL1(L1Id id) const;
     /** The protocol policy governing L1 @p id's cluster. */
     const ProtocolPolicy &policyFor(L1Id id) const;
@@ -230,12 +204,10 @@ class Directory
      * L2 array; in memory-resident mode it is fetched off-chip. */
     void serveData(L1Id dst, CohMsg msg);
 
+    const CacheSystem *sys_;
     sim::EventQueue *eq_;
     DirConfig cfg_;
-    const ProtocolPolicy *cpuPolicy_;
-    const ProtocolPolicy *mttopPolicy_;
     int bankId_;
-    int numBanks_;
     noc::Network *net_;
     noc::NodeId node_;
     mem::DramCtrl *dram_;
@@ -246,7 +218,6 @@ class Directory
     std::unordered_map<Addr, Recall> recalls_;
     std::unordered_map<Addr, std::deque<CohMsg>> stalled_;
     std::vector<CohMsg> stalledAllocs_;
-    std::vector<L1Ref> l1s_;
 
     sim::Counter &getS_;
     sim::Counter &getM_;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "base/logging.hh"
+#include "coherence/cache_system.hh"
 
 namespace ccsvm::coherence
 {
@@ -10,24 +11,26 @@ namespace ccsvm::coherence
 namespace
 {
 
-/** Core class of an L1 by naming convention ("cpu3.l1" -> "cpu"):
- * same-class L1s share one latency histogram family. */
+/** A kind-wide latency histogram name ("latency.cpu.mem"): every L1
+ * of one core kind records into the same family. */
 std::string
-coreClassOf(const std::string &name)
+latencyName(CoreKind kind, const char *suffix)
 {
-    return name.rfind("cpu", 0) == 0 ? "cpu" : "mttop";
+    return std::string("latency.") + coreKindName(kind) + suffix;
 }
 
 } // namespace
 
-L1Controller::L1Controller(sim::EventQueue &eq, sim::StatRegistry &stats,
-                           const std::string &name, const L1Config &cfg,
-                           L1Id id, noc::Network &net,
-                           noc::NodeId my_node, SwmrMonitor *monitor)
-    : eq_(&eq), cfg_(cfg), policy_(&protocolPolicy(cfg.protocol)),
-      sliceHash_(&sliceHash(cfg.sliceHash)),
-      id_(id), net_(&net), node_(my_node),
-      monitor_(monitor), array_(cfg.sizeBytes, cfg.assoc),
+L1Controller::L1Controller(const CacheSystem &sys,
+                           const L1Cluster &cluster,
+                           sim::StatRegistry &stats,
+                           const std::string &name, L1Id id,
+                           noc::NodeId node, noc::Network &net,
+                           SwmrMonitor *monitor)
+    : sys_(&sys), eq_(cluster.queue), cfg_(cluster.cfg),
+      kind_(cluster.kind), policy_(&protocolPolicy(cluster.protocol)),
+      id_(id), net_(&net), node_(node),
+      monitor_(monitor), array_(cfg_.sizeBytes, cfg_.assoc),
       hits_(stats.counter(name + ".hits", "L1 accesses hitting")),
       misses_(stats.counter(name + ".misses", "L1 accesses missing")),
       evictions_(stats.counter(name + ".evictions", "L1 evictions")),
@@ -42,44 +45,23 @@ L1Controller::L1Controller(sim::EventQueue &eq, sim::StatRegistry &stats,
                                "the home")),
       trc_(stats.tracer()), lane_(stats.tracer().lane(name)),
       latAll_(stats.histogram(
-          "latency." + coreClassOf(name) + ".mem",
+          latencyName(cluster.kind, ".mem"),
           "end-to-end memory-request latency, all transactions")),
-      latHit_(stats.histogram("latency." + coreClassOf(name) + ".hit",
+      latHit_(stats.histogram(latencyName(cluster.kind, ".hit"),
                               "latency of L1 hits")),
       latGetS_(stats.histogram(
-          "latency." + coreClassOf(name) + ".getS",
+          latencyName(cluster.kind, ".getS"),
           "latency of requests resolved by a GetS miss")),
       latGetM_(stats.histogram(
-          "latency." + coreClassOf(name) + ".getM",
+          latencyName(cluster.kind, ".getM"),
           "latency of requests resolved by a GetM miss")),
       latUpgrade_(stats.histogram(
-          "latency." + coreClassOf(name) + ".upgrade",
+          latencyName(cluster.kind, ".upgrade"),
           "latency of requests resolved by an upgrade")),
       latBypass_(stats.histogram(
-          "latency." + coreClassOf(name) + ".bypass",
+          latencyName(cluster.kind, ".bypass"),
           "latency of uncached bypass-region ops"))
 {}
-
-void
-L1Controller::connectDirectories(std::vector<DirRef> banks)
-{
-    banks_ = std::move(banks);
-    ccsvm_assert(!banks_.empty(), "L1 needs at least one dir bank");
-}
-
-void
-L1Controller::connectPeers(std::vector<L1Ref> peers)
-{
-    peers_ = std::move(peers);
-}
-
-DirRef &
-L1Controller::bankFor(Addr block_addr)
-{
-    const int bank = sliceHash_->bankOf(
-        block_addr, static_cast<int>(banks_.size()));
-    return banks_[bank];
-}
 
 void
 L1Controller::setLineState(Line &line, CohState s)
@@ -802,26 +784,22 @@ L1Controller::funcWriteBlock(Addr block_addr, unsigned offset,
 void
 L1Controller::sendToDir(CohMsg msg)
 {
-    DirRef &bank = bankFor(msg.blockAddr);
+    Directory *dir = &sys_->homeOf(msg.blockAddr);
     const unsigned bytes = msg.wireBytes();
     const noc::VNet vnet = msg.vnet();
-    Directory *dir = bank.ctrl;
-    net_->send(node_, bank.node, vnet, bytes,
+    net_->send(node_, dir->node(), vnet, bytes,
                [dir, msg = std::move(msg)]() mutable {
-                   directoryDeliver(dir, std::move(msg));
+                   dir->handleMessage(std::move(msg));
                });
 }
 
 void
 L1Controller::sendToL1(L1Id dst, CohMsg msg)
 {
-    ccsvm_assert(dst >= 0 &&
-                     static_cast<std::size_t>(dst) < peers_.size(),
-                 "bad peer L1 id %d", dst);
-    L1Controller *peer = peers_[dst].ctrl;
+    L1Controller *peer = &sys_->l1(dst);
     const unsigned bytes = msg.wireBytes();
     const noc::VNet vnet = msg.vnet();
-    net_->send(node_, peers_[dst].node, vnet, bytes,
+    net_->send(node_, peer->node(), vnet, bytes,
                [peer, msg = std::move(msg)]() mutable {
                    peer->handleMessage(std::move(msg));
                });

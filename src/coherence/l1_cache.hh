@@ -2,8 +2,10 @@
  * @file
  * L1 cache controller: the per-core side of the directory protocol.
  * Protocol-specific transition decisions (E fills, dirty sharing via
- * O) are delegated to the ProtocolPolicy selected by L1Config, so the
- * same controller runs MSI, MESI or MOESI (the default).
+ * O) are delegated to the ProtocolPolicy of the L1's cluster, so the
+ * same controller runs MSI, MESI or MOESI (the default). Every L1 is
+ * built by a CacheSystem, through which it reaches its peers and each
+ * block's home bank.
  *
  * Each CPU core and each MTTOP core has a private write-back L1
  * (Table 2: CPU 64 KB 4-way, MTTOP 16 KB 4-way). Atomics are performed
@@ -28,7 +30,6 @@
 #include "coherence/msgs.hh"
 #include "coherence/monitor.hh"
 #include "coherence/protocol.hh"
-#include "coherence/slice_hash.hh"
 #include "noc/network.hh"
 #include "sim/eventq.hh"
 #include "sim/stats.hh"
@@ -36,26 +37,7 @@
 namespace ccsvm::coherence
 {
 
-class Directory;
-class L1Controller;
-
-/** Defined in directory.cc; forwards to Directory::handleMessage
- * without requiring the full Directory type here. */
-void directoryDeliver(Directory *dir, CohMsg msg);
-
-/** Wiring record: a peer L1 and its network attachment point. */
-struct L1Ref
-{
-    L1Controller *ctrl = nullptr;
-    noc::NodeId node = -1;
-};
-
-/** Wiring record: a directory bank and its network attachment point. */
-struct DirRef
-{
-    Directory *ctrl = nullptr;
-    noc::NodeId node = -1;
-};
+class CacheSystem;
 
 /** L1 geometry and timing. */
 struct L1Config
@@ -64,29 +46,27 @@ struct L1Config
     unsigned assoc = 4;
     Tick hitLatency = 690;      ///< 2 CPU cycles at 2.9 GHz (Table 2)
     unsigned maxMshrs = 16;
-    /** This cluster's coherence protocol; must match what the
-     * directory banks believe about this L1's cluster (DirConfig's
-     * protocol, or cpuProtocol/mttopProtocol under a cluster split). */
+};
+
+/** A cluster of same-kind L1s: one per core of that kind, all with
+ * the same geometry and protocol, running in one event queue. */
+struct L1Cluster
+{
+    CoreKind kind = CoreKind::Cpu;
+    int count = 0;
+    L1Config cfg;
     Protocol protocol = Protocol::MOESI;
-    /** Home-slice hash used by bankFor to route every request; must
-     * match the directory banks' (DirConfig::sliceHash). */
-    SliceHashKind sliceHash = SliceHashKind::Mod;
+    sim::EventQueue *queue = nullptr;
 };
 
 /** One L1 cache controller. */
 class L1Controller
 {
   public:
-    L1Controller(sim::EventQueue &eq, sim::StatRegistry &stats,
-                 const std::string &name, const L1Config &cfg, L1Id id,
-                 noc::Network &net, noc::NodeId my_node,
+    L1Controller(const CacheSystem &sys, const L1Cluster &cluster,
+                 sim::StatRegistry &stats, const std::string &name,
+                 L1Id id, noc::NodeId node, noc::Network &net,
                  SwmrMonitor *monitor);
-
-    /** Wire up the directory banks (index = bank number). */
-    void connectDirectories(std::vector<DirRef> banks);
-
-    /** Wire up peer L1s for cache-to-cache transfers (index = L1Id). */
-    void connectPeers(std::vector<L1Ref> peers);
 
     /** Core-side entry point: submit one request. */
     void access(MemRequestPtr req);
@@ -96,6 +76,9 @@ class L1Controller
 
     L1Id id() const { return id_; }
     noc::NodeId node() const { return node_; }
+    CoreKind kind() const { return kind_; }
+    /** The cluster's protocol (a region override applies per block). */
+    const ProtocolPolicy &policy() const { return *policy_; }
 
     /** Stable state of a block (I if absent); for tests. */
     CohState stateOf(Addr block_addr);
@@ -219,12 +202,12 @@ class L1Controller
     void sendAckForInv(const CohMsg &inv);
     void setLineState(Line &line, CohState s);
     void dropLine(Line *line);
-    DirRef &bankFor(Addr block_addr);
 
+    const CacheSystem *sys_;
     sim::EventQueue *eq_;
     L1Config cfg_;
+    CoreKind kind_;
     const ProtocolPolicy *policy_;
-    const SliceHash *sliceHash_;
     L1Id id_;
     noc::Network *net_;
     noc::NodeId node_;
@@ -239,9 +222,6 @@ class L1Controller
     std::deque<MemRequestPtr> overflow_;
     std::vector<Addr> stalledFills_;
 
-    std::vector<DirRef> banks_;
-    std::vector<L1Ref> peers_;
-
     sim::Counter &hits_;
     sim::Counter &misses_;
     sim::Counter &evictions_;
@@ -252,8 +232,8 @@ class L1Controller
 
     sim::Tracer &trc_;
     int lane_;
-    /** End-to-end memory-request latency, shared per core class
-     * ("cpu"/"mttop") across all same-class L1s via registry name
+    /** End-to-end memory-request latency, shared per core kind
+     * ("cpu"/"mttop") across all same-kind L1s via registry name
      * dedup: the aggregate plus one histogram per transaction kind. */
     sim::LatencyHistogram &latAll_;
     sim::LatencyHistogram &latHit_;

@@ -3,14 +3,12 @@
  * Pluggable home-slice (bank-select) hash layer.
  *
  * The banked L2/directory is the chip's home node; which bank a block
- * address lives in ("its home slice") was hard-coded as low-bits
- * modulo in L1Controller::bankFor and re-derived in the directory's
- * wrong-bank assert. That is the right default — contiguous blocks
- * round-robin across banks — but any access stream whose stride is a
- * multiple of numBanks blocks hot-spots one bank with no way to
- * measure or fix it. This file factors the decision into a SliceHash
- * policy that every address-to-bank site resolves from the same
- * config, with one concrete policy per hash:
+ * address lives in is its home slice. Low-bits modulo is the right
+ * default — contiguous blocks round-robin across banks — but any
+ * access stream whose stride is a multiple of numBanks blocks
+ * hot-spots one bank. So the choice is a SliceHash policy, which
+ * CacheSystem::homeOf (the one address-to-bank lookup) consults, with
+ * one concrete policy per hash:
  *
  *   mod      block-number modulo bank count
  *            (default; matches the seed tree exactly)
@@ -65,11 +63,10 @@ std::string sliceHashNameList(std::string_view sep = ", ");
 bool sliceHashFromName(std::string_view name, SliceHashKind &out);
 
 /**
- * The address-to-home-bank mapping, consulted by the L1 controllers'
- * bankFor, the directory banks' wrong-bank assert and the machine's
- * functional accessors. All sites must resolve the same policy from
- * CcsvmConfig or blocks would be homed inconsistently. Policies are
- * stateless; sliceHash() hands out one shared instance per kind.
+ * The address-to-home-bank mapping behind CacheSystem::homeOf, which
+ * every request, bank check and functional access goes through.
+ * Policies are stateless; sliceHash() hands out one shared instance
+ * per kind.
  */
 class SliceHash
 {

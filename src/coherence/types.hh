@@ -57,6 +57,21 @@ const char *dirStateName(DirState s);
 using L1Id = int;
 inline constexpr L1Id noL1 = -1;
 
+/** The kind of core an L1 serves: it names the L1 ("cpu3.l1"), picks
+ * its latency histogram family and splits the per-cluster counters. */
+enum class CoreKind : std::uint8_t
+{
+    Cpu,
+    Mttop,
+};
+
+/** Lower-case kind name ("cpu", "mttop"). */
+constexpr const char *
+coreKindName(CoreKind k)
+{
+    return k == CoreKind::Cpu ? "cpu" : "mttop";
+}
+
 /**
  * Selectable coherence protocols, ordered weakest to strongest.
  * Defined here rather than protocol.hh so the VM layer can tag memory

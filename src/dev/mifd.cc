@@ -26,6 +26,12 @@ Mifd::connectMttops(std::vector<MttopPort> cores)
     ctxFree_.reserve(mttops_.size());
     ctxFree_.clear();
     for (std::size_t i = 0; i < mttops_.size(); ++i) {
+        // Chunks are never split across cores: a core without room
+        // for one would leave every launch waiting forever.
+        ccsvm_assert(mttops_[i].core->freeContexts() >= cfg_.simdWidth,
+                     "MTTOP core %zu has %u thread contexts, fewer "
+                     "than the MIFD's SIMD width %u",
+                     i, mttops_[i].core->freeContexts(), cfg_.simdWidth);
         ctxFree_.push_back(mttops_[i].core->freeContexts());
         mttops_[i].core->connectMifd(this,
                                      static_cast<unsigned>(i));

@@ -60,7 +60,8 @@ class Mifd : public core::MifdIface
          const MifdConfig &cfg, vm::Kernel &kernel, noc::Network &net,
          noc::NodeId my_node);
 
-    /** Wire up the MTTOP cores (dispatch targets). */
+    /** Wire up the MTTOP cores (dispatch targets); each must have at
+     * least simdWidth free thread contexts. */
     void connectMttops(std::vector<MttopPort> cores);
 
     /** Error register: set when a requireAll task could not have all

@@ -5,8 +5,9 @@
  * Host-side code (workload initialization, result verification, the
  * OS model) must see the same values a guest load would see. Because
  * caches hold real data, a functional read must consult dirty cached
- * copies before physical memory; the machine implements this by
- * probing every L1 and L2 bank. Guest code never uses this interface.
+ * copies before physical memory; coherence::CacheSystem implements
+ * this by probing every L1, then the block's home bank. Guest code
+ * never uses this interface.
  */
 
 #ifndef CCSVM_RUNTIME_FUNCTIONAL_MEM_HH
@@ -17,7 +18,7 @@
 namespace ccsvm::runtime
 {
 
-/** Coherent functional access, implemented by machine models. */
+/** Coherent functional access (implemented by coherence::CacheSystem). */
 class FunctionalMem
 {
   public:

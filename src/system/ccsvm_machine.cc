@@ -3,7 +3,6 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "base/logging.hh"
@@ -45,31 +44,10 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
       stats_(engine_.partitions()),
       phys_(cfg_.physMemBytes)
 {
-    // Bind each cluster's protocol (defaulting to the chip-wide one)
-    // to its L1s, and teach the directory banks the cluster split so
-    // they can mediate mixed-protocol transactions.
-    const coherence::Protocol cpu_p =
-        cfg_.cpuProtocol.value_or(cfg_.protocol);
-    const coherence::Protocol mttop_p =
-        cfg_.mttopProtocol.value_or(cfg_.protocol);
-    cfg_.cpuProtocol = cpu_p;
-    cfg_.mttopProtocol = mttop_p;
-    cfg_.cpuL1.protocol = cpu_p;
-    cfg_.mttopL1.protocol = mttop_p;
-    // DirConfig::protocol is ignored once the cluster split below is
-    // configured; only the per-cluster pair matters.
-    cfg_.l2.cpuProtocol = cpu_p;
-    cfg_.l2.mttopProtocol = mttop_p;
-    cfg_.l2.firstMttopL1 = cfg_.numCpuCores;
-
-    // Home-slice hash and L2 replacement policy: every
-    // address-to-bank site (L1 bankFor, bank asserts, functional
-    // accessors) and every bank's victim selection resolve from the
-    // one chip-wide setting.
-    cfg_.cpuL1.sliceHash = cfg_.sliceHash;
-    cfg_.mttopL1.sliceHash = cfg_.sliceHash;
-    cfg_.l2.sliceHash = cfg_.sliceHash;
-    cfg_.l2.replace = cfg_.l2Replace;
+    // Each cluster runs its own protocol, defaulting to the chip-wide
+    // one; the home banks mediate a mixed pair.
+    cfg_.cpuProtocol = cfg_.cpuProtocol.value_or(cfg_.protocol);
+    cfg_.mttopProtocol = cfg_.mttopProtocol.value_or(cfg_.protocol);
 
     dram_ = std::make_unique<mem::DramCtrl>(sysQ(), stats_, "dram",
                                             cfg_.dram);
@@ -86,9 +64,6 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
     }
     net_ = std::make_unique<noc::TorusNetwork>(sysQ(), stats_, "noc",
                                                cfg_.noc);
-
-    if (cfg_.swmrChecks)
-        monitor_ = std::make_unique<coherence::SwmrMonitor>();
 
     // Observability: arm the tracer before components intern their
     // lanes in buildNodes(). An unparseable category list is a
@@ -158,10 +133,8 @@ CcsvmMachine::resolveSeries()
 {
     auto l1s = [this](const std::string &suffix) {
         std::vector<std::string> names;
-        for (int i = 0; i < cfg_.numCpuCores; ++i)
-            names.push_back("cpu" + std::to_string(i) + ".l1" + suffix);
-        for (int j = 0; j < cfg_.numMttopCores; ++j)
-            names.push_back("mttop" + std::to_string(j) + ".l1" + suffix);
+        for (int id = 0; id < caches_->numL1s(); ++id)
+            names.push_back(caches_->l1Name(id) + suffix);
         return names;
     };
     const std::pair<const char *, std::vector<std::string>> columns[] = {
@@ -188,44 +161,26 @@ CcsvmMachine::~CcsvmMachine() = default;
 void
 CcsvmMachine::buildNodes()
 {
-    const int num_l1s = cfg_.numCpuCores + cfg_.numMttopCores;
-    const noc::NodeId first_bank_node = num_l1s;
-    const noc::NodeId mifd_node = num_l1s + cfg_.numL2Banks;
-
-    // L1 controllers: CPUs first, then MTTOPs; L1Id == node id. Each
-    // lives in its cluster's partition, alongside its core.
-    for (int i = 0; i < cfg_.numCpuCores; ++i) {
-        l1s_.push_back(std::make_unique<coherence::L1Controller>(
-            cpuQ(), stats_, "cpu" + std::to_string(i) + ".l1",
-            cfg_.cpuL1, i, *net_, i, monitor_.get()));
-    }
-    for (int j = 0; j < cfg_.numMttopCores; ++j) {
-        const int id = cfg_.numCpuCores + j;
-        l1s_.push_back(std::make_unique<coherence::L1Controller>(
-            mttopQ(), stats_, "mttop" + std::to_string(j) + ".l1",
-            cfg_.mttopL1, id, *net_, id, monitor_.get()));
-    }
-
-    for (int b = 0; b < cfg_.numL2Banks; ++b) {
-        banks_.push_back(std::make_unique<coherence::Directory>(
-            bankQ(b), stats_, "dir" + std::to_string(b), cfg_.l2, b,
-            cfg_.numL2Banks, *net_, first_bank_node + b, *dram_,
-            phys_));
-    }
-
-    // Wire the protocol.
-    std::vector<coherence::L1Ref> l1refs;
-    for (int i = 0; i < num_l1s; ++i)
-        l1refs.push_back({l1s_[i].get(), i});
-    std::vector<coherence::DirRef> dirrefs;
+    // Each cluster's L1s live in its partition, alongside its cores;
+    // each home bank gets its own.
+    coherence::CacheSystemConfig caches;
+    caches.clusters = {
+        {coherence::CoreKind::Cpu, cfg_.numCpuCores, cfg_.cpuL1,
+         *cfg_.cpuProtocol, &cpuQ()},
+        {coherence::CoreKind::Mttop, cfg_.numMttopCores, cfg_.mttopL1,
+         *cfg_.mttopProtocol, &mttopQ()},
+    };
+    caches.bank = cfg_.l2;
     for (int b = 0; b < cfg_.numL2Banks; ++b)
-        dirrefs.push_back({banks_[b].get(), first_bank_node + b});
-    for (auto &l1 : l1s_) {
-        l1->connectDirectories(dirrefs);
-        l1->connectPeers(l1refs);
-    }
-    for (auto &bank : banks_)
-        bank->connectL1s(l1refs);
+        caches.bankQueues.push_back(&bankQ(b));
+    caches.sliceHash = cfg_.sliceHash;
+    caches.swmrChecks = cfg_.swmrChecks;
+    caches_ = std::make_unique<coherence::CacheSystem>(
+        caches, stats_, *net_, *dram_, phys_);
+    auto mttop_l1 = [this](int j) -> coherence::L1Controller & {
+        return caches_->l1(cfg_.numCpuCores + j);
+    };
+    const noc::NodeId mifd_node = caches_->numL1s() + cfg_.numL2Banks;
 
     // Per-core walkers (sharing the PTE-lines-in-L2 model) and cores.
     // The walkers all live in the system partition with the PTE-line
@@ -238,7 +193,8 @@ CcsvmMachine::buildNodes()
             cfg_.walker, *dram_, pteFilter_.get()));
         cpuCores_.push_back(std::make_unique<core::CpuCore>(
             cpuQ(), stats_, "cpu" + std::to_string(i), cfg_.cpu,
-            *l1s_[i], *walkers_.back(), *kernel_, *net_, i));
+            caches_->l1(i), *walkers_.back(), *kernel_, *net_,
+            caches_->l1(i).node()));
     }
     for (int j = 0; j < cfg_.numMttopCores; ++j) {
         walkers_.push_back(std::make_unique<vm::Walker>(
@@ -246,7 +202,7 @@ CcsvmMachine::buildNodes()
             cfg_.walker, *dram_, pteFilter_.get()));
         mttopCores_.push_back(std::make_unique<core::MttopCore>(
             mttopQ(), stats_, "mttop" + std::to_string(j), cfg_.mttop,
-            *l1s_[cfg_.numCpuCores + j], *walkers_.back(), *kernel_));
+            mttop_l1(j), *walkers_.back(), *kernel_));
         // Task completions decrement launch-side bookkeeping owned by
         // the CPU cluster.
         mttopCores_.back()->setCompletionQueue(cpuQ());
@@ -256,11 +212,8 @@ CcsvmMachine::buildNodes()
     mifd_ = std::make_unique<dev::Mifd>(sysQ(), stats_, cfg_.mifd,
                                         *kernel_, *net_, mifd_node);
     std::vector<dev::MttopPort> mttop_ports;
-    for (int j = 0; j < cfg_.numMttopCores; ++j) {
-        mttop_ports.push_back(
-            {mttopCores_[j].get(),
-             static_cast<noc::NodeId>(cfg_.numCpuCores + j)});
-    }
+    for (int j = 0; j < cfg_.numMttopCores; ++j)
+        mttop_ports.push_back({mttopCores_[j].get(), mttop_l1(j).node()});
     mifd_->connectMttops(std::move(mttop_ports));
     for (auto &cpu : cpuCores_)
         cpu->connectMifd({mifd_.get(), mifd_node});
@@ -272,11 +225,11 @@ CcsvmMachine::buildNodes()
     std::vector<sim::EventQueue *> node_queues(
         static_cast<std::size_t>(net_->numNodes()), &sysQ());
     for (int i = 0; i < cfg_.numCpuCores; ++i)
-        node_queues[i] = &cpuQ();
+        node_queues[caches_->l1(i).node()] = &cpuQ();
     for (int j = 0; j < cfg_.numMttopCores; ++j)
-        node_queues[cfg_.numCpuCores + j] = &mttopQ();
+        node_queues[mttop_l1(j).node()] = &mttopQ();
     for (int b = 0; b < cfg_.numL2Banks; ++b)
-        node_queues[first_bank_node + b] = &bankQ(b);
+        node_queues[caches_->bank(b).node()] = &bankQ(b);
     node_queues[mifd_node] = &sysQ();
     net_->setNodeQueues(std::move(node_queues));
 }
@@ -285,7 +238,7 @@ runtime::Process &
 CcsvmMachine::createProcess()
 {
     processes_.push_back(std::make_unique<runtime::Process>(
-        static_cast<int>(processes_.size()), *kernel_, *this));
+        static_cast<int>(processes_.size()), *kernel_, *caches_));
     runtime::Process &proc = *processes_.back();
     // Machine-level region table (driver --region flags): every
     // process sees the same attribute map.
@@ -392,68 +345,6 @@ std::uint64_t
 CcsvmMachine::dramAccesses() const
 {
     return dram_->reads() + dram_->writes();
-}
-
-void
-CcsvmMachine::funcRead(Addr pa, void *dst, unsigned len)
-{
-    auto *out = static_cast<std::uint8_t *>(dst);
-    while (len > 0) {
-        const Addr block = mem::blockAlign(pa);
-        const unsigned off = static_cast<unsigned>(pa - block);
-        const unsigned chunk =
-            std::min<unsigned>(len, mem::blockBytes - off);
-
-        std::uint8_t buf[mem::blockBytes];
-        bool found = false;
-        // A dirty owner (E/M/O at some L1) is authoritative...
-        for (auto &l1 : l1s_) {
-            if (l1->funcReadBlock(block, buf)) {
-                found = true;
-                break;
-            }
-        }
-        // ...then the L2 copy...
-        if (!found) {
-            auto &bank = banks_[coherence::sliceHash(cfg_.sliceHash)
-                                    .bankOf(block,
-                                            static_cast<int>(
-                                                banks_.size()))];
-            found = bank->funcReadBlock(block, buf);
-        }
-        // ...then physical memory.
-        if (!found)
-            phys_.readBlock(block, buf);
-
-        std::memcpy(out, buf + off, chunk);
-        pa += chunk;
-        out += chunk;
-        len -= chunk;
-    }
-}
-
-void
-CcsvmMachine::funcWrite(Addr pa, const void *src, unsigned len)
-{
-    const auto *in = static_cast<const std::uint8_t *>(src);
-    while (len > 0) {
-        const Addr block = mem::blockAlign(pa);
-        const unsigned off = static_cast<unsigned>(pa - block);
-        const unsigned chunk =
-            std::min<unsigned>(len, mem::blockBytes - off);
-
-        // Write through every copy so no cache holds stale data.
-        phys_.write(pa, in, chunk);
-        for (auto &l1 : l1s_)
-            l1->funcWriteBlock(block, off, in, chunk);
-        banks_[coherence::sliceHash(cfg_.sliceHash)
-                   .bankOf(block, static_cast<int>(banks_.size()))]
-            ->funcWriteBlock(block, off, in, chunk);
-
-        pa += chunk;
-        in += chunk;
-        len -= chunk;
-    }
 }
 
 } // namespace ccsvm::system

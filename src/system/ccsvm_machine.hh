@@ -21,16 +21,13 @@
 #include <string>
 #include <vector>
 
-#include "coherence/directory.hh"
-#include "coherence/l1_cache.hh"
-#include "coherence/monitor.hh"
+#include "coherence/cache_system.hh"
 #include "core/cpu_core.hh"
 #include "core/mttop_core.hh"
 #include "dev/mifd.hh"
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
 #include "noc/torus.hh"
-#include "runtime/functional_mem.hh"
 #include "runtime/process.hh"
 #include "sim/eventq.hh"
 #include "sim/parteventq.hh"
@@ -53,8 +50,7 @@ struct CcsvmConfig
     int numMttopCores = 10;
     int numL2Banks = 4;
 
-    /** Chip-wide coherence protocol; overrides the per-cache
-     * settings in cpuL1/mttopL1/l2 (paper default: MOESI). */
+    /** Chip-wide coherence protocol (paper default: MOESI). */
     coherence::Protocol protocol = coherence::Protocol::MOESI;
 
     /**
@@ -70,27 +66,21 @@ struct CcsvmConfig
 
     /**
      * Home-slice hash mapping block addresses to L2/directory banks
-     * (driver flag --slice-hash). Propagated into every L1's bankFor,
-     * each bank's wrong-bank assert and the machine's functional
-     * accessors, so every site resolves the same policy. The default
-     * (mod) is byte-identical to the pre-seam tree; xorfold/skew
-     * spread power-of-two strides that hot-spot one bank under mod.
+     * (driver flag --slice-hash); the cache system's homeOf resolves
+     * every block's home through it. The default (mod) is
+     * byte-identical to the pre-seam tree; xorfold/skew spread
+     * power-of-two strides that hot-spot one bank under mod.
      */
     coherence::SliceHashKind sliceHash = coherence::SliceHashKind::Mod;
-
-    /**
-     * L2/directory-entry replacement policy (driver flag
-     * --l2-replace). The default (lru) is byte-identical to the
-     * pre-seam tree; see cache/replacer.hh for fifo/rand/region.
-     */
-    cache::ReplacerKind l2Replace = cache::ReplacerKind::Lru;
 
     core::CpuCoreConfig cpu;
     core::MttopCoreConfig mttop;
 
     coherence::L1Config cpuL1{64 * 1024, 4, 690, 8};
     coherence::L1Config mttopL1{16 * 1024, 4, 1667, 16};
-    coherence::DirConfig l2; ///< 4 x 1 MB banks
+    /** 4 x 1 MB banks; l2.replace is the L2/directory replacement
+     * policy (driver flag --l2-replace; see cache/replacer.hh). */
+    coherence::DirConfig l2;
 
     mem::DramConfig dram;    ///< 100 ns
     noc::TorusConfig noc;    ///< computed from core counts if 0x0
@@ -160,11 +150,11 @@ struct CcsvmConfig
 int resolveSimThreads(int requested);
 
 /** The simulated CCSVM chip. */
-class CcsvmMachine : public runtime::FunctionalMem
+class CcsvmMachine
 {
   public:
     explicit CcsvmMachine(CcsvmConfig cfg = {});
-    ~CcsvmMachine() override;
+    ~CcsvmMachine();
 
     // --- public API for workloads and examples ----------------------
 
@@ -211,18 +201,9 @@ class CcsvmMachine : public runtime::FunctionalMem
 
     int numCpuCores() const { return cfg_.numCpuCores; }
     int numMttopCores() const { return cfg_.numMttopCores; }
-    coherence::Protocol protocol() const { return cfg_.protocol; }
-    /** Resolved per-cluster protocols (fall back to protocol()). */
-    coherence::Protocol
-    cpuProtocol() const
-    {
-        return cfg_.cpuL1.protocol;
-    }
-    coherence::Protocol
-    mttopProtocol() const
-    {
-        return cfg_.mttopL1.protocol;
-    }
+    /** Resolved per-cluster protocols (default: config().protocol). */
+    coherence::Protocol cpuProtocol() const { return *cfg_.cpuProtocol; }
+    coherence::Protocol mttopProtocol() const { return *cfg_.mttopProtocol; }
     core::CpuCore &cpuCore(int i) { return *cpuCores_[i]; }
     core::MttopCore &mttopCore(int i) { return *mttopCores_[i]; }
 
@@ -257,10 +238,6 @@ class CcsvmMachine : public runtime::FunctionalMem
 
     /** Text dump of every statistic (gem5 stats.txt style). */
     void dumpStats(std::ostream &os) const { stats_.dump(os); }
-
-    // FunctionalMem.
-    void funcRead(Addr pa, void *dst, unsigned len) override;
-    void funcWrite(Addr pa, const void *src, unsigned len) override;
 
   private:
     void buildNodes();
@@ -300,11 +277,9 @@ class CcsvmMachine : public runtime::FunctionalMem
 
     std::unique_ptr<mem::DramCtrl> dram_;
     std::unique_ptr<noc::TorusNetwork> net_;
-    std::unique_ptr<coherence::SwmrMonitor> monitor_;
     std::unique_ptr<vm::Kernel> kernel_;
 
-    std::vector<std::unique_ptr<coherence::L1Controller>> l1s_;
-    std::vector<std::unique_ptr<coherence::Directory>> banks_;
+    std::unique_ptr<coherence::CacheSystem> caches_;
     std::unique_ptr<vm::PteLineFilter> pteFilter_;
     std::vector<std::unique_ptr<vm::Walker>> walkers_;
     std::vector<std::unique_ptr<core::CpuCore>> cpuCores_;

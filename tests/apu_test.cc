@@ -142,7 +142,7 @@ TEST(Apu, GpuIsNotCoherentWithCpuCaches)
         cached_va);
     // Functional (coherent) view sees the write...
     std::uint64_t coherent_view = 0;
-    m.funcRead(pa, &coherent_view, 8);
+    m.caches().funcRead(pa, &coherent_view, 8);
     EXPECT_EQ(coherent_view, 0xdeadu);
     // ...but raw memory (what the GPU would read) does not.
     EXPECT_EQ(m.physMem().readScalar(pa, 8), 0u)

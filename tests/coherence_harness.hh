@@ -1,20 +1,15 @@
 /**
  * @file
- * Reusable wiring harness for coherence-protocol tests: N L1s and B
- * directory banks on a torus, with DRAM, physical memory and the SWMR
- * monitor, plus blocking helpers that issue one access and run the
- * event queue until it completes.
+ * Reusable harness for coherence-protocol tests: a CacheSystem of
+ * N L1s and B home banks on a torus, with DRAM, physical memory and
+ * the SWMR monitor, plus blocking helpers that issue one access and
+ * run the event queue until it completes.
  */
 
 #ifndef CCSVM_TESTS_COHERENCE_HARNESS_HH
 #define CCSVM_TESTS_COHERENCE_HARNESS_HH
 
-#include <memory>
-#include <vector>
-
-#include "coherence/directory.hh"
-#include "coherence/l1_cache.hh"
-#include "coherence/monitor.hh"
+#include "coherence/cache_system.hh"
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
 #include "noc/torus.hh"
@@ -29,30 +24,6 @@ using namespace ccsvm::coherence;
 /** A small CCSVM memory system for protocol testing. */
 struct CohHarness
 {
-    sim::EventQueue eq;
-    sim::StatRegistry stats;
-    mem::PhysMem phys{64 * 1024 * 1024};
-    std::unique_ptr<mem::DramCtrl> dram;
-    std::unique_ptr<noc::TorusNetwork> net;
-    SwmrMonitor monitor;
-    std::vector<std::unique_ptr<L1Controller>> l1s;
-    std::vector<std::unique_ptr<Directory>> banks;
-
-    /**
-     * @param num_l1s    number of L1 controllers
-     * @param num_banks  number of L2/directory banks
-     * @param l1_cfg     L1 geometry/timing
-     * @param dir_cfg    L2 bank geometry/timing
-     * @param proto      coherence protocol for every controller
-     *                   (overrides the config structs' setting)
-     */
-    CohHarness(int num_l1s, int num_banks, L1Config l1_cfg = {},
-               DirConfig dir_cfg = {},
-               Protocol proto = Protocol::MOESI)
-        : CohHarness(Clusters{num_l1s, 0, proto, proto}, num_banks,
-                     l1_cfg, dir_cfg)
-    {}
-
     /** Cluster split for the heterogeneous constructor. */
     struct Clusters
     {
@@ -62,62 +33,64 @@ struct CohHarness
         Protocol mttopProto;
     };
 
+    sim::EventQueue eq;
+    sim::StatRegistry stats;
+    mem::PhysMem phys{64 * 1024 * 1024};
+    mem::DramCtrl dram{eq, stats, "dram", {}};
+    noc::TorusNetwork net;
+    CacheSystem caches;
+
+    /**
+     * @param num_l1s    number of L1 controllers (one CPU cluster)
+     * @param num_banks  number of L2/directory banks
+     * @param l1_cfg     L1 geometry/timing
+     * @param dir_cfg    L2 bank geometry/timing
+     * @param proto      coherence protocol for every controller
+     */
+    CohHarness(int num_l1s, int num_banks, L1Config l1_cfg = {},
+               DirConfig dir_cfg = {},
+               Protocol proto = Protocol::MOESI)
+        : CohHarness(Clusters{num_l1s, 0, proto, proto}, num_banks,
+                     l1_cfg, dir_cfg)
+    {}
+
     /**
      * Heterogeneous harness: @p split.cpuL1s CPU-cluster L1s
      * (ids 0..) running split.cpuProto, then split.mttopL1s
      * MTTOP-cluster L1s running split.mttopProto, against
-     * @p num_banks banks that mediate the pair the way the full
-     * machine's directory does.
+     * @p num_banks banks homed by @p hash that mediate the pair the
+     * way the full machine's directory does.
      */
     CohHarness(const Clusters &split, int num_banks,
-               L1Config l1_cfg = {}, DirConfig dir_cfg = {})
-    {
-        const int num_cpu_l1s = split.cpuL1s;
-        const Protocol cpu_proto = split.cpuProto;
-        const Protocol mttop_proto = split.mttopProto;
-        const int num_l1s = split.cpuL1s + split.mttopL1s;
-        dir_cfg.protocol = cpu_proto;
-        dir_cfg.cpuProtocol = cpu_proto;
-        dir_cfg.mttopProtocol = mttop_proto;
-        dir_cfg.firstMttopL1 = num_cpu_l1s;
-        mem::DramConfig dram_cfg;
-        dram = std::make_unique<mem::DramCtrl>(eq, stats, "dram",
-                                               dram_cfg);
+               L1Config l1_cfg = {}, DirConfig dir_cfg = {},
+               SliceHashKind hash = SliceHashKind::Mod)
+        : net(eq, stats, "noc",
+              torusFor(split.cpuL1s + split.mttopL1s + num_banks)),
+          caches(
+              CacheSystemConfig{
+                  {{CoreKind::Cpu, split.cpuL1s, l1_cfg, split.cpuProto,
+                    &eq},
+                   {CoreKind::Mttop, split.mttopL1s, l1_cfg,
+                    split.mttopProto, &eq}},
+                  dir_cfg,
+                  std::vector<sim::EventQueue *>(
+                      static_cast<std::size_t>(num_banks), &eq),
+                  hash},
+              stats, net, dram, phys)
+    {}
 
+    /** A 2-row torus with room for @p nodes endpoints. */
+    static noc::TorusConfig
+    torusFor(int nodes)
+    {
         noc::TorusConfig tcfg;
-        const int nodes = num_l1s + num_banks;
         tcfg.width = (nodes + 1) / 2;
         tcfg.height = 2;
-        net = std::make_unique<noc::TorusNetwork>(eq, stats, "noc",
-                                                  tcfg);
-
-        for (int i = 0; i < num_l1s; ++i) {
-            l1_cfg.protocol =
-                i < num_cpu_l1s ? cpu_proto : mttop_proto;
-            l1s.push_back(std::make_unique<L1Controller>(
-                eq, stats, "l1." + std::to_string(i), l1_cfg, i, *net,
-                /*node=*/i, &monitor));
-        }
-        for (int b = 0; b < num_banks; ++b) {
-            banks.push_back(std::make_unique<Directory>(
-                eq, stats, "dir." + std::to_string(b), dir_cfg, b,
-                num_banks, *net, /*node=*/num_l1s + b, *dram, phys));
-        }
-
-        std::vector<L1Ref> l1refs;
-        for (int i = 0; i < num_l1s; ++i)
-            l1refs.push_back({l1s[i].get(), i});
-        std::vector<DirRef> dirrefs;
-        for (int b = 0; b < num_banks; ++b)
-            dirrefs.push_back({banks[b].get(), num_l1s + b});
-
-        for (auto &l1 : l1s) {
-            l1->connectDirectories(dirrefs);
-            l1->connectPeers(l1refs);
-        }
-        for (auto &bank : banks)
-            bank->connectL1s(l1refs);
+        return tcfg;
     }
+
+    L1Controller &l1(int id) { return caches.l1(id); }
+    Directory &bank(int b) { return caches.bank(b); }
 
     /** Issue a load at L1 @p id and run until it completes. The
      * optional region attribute/protocol model a request whose page
@@ -139,7 +112,7 @@ struct CohHarness
             result = v;
             done = true;
         };
-        l1s[id]->access(std::move(req));
+        l1(id).access(std::move(req));
         runUntil(done);
         return result;
     }
@@ -159,7 +132,7 @@ struct CohHarness
         req->region = region;
         req->regionProt = region_prot;
         req->onDone = [&](std::uint64_t) { done = true; };
-        l1s[id]->access(std::move(req));
+        l1(id).access(std::move(req));
         runUntil(done);
     }
 
@@ -185,7 +158,7 @@ struct CohHarness
             result = v;
             done = true;
         };
-        l1s[id]->access(std::move(req));
+        l1(id).access(std::move(req));
         runUntil(done);
         return result;
     }
@@ -204,7 +177,7 @@ struct CohHarness
         req->amoOp = op;
         req->operand = operand;
         req->onDone = std::move(on_done);
-        l1s[id]->access(std::move(req));
+        l1(id).access(std::move(req));
     }
 
     void
@@ -217,10 +190,7 @@ struct CohHarness
     /** Run until all queued events drain. */
     void drain() { eq.run(); }
 
-    CohState stateAt(int id, Addr pa)
-    {
-        return l1s[id]->stateOf(pa);
-    }
+    CohState stateAt(int id, Addr pa) { return l1(id).stateOf(pa); }
 };
 
 } // namespace ccsvm::test

@@ -14,6 +14,10 @@
  * Scheme 2 (atomic tickets): all L1s hammer atomic fetch-and-inc on
  * shared counters; every returned ticket must be unique and the final
  * counter must equal the number of increments.
+ *
+ * Both schemes run on every geometry crossed with each CPU x MTTOP
+ * protocol pair (half the L1s in each cluster), each home-slice hash
+ * and each L2 replacement policy.
  */
 
 #include <gtest/gtest.h>
@@ -38,8 +42,31 @@ struct StressParams
     int addrPool;   ///< number of hot addresses
     int opsPerL1;
     std::uint64_t seed;
-    Protocol proto = Protocol::MOESI;
+    ProtocolPair protos{Protocol::MOESI, Protocol::MOESI};
+    SliceHashKind hash = SliceHashKind::Mod;
+    cache::ReplacerKind replace = cache::ReplacerKind::Lru;
 };
+
+/** The harness for @p p: half its L1s in the CPU cluster, half in the
+ * MTTOP cluster, over small caches that force constant evictions,
+ * recalls and races. */
+CohHarness
+makeHarness(const StressParams &p, unsigned max_mshrs)
+{
+    L1Config l1cfg;
+    l1cfg.sizeBytes = 1024;
+    l1cfg.assoc = 2;
+    l1cfg.maxMshrs = max_mshrs;
+    DirConfig dcfg;
+    dcfg.bankSizeBytes = 2048;
+    dcfg.assoc = 2;
+    dcfg.replace = p.replace;
+    const int cpu_l1s = p.numL1s / 2;
+    return CohHarness(
+        CohHarness::Clusters{cpu_l1s, p.numL1s - cpu_l1s,
+                             p.protos.first, p.protos.second},
+        p.numBanks, l1cfg, dcfg, p.hash);
+}
 
 class CoherenceStress : public ::testing::TestWithParam<StressParams>
 {};
@@ -47,15 +74,7 @@ class CoherenceStress : public ::testing::TestWithParam<StressParams>
 TEST_P(CoherenceStress, MonotonicWritersNoLostUpdates)
 {
     const auto p = GetParam();
-    // Small caches force constant evictions, recalls and races.
-    L1Config l1cfg;
-    l1cfg.sizeBytes = 1024;
-    l1cfg.assoc = 2;
-    l1cfg.maxMshrs = 4;
-    DirConfig dcfg;
-    dcfg.bankSizeBytes = 2048;
-    dcfg.assoc = 2;
-    CohHarness h(p.numL1s, p.numBanks, l1cfg, dcfg, p.proto);
+    CohHarness h = makeHarness(p, 4);
     Random rng(p.seed);
 
     std::vector<Addr> pool;
@@ -113,22 +132,17 @@ TEST_P(CoherenceStress, MonotonicWritersNoLostUpdates)
     // No transaction may be left open (drain in-flight Unblocks from
     // the verification loads first).
     h.drain();
-    for (auto &l1 : h.l1s)
-        EXPECT_EQ(l1->pendingTransactions(), 0u);
-    for (auto &bank : h.banks)
-        EXPECT_EQ(bank->pendingWork(), 0u) << bank->describePending();
+    for (int id = 0; id < h.caches.numL1s(); ++id)
+        EXPECT_EQ(h.l1(id).pendingTransactions(), 0u);
+    for (int b = 0; b < h.caches.numBanks(); ++b)
+        EXPECT_EQ(h.bank(b).pendingWork(), 0u)
+            << h.bank(b).describePending();
 }
 
 TEST_P(CoherenceStress, AtomicTicketsAreUniqueAndComplete)
 {
     const auto p = GetParam();
-    L1Config l1cfg;
-    l1cfg.sizeBytes = 1024;
-    l1cfg.assoc = 2;
-    DirConfig dcfg;
-    dcfg.bankSizeBytes = 2048;
-    dcfg.assoc = 2;
-    CohHarness h(p.numL1s, p.numBanks, l1cfg, dcfg, p.proto);
+    CohHarness h = makeHarness(p, L1Config{}.maxMshrs);
     Random rng(p.seed ^ 0xabcdef);
 
     constexpr int num_counters = 4;
@@ -167,25 +181,33 @@ TEST_P(CoherenceStress, AtomicTicketsAreUniqueAndComplete)
     }
 }
 
-/** The geometry sweep crossed with every protocol under test: the
- * tiny caches force constant evictions, recalls and races, which is
- * exactly where the per-protocol transition decisions can go wrong. */
+/** The geometry sweep crossed with every protocol pair under test,
+ * every slice hash and every replacer: the tiny caches force constant
+ * evictions, recalls and races, which is exactly where the
+ * per-protocol transition decisions, the pair mediation and the bank
+ * layer's victim and home choices can go wrong. */
 std::vector<StressParams>
 stressParams()
 {
     static constexpr StressParams base[] = {
-        {2, 1, 8, 300, 1, Protocol::MOESI},
-        {4, 2, 16, 300, 2, Protocol::MOESI},
-        {8, 4, 24, 250, 3, Protocol::MOESI},
-        {14, 4, 32, 200, 4, Protocol::MOESI}, // paper: 4 CPU + 10 MTTOP
-        {4, 1, 4, 400, 5, Protocol::MOESI},   // heavy same-block contention
-        {8, 2, 64, 150, 6, Protocol::MOESI},  // wide footprint, recalls
+        {2, 1, 8, 300, 1},
+        {4, 2, 16, 300, 2},
+        {8, 4, 24, 250, 3},
+        {14, 4, 32, 200, 4}, // the paper's 14 L1s
+        {4, 1, 4, 400, 5},   // heavy same-block contention
+        {8, 2, 64, 150, 6},  // wide footprint, recalls
     };
     std::vector<StressParams> out;
-    for (const auto proto : testProtocols()) {
-        for (StressParams p : base) {
-            p.proto = proto;
-            out.push_back(p);
+    for (const ProtocolPair &protos : testProtocolPairs()) {
+        for (const SliceHashKind hash : allSliceHashes) {
+            for (const cache::ReplacerKind replace : cache::allReplacers) {
+                for (StressParams p : base) {
+                    p.protos = protos;
+                    p.hash = hash;
+                    p.replace = replace;
+                    out.push_back(p);
+                }
+            }
         }
     }
     return out;
@@ -195,7 +217,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, CoherenceStress, ::testing::ValuesIn(stressParams()),
     [](const ::testing::TestParamInfo<StressParams> &info) {
         const auto &p = info.param;
-        return std::string(protocolName(p.proto)) + "_l1x" +
+        return std::string(protocolName(p.protos.first)) + "_" +
+               protocolName(p.protos.second) + "_" +
+               sliceHashName(p.hash) + "_" +
+               cache::replacerName(p.replace) + "_l1x" +
                std::to_string(p.numL1s) + "_banks" +
                std::to_string(p.numBanks) + "_pool" +
                std::to_string(p.addrPool) + "_seed" +

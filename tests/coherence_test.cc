@@ -59,7 +59,7 @@ TEST_P(CoherenceP, ColdReadReturnsMemoryValueAndGrantsBestState)
     DirState st;
     L1Id owner;
     unsigned sharers;
-    Directory &bank = *h.banks[(0x1000 >> 6) % 2];
+    Directory &bank = h.bank((0x1000 >> 6) % 2);
     ASSERT_TRUE(bank.probe(0x1000, st, owner, sharers));
     if (hasE()) {
         EXPECT_EQ(st, DirState::X);
@@ -76,10 +76,10 @@ TEST_P(CoherenceP, ReadHitAfterFillIsLocal)
 {
     CohHarness h(2, 2, {}, {}, proto());
     h.load(0, 0x2000);
-    const auto misses_before = h.stats.get("l1.0.misses");
+    const auto misses_before = h.stats.get("cpu0.l1.misses");
     EXPECT_EQ(h.load(0, 0x2000), 0u);
-    EXPECT_EQ(h.stats.get("l1.0.misses"), misses_before);
-    EXPECT_GE(h.stats.get("l1.0.hits"), 1u);
+    EXPECT_EQ(h.stats.get("cpu0.l1.misses"), misses_before);
+    EXPECT_GE(h.stats.get("cpu0.l1.hits"), 1u);
 }
 
 TEST_P(CoherenceP, StoreMakesMAndReadsBack)
@@ -97,9 +97,9 @@ TEST_P(CoherenceP, PrivateReadThenWriteUpgradeCost)
     CohHarness h(2, 2, {}, {}, proto());
     h.load(0, 0x11000); // bank 0
     h.drain();
-    const auto getm_before = h.stats.get("dir.0.getM");
+    const auto getm_before = h.stats.get("dir0.getM");
     h.store(0, 0x11000, 5);
-    EXPECT_EQ(h.stats.get("dir.0.getM") - getm_before,
+    EXPECT_EQ(h.stats.get("dir0.getM") - getm_before,
               hasE() ? 0u : 1u);
     EXPECT_EQ(h.stateAt(0, 0x11000), CohState::M);
     EXPECT_EQ(h.load(0, 0x11000), 5u);
@@ -120,7 +120,7 @@ TEST_P(CoherenceP, SecondReaderLeavesBothSharersInS)
     DirState st;
     L1Id owner;
     unsigned sharers;
-    ASSERT_TRUE(h.banks[0]->probe(0x4000, st, owner, sharers));
+    ASSERT_TRUE(h.bank(0).probe(0x4000, st, owner, sharers));
     EXPECT_EQ(st, DirState::S);
     EXPECT_EQ(sharers, 2u);
 }
@@ -136,14 +136,14 @@ TEST_P(CoherenceP, ReaderOfDirtyBlockFollowsOwnedPolicy)
     DirState st;
     L1Id owner;
     unsigned sharers;
-    ASSERT_TRUE(h.banks[0]->probe(0x5000, st, owner, sharers));
+    ASSERT_TRUE(h.bank(0).probe(0x5000, st, owner, sharers));
     if (hasO()) {
         // MOESI: the dirty owner keeps the block in Owned.
         EXPECT_EQ(h.stateAt(0, 0x5000), CohState::O);
         EXPECT_EQ(st, DirState::O);
         EXPECT_EQ(owner, 0);
         EXPECT_EQ(sharers, 1u);
-        EXPECT_EQ(h.stats.get("dir.0.sharingWb"), 0u);
+        EXPECT_EQ(h.stats.get("dir0.sharingWb"), 0u);
     } else {
         // msi/mesi: the dirty data came home on the Unblock and the
         // line is clean-shared by both L1s.
@@ -151,10 +151,10 @@ TEST_P(CoherenceP, ReaderOfDirtyBlockFollowsOwnedPolicy)
         EXPECT_EQ(st, DirState::S);
         EXPECT_EQ(owner, noL1);
         EXPECT_EQ(sharers, 2u);
-        EXPECT_EQ(h.stats.get("dir.0.sharingWb"), 1u);
+        EXPECT_EQ(h.stats.get("dir0.sharingWb"), 1u);
         // The home copy must now hold the written value.
         std::uint8_t buf[mem::blockBytes];
-        ASSERT_TRUE(h.banks[0]->funcReadBlock(0x5000, buf));
+        ASSERT_TRUE(h.bank(0).funcReadBlock(0x5000, buf));
         std::uint64_t v = 0;
         std::memcpy(&v, buf, 8);
         EXPECT_EQ(v, 42u);
@@ -187,7 +187,7 @@ TEST_P(CoherenceP, UpgradeFromSUsesDatalessGrant)
     // GetM + GrantM + Inv + InvAck + Unblock: all control-sized.
     EXPECT_LT(delta, 5 * 72u);
     EXPECT_EQ(h.stateAt(0, 0x7000), CohState::M);
-    EXPECT_GE(h.stats.get("l1.0.upgrades"), 1u);
+    EXPECT_GE(h.stats.get("cpu0.l1.upgrades"), 1u);
 }
 
 TEST_P(CoherenceP, OwnershipTransfersOnFwdGetM)
@@ -224,7 +224,7 @@ TEST_P(CoherenceP, SparseWriterReaderPingPong)
     }
     // Producer repeatedly upgrades; consumer re-fetches the dirty
     // block from the owner every round.
-    EXPECT_GE(h.stats.get("l1.0.fwds"), 19u);
+    EXPECT_GE(h.stats.get("cpu0.l1.fwds"), 19u);
 }
 
 TEST_P(CoherenceP, AtomicReturnsOldValue)
@@ -299,7 +299,7 @@ TEST_P(CoherenceP, MshrCoalescesSameBlockReads)
     h.drain();
     EXPECT_EQ(done, 3);
     // One transaction for the whole block.
-    EXPECT_EQ(h.stats.get("dir.0.getS") + h.stats.get("dir.0.getM"),
+    EXPECT_EQ(h.stats.get("dir0.getS") + h.stats.get("dir0.getM"),
               1u);
 }
 
@@ -351,7 +351,7 @@ TEST_P(CoherenceP, L1EvictionWritesBackThroughPutOwned)
         h.store(0, 0x30000 + static_cast<Addr>(i) * 128,
                 1000 + static_cast<Addr>(i));
     h.drain();
-    EXPECT_GE(h.stats.get("l1.0.evictions"), 2u);
+    EXPECT_GE(h.stats.get("cpu0.l1.evictions"), 2u);
     // Evicted dirty data must be recoverable from the L2 by a peer.
     for (int i = 0; i < 6; ++i) {
         EXPECT_EQ(h.load(1, 0x30000 + static_cast<Addr>(i) * 128),
@@ -369,8 +369,8 @@ TEST_P(CoherenceP, CleanEvictionDoesNotCarryData)
     for (int i = 0; i < 8; ++i)
         h.load(0, 0x40000 + static_cast<Addr>(i) * 128);
     h.drain();
-    EXPECT_GE(h.stats.get("l1.0.evictions"), 4u);
-    EXPECT_EQ(h.stats.get("dir.0.writebacks"), 0u);
+    EXPECT_GE(h.stats.get("cpu0.l1.evictions"), 4u);
+    EXPECT_EQ(h.stats.get("dir0.writebacks"), 0u);
 }
 
 TEST_P(CoherenceP, InclusiveL2EvictionRecallsL1Copies)
@@ -387,8 +387,8 @@ TEST_P(CoherenceP, InclusiveL2EvictionRecallsL1Copies)
     for (std::size_t i = 0; i < addrs.size(); ++i)
         h.store(0, addrs[i], 7000 + i);
     h.drain();
-    EXPECT_GE(h.stats.get("dir.0.recalls"), 4u);
-    EXPECT_GE(h.stats.get("dir.0.writebacks"), 4u);
+    EXPECT_GE(h.stats.get("dir0.recalls"), 4u);
+    EXPECT_GE(h.stats.get("dir0.writebacks"), 4u);
     // Recalled dirty data must have reached DRAM and be re-fetchable.
     for (std::size_t i = 0; i < addrs.size(); ++i)
         EXPECT_EQ(h.load(1, addrs[i]), 7000u + i);
@@ -403,12 +403,12 @@ TEST_P(CoherenceP, RecallOfSharedCleanBlockNeedsNoWriteback)
     h.phys.writeScalar(0x60000, 11, 8);
     h.load(0, 0x60000);
     h.load(1, 0x60000); // shared clean
-    const auto wb_before = h.stats.get("dir.0.writebacks");
+    const auto wb_before = h.stats.get("dir0.writebacks");
     // Evict the L2 set by touching conflicting blocks.
     for (int i = 1; i <= 4; ++i)
         h.load(0, 0x60000 + static_cast<Addr>(i) * 128);
     h.drain();
-    EXPECT_EQ(h.stats.get("dir.0.writebacks"), wb_before);
+    EXPECT_EQ(h.stats.get("dir0.writebacks"), wb_before);
     // Both L1 copies must have been recalled (inclusive L2).
     EXPECT_EQ(h.stateAt(0, 0x60000), CohState::I);
     EXPECT_EQ(h.stateAt(1, 0x60000), CohState::I);
@@ -425,8 +425,8 @@ TEST_P(CoherenceP, DistinctBanksServeDistinctBlocks)
     // Each consecutive block maps to a different bank.
     unsigned active_banks = 0;
     for (int b = 0; b < 4; ++b) {
-        if (h.stats.get("dir." + std::to_string(b) + ".getS") +
-                h.stats.get("dir." + std::to_string(b) + ".getM") >
+        if (h.stats.get("dir" + std::to_string(b) + ".getS") +
+                h.stats.get("dir" + std::to_string(b) + ".getM") >
             0)
             ++active_banks;
     }
@@ -454,11 +454,11 @@ TEST_P(CoherenceP, MonitorSeesSingleWriter)
 {
     CohHarness h(2, 2, {}, {}, proto());
     h.store(0, 0x90000, 1);
-    EXPECT_EQ(h.monitor.holders(0x90000), 1u);
+    EXPECT_EQ(h.caches.monitor()->holders(0x90000), 1u);
     h.load(1, 0x90000);
-    EXPECT_EQ(h.monitor.holders(0x90000), 2u);
+    EXPECT_EQ(h.caches.monitor()->holders(0x90000), 2u);
     h.store(1, 0x90000, 2);
-    EXPECT_EQ(h.monitor.holders(0x90000), 1u);
+    EXPECT_EQ(h.caches.monitor()->holders(0x90000), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, CoherenceP,
@@ -518,7 +518,7 @@ class HeteroCoherenceP : public ::testing::TestWithParam<ProtocolPair>
     {
         std::uint64_t total = 0;
         for (int b = 0; b < kBanks; ++b)
-            total += h.stats.get("dir." + std::to_string(b) + "." +
+            total += h.stats.get("dir" + std::to_string(b) + "." +
                                  name);
         return total;
     }
@@ -557,7 +557,7 @@ TEST_P(HeteroCoherenceP, CpuOwnerForwardToMttopFollowsPairVerdict)
     DirState st;
     L1Id owner;
     unsigned sharers;
-    Directory &bank = *h.banks[(0x3000 >> 6) % kBanks];
+    Directory &bank = h.bank((0x3000 >> 6) % kBanks);
     ASSERT_TRUE(bank.probe(0x3000, st, owner, sharers));
     if (pairDirtyShares()) {
         EXPECT_EQ(st, DirState::O);
@@ -591,7 +591,7 @@ TEST_P(HeteroCoherenceP, MttopOwnerDirtyDataIsNeverLost)
         EXPECT_EQ(bankCounter(h, "sharingWb.mttop"), 0u);
         // The home copy is clean: the block's bytes at the L2 match.
         std::uint8_t blk[mem::blockBytes];
-        Directory &bank = *h.banks[(0x4000 >> 6) % kBanks];
+        Directory &bank = h.bank((0x4000 >> 6) % kBanks);
         ASSERT_TRUE(bank.funcReadBlock(0x4000, blk));
         std::uint64_t v = 0;
         std::memcpy(&v, blk, sizeof(v));
@@ -662,10 +662,12 @@ TEST_P(HeteroCoherenceP, HomogeneousPairMatchesSingleProtocolStats)
             << "counter " << c;
     }
     for (int i = 0; i < kCpuL1s + kMttopL1s; ++i) {
-        const std::string l1 = "l1." + std::to_string(i);
+        // Same L1 id, named by its cluster: mttop0.l1 vs cpu2.l1.
+        const std::string l1 = hetero.caches.l1Name(i);
+        const std::string legacy_l1 = legacy.caches.l1Name(i);
         for (const char *c : {".hits", ".misses", ".invs", ".fwds"}) {
             EXPECT_EQ(hetero.stats.get(l1 + c),
-                      legacy.stats.get(l1 + c))
+                      legacy.stats.get(legacy_l1 + c))
                 << l1 << c;
         }
     }
@@ -674,6 +676,164 @@ TEST_P(HeteroCoherenceP, HomogeneousPairMatchesSingleProtocolStats)
 INSTANTIATE_TEST_SUITE_P(ProtocolPairs, HeteroCoherenceP,
                          ::testing::ValuesIn(testProtocolPairs()),
                          ProtocolPairParamName{});
+
+/**
+ * The cache system's contract, on one CPU and one MTTOP cluster: how
+ * it numbers, places and names controllers, what each bank learns of
+ * every L1, where each block is homed, and the order a functional
+ * read consults the copies in.
+ */
+class CacheSystemContract : public ::testing::Test
+{
+  protected:
+    static constexpr int kCpuL1s = 2;
+    static constexpr int kMttopL1s = 3;
+    static constexpr int kBanks = 2;
+
+    static CohHarness
+    makeHarness(Protocol cpu, Protocol mttop, DirConfig dir_cfg = {},
+                SliceHashKind hash = SliceHashKind::Mod)
+    {
+        return CohHarness(
+            CohHarness::Clusters{kCpuL1s, kMttopL1s, cpu, mttop}, kBanks,
+            {}, dir_cfg, hash);
+    }
+
+    /** A block address homed at bank @p b of @p h, the @p n-th one. */
+    static Addr
+    blockHomedAt(CohHarness &h, int b, int n = 0)
+    {
+        for (Addr a = 0x100000;; a += mem::blockBytes) {
+            if (&h.caches.homeOf(a) == &h.bank(b) && n-- == 0)
+                return a;
+        }
+    }
+};
+
+TEST_F(CacheSystemContract, NumbersPlacesAndNamesEachController)
+{
+    CohHarness h = makeHarness(Protocol::MOESI, Protocol::MOESI);
+    ASSERT_EQ(h.caches.numL1s(), kCpuL1s + kMttopL1s);
+    ASSERT_EQ(h.caches.numBanks(), kBanks);
+    // L1 id == NoC node, CPUs first; each cluster counts from 0.
+    for (L1Id id = 0; id < h.caches.numL1s(); ++id) {
+        EXPECT_EQ(h.l1(id).id(), id);
+        EXPECT_EQ(h.l1(id).node(), id);
+        const bool cpu = id < kCpuL1s;
+        EXPECT_EQ(h.l1(id).kind(), cpu ? CoreKind::Cpu : CoreKind::Mttop);
+        EXPECT_EQ(h.caches.l1Name(id),
+                  cpu ? "cpu" + std::to_string(id) + ".l1"
+                      : "mttop" + std::to_string(id - kCpuL1s) + ".l1");
+        EXPECT_TRUE(h.stats.hasCounter(h.caches.l1Name(id) + ".hits"));
+    }
+    // Bank b follows the L1s on the NoC and is named dir<b>.
+    for (int b = 0; b < kBanks; ++b) {
+        EXPECT_EQ(h.bank(b).node(), h.caches.numL1s() + b);
+        EXPECT_TRUE(h.stats.hasCounter("dir" + std::to_string(b) +
+                                       ".requests"));
+    }
+}
+
+TEST_F(CacheSystemContract, BanksSeeEachL1sClusterProtocolAndKind)
+{
+    // A mixed pair where only one side has E: each bank must grant a
+    // sole-copy read the best state of the requestor's own cluster.
+    for (const auto &[cpu, mttop] :
+         {std::pair{Protocol::MESI, Protocol::MSI},
+          std::pair{Protocol::MSI, Protocol::MOESI}}) {
+        CohHarness h = makeHarness(cpu, mttop);
+        for (L1Id id = 0; id < h.caches.numL1s(); ++id) {
+            const bool is_cpu = id < kCpuL1s;
+            const ProtocolPolicy &want =
+                protocolPolicy(is_cpu ? cpu : mttop);
+            EXPECT_EQ(&h.l1(id).policy(), &want);
+            EXPECT_EQ(h.l1(id).kind(),
+                      is_cpu ? CoreKind::Cpu : CoreKind::Mttop);
+            for (int b = 0; b < kBanks; ++b) {
+                const Addr a = blockHomedAt(h, b, id);
+                h.load(id, a);
+                EXPECT_EQ(h.stateAt(id, a), want.hasExclusiveState()
+                                                ? CohState::E
+                                                : CohState::S)
+                    << "L1 " << id << " bank " << b;
+            }
+        }
+    }
+}
+
+TEST_F(CacheSystemContract, HomeOfIsTheSliceHash)
+{
+    for (const SliceHashKind k : allSliceHashes) {
+        CohHarness h = makeHarness(Protocol::MOESI, Protocol::MOESI, {}, k);
+        EXPECT_EQ(&h.caches.hash(), &sliceHash(k));
+        for (Addr a = 0; a < 64 * mem::blockBytes; a += mem::blockBytes) {
+            const Addr block = 0x10000 + a * 37;
+            const int b = sliceHash(k).bankOf(block, kBanks);
+            EXPECT_EQ(&h.caches.homeOf(block), &h.bank(b))
+                << sliceHashName(k) << " block 0x" << std::hex << block;
+        }
+        // And requests travel there: one miss, one request at its home.
+        const Addr block = 0x10000 + 5 * mem::blockBytes;
+        const std::string home =
+            "dir" + std::to_string(sliceHash(k).bankOf(block, kBanks));
+        h.load(0, block);
+        EXPECT_EQ(h.stats.get(home + ".requests"), 1u) << sliceHashName(k);
+    }
+}
+
+TEST_F(CacheSystemContract, FuncReadPrefersDirtyOwnerThenHomeThenMemory)
+{
+    auto read = [](CohHarness &h, Addr a) {
+        std::uint64_t v = 0;
+        h.caches.funcRead(a, &v, sizeof(v));
+        return v;
+    };
+    // msi: a reader holds S, which is no owner state.
+    CohHarness h = makeHarness(Protocol::MSI, Protocol::MSI);
+    const Addr a = blockHomedAt(h, 1);
+    h.phys.writeScalar(a, 1, 8);
+    EXPECT_EQ(read(h, a), 1u); // memory: nothing cached
+    h.load(0, a);
+    h.drain();
+    h.phys.writeScalar(a, 2, 8); // memory changes behind the caches
+    EXPECT_EQ(read(h, a), 1u);   // the home's L2 copy wins
+    h.store(kCpuL1s, a, 3);
+    EXPECT_EQ(read(h, a), 3u); // the dirty owner wins
+    // A write goes through memory and every copy.
+    const std::uint64_t v = 9;
+    h.caches.funcWrite(a, &v, sizeof(v));
+    EXPECT_EQ(h.phys.readScalar(a, 8), 9u);
+    EXPECT_EQ(h.load(kCpuL1s, a), 9u);
+    std::uint8_t blk[mem::blockBytes];
+    ASSERT_TRUE(h.bank(1).funcReadBlock(a, blk));
+    std::uint64_t l2 = 0;
+    std::memcpy(&l2, blk, sizeof(l2));
+    EXPECT_EQ(l2, 9u);
+
+    // A memory-resident home has no data cache and never answers.
+    DirConfig at_memory;
+    at_memory.memoryResident = true;
+    CohHarness m = makeHarness(Protocol::MSI, Protocol::MSI, at_memory);
+    const Addr b = blockHomedAt(m, 0);
+    m.phys.writeScalar(b, 1, 8);
+    m.load(0, b);
+    m.drain();
+    m.phys.writeScalar(b, 2, 8);
+    EXPECT_FALSE(m.bank(0).funcReadBlock(b, blk));
+    EXPECT_EQ(read(m, b), 2u);
+}
+
+TEST_F(CacheSystemContract, EachL1RecordsIntoItsKindsLatencyFamily)
+{
+    CohHarness h = makeHarness(Protocol::MOESI, Protocol::MOESI);
+    h.load(0, 0x1000);
+    EXPECT_EQ(h.stats.histogram("latency.cpu.mem").count(), 1u);
+    EXPECT_EQ(h.stats.histogram("latency.mttop.mem").count(), 0u);
+    h.load(kCpuL1s, 0x2000);
+    h.load(kCpuL1s, 0x2000);
+    EXPECT_EQ(h.stats.histogram("latency.cpu.mem").count(), 1u);
+    EXPECT_EQ(h.stats.histogram("latency.mttop.mem").count(), 2u);
+}
 
 TEST(DirectoryDeathTest, MoreL1sThanSharerBitsPanics)
 {

@@ -142,5 +142,19 @@ TEST(Mifd, DispatchLatencyIsChargedPerChunk)
     EXPECT_GT(many_chunks, one_chunk);
 }
 
+TEST(MifdDeathTest, CoreNarrowerThanTheSimdWidthPanics)
+{
+    // Chunks are never split across cores, so a core with fewer
+    // contexts than the SIMD width could never take one: a launch
+    // would wait forever. Wiring such a core must panic instead.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CcsvmConfig cfg;
+    cfg.simThreads = 1;
+    cfg.mttop.numContexts = cfg.mifd.simdWidth - 1;
+    EXPECT_DEATH(CcsvmMachine{cfg},
+                 "MTTOP core 0 has 7 thread contexts, fewer than the "
+                 "MIFD's SIMD width 8");
+}
+
 } // namespace
 } // namespace ccsvm::dev

@@ -147,8 +147,8 @@ std::uint64_t
 sumDirCounter(CohHarness &h, const std::string &suffix)
 {
     std::uint64_t total = 0;
-    for (std::size_t b = 0; b < h.banks.size(); ++b)
-        total += h.stats.get("dir." + std::to_string(b) + suffix);
+    for (int b = 0; b < h.caches.numBanks(); ++b)
+        total += h.stats.get("dir" + std::to_string(b) + suffix);
     return total;
 }
 
@@ -170,7 +170,7 @@ TEST_P(RegionProtocolTest, BypassRoundTripWithoutCaching)
     DirState st;
     L1Id owner;
     unsigned sharers;
-    EXPECT_FALSE(h.banks[pa >> mem::blockShift & 1]->probe(
+    EXPECT_FALSE(h.bank(pa >> mem::blockShift & 1).probe(
         pa, st, owner, sharers));
     EXPECT_EQ(sumDirCounter(h, ".fetches"), 0u);
     EXPECT_EQ(sumDirCounter(h, ".bypassReads"), 2u);
@@ -192,8 +192,8 @@ TEST_P(RegionProtocolTest, BypassAmoReturnsOldValue)
     EXPECT_EQ(h.load(0, pa, 8, RegionAttr::Bypass), 45u);
     h.drain();
     EXPECT_EQ(sumDirCounter(h, ".bypassWrites"), 2u);
-    for (auto &l1 : h.l1s)
-        EXPECT_EQ(l1->pendingTransactions(), 0u);
+    for (int id = 0; id < h.caches.numL1s(); ++id)
+        EXPECT_EQ(h.l1(id).pendingTransactions(), 0u);
 }
 
 TEST_P(RegionProtocolTest, BypassHitsResidentL2Copy)
@@ -203,7 +203,6 @@ TEST_P(RegionProtocolTest, BypassHitsResidentL2Copy)
     // it: they must be served from (and update) the resident copy.
     L1Config small;
     small.sizeBytes = 4 * mem::blockBytes;
-    small.protocol = GetParam();
     CohHarness h(1, 1, small, {}, GetParam());
 
     const Addr first = 0x4000;
@@ -218,7 +217,7 @@ TEST_P(RegionProtocolTest, BypassHitsResidentL2Copy)
     DirState st;
     L1Id owner;
     unsigned sharers;
-    ASSERT_TRUE(h.banks[0]->probe(first, st, owner, sharers));
+    ASSERT_TRUE(h.bank(0).probe(first, st, owner, sharers));
     EXPECT_EQ(owner, noL1);
     EXPECT_EQ(sharers, 0u);
 

@@ -505,7 +505,7 @@ const Flag kFlags[] = {
      .help = "L2/directory replacement policy (default lru)",
      .names = cache::replacerNameList,
      .pick = [](auto &c, auto v) {
-         return cache::replacerFromName(v, c.l2Replace);
+         return cache::replacerFromName(v, c.l2.replace);
      },
      .list = "--list-replacers", .sweeps = true},
     {"--dram-ns", "N", "flat DRAM latency (default 100)",
@@ -735,6 +735,17 @@ parseArgs(int argc, char **argv)
                      o.cfg.numL2Banks);
         std::exit(2);
     }
+    // The MIFD hands each MTTOP core whole SIMD-width chunks, so a
+    // core with fewer contexts could never take one and the launch
+    // would wait forever.
+    if (o.cfg.mttop.numContexts < o.cfg.mifd.simdWidth) {
+        std::fprintf(stderr,
+                     "ccsvm: --mttop-contexts %u is below the MIFD's "
+                     "SIMD width %u; every MTTOP core needs room for "
+                     "one chunk\n",
+                     o.cfg.mttop.numContexts, o.cfg.mifd.simdWidth);
+        std::exit(2);
+    }
     // Every core has one L1, and a directory line keeps its sharers
     // in a bit mask of maxL1s bits.
     const long long l1s =
@@ -831,7 +842,7 @@ renderPointJson(std::ostream &os, const DriverOptions &o,
        << ", \"slice_hash\": \""
        << coherence::sliceHashName(spec.cfg.sliceHash)
        << "\", \"l2_replace\": \""
-       << cache::replacerName(spec.cfg.l2Replace)
+       << cache::replacerName(spec.cfg.l2.replace)
        << "\", \"sim_threads\": "
        << system::resolveSimThreads(spec.cfg.simThreads)
        << ",\n              \"region_hints\": "
