@@ -4,16 +4,22 @@
 #
 #   - --sim-threads 1 (windows run inline on the calling thread) vs
 #     --sim-threads 4 (worker pool) across a
-#     {matmul, synth:false, barneshut, matmul on 62 L2 banks} x
-#     {msi, moesi} grid. barneshut is the benchmark's threaded
-#     workload; 62 banks make 65 engine partitions (every stat has
-#     one slot per partition, whatever the count). The partition/window
-#     schedule is the same at any thread count and cross-partition
-#     mailboxes commit in sorted (when, priority, srcPart, srcSeq)
-#     order, so every tick count and every stat must match byte for
-#     byte; any host-interleaving leak shows up here as a diff. Only
-#     the echoed "sim_threads" field may differ, and is normalized
-#     away before comparing.
+#     {matmul, synth:false, barneshut, matmul on 62 L2 banks,
+#     synth:migratory, synth:ptrchase} x {msi, moesi} grid. barneshut
+#     is the benchmark's threaded workload; 62 banks make 65 engine
+#     partitions (every stat has one slot per partition, whatever the
+#     count); migratory is the barrier-bound workload, about four
+#     events per window; ptrchase's MTTOP page walks and DRAM reads
+#     send walker and DRAM replies across partitions. The
+#     partition/window schedule is the same at any thread count, and
+#     each (source, destination) partition pair has one mailbox,
+#     written only by the thread running the source and drained at
+#     the barrier source by source in post order, so every
+#     (when, priority) key commits its local events, then its posts
+#     by (source partition, post order). Every tick count and every
+#     stat must therefore match byte for byte; any host-interleaving
+#     leak shows up here as a diff. Only the echoed "sim_threads"
+#     field may differ, and is normalized away before comparing.
 #   - Every point must pass its workload's validation.
 #   - CCSVM_SIM_THREADS=4 in the environment with no --sim-threads
 #     flag must behave like the flag (same normalized bytes), since
@@ -35,7 +41,9 @@ set(points
   "matmul --workload matmul --n 16 --iters 16"
   "synth_false --workload synth:false --n 16 --iters 16"
   "barneshut --workload barneshut --bodies 32 --steps 1"
-  "banks62 --workload matmul --n 16 --l2-banks 62")
+  "banks62 --workload matmul --n 16 --l2-banks 62"
+  "migratory --workload synth:migratory --iters 64"
+  "ptrchase --workload synth:ptrchase --footprint-kb 512 --iters 1")
 foreach(point IN LISTS points)
   separate_arguments(point)
   list(POP_FRONT point name)
@@ -88,5 +96,5 @@ if(NOT big_doc STREQUAL serial_doc)
           "--- serial:\n${serial_doc}")
 endif()
 
-message(STATUS "parallel engine ok: 8 grid points byte-identical "
+message(STATUS "parallel engine ok: 12 grid points byte-identical "
                "at --sim-threads 1 vs 4 (+ env knob, + INT_MAX threads)")

@@ -392,10 +392,9 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t executed_ = 0;
 
-    /** Set by PartEngine::adopt; stamps cross-partition sends. */
+    /** Set by PartEngine's constructor. */
     PartEngine *engine_ = nullptr;
     int part_ = 0;
-    std::uint64_t crossSeq_ = 0;
 };
 
 } // namespace ccsvm::sim

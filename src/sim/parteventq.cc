@@ -28,12 +28,12 @@ PartEngine::PartEngine(int partitions, Tick lookahead, int threads)
         throw std::invalid_argument(
             "PartEngine: needs at least one partition");
     queues_.reserve(partitions);
-    mail_.reserve(partitions);
+    out_.resize(partitions);
     for (int p = 0; p < partitions; ++p) {
         queues_.push_back(std::make_unique<EventQueue>());
         queues_.back()->engine_ = this;
         queues_.back()->part_ = p;
-        mail_.push_back(std::make_unique<Mailbox>());
+        out_[p].to.resize(partitions);
     }
     setThreads(threads);
 }
@@ -89,8 +89,8 @@ PartEngine::empty() const
     for (const auto &q : queues_)
         if (!q->empty())
             return false;
-    for (const auto &m : mail_)
-        if (!m->items.empty())
+    for (const Outbox &o : out_)
+        if (!o.touched.empty())
             return false;
     return true;
 }
@@ -109,48 +109,35 @@ PartEngine::post(EventQueue &target, Tick when,
                  (unsigned long long)when,
                  (unsigned long long)src->now(),
                  (unsigned long long)lookahead_);
-    // srcSeq is read-modify-written only by the host thread running
-    // the source partition's window; the mailbox mutex covers the
-    // shared vector.
-    Mailbox &mb = *mail_[target.part_];
-    std::lock_guard<std::mutex> lk(mb.mu);
-    mb.items.push_back(CrossEvent{when, priority, src->part_,
-                                  src->crossSeq_++, std::move(cb)});
+    // Single writer, the thread running src's window: no lock.
+    Outbox &o = out_[src->part_];
+    std::vector<CrossEvent> &mb = o.to[target.part_];
+    if (mb.empty())
+        o.touched.push_back(target.part_);
+    mb.push_back(CrossEvent{when, priority, std::move(cb)});
 }
 
 void
 PartEngine::drainMailboxes()
 {
-    for (std::size_t p = 0; p < mail_.size(); ++p) {
-        Mailbox &mb = *mail_[p];
-        // Runs at a barrier: no worker is inside a window, so the
-        // lock is uncontended (still taken for TSan's benefit).
-        std::lock_guard<std::mutex> lk(mb.mu);
-        if (mb.items.empty())
-            continue;
-        std::sort(mb.items.begin(), mb.items.end(),
-                  [](const CrossEvent &a, const CrossEvent &b) {
-                      if (a.when != b.when)
-                          return a.when < b.when;
-                      if (a.priority != b.priority)
-                          return a.priority < b.priority;
-                      if (a.srcPart != b.srcPart)
-                          return a.srcPart < b.srcPart;
-                      return a.srcSeq < b.srcSeq;
-                  });
-        for (auto &ev : mb.items) {
-            ccsvm_assert(ev.when >= queues_[p]->now(),
-                         "mailbox event in partition %zu's past: "
-                         "when=%llu dest-now=%llu srcPart=%d "
-                         "srcSeq=%llu prio=%d",
-                         p, (unsigned long long)ev.when,
-                         (unsigned long long)queues_[p]->now(),
-                         ev.srcPart,
-                         (unsigned long long)ev.srcSeq, ev.priority);
-            queues_[p]->schedule(ev.when, std::move(ev.cb),
-                                 ev.priority);
+    // clear() keeps each vector's capacity, so the steady state
+    // allocates nothing.
+    for (std::size_t s = 0; s < out_.size(); ++s) {
+        Outbox &o = out_[s];
+        for (const int d : o.touched) {
+            EventQueue &q = *queues_[d];
+            for (CrossEvent &ev : o.to[d]) {
+                ccsvm_assert(ev.when >= q.now(),
+                             "post from partition %zu in partition "
+                             "%d's past: when=%llu dest-now=%llu "
+                             "prio=%d",
+                             s, d, (unsigned long long)ev.when,
+                             (unsigned long long)q.now(), ev.priority);
+                q.schedule(ev.when, std::move(ev.cb), ev.priority);
+            }
+            o.to[d].clear();
         }
-        mb.items.clear();
+        o.touched.clear();
     }
 }
 

@@ -12,14 +12,21 @@
  * the window can arrive before W+L, so no event can land in another
  * partition's past.
  *
- * Cross-partition sends go through per-destination mailboxes stamped
- * with a deterministic (sourcePartition, sourceSeq) tiebreaker. At
- * each window barrier the mailboxes are drained in sorted
- * (when, priority, sourcePartition, sourceSeq) order into the
- * destination queues, so the committed event order — and therefore
- * every statistic — is byte-identical at any host thread count and
- * independent of host interleaving. `threads == 1` runs the same
- * partition/window schedule inline on the calling thread.
+ * Cross-partition sends go into one mailbox per (source, destination)
+ * partition pair, in post order. Each window barrier drains them
+ * source by source, in partition index order, into the destination
+ * queues. A queue runs each (when, priority) key's events in
+ * insertion order, so every key commits its local events and then
+ * its posts by (source partition, post order), as a sort by (when,
+ * priority, source partition, post order) would: the committed event
+ * order — and therefore every statistic — is byte-identical at any
+ * host thread count and independent of host interleaving.
+ * `threads == 1` runs the same partition/window schedule inline on
+ * the calling thread.
+ *
+ * A mailbox needs no lock: only the host thread running its source
+ * partition's window appends to it, and the window join (pending_
+ * and inWindow_ under mu_) orders every append before the drain.
  */
 
 #ifndef CCSVM_SIM_PARTEVENTQ_HH
@@ -162,8 +169,9 @@ class PartEngine
      * @p when. Must be called from an executing event of another
      * partition of this engine; @p when must be at least the
      * caller's now() + lookahead() (the conservative horizon).
-     * Delivery order is deterministic: mailboxes are drained sorted
-     * by (when, priority, sourcePartition, sourceSeq).
+     * Delivery order is deterministic: at the barrier each
+     * (when, priority) key receives its posts by (source partition,
+     * post order), after the target's own events on that key.
      */
     void post(EventQueue &target, Tick when, EventQueue::Callback cb,
               int priority = prioDefault);
@@ -199,15 +207,18 @@ class PartEngine
     {
         Tick when;
         int priority;
-        int srcPart;
-        std::uint64_t srcSeq;
         EventQueue::Callback cb;
     };
 
-    struct Mailbox
+    /** One source partition's mailboxes, written only by the host
+     * thread running that partition's window. Cache-line aligned so
+     * sources running on different threads share no line. */
+    struct alignas(64) Outbox
     {
-        std::mutex mu;
-        std::vector<CrossEvent> items;
+        /** Posts to each destination partition, in post order. */
+        std::vector<std::vector<CrossEvent>> to;
+        /** Destinations posted to since the last barrier. */
+        std::vector<int> touched;
     };
 
     /** The window loop of run and runUntil: stops when @p done
@@ -222,7 +233,8 @@ class PartEngine
     Tick nextEventTime() const;
     /** Fast-forward every queue's clock to the window base @p w. */
     void advanceTo(Tick w);
-    /** Sort and schedule every mailbox into its queue (barrier). */
+    /** Schedule every mailbox into its queue, sources in index
+     * order, and empty it (barrier). */
     void drainMailboxes();
     /** Execute one window [*, end) across all partitions. */
     void runWindowAll(Tick end);
@@ -232,7 +244,7 @@ class PartEngine
     void stopWorkers();
 
     std::vector<std::unique_ptr<EventQueue>> queues_;
-    std::vector<std::unique_ptr<Mailbox>> mail_;
+    std::vector<Outbox> out_;
     Tick lookahead_;
     Tick now_ = 0;
     int threads_ = 1;

@@ -131,9 +131,9 @@ Tracer::sortMerged()
 {
     if (sorted_)
         return;
-    // The same deterministic commit order the engine uses for
-    // cross-partition mailboxes: any host interleaving of the rings
-    // collapses to one canonical sequence.
+    // (when, priority, recording partition, record sequence) is a
+    // total order that no host schedule affects: any host
+    // interleaving of the rings collapses to one canonical sequence.
     std::sort(merged_.begin(), merged_.end(),
               [](const TraceEvent &a, const TraceEvent &b) {
                   return std::tie(a.when, a.prio, a.srcPart, a.srcSeq) <

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -88,9 +89,10 @@ TEST(PartEngine, CrossPartitionPostDelivers)
 TEST(PartEngine, SameTickCrossOrderIsDeterministic)
 {
     // Three source partitions race posts at the same destination tick.
-    // The barrier drain must order them by (priority, srcPart,
-    // srcSeq) regardless of which host thread ran which window.
-    for (const int threads : {1, 4}) {
+    // The barrier drain must order them by (priority, source
+    // partition, post order) regardless of which host thread ran
+    // which window.
+    for (const int threads : {1, 2, 4}) {
         PartEngine eng(4, 10, threads);
         std::vector<std::string> order;
         auto mark = [&](const char *tag) {
@@ -112,11 +114,81 @@ TEST(PartEngine, SameTickCrossOrderIsDeterministic)
         });
         eng.run();
         // Priority before source: the urgent p3a message leads, then
-        // default-priority posts in (srcPart, srcSeq) order.
+        // default-priority posts by (source partition, post order).
         EXPECT_EQ(order,
                   (std::vector<std::string>{"p3a", "p1a", "p1b",
                                             "p2a", "p2b", "p3b"}))
             << "threads=" << threads;
+    }
+
+    // Seeded input: in each of two rounds, six source partitions post
+    // 50 events each to partition 0, on keys drawn from 2 ticks x 3
+    // priorities, while partition 0 already holds local events on the
+    // same keys. The second round runs after a later barrier, so a
+    // mailbox or touched list left over from the first one shows up
+    // as a duplicated or missing event. The expected order is the
+    // commit rule spelled out: per (when, priority) key, the local
+    // events in schedule order, then the posts by (source partition,
+    // post order).
+    constexpr int kParts = 7, kPosts = 50, kLocals = 12, kKeys = 6;
+    constexpr Tick kPostAt[2] = {5, 35}; // sources post at this tick
+    constexpr Tick kKeyAt[2] = {20, 50}; // to this tick and the next
+    auto keyWhen = [&](int round, int k) {
+        return kKeyAt[round] + static_cast<Tick>(k / 3);
+    };
+    auto keyPrio = [](int k) { return k % 3 - 1; };
+    // Log entry of round r's event i from source s (0: local).
+    auto id = [](int r, int s, int i) {
+        return r * 100000 + s * 1000 + i;
+    };
+    std::mt19937 rng(20261018);
+    std::vector<int> localKeys[2];
+    std::vector<int> postKeys[2][kParts];
+    for (int r = 0; r < 2; ++r) {
+        for (int i = 0; i < kLocals; ++i)
+            localKeys[r].push_back(static_cast<int>(rng() % kKeys));
+        for (int s = 1; s < kParts; ++s)
+            for (int i = 0; i < kPosts; ++i)
+                postKeys[r][s].push_back(static_cast<int>(rng() % kKeys));
+    }
+    std::vector<int> expect;
+    for (int r = 0; r < 2; ++r)
+        for (int k = 0; k < kKeys; ++k) {
+            for (int i = 0; i < kLocals; ++i)
+                if (localKeys[r][i] == k)
+                    expect.push_back(id(r, 0, i));
+            for (int s = 1; s < kParts; ++s)
+                for (int i = 0; i < kPosts; ++i)
+                    if (postKeys[r][s][i] == k)
+                        expect.push_back(id(r, s, i));
+        }
+    ASSERT_EQ(expect.size(), 2u * (kLocals + (kParts - 1) * kPosts));
+
+    for (const int threads : {1, 2, 4}) {
+        PartEngine eng(kParts, 10, threads);
+        std::vector<int> log;
+        for (int r = 0; r < 2; ++r) {
+            for (int i = 0; i < kLocals; ++i) {
+                const int k = localKeys[r][i];
+                eng.queue(0).schedule(
+                    keyWhen(r, k),
+                    [&log, v = id(r, 0, i)] { log.push_back(v); },
+                    keyPrio(k));
+            }
+            for (int s = 1; s < kParts; ++s)
+                eng.queue(s).schedule(kPostAt[r], [&, r, s] {
+                    for (int i = 0; i < kPosts; ++i) {
+                        const int k = postKeys[r][s][i];
+                        eng.post(
+                            eng.queue(0), keyWhen(r, k),
+                            [&log, v = id(r, s, i)] { log.push_back(v); },
+                            keyPrio(k));
+                    }
+                });
+        }
+        eng.run();
+        EXPECT_EQ(log, expect) << "threads=" << threads;
+        EXPECT_TRUE(eng.empty());
     }
 }
 
