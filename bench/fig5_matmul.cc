@@ -7,9 +7,13 @@
  * function of matrix size, with four series: APU full runtime, APU
  * without compilation/initialization, CCSVM/xthreads, and the CPU
  * core itself (=1). Sizes are scaled down from the paper's 16..1024
- * (simulator speed; see EXPERIMENTS.md): the launch-overhead
- * amortization trend — CCSVM dominating at small sizes, the APU
- * closing the gap as size grows — is visible within the sweep.
+ * because host time follows guest work: every guest load and store
+ * is modelled through TLB, coherence, NoC and DRAM, and matmul's
+ * work grows as n^3, so n=1024 is 512 times the work of n=128. The
+ * default sweep stops at 64; CCSVM_BENCH_LARGE=1 adds 96 and 128.
+ * The launch-overhead amortization trend — CCSVM dominating at small
+ * sizes, the APU closing the gap as size grows — is visible within
+ * the sweep.
  */
 
 #include "bench_common.hh"

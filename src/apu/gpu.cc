@@ -133,20 +133,13 @@ GpuSimdUnit::processOp(core::ThreadContext &tc)
                       [&tc] { tc.completeOp(0); });
         return;
       }
-      case core::OpKind::Load:
+      case core::OpKind::Memory:
         ++instructions_;
         ++memOps_;
-        doLoad(tc);
-        return;
-      case core::OpKind::Store:
-        ++instructions_;
-        ++memOps_;
-        doStore(tc);
-        return;
-      case core::OpKind::Amo:
-        ++instructions_;
-        ++memOps_;
-        doAmo(tc);
+        if (op.mem.writes())
+            doWrite(tc);
+        else
+            doLoad(tc);
         return;
       case core::OpKind::Stall:
         eq_->scheduleIn(op.stallTicks, [&tc] { tc.completeOp(0); });
@@ -167,8 +160,7 @@ GpuSimdUnit::doLoad(core::ThreadContext &tc)
         ++cacheHits_;
         readCache_.touch(line);
         eq_->scheduleIn(cfg_.cacheHitLatency, [this, &tc, pa] {
-            core::GuestOp &o = tc.pendingOp();
-            tc.completeOp(phys_->readScalar(pa, o.size));
+            tc.completeOp(tc.pendingOp().mem.applyTo(*phys_, pa));
         });
         return;
     }
@@ -196,45 +188,36 @@ GpuSimdUnit::doLoad(core::ThreadContext &tc)
         pendingReads_.erase(block);
         for (core::ThreadContext *w : waiters) {
             core::GuestOp &o = w->pendingOp();
-            w->completeOp(phys_->readScalar(o.va, o.size));
+            w->completeOp(o.mem.applyTo(*phys_, o.va));
         }
     });
 }
 
 void
-GpuSimdUnit::doStore(core::ThreadContext &tc)
+GpuSimdUnit::doWrite(core::ThreadContext &tc)
 {
-    core::GuestOp &op = tc.pendingOp();
+    const core::GuestOp &op = tc.pendingOp();
     const Addr pa = op.va;
-    const Addr block = mem::blockAlign(pa);
-
-    phys_->writeScalar(pa, op.wdata, op.size);
-    if (block != wcBlock_) {
-        // New block: the previous combine buffer drains off-chip.
-        wcBlock_ = block;
-        dram_->access(true, mem::blockBytes, [] {});
+    // The functional access happens at issue: a store enters the
+    // write-combining buffer, and an atomic executes at the memory
+    // controller, which serializes it.
+    const std::uint64_t v = op.mem.applyTo(*phys_, pa);
+    if (op.mem.kind == coherence::ScalarOp::Kind::Write) {
+        const Addr block = mem::blockAlign(pa);
+        if (block != wcBlock_) {
+            // New block: the previous combine buffer drains off-chip.
+            wcBlock_ = block;
+            dram_->access(true, mem::blockBytes, [] {});
+        }
+        eq_->schedule(clock_.clockEdge(1), [&tc] { tc.completeOp(0); });
+        return;
     }
-    eq_->schedule(clock_.clockEdge(1), [&tc] { tc.completeOp(0); });
-}
-
-void
-GpuSimdUnit::doAmo(core::ThreadContext &tc)
-{
-    core::GuestOp &op = tc.pendingOp();
-    const Addr pa = op.va;
     // GPU atomics execute at the memory controller: read + modify +
-    // write, two off-chip transactions, no caching. The functional
-    // RMW happens atomically at issue (the controller serializes);
-    // the thread only resumes after both transactions complete.
-    const std::uint64_t old_val = phys_->readScalar(pa, op.size);
-    const std::uint64_t new_val =
-        coherence::amoApply(op.amoOp, old_val, op.operand,
-                            op.operand2);
-    phys_->writeScalar(pa, new_val, op.size);
-    dram_->access(false, mem::blockBytes, [this, &tc, old_val] {
-        dram_->access(true, mem::blockBytes, [&tc, old_val] {
-            tc.completeOp(old_val);
-        });
+    // write, two off-chip transactions, no caching. The thread only
+    // resumes after both transactions complete.
+    dram_->access(false, mem::blockBytes, [this, &tc, v] {
+        dram_->access(true, mem::blockBytes,
+                      [&tc, v] { tc.completeOp(v); });
     });
 }
 

@@ -112,8 +112,8 @@ class GpuSimdUnit : public core::CoreModel
     void cycle();
     void processOp(core::ThreadContext &tc);
     void doLoad(core::ThreadContext &tc);
-    void doStore(core::ThreadContext &tc);
-    void doAmo(core::ThreadContext &tc);
+    /** A store or an atomic: both perform at issue. */
+    void doWrite(core::ThreadContext &tc);
 
     sim::EventQueue *eq_;
     GpuSimdUnitConfig cfg_;

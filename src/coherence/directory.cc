@@ -227,9 +227,7 @@ Directory::handleMessage(CohMsg msg)
       case MsgType::GetM:
       case MsgType::PutS:
       case MsgType::PutOwned:
-      case MsgType::BypassRead:
-      case MsgType::BypassWrite:
-      case MsgType::BypassAmo: {
+      case MsgType::Bypass: {
         ++requests_;
         L2Line *line = array_.lookup(msg.blockAddr);
         if (line && line->busy) {
@@ -272,9 +270,7 @@ Directory::processRequest(CohMsg &msg)
       case MsgType::PutOwned:
         processPutOwned(msg, line);
         return;
-      case MsgType::BypassRead:
-      case MsgType::BypassWrite:
-      case MsgType::BypassAmo:
+      case MsgType::Bypass:
         processBypass(msg, line);
         return;
       default:
@@ -551,10 +547,11 @@ Directory::processPutOwned(CohMsg &msg, L2Line *line)
 void
 Directory::processBypass(CohMsg &msg, L2Line *line)
 {
-    ccsvm_assert(msg.reqSize > 0 && msg.reqSize <= 8 &&
-                     msg.reqOffset + msg.reqSize <= mem::blockBytes,
-                 "malformed bypass op: off=%u size=%u", msg.reqOffset,
-                 msg.reqSize);
+    const ScalarOp op = msg.op;
+    const unsigned off = msg.reqOffset;
+    ccsvm_assert(op.size > 0 && op.size <= 8 &&
+                     off + op.size <= mem::blockBytes,
+                 "malformed bypass op: off=%u size=%u", off, op.size);
     // A bypass region is never cached: its attribute covers every
     // access to its pages, so no L1 can hold a copy. Catch misuse
     // (e.g. a region added after its pages were already cached)
@@ -563,8 +560,7 @@ Directory::processBypass(CohMsg &msg, L2Line *line)
                  "bypass op to block 0x%llx still cached by L1s",
                  (unsigned long long)msg.blockAddr);
 
-    const bool is_read = msg.type == MsgType::BypassRead;
-    ++(is_read ? bypassReads_ : bypassWrites_);
+    ++(op.writes() ? bypassWrites_ : bypassReads_);
 
     // Capture only scalars: a CohMsg carries a 64-byte data array,
     // and copying whole messages into nested std::function closures
@@ -579,7 +575,7 @@ Directory::processBypass(CohMsg &msg, L2Line *line)
         rsp.type = MsgType::BypassResp;
         rsp.blockAddr = block;
         rsp.bypassId = id;
-        rsp.wdata = v;
+        rsp.op.wdata = v;
         sendToL1(requestor, std::move(rsp), latency);
     };
 
@@ -588,79 +584,37 @@ Directory::processBypass(CohMsg &msg, L2Line *line)
         // write leaves the line dirty; the normal recall/writeback
         // path flushes it off-chip eventually.
         array_.touch(line);
-        std::uint64_t old_val = 0;
-        std::memcpy(&old_val, line->data.data() + msg.reqOffset,
-                    msg.reqSize);
-        std::uint64_t result = old_val;
-        if (msg.type == MsgType::BypassWrite) {
-            std::memcpy(line->data.data() + msg.reqOffset, &msg.wdata,
-                        msg.reqSize);
+        const std::uint64_t v = op.applyTo(line->data.data() + off);
+        if (op.writes())
             line->dirty = true;
-            result = 0;
-        } else if (msg.type == MsgType::BypassAmo) {
-            const std::uint64_t new_val = amoApply(
-                msg.amoOp, old_val, msg.operand, msg.operand2);
-            std::memcpy(line->data.data() + msg.reqOffset, &new_val,
-                        msg.reqSize);
-            line->dirty = true;
-        }
-        respond(result, cfg_.l2DataLatency);
+        respond(v, cfg_.l2DataLatency);
         return;
     }
 
     // No resident copy (or a directory-at-memory bank, whose data
-    // always lives off-chip): the op is a DRAM transaction. PhysMem
-    // is authoritative here — nothing caches a bypass block — and the
-    // op is applied inside the DRAM callback so racing bypass ops to
-    // the same word serialize in event order. The resident-but-
-    // memory-resident line copy (kept current by the fetch path) is
-    // patched too so later serveData calls see the write.
-    const unsigned off = msg.reqOffset;
-    const unsigned size = msg.reqSize;
+    // always lives off-chip): the op is one DRAM read or write, or
+    // for an atomic a read then a write, like the APU's uncached
+    // atomics. PhysMem is authoritative here — nothing caches a
+    // bypass block — and the op is applied inside the DRAM callback
+    // so racing bypass ops to the same word serialize in event order.
+    // The resident-but-memory-resident line copy (kept current by the
+    // fetch path) is patched too so later serveData calls see the
+    // write.
     const Addr pa = block + off;
-    switch (msg.type) {
-      case MsgType::BypassRead:
-        dram_->access(false, mem::blockBytes,
-                      [this, pa, size, respond] {
-                          respond(phys_->readScalar(pa, size),
-                                  cfg_.ctrlLatency);
-                      });
-        return;
-      case MsgType::BypassWrite: {
-        const std::uint64_t wdata = msg.wdata;
+    dram_->access(op.kind == ScalarOp::Kind::Write, mem::blockBytes,
+                  [this, block, pa, off, op, respond] {
+        const std::uint64_t v = op.applyTo(*phys_, pa);
+        if (op.writes()) {
+            if (L2Line *l = array_.lookup(block))
+                phys_->read(pa, l->data.data() + off, op.size);
+        }
+        if (op.kind != ScalarOp::Kind::Amo) {
+            respond(v, cfg_.ctrlLatency);
+            return;
+        }
         dram_->access(true, mem::blockBytes,
-                      [this, block, pa, off, size, wdata, respond] {
-            phys_->writeScalar(pa, wdata, size);
-            if (L2Line *l = array_.lookup(block))
-                std::memcpy(l->data.data() + off, &wdata, size);
-            respond(0, cfg_.ctrlLatency);
-        });
-        return;
-      }
-      case MsgType::BypassAmo: {
-        // Read-modify-write at memory, like the APU's uncached
-        // atomics: one read plus one write transaction.
-        const AmoOp op = msg.amoOp;
-        const std::uint64_t operand = msg.operand;
-        const std::uint64_t operand2 = msg.operand2;
-        dram_->access(false, mem::blockBytes,
-                      [this, block, pa, off, size, op, operand,
-                       operand2, respond] {
-            const std::uint64_t old_val = phys_->readScalar(pa, size);
-            const std::uint64_t new_val =
-                amoApply(op, old_val, operand, operand2);
-            phys_->writeScalar(pa, new_val, size);
-            if (L2Line *l = array_.lookup(block))
-                std::memcpy(l->data.data() + off, &new_val, size);
-            dram_->access(true, mem::blockBytes, [old_val, respond] {
-                respond(old_val, 0);
-            });
-        });
-        return;
-      }
-      default:
-        ccsvm_panic("unreachable");
-    }
+                      [v, respond] { respond(v, 0); });
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,14 @@ latencyName(CoreKind kind, const char *suffix)
     return std::string("latency.") + coreKindName(kind) + suffix;
 }
 
+/** True if a line in @p s may perform @p op now: a store or an
+ * atomic needs write permission, a load any valid copy. */
+bool
+permits(CohState s, const ScalarOp &op)
+{
+    return op.writes() ? canWrite(s) : canRead(s);
+}
+
 } // namespace
 
 L1Controller::L1Controller(const CacheSystem &sys,
@@ -95,35 +103,18 @@ L1Controller::performOp(Line &line, MemRequest &req)
 {
     const unsigned off = static_cast<unsigned>(
         req.paddr & mem::blockOffsetMask);
-    ccsvm_assert(off + req.size <= mem::blockBytes,
+    ccsvm_assert(off + req.op.size <= mem::blockBytes,
                  "access crosses block boundary pa=0x%llx size=%u",
-                 (unsigned long long)req.paddr, req.size);
+                 (unsigned long long)req.paddr, req.op.size);
+    ccsvm_assert(permits(line.state, req.op),
+                 "%s without permission in %s",
+                 req.op.writes() ? "write" : "read",
+                 cohStateName(line.state));
 
-    std::uint64_t old_val = 0;
-    std::memcpy(&old_val, line.data.data() + off, req.size);
-
-    switch (req.kind) {
-      case MemRequest::Kind::Read:
-        ccsvm_assert(canRead(line.state), "read without permission");
-        return old_val;
-      case MemRequest::Kind::Write: {
-        ccsvm_assert(canWrite(line.state), "write without permission");
-        std::memcpy(line.data.data() + off, &req.wdata, req.size);
-        if (line.state == CohState::E)
-            setLineState(line, CohState::M);
-        return 0;
-      }
-      case MemRequest::Kind::Amo: {
-        ccsvm_assert(canWrite(line.state), "AMO without permission");
-        const std::uint64_t new_val =
-            amoApply(req.amoOp, old_val, req.operand, req.operand2);
-        std::memcpy(line.data.data() + off, &new_val, req.size);
-        if (line.state == CohState::E)
-            setLineState(line, CohState::M);
-        return old_val;
-      }
-    }
-    ccsvm_panic("unreachable");
+    const std::uint64_t v = req.op.applyTo(line.data.data() + off);
+    if (req.op.writes() && line.state == CohState::E)
+        setLineState(line, CohState::M);
+    return v;
 }
 
 void
@@ -181,17 +172,13 @@ L1Controller::access(MemRequestPtr req)
     }
 
     Line *line = array_.lookup(block);
-    if (line) {
-        const bool ok = req->needsWrite() ? canWrite(line->state)
-                                          : canRead(line->state);
-        if (ok) {
-            ++hits_;
-            array_.touch(line);
-            const std::uint64_t v = performOp(*line, *req);
-            recordLatency(latHit_, *req);
-            completeOp(std::move(req), v);
-            return;
-        }
+    if (line && permits(line->state, req->op)) {
+        ++hits_;
+        array_.touch(line);
+        const std::uint64_t v = performOp(*line, *req);
+        recordLatency(latHit_, *req);
+        completeOp(std::move(req), v);
+        return;
     }
 
     ++misses_;
@@ -207,7 +194,7 @@ L1Controller::access(MemRequestPtr req)
 
     auto &entry = mshrs_[block];
     entry.blockAddr = block;
-    entry.wantM = req->needsWrite();
+    entry.wantM = req->op.writes();
     entry.region = req->region;
     entry.regionProt = req->regionProt;
     entry.policy = req->region == RegionAttr::ProtocolOverride
@@ -227,27 +214,13 @@ L1Controller::issueBypass(MemRequestPtr req)
 {
     const Addr block = mem::blockAlign(req->paddr);
     CohMsg msg;
-    switch (req->kind) {
-      case MemRequest::Kind::Read:
-        msg.type = MsgType::BypassRead;
-        break;
-      case MemRequest::Kind::Write:
-        msg.type = MsgType::BypassWrite;
-        msg.wdata = req->wdata;
-        break;
-      case MemRequest::Kind::Amo:
-        msg.type = MsgType::BypassAmo;
-        msg.amoOp = req->amoOp;
-        msg.operand = req->operand;
-        msg.operand2 = req->operand2;
-        break;
-    }
+    msg.type = MsgType::Bypass;
     msg.blockAddr = block;
     msg.sender = id_;
     msg.requestor = id_;
     msg.region = RegionAttr::Bypass;
     msg.reqOffset = static_cast<unsigned>(req->paddr - block);
-    msg.reqSize = req->size;
+    msg.op = req->op;
     msg.bypassId = nextBypassId_++;
     bypassPending_.emplace(msg.bypassId, std::move(req));
     sendToDir(std::move(msg));
@@ -266,7 +239,7 @@ L1Controller::handleBypassResp(CohMsg &msg)
     if (trc_.enabled(sim::traceCoh))
         trc_.complete(sim::traceCoh, lane_, "Bypass", req->issueTick,
                       eq_->now(), msg.blockAddr);
-    completeOp(std::move(req), msg.wdata);
+    completeOp(std::move(req), msg.op.wdata);
 }
 
 void
@@ -416,9 +389,7 @@ L1Controller::replayOps(MshrEntry &entry, Line *line)
 {
     while (!entry.ops.empty()) {
         MemRequest &req = *entry.ops.front();
-        const bool ok = req.needsWrite() ? canWrite(line->state)
-                                         : canRead(line->state);
-        if (!ok) {
+        if (!permits(line->state, req.op)) {
             // A store coalesced behind a GetS fill: upgrade.
             entry.wantM = true;
             ++upgrades_;

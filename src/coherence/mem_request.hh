@@ -25,16 +25,8 @@ namespace ccsvm::coherence
 /** One load, store or atomic RMW presented to an L1. */
 struct MemRequest
 {
-    enum class Kind : std::uint8_t { Read, Write, Amo };
-
-    Kind kind = Kind::Read;
+    ScalarOp op;
     Addr paddr = 0;
-    unsigned size = 8;
-
-    std::uint64_t wdata = 0;    ///< store data
-    AmoOp amoOp = AmoOp::Add;   ///< atomic operation
-    std::uint64_t operand = 0;  ///< AMO operand (compare value for CAS)
-    std::uint64_t operand2 = 0; ///< AMO second operand (CAS swap value)
 
     /** Region attribute of the page this access targets (carried by
      * the TLB alongside the translation). Bypass requests skip the L1
@@ -54,8 +46,6 @@ struct MemRequest
     /** Completion callback; the argument is the loaded value (loads)
      * or the old value (atomics); 0 for stores. */
     std::function<void(std::uint64_t)> onDone;
-
-    bool needsWrite() const { return kind != Kind::Read; }
 };
 
 using MemRequestPtr = std::unique_ptr<MemRequest>;

@@ -1,5 +1,8 @@
 #include "coherence/monitor.hh"
 
+#include <bit>
+#include <limits>
+
 #include "base/logging.hh"
 
 namespace ccsvm::coherence
@@ -8,11 +11,18 @@ namespace ccsvm::coherence
 void
 SwmrMonitor::onSetState(L1Id id, Addr block_addr, CohState s)
 {
+    // A machine's cache system caps its L1s at the directory's
+    // sharer-mask width; a standalone monitor has no such guard.
+    ccsvm_assert(id >= 0 &&
+                     id < std::numeric_limits<std::uint32_t>::digits,
+                 "SWMR monitor tracks L1s 0-31, got L1 %d", id);
+    const std::uint32_t bit = 1u << id;
+
     std::lock_guard<std::mutex> lk(mu_);
-    auto &info = blocks_[block_addr];
+    BlockInfo &info = blocks_[block_addr];
 
     // Remove any previous record for this L1 on this block.
-    info.readers.erase(id);
+    info.readers &= ~bit;
     if (info.writer == id)
         info.writer = noL1;
     if (info.owner == id)
@@ -22,10 +32,10 @@ SwmrMonitor::onSetState(L1Id id, Addr block_addr, CohState s)
       case CohState::I:
         break;
       case CohState::S:
-        info.readers.insert(id);
+        info.readers |= bit;
         break;
       case CohState::O:
-        info.readers.insert(id);
+        info.readers |= bit;
         ccsvm_assert(info.owner == noL1,
                      "two owners for block 0x%llx: L1 %d and L1 %d",
                      (unsigned long long)block_addr, info.owner, id);
@@ -35,8 +45,9 @@ SwmrMonitor::onSetState(L1Id id, Addr block_addr, CohState s)
       case CohState::M:
         // The previous record for this L1 was erased above, so any
         // surviving writer is a *different* L1 — two simultaneous
-        // writers, which check() alone cannot see (it has one writer
-        // slot, and silently overwriting it would hide the second).
+        // writers, which the check below alone cannot see (it has
+        // one writer slot, and silently overwriting it would hide
+        // the second).
         ccsvm_assert(info.writer == noL1,
                      "SWMR violated: block 0x%llx has two writers, "
                      "L1 %d and L1 %d",
@@ -44,7 +55,20 @@ SwmrMonitor::onSetState(L1Id id, Addr block_addr, CohState s)
         info.writer = id;
         break;
     }
-    checkLocked(block_addr);
+
+    if (info.writer != noL1) {
+        // A writer (E or M) must be the sole holder.
+        ccsvm_assert(info.readers == 0,
+                     "SWMR violated: block 0x%llx has writer L1 %d and "
+                     "%d readers",
+                     (unsigned long long)block_addr, info.writer,
+                     std::popcount(info.readers));
+        ccsvm_assert(info.owner == noL1,
+                     "SWMR violated: block 0x%llx has writer L1 %d and "
+                     "owner L1 %d",
+                     (unsigned long long)block_addr, info.writer,
+                     info.owner);
+    }
 }
 
 void
@@ -61,38 +85,8 @@ SwmrMonitor::holders(Addr block_addr) const
     if (it == blocks_.end())
         return 0;
     const auto &info = it->second;
-    return static_cast<unsigned>(info.readers.size()) +
+    return static_cast<unsigned>(std::popcount(info.readers)) +
            (info.writer != noL1 ? 1u : 0u);
-}
-
-void
-SwmrMonitor::check(Addr block_addr) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    checkLocked(block_addr);
-}
-
-void
-SwmrMonitor::checkLocked(Addr block_addr) const
-{
-    auto it = blocks_.find(block_addr);
-    if (it == blocks_.end())
-        return;
-    const auto &info = it->second;
-
-    if (info.writer != noL1) {
-        // A writer (E or M) must be the sole holder.
-        ccsvm_assert(info.readers.empty(),
-                     "SWMR violated: block 0x%llx has writer L1 %d and "
-                     "%zu readers",
-                     (unsigned long long)block_addr, info.writer,
-                     info.readers.size());
-        ccsvm_assert(info.owner == noL1,
-                     "SWMR violated: block 0x%llx has writer L1 %d and "
-                     "owner L1 %d",
-                     (unsigned long long)block_addr, info.writer,
-                     info.owner);
-    }
 }
 
 } // namespace ccsvm::coherence

@@ -6,14 +6,16 @@
  * (SWMR) invariant" (paper Sec. 3.2.2, citing Sorin/Hill/Wood). The
  * monitor shadows every L1's permission for every block and panics the
  * moment two caches could disagree — it is the protocol's executable
- * specification, enabled in tests and debug builds.
+ * specification. Every machine builds one unless told not to
+ * (`swmrChecks`, the driver's `--no-swmr`), so the driver, the
+ * benchmark and the tests all run with it by default.
  */
 
 #ifndef CCSVM_COHERENCE_MONITOR_HH
 #define CCSVM_COHERENCE_MONITOR_HH
 
+#include <cstdint>
 #include <mutex>
-#include <set>
 #include <unordered_map>
 
 #include "base/types.hh"
@@ -26,7 +28,8 @@ namespace ccsvm::coherence
 class SwmrMonitor
 {
   public:
-    /** Record that L1 @p id now holds @p block_addr in @p s. */
+    /** Record that L1 @p id (0-31) now holds @p block_addr in @p s,
+     * and check the block's invariant. */
     void onSetState(L1Id id, Addr block_addr, CohState s);
 
     /** Record that L1 @p id dropped @p block_addr. */
@@ -35,19 +38,15 @@ class SwmrMonitor
     /** Number of L1s currently holding @p block_addr (any state). */
     unsigned holders(Addr block_addr) const;
 
-    /** Verify the global invariant for one block (also done on every
-     * update); exposed for tests. */
-    void check(Addr block_addr) const;
-
   private:
+    /** One block's holders. A chip has at most 32 L1s (the
+     * directory's sharer mask), so the readers fit one word. */
     struct BlockInfo
     {
-        std::set<L1Id> readers; ///< S and O holders
-        L1Id writer = noL1;     ///< E or M holder
-        L1Id owner = noL1;      ///< O holder (also in readers)
+        std::uint32_t readers = 0; ///< S and O holders, bit per L1
+        L1Id writer = noL1;        ///< E or M holder
+        L1Id owner = noL1;         ///< O holder (also in readers)
     };
-
-    void checkLocked(Addr block_addr) const;
 
     /**
      * L1s in different partitions update the monitor concurrently
@@ -59,6 +58,8 @@ class SwmrMonitor
      * lands in a later window.
      */
     mutable std::mutex mu_;
+    /** Records are never erased: erasing one when its last holder
+     * leaves would allocate a map node per block lifetime. */
     std::unordered_map<Addr, BlockInfo> blocks_;
 };
 

@@ -24,9 +24,7 @@ msgTypeName(MsgType t)
       case MsgType::RecallAck: return "RecallAck";
       case MsgType::RecallData: return "RecallData";
       case MsgType::Unblock: return "Unblock";
-      case MsgType::BypassRead: return "BypassRead";
-      case MsgType::BypassWrite: return "BypassWrite";
-      case MsgType::BypassAmo: return "BypassAmo";
+      case MsgType::Bypass: return "Bypass";
       case MsgType::BypassResp: return "BypassResp";
     }
     return "?";

@@ -30,9 +30,7 @@ enum class MsgType : std::uint8_t
     GetM,      ///< write permission
     PutS,      ///< shared-copy eviction notice
     PutOwned,  ///< E/M/O eviction; carries data when dirty
-    BypassRead,  ///< uncacheable scalar read at the home node
-    BypassWrite, ///< uncacheable scalar write at the home node
-    BypassAmo,   ///< uncacheable atomic RMW at the home node
+    Bypass,    ///< uncacheable scalar access (op) at the home node
 
     // Forward vnet: directory -> L1.
     FwdGetS,   ///< supply data to requestor, keep O/S copy
@@ -105,29 +103,22 @@ struct CohMsg
     /** Region protocol when region == ProtocolOverride. */
     Protocol regionProt{};
 
-    /** Bypass* ops: scalar payload. The op targets reqSize bytes at
-     * blockAddr + reqOffset; BypassResp echoes bypassId and carries
-     * the load (or pre-RMW) value in wdata. */
+    /** Bypass: the scalar access, performed on the op.size bytes at
+     * blockAddr + reqOffset. BypassResp echoes bypassId and carries
+     * the load (or pre-RMW) value in op.wdata. */
     std::uint64_t bypassId = 0;
     unsigned reqOffset = 0;
-    unsigned reqSize = 0;
-    std::uint64_t wdata = 0;
-    AmoOp amoOp = AmoOp::Add;
-    std::uint64_t operand = 0;
-    std::uint64_t operand2 = 0;
+    ScalarOp op;
 
     unsigned
     wireBytes() const
     {
-        switch (type) {
-          case MsgType::BypassWrite:
-          case MsgType::BypassAmo:
-          case MsgType::BypassResp:
-            // Scalar payload: 8 B header + up-to-8 B operand packet.
+        // A scalar payload is 8 B of header plus an 8 B operand
+        // packet; a bypass read sends its request as a bare header.
+        if (type == MsgType::BypassResp ||
+            (type == MsgType::Bypass && op.writes()))
             return ctrlMsgBytes + 8;
-          default:
-            return hasData ? dataMsgBytes : ctrlMsgBytes;
-        }
+        return hasData ? dataMsgBytes : ctrlMsgBytes;
     }
 
     noc::VNet
@@ -138,9 +129,7 @@ struct CohMsg
           case MsgType::GetM:
           case MsgType::PutS:
           case MsgType::PutOwned:
-          case MsgType::BypassRead:
-          case MsgType::BypassWrite:
-          case MsgType::BypassAmo:
+          case MsgType::Bypass:
             return noc::VNet::Request;
           case MsgType::FwdGetS:
           case MsgType::FwdGetM:

@@ -1,5 +1,6 @@
 #include "coherence/protocol.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "base/enum_names.hh"
@@ -11,29 +12,18 @@ namespace ccsvm::coherence
 namespace
 {
 
-class MsiPolicy final : public ProtocolPolicy
-{
-  public:
-    Protocol kind() const override { return Protocol::MSI; }
-    bool hasExclusiveState() const override { return false; }
-    bool allowsDirtySharing() const override { return false; }
+/** Indexed by Protocol: {kind, E state, O state}. */
+constexpr ProtocolPolicy policies[] = {
+    {Protocol::MSI, false, false},
+    {Protocol::MESI, true, false},
+    {Protocol::MOESI, true, true},
 };
 
-class MesiPolicy final : public ProtocolPolicy
-{
-  public:
-    Protocol kind() const override { return Protocol::MESI; }
-    bool hasExclusiveState() const override { return true; }
-    bool allowsDirtySharing() const override { return false; }
-};
-
-class MoesiPolicy final : public ProtocolPolicy
-{
-  public:
-    Protocol kind() const override { return Protocol::MOESI; }
-    bool hasExclusiveState() const override { return true; }
-    bool allowsDirtySharing() const override { return true; }
-};
+static_assert(std::size(policies) == allProtocols.size() &&
+              std::ranges::all_of(allProtocols, [](Protocol p) {
+                  return policies[static_cast<std::size_t>(p)].kind() ==
+                         p;
+              }));
 
 } // namespace
 
@@ -63,15 +53,10 @@ protocolFromName(std::string_view name, Protocol &out)
 const ProtocolPolicy &
 protocolPolicy(Protocol p)
 {
-    static const MsiPolicy msi;
-    static const MesiPolicy mesi;
-    static const MoesiPolicy moesi;
-    switch (p) {
-      case Protocol::MSI: return msi;
-      case Protocol::MESI: return mesi;
-      case Protocol::MOESI: return moesi;
-    }
-    ccsvm_panic("unknown protocol %d", static_cast<int>(p));
+    const auto i = static_cast<std::size_t>(p);
+    if (i >= std::size(policies))
+        ccsvm_panic("unknown protocol %d", static_cast<int>(p));
+    return policies[i];
 }
 
 } // namespace ccsvm::coherence

@@ -9,8 +9,7 @@
  * (Owned) or must make the home copy clean, change the upgrade and
  * writeback traffic every workload generates. This file factors those
  * decisions out of the L1 and directory controllers into a
- * ProtocolPolicy that both consult, with one concrete policy per
- * protocol:
+ * ProtocolPolicy that both consult, one table entry per protocol:
  *
  *   MOESI  E and O states; dirty owners keep the block on a read
  *          (default; matches the paper and the seed tree exactly)
@@ -66,25 +65,29 @@ bool protocolFromName(std::string_view name, Protocol &out);
 
 /**
  * The protocol-specific transition decisions, consulted by the L1
- * controllers and the directory banks. Policies are stateless;
- * protocolPolicy() hands out one shared instance per protocol.
+ * controllers and the directory banks: plain data, one immutable
+ * entry per protocol, handed out by protocolPolicy().
  */
 class ProtocolPolicy
 {
   public:
-    virtual ~ProtocolPolicy() = default;
+    constexpr ProtocolPolicy(Protocol kind, bool exclusive,
+                             bool dirty_sharing)
+        : kind_(kind), exclusive_(exclusive),
+          dirtySharing_(dirty_sharing)
+    {}
 
-    virtual Protocol kind() const = 0;
+    constexpr Protocol kind() const { return kind_; }
 
     /** The E state exists: a sole-copy read fill is granted
      * Exclusive, and a later private write upgrades silently. */
-    virtual bool hasExclusiveState() const = 0;
+    constexpr bool hasExclusiveState() const { return exclusive_; }
 
     /** The O state exists: a dirty owner answering a read keeps the
      * block (dirty sharing) instead of making the home copy clean. */
-    virtual bool allowsDirtySharing() const = 0;
+    constexpr bool allowsDirtySharing() const { return dirtySharing_; }
 
-    const char *name() const { return protocolName(kind()); }
+    const char *name() const { return protocolName(kind_); }
 
     /** Directory: response type for a read fill when no other cache
      * holds the block (DataE with an E state, else DataS). Follows
@@ -93,8 +96,13 @@ class ProtocolPolicy
     MsgType
     soleCopyFill() const
     {
-        return hasExclusiveState() ? MsgType::DataE : MsgType::DataS;
+        return exclusive_ ? MsgType::DataE : MsgType::DataS;
     }
+
+  private:
+    Protocol kind_;
+    bool exclusive_;
+    bool dirtySharing_;
 };
 
 /** Shared immutable policy instance for @p p. */

@@ -1,8 +1,10 @@
 #include "coherence/types.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "base/logging.hh"
+#include "mem/phys_mem.hh"
 
 namespace ccsvm::coherence
 {
@@ -42,6 +44,10 @@ regionAttrName(RegionAttr a)
     return "?";
 }
 
+namespace
+{
+
+/** The value an atomic @p op leaves in place of @p old_val. */
 std::uint64_t
 amoApply(AmoOp op, std::uint64_t old_val, std::uint64_t operand,
          std::uint64_t operand2)
@@ -67,6 +73,40 @@ amoApply(AmoOp op, std::uint64_t old_val, std::uint64_t operand,
             static_cast<std::int64_t>(operand));
     }
     ccsvm_panic("unknown AMO op %d", static_cast<int>(op));
+}
+
+} // namespace
+
+std::uint64_t
+ScalarOp::applyTo(std::uint8_t *bytes) const
+{
+    std::uint64_t old_val = 0;
+    std::memcpy(&old_val, bytes, size);
+    switch (kind) {
+      case Kind::Read:
+        return old_val;
+      case Kind::Write:
+        std::memcpy(bytes, &wdata, size);
+        return 0;
+      case Kind::Amo: {
+        const std::uint64_t new_val =
+            amoApply(amoOp, old_val, operand, operand2);
+        std::memcpy(bytes, &new_val, size);
+        return old_val;
+      }
+    }
+    ccsvm_panic("unknown scalar op kind %d", static_cast<int>(kind));
+}
+
+std::uint64_t
+ScalarOp::applyTo(mem::PhysMem &phys, Addr pa) const
+{
+    std::uint8_t bytes[8];
+    phys.read(pa, bytes, size);
+    const std::uint64_t v = applyTo(bytes);
+    if (writes())
+        phys.write(pa, bytes, size);
+    return v;
 }
 
 } // namespace ccsvm::coherence

@@ -14,6 +14,11 @@
 
 #include "base/types.hh"
 
+namespace ccsvm::mem
+{
+class PhysMem;
+} // namespace ccsvm::mem
+
 namespace ccsvm::coherence
 {
 
@@ -121,13 +126,36 @@ enum class AmoOp : std::uint8_t
 };
 
 /**
- * Apply @p op to @p old_val.
- * @param operand   first operand (addend / compare value)
- * @param operand2  second operand (swap value for CAS)
- * @return the new value to store
+ * One scalar access: a load, store or atomic read-modify-write of 1,
+ * 2, 4 or 8 naturally aligned bytes. It is the one description of
+ * such an access from the guest op to the L1, the home bank and the
+ * APU's uncached paths, and applyTo() is the one place that performs
+ * it, wherever the paper's designs put it: at the L1 once it holds
+ * permission (CCSVM), or at the home bank or in memory (bypass
+ * regions, the APU).
  */
-std::uint64_t amoApply(AmoOp op, std::uint64_t old_val,
-                       std::uint64_t operand, std::uint64_t operand2);
+struct ScalarOp
+{
+    enum class Kind : std::uint8_t { Read, Write, Amo };
+
+    Kind kind = Kind::Read;
+    AmoOp amoOp = AmoOp::Add;   ///< Amo: the operation
+    unsigned size = 8;          ///< bytes: 1, 2, 4 or 8
+    std::uint64_t wdata = 0;    ///< Write: store data
+    std::uint64_t operand = 0;  ///< Amo: operand (CAS compare value)
+    std::uint64_t operand2 = 0; ///< Amo: second operand (CAS swap)
+
+    /** A store or an atomic: needs write permission. */
+    bool writes() const { return kind != Kind::Read; }
+
+    /** Perform the access on the first `size` bytes at @p bytes.
+     * Returns the loaded value (Read), the pre-RMW value (Amo) or 0
+     * (Write). */
+    std::uint64_t applyTo(std::uint8_t *bytes) const;
+
+    /** The same, on physical memory at @p pa; a read writes nothing. */
+    std::uint64_t applyTo(mem::PhysMem &phys, Addr pa) const;
+};
 
 } // namespace ccsvm::coherence
 

@@ -81,9 +81,7 @@ CpuCore::issue(ThreadContext &tc)
                       sim::prioCpu);
         return;
       }
-      case OpKind::Load:
-      case OpKind::Store:
-      case OpKind::Amo:
+      case OpKind::Memory:
         ++instructions_;
         ++memOps_;
         translateAndAccess(tc);
@@ -149,13 +147,13 @@ CpuCore::accessUncached(ThreadContext &tc, Addr paddr)
     // Writes are posted through a one-block write-combining buffer;
     // reads buffer one block. Every block transition is an off-chip
     // transaction — this is the APU's CPU<->GPU communication path.
-    GuestOp &op = tc.pendingOp();
+    const coherence::ScalarOp &op = tc.pendingOp().mem;
     const Addr block = mem::blockAlign(paddr);
-    const unsigned off =
-        static_cast<unsigned>(paddr & mem::blockOffsetMask);
+    mem::PhysMem &phys = *uncached_.phys;
 
-    if (op.kind == OpKind::Store) {
-        uncached_.phys->writeScalar(paddr, op.wdata, op.size);
+    switch (op.kind) {
+      case coherence::ScalarOp::Kind::Write:
+        op.applyTo(phys, paddr);
         if (block != wcBlock_) {
             wcBlock_ = block;
             uncached_.dram->access(true, mem::blockBytes, [] {});
@@ -163,43 +161,32 @@ CpuCore::accessUncached(ThreadContext &tc, Addr paddr)
         eq_->scheduleIn(uncached_.writePostLatency,
                         [&tc] { tc.completeOp(0); }, sim::prioCpu);
         return;
-    }
-    if (op.kind == OpKind::Load) {
-        const Tick lat = (block == rdBlock_)
-                             ? uncached_.readHitLatency
-                             : Tick(0);
-        if (block != rdBlock_) {
-            rdBlock_ = block;
-            const Addr pa = paddr;
-            const unsigned size = op.size;
-            uncached_.dram->access(
-                false, mem::blockBytes, [this, &tc, pa, size] {
-                    tc.completeOp(
-                        uncached_.phys->readScalar(pa, size));
-                });
+      case coherence::ScalarOp::Kind::Read: {
+        auto read = [&tc, &phys, paddr] {
+            tc.completeOp(tc.pendingOp().mem.applyTo(phys, paddr));
+        };
+        if (block == rdBlock_) {
+            eq_->scheduleIn(uncached_.readHitLatency, read,
+                            sim::prioCpu);
             return;
         }
-        eq_->scheduleIn(lat, [this, &tc, paddr, off] {
-            (void)off;
-            GuestOp &o = tc.pendingOp();
-            tc.completeOp(uncached_.phys->readScalar(paddr, o.size));
-        }, sim::prioCpu);
+        rdBlock_ = block;
+        uncached_.dram->access(false, mem::blockBytes, read);
+        return;
+      }
+      case coherence::ScalarOp::Kind::Amo:
+        // Atomics to uncached space: read-modify-write at memory.
+        uncached_.dram->access(false, mem::blockBytes,
+                               [this, &tc, &phys, paddr] {
+            const std::uint64_t old_val =
+                tc.pendingOp().mem.applyTo(phys, paddr);
+            uncached_.dram->access(true, mem::blockBytes,
+                                   [&tc, old_val] {
+                                       tc.completeOp(old_val);
+                                   });
+        });
         return;
     }
-    // Atomics to uncached space: read-modify-write at memory.
-    const Addr pa = paddr;
-    uncached_.dram->access(false, mem::blockBytes, [this, &tc, pa] {
-        GuestOp &o = tc.pendingOp();
-        const std::uint64_t old_val =
-            uncached_.phys->readScalar(pa, o.size);
-        const std::uint64_t new_val = coherence::amoApply(
-            o.amoOp, old_val, o.operand, o.operand2);
-        uncached_.phys->writeScalar(pa, new_val, o.size);
-        uncached_.dram->access(true, mem::blockBytes,
-                               [&tc, old_val] {
-                                   tc.completeOp(old_val);
-                               });
-    });
 }
 
 void

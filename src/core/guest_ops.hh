@@ -94,9 +94,7 @@ class MifdIface
 /** Kinds of guest operations. */
 enum class OpKind : std::uint8_t
 {
-    Load,
-    Store,
-    Amo,
+    Memory,   ///< a load, store or atomic: the ScalarOp in mem
     Compute,
     MifdWrite,
     Stall,    ///< occupy the thread for a fixed time (driver calls)
@@ -108,29 +106,12 @@ struct GuestOp
 {
     OpKind kind = OpKind::Compute;
     vm::VAddr va = 0;
-    unsigned size = 8;
-    std::uint64_t wdata = 0;
-    coherence::AmoOp amoOp = coherence::AmoOp::Add;
-    std::uint64_t operand = 0;
-    std::uint64_t operand2 = 0;
+    coherence::ScalarOp mem;              ///< for Memory
     std::uint64_t computeCount = 0;
     std::shared_ptr<TaskDescriptor> task; ///< for MifdWrite
     Tick stallTicks = 0;                  ///< for Stall
     std::function<bool()> hostPred;       ///< for HostWait
     std::uint64_t result = 0;
-
-    bool
-    isMemory() const
-    {
-        return kind == OpKind::Load || kind == OpKind::Store ||
-               kind == OpKind::Amo;
-    }
-
-    bool
-    needsWrite() const
-    {
-        return kind == OpKind::Store || kind == OpKind::Amo;
-    }
 };
 
 /**

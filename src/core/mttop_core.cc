@@ -146,9 +146,7 @@ MttopCore::processOp(ThreadContext &tc)
                       [&tc] { tc.completeOp(0); });
         return;
       }
-      case OpKind::Load:
-      case OpKind::Store:
-      case OpKind::Amo:
+      case OpKind::Memory:
         ++instructions_;
         ++memOps_;
         translateAndAccess(tc);

@@ -113,11 +113,9 @@ class ThreadContext
     load(vm::VAddr va)
     {
         static_assert(sizeof(T) <= 8);
-        op_ = GuestOp{};
-        op_.kind = OpKind::Load;
-        op_.va = va;
-        op_.size = sizeof(T);
-        return TypedOpAwaiter<T>{OpAwaiter{this}};
+        return TypedOpAwaiter<T>{
+            memOp(va, {.kind = coherence::ScalarOp::Kind::Read,
+                       .size = sizeof(T)})};
     }
 
     /** Typed store to guest virtual memory. */
@@ -126,14 +124,11 @@ class ThreadContext
     store(vm::VAddr va, T value)
     {
         static_assert(sizeof(T) <= 8);
-        op_ = GuestOp{};
-        op_.kind = OpKind::Store;
-        op_.va = va;
-        op_.size = sizeof(T);
         std::uint64_t bits = 0;
         std::memcpy(&bits, &value, sizeof(T));
-        op_.wdata = bits;
-        return OpAwaiter{this};
+        return memOp(va, {.kind = coherence::ScalarOp::Kind::Write,
+                          .size = sizeof(T),
+                          .wdata = bits});
     }
 
     /** Atomic read-modify-write; the await result is the old value. */
@@ -141,14 +136,11 @@ class ThreadContext
     amo(vm::VAddr va, coherence::AmoOp op, std::uint64_t operand = 0,
         std::uint64_t operand2 = 0, unsigned size = 8)
     {
-        op_ = GuestOp{};
-        op_.kind = OpKind::Amo;
-        op_.va = va;
-        op_.size = size;
-        op_.amoOp = op;
-        op_.operand = operand;
-        op_.operand2 = operand2;
-        return OpAwaiter{this};
+        return memOp(va, {.kind = coherence::ScalarOp::Kind::Amo,
+                          .amoOp = op,
+                          .size = size,
+                          .operand = operand,
+                          .operand2 = operand2});
     }
 
     /** Charge @p n ALU/control instructions of guest work. */
@@ -247,6 +239,17 @@ class ThreadContext
     bool done() const { return root_.done(); }
 
   private:
+    /** Declare the scalar access @p mem at @p va. */
+    OpAwaiter
+    memOp(vm::VAddr va, coherence::ScalarOp mem)
+    {
+        op_ = GuestOp{};
+        op_.kind = OpKind::Memory;
+        op_.va = va;
+        op_.mem = mem;
+        return OpAwaiter{this};
+    }
+
     ThreadId tid_ = 0;
     runtime::Process *process_ = nullptr;
     CoreModel *core_ = nullptr;

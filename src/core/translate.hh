@@ -18,7 +18,6 @@
 #include <memory>
 #include <utility>
 
-#include "base/logging.hh"
 #include "coherence/l1_cache.hh"
 #include "core/thread_context.hh"
 #include "runtime/process.hh"
@@ -37,29 +36,11 @@ inline void
 issueToL1(coherence::L1Controller &l1, ThreadContext &tc, Addr paddr,
           const vm::TlbEntry &te)
 {
-    const GuestOp &op = tc.pendingOp();
     auto req = std::make_unique<coherence::MemRequest>();
+    req->op = tc.pendingOp().mem;
     req->paddr = paddr;
-    req->size = op.size;
     req->region = te.attr;
     req->regionProt = te.prot;
-    switch (op.kind) {
-      case OpKind::Load:
-        req->kind = coherence::MemRequest::Kind::Read;
-        break;
-      case OpKind::Store:
-        req->kind = coherence::MemRequest::Kind::Write;
-        req->wdata = op.wdata;
-        break;
-      case OpKind::Amo:
-        req->kind = coherence::MemRequest::Kind::Amo;
-        req->amoOp = op.amoOp;
-        req->operand = op.operand;
-        req->operand2 = op.operand2;
-        break;
-      default:
-        ccsvm_panic("non-memory op issued to an L1");
-    }
     req->onDone = [&tc](std::uint64_t v) { tc.completeOp(v); };
     l1.access(std::move(req));
 }

@@ -145,27 +145,10 @@ TorusNetwork::send(NodeId src, NodeId dst, VNet vnet, unsigned bytes,
     ccsvm_assert(nodeQ_.empty() || sim::activeQueue() == q,
                  "torus send from outside node %d's partition", src);
 
-    Packet pkt{dst, bytes, vnet, std::move(deliver)};
-    const Tick start = q->now();
-    if (src == dst) {
-        // Local delivery still pays one router traversal.
-        q->schedule(edgeAt(q, cfg_.hopLatency),
-                    [this, pkt = std::move(pkt), start,
-                     src]() mutable {
-                        latency_.record(static_cast<double>(
-                            nowAt(src) - start));
-                        if (trc_.enabled(sim::traceNoc))
-                            trc_.complete(sim::traceNoc, lane_, "pkt",
-                                          start, nowAt(src),
-                                          pkt.bytes);
-                        pkt.deliver();
-                    },
-                    sim::prioNetwork);
-        return;
-    }
     // Tag the packet with its injection time via a wrapper closure.
     // The record runs at delivery, in the destination's partition.
-    auto done = [this, inner = std::move(pkt.deliver), start, dst,
+    const Tick start = q->now();
+    auto done = [this, inner = std::move(deliver), start, dst,
                  bytes]() {
         latency_.record(static_cast<double>(nowAt(dst) - start));
         if (trc_.enabled(sim::traceNoc))
@@ -173,8 +156,13 @@ TorusNetwork::send(NodeId src, NodeId dst, VNet vnet, unsigned bytes,
                           nowAt(dst), bytes);
         inner();
     };
-    pkt.deliver = std::move(done);
-    forward(std::move(pkt), src);
+    if (src == dst) {
+        // Local delivery still pays one router traversal.
+        q->schedule(edgeAt(q, cfg_.hopLatency), std::move(done),
+                    sim::prioNetwork);
+        return;
+    }
+    forward(Packet{dst, bytes, vnet, std::move(done)}, src);
 }
 
 void

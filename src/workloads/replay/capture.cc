@@ -71,9 +71,7 @@ CaptureStream::record(core::GuestOp &op, Tick now)
 
     RecKind kind{};
     switch (op.kind) {
-      case OpKind::Load: kind = RecKind::Load; break;
-      case OpKind::Store: kind = RecKind::Store; break;
-      case OpKind::Amo: kind = RecKind::Amo; break;
+      case OpKind::Memory: kind = memoryRecKind(op.mem.kind); break;
       case OpKind::Compute: kind = RecKind::Compute; break;
       case OpKind::Stall: kind = RecKind::Stall; break;
       case OpKind::MifdWrite: kind = RecKind::Launch; break;
@@ -82,14 +80,15 @@ CaptureStream::record(core::GuestOp &op, Tick now)
                     "run this workload without --capture-out");
     }
 
+    const bool is_memory = op.kind == OpKind::Memory;
     unsigned size_log2 = 0;
     std::uint8_t attr = attrNone;
     const vm::MemRegion *mr = nullptr;
-    if (op.isMemory()) {
-        ccsvm_assert(op.size != 0 && std::has_single_bit(op.size) &&
-                         op.size <= 8,
-                     "unencodable access size %u", op.size);
-        size_log2 = static_cast<unsigned>(std::countr_zero(op.size));
+    if (is_memory) {
+        const unsigned size = op.mem.size;
+        ccsvm_assert(size != 0 && std::has_single_bit(size) && size <= 8,
+                     "unencodable access size %u", size);
+        size_log2 = static_cast<unsigned>(std::countr_zero(size));
         mr = owner_->as_->regionFor(op.va);
         attr = attrCode(mr);
     }
@@ -98,7 +97,7 @@ CaptureStream::record(core::GuestOp &op, Tick now)
     putVarint(buf_, now - prevTick_);
     prevTick_ = now;
 
-    if (op.isMemory()) {
+    if (is_memory) {
         putVarint(buf_, zigzag(static_cast<std::int64_t>(
                             op.va - prevVa_)));
         prevVa_ = op.va;
@@ -110,12 +109,12 @@ CaptureStream::record(core::GuestOp &op, Tick now)
       case RecKind::Load:
         break;
       case RecKind::Store:
-        putVarint(buf_, op.wdata);
+        putVarint(buf_, op.mem.wdata);
         break;
       case RecKind::Amo:
-        buf_.push_back(static_cast<std::uint8_t>(op.amoOp));
-        putVarint(buf_, op.operand);
-        putVarint(buf_, op.operand2);
+        buf_.push_back(static_cast<std::uint8_t>(op.mem.amoOp));
+        putVarint(buf_, op.mem.operand);
+        putVarint(buf_, op.mem.operand2);
         break;
       case RecKind::Compute:
         putVarint(buf_, op.computeCount);

@@ -29,23 +29,16 @@ replayStream(core::ThreadContext &tc, const TraceStream &s,
         core::GuestOp op;
         switch (r.kind) {
           case RecKind::Load:
-            op.kind = core::OpKind::Load;
-            op.va = r.va;
-            op.size = r.size;
-            break;
           case RecKind::Store:
-            op.kind = core::OpKind::Store;
-            op.va = r.va;
-            op.size = r.size;
-            op.wdata = r.wdata;
-            break;
           case RecKind::Amo:
-            op.kind = core::OpKind::Amo;
+            op.kind = core::OpKind::Memory;
             op.va = r.va;
-            op.size = r.size;
-            op.amoOp = static_cast<coherence::AmoOp>(r.amoOp);
-            op.operand = r.operand;
-            op.operand2 = r.operand2;
+            op.mem = {.kind = memoryOpKind(r.kind),
+                      .amoOp = static_cast<coherence::AmoOp>(r.amoOp),
+                      .size = r.size,
+                      .wdata = r.wdata,
+                      .operand = r.operand,
+                      .operand2 = r.operand2};
             break;
           case RecKind::Compute:
             op.kind = core::OpKind::Compute;

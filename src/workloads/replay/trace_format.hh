@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "coherence/types.hh"
 
 namespace ccsvm::workloads::replay
 {
@@ -50,6 +51,28 @@ enum class RecKind : std::uint8_t
     Stall = 4,
     Launch = 5, ///< MIFD write syscall (CPU streams only)
 };
+
+/** The record kind of a memory access: Load, Store and Amo are
+ * numbered like coherence::ScalarOp::Kind's Read, Write and Amo. */
+constexpr RecKind
+memoryRecKind(coherence::ScalarOp::Kind k)
+{
+    return static_cast<RecKind>(k);
+}
+
+/** The access kind of a Load, Store or Amo record. */
+constexpr coherence::ScalarOp::Kind
+memoryOpKind(RecKind k)
+{
+    return static_cast<coherence::ScalarOp::Kind>(k);
+}
+
+static_assert(memoryRecKind(coherence::ScalarOp::Kind::Read) ==
+                  RecKind::Load &&
+              memoryRecKind(coherence::ScalarOp::Kind::Write) ==
+                  RecKind::Store &&
+              memoryRecKind(coherence::ScalarOp::Kind::Amo) ==
+                  RecKind::Amo);
 
 /** Region-attribute code (bits 5-6 of the opcode byte). */
 enum AttrCode : std::uint8_t

@@ -92,92 +92,82 @@ struct CohHarness
     L1Controller &l1(int id) { return caches.l1(id); }
     Directory &bank(int b) { return caches.bank(b); }
 
-    /** Issue a load at L1 @p id and run until it completes. The
-     * optional region attribute/protocol model a request whose page
-     * carries a region annotation (bypass or protocol override). */
+    /** Fire @p op at L1 @p id without waiting (for concurrency
+     * tests). The optional region attribute/protocol model a request
+     * whose page carries a region annotation (bypass or protocol
+     * override). */
+    void
+    issue(int id, Addr pa, ScalarOp op,
+          std::function<void(std::uint64_t)> on_done,
+          RegionAttr region = RegionAttr::Coherent,
+          Protocol region_prot = {})
+    {
+        auto req = std::make_unique<MemRequest>();
+        req->op = op;
+        req->paddr = pa;
+        req->region = region;
+        req->regionProt = region_prot;
+        req->onDone = std::move(on_done);
+        l1(id).access(std::move(req));
+    }
+
+    /** Issue @p op at L1 @p id and run until it completes; returns
+     * the loaded or old value (0 for a store). */
+    std::uint64_t
+    access(int id, Addr pa, ScalarOp op,
+           RegionAttr region = RegionAttr::Coherent,
+           Protocol region_prot = {})
+    {
+        std::uint64_t result = 0;
+        bool done = false;
+        issue(id, pa, op,
+              [&](std::uint64_t v) {
+                  result = v;
+                  done = true;
+              },
+              region, region_prot);
+        runUntil(done);
+        return result;
+    }
+
+    /** Blocking load at L1 @p id. */
     std::uint64_t
     load(int id, Addr pa, unsigned size = 8,
          RegionAttr region = RegionAttr::Coherent,
          Protocol region_prot = {})
     {
-        std::uint64_t result = 0;
-        bool done = false;
-        auto req = std::make_unique<MemRequest>();
-        req->kind = MemRequest::Kind::Read;
-        req->paddr = pa;
-        req->size = size;
-        req->region = region;
-        req->regionProt = region_prot;
-        req->onDone = [&](std::uint64_t v) {
-            result = v;
-            done = true;
-        };
-        l1(id).access(std::move(req));
-        runUntil(done);
-        return result;
+        return access(id, pa,
+                      {.kind = ScalarOp::Kind::Read, .size = size},
+                      region, region_prot);
     }
 
-    /** Issue a store at L1 @p id and run until it completes. */
+    /** Blocking store at L1 @p id. */
     void
     store(int id, Addr pa, std::uint64_t value, unsigned size = 8,
           RegionAttr region = RegionAttr::Coherent,
           Protocol region_prot = {})
     {
-        bool done = false;
-        auto req = std::make_unique<MemRequest>();
-        req->kind = MemRequest::Kind::Write;
-        req->paddr = pa;
-        req->size = size;
-        req->wdata = value;
-        req->region = region;
-        req->regionProt = region_prot;
-        req->onDone = [&](std::uint64_t) { done = true; };
-        l1(id).access(std::move(req));
-        runUntil(done);
+        access(id, pa,
+               {.kind = ScalarOp::Kind::Write,
+                .size = size,
+                .wdata = value},
+               region, region_prot);
     }
 
-    /** Issue an atomic at L1 @p id; returns the old value. */
+    /** Blocking atomic at L1 @p id; returns the old value. */
     std::uint64_t
     amo(int id, Addr pa, AmoOp op, std::uint64_t operand = 0,
         std::uint64_t operand2 = 0, unsigned size = 8,
         RegionAttr region = RegionAttr::Coherent,
         Protocol region_prot = {})
     {
-        std::uint64_t result = 0;
-        bool done = false;
-        auto req = std::make_unique<MemRequest>();
-        req->kind = MemRequest::Kind::Amo;
-        req->paddr = pa;
-        req->size = size;
-        req->amoOp = op;
-        req->operand = operand;
-        req->operand2 = operand2;
-        req->region = region;
-        req->regionProt = region_prot;
-        req->onDone = [&](std::uint64_t v) {
-            result = v;
-            done = true;
-        };
-        l1(id).access(std::move(req));
-        runUntil(done);
-        return result;
-    }
-
-    /** Fire an access without waiting (for concurrency tests). */
-    void
-    issue(int id, MemRequest::Kind kind, Addr pa, std::uint64_t wdata,
-          std::function<void(std::uint64_t)> on_done,
-          AmoOp op = AmoOp::Add, std::uint64_t operand = 0)
-    {
-        auto req = std::make_unique<MemRequest>();
-        req->kind = kind;
-        req->paddr = pa;
-        req->size = 8;
-        req->wdata = wdata;
-        req->amoOp = op;
-        req->operand = operand;
-        req->onDone = std::move(on_done);
-        l1(id).access(std::move(req));
+        return access(id, pa,
+                      {.kind = ScalarOp::Kind::Amo,
+                       .amoOp = op,
+                       .size = size,
+                       .operand = operand,
+                       .operand2 = operand2},
+                      region, region_prot);
     }
 
     void

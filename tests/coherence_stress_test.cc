@@ -101,10 +101,11 @@ TEST_P(CoherenceStress, MonotonicWritersNoLostUpdates)
 
         if (do_write) {
             const std::uint64_t seq = next_seq[ai]++;
-            h.issue(id, MemRequest::Kind::Write, addr, seq,
+            h.issue(id, addr,
+                    {.kind = ScalarOp::Kind::Write, .wdata = seq},
                     [&, id](std::uint64_t) { step(id); });
         } else {
-            h.issue(id, MemRequest::Kind::Read, addr, 0,
+            h.issue(id, addr, {.kind = ScalarOp::Kind::Read},
                     [&, id, ai](std::uint64_t v) {
                         auto &seen = last_seen[ai][id];
                         if (v < seen)
@@ -159,13 +160,13 @@ TEST_P(CoherenceStress, AtomicTicketsAreUniqueAndComplete)
         // Spread the counters over blocks and banks.
         const Addr addr = 0x200000 + static_cast<Addr>(c) * 192;
         ++increments[c];
-        h.issue(id, MemRequest::Kind::Amo, addr, 0,
+        h.issue(id, addr,
+                {.kind = ScalarOp::Kind::Amo, .amoOp = AmoOp::Inc},
                 [&, id, c](std::uint64_t old_val) {
                     if (!tickets[c].insert(old_val).second)
                         ++duplicate_tickets;
                     step(id);
-                },
-                AmoOp::Inc);
+                });
     };
 
     for (int id = 0; id < p.numL1s; ++id)

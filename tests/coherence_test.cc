@@ -271,12 +271,12 @@ TEST_P(CoherenceP, InterleavedAtomicsFromAllL1sSumExactly)
     std::function<void(int, int)> kick = [&](int id, int remaining) {
         if (remaining == 0)
             return;
-        h.issue(id, MemRequest::Kind::Amo, 0xe000, 0,
+        h.issue(id, 0xe000,
+                {.kind = ScalarOp::Kind::Amo, .amoOp = AmoOp::Inc},
                 [&, id, remaining](std::uint64_t) {
                     ++completed;
                     kick(id, remaining - 1);
-                },
-                AmoOp::Inc);
+                });
     };
     for (int id = 0; id < num_l1s; ++id)
         kick(id, per_l1);
@@ -290,11 +290,11 @@ TEST_P(CoherenceP, MshrCoalescesSameBlockReads)
 {
     CohHarness h(1, 1, {}, {}, proto());
     int done = 0;
-    h.issue(0, MemRequest::Kind::Read, 0xf000, 0,
+    h.issue(0, 0xf000, {.kind = ScalarOp::Kind::Read},
             [&](std::uint64_t) { ++done; });
-    h.issue(0, MemRequest::Kind::Read, 0xf008, 0,
+    h.issue(0, 0xf008, {.kind = ScalarOp::Kind::Read},
             [&](std::uint64_t) { ++done; });
-    h.issue(0, MemRequest::Kind::Read, 0xf010, 0,
+    h.issue(0, 0xf010, {.kind = ScalarOp::Kind::Read},
             [&](std::uint64_t) { ++done; });
     h.drain();
     EXPECT_EQ(done, 3);
@@ -312,12 +312,13 @@ TEST_P(CoherenceP, CoalescedStoreBehindReadUpgrades)
     h.store(1, 0x10000, 3); // L1 1 owns it M
     int done = 0;
     std::uint64_t read_val = 0;
-    h.issue(0, MemRequest::Kind::Read, 0x10000, 0,
+    h.issue(0, 0x10000, {.kind = ScalarOp::Kind::Read},
             [&](std::uint64_t v) {
                 read_val = v;
                 ++done;
             });
-    h.issue(0, MemRequest::Kind::Write, 0x10000, 9,
+    h.issue(0, 0x10000,
+            {.kind = ScalarOp::Kind::Write, .wdata = 9},
             [&](std::uint64_t) { ++done; });
     h.drain();
     EXPECT_EQ(done, 2);
@@ -333,7 +334,7 @@ TEST_P(CoherenceP, MshrOverflowQueuesAndDrains)
     CohHarness h(1, 1, cfg, {}, proto());
     int done = 0;
     for (Addr a = 0; a < 8; ++a)
-        h.issue(0, MemRequest::Kind::Read, 0x20000 + a * 64, 0,
+        h.issue(0, 0x20000 + a * 64, {.kind = ScalarOp::Kind::Read},
                 [&](std::uint64_t) { ++done; });
     h.drain();
     EXPECT_EQ(done, 8);
@@ -448,6 +449,19 @@ TEST_P(CoherenceP, ByteAndWordAccessesWithinABlock)
                                 (0x3344ull << 16) | (0x22ull << 8) |
                                 0x11ull;
     EXPECT_EQ(h.load(0, 0x80000, 8), whole);
+
+    // 4-byte atomics beside live bytes: the Add's carry out of bit 31
+    // and the CAS stay inside their word.
+    h.store(0, 0x80008, 0x55, 1);
+    EXPECT_EQ(h.amo(0, 0x80004, AmoOp::Add, 0x21524111, 0, 4),
+              0xdeadbeefu);
+    EXPECT_EQ(h.load(0, 0x80004, 4), 0u);
+    EXPECT_EQ(h.amo(0, 0x80000, AmoOp::Cas, 0x33442211, 0xcafef00d, 4),
+              0x33442211u);
+    EXPECT_EQ(h.amo(0, 0x80000, AmoOp::Cas, 0x33442211, 0x12345678, 4),
+              0xcafef00du);
+    EXPECT_EQ(h.load(0, 0x80000, 8), 0xcafef00du);
+    EXPECT_EQ(h.load(0, 0x80008, 1), 0x55u);
 }
 
 TEST_P(CoherenceP, MonitorSeesSingleWriter)

@@ -135,6 +135,40 @@ TEST(SwmrMonitorDeathTest, TwoSimultaneousWritersTrip)
     monitor.onSetState(1, 0x1000, CohState::M);
 }
 
+TEST(SwmrMonitorDeathTest, ReaderThenWriterTrips)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SwmrMonitor monitor;
+    monitor.onSetState(0, 0x2000, CohState::S);
+    EXPECT_DEATH(monitor.onSetState(1, 0x2000, CohState::M),
+                 "writer L1 1 and 1 readers");
+    // The reader upgrading in place is fine.
+    monitor.onSetState(0, 0x2000, CohState::M);
+}
+
+TEST(SwmrMonitorDeathTest, OwnerThenWriterTrips)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SwmrMonitor monitor;
+    monitor.onSetState(0, 0x3000, CohState::O);
+    monitor.onSetState(2, 0x3000, CohState::S);
+    EXPECT_DEATH(monitor.onSetState(1, 0x3000, CohState::E),
+                 "writer L1 1 and 2 readers");
+    EXPECT_DEATH(monitor.onSetState(2, 0x3000, CohState::O),
+                 "two owners");
+}
+
+TEST(SwmrMonitorDeathTest, L1IdOutsideTheMaskTrips)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SwmrMonitor monitor;
+    monitor.onSetState(31, 0x4000, CohState::S);
+    EXPECT_DEATH(monitor.onSetState(32, 0x4000, CohState::S),
+                 "L1s 0-31, got L1 32");
+    EXPECT_DEATH(monitor.onSetState(-1, 0x4000, CohState::S),
+                 "L1s 0-31, got L1 -1");
+}
+
 // --------------------------------------------------------------------
 // Bypass and override on the coherence harness, per protocol
 // --------------------------------------------------------------------
@@ -179,7 +213,7 @@ TEST_P(RegionProtocolTest, BypassRoundTripWithoutCaching)
     EXPECT_EQ(h.phys.readScalar(pa, 8), 123u);
 }
 
-TEST_P(RegionProtocolTest, BypassAmoReturnsOldValue)
+TEST_P(RegionProtocolTest, BypassAtomicReturnsOldValue)
 {
     CohHarness h(2, 1, {}, {}, GetParam());
     const Addr pa = 0x9000;
@@ -224,6 +258,9 @@ TEST_P(RegionProtocolTest, BypassHitsResidentL2Copy)
     EXPECT_EQ(h.load(0, first, 8, RegionAttr::Bypass), 55u);
     h.store(0, first, 56, 8, RegionAttr::Bypass);
     EXPECT_EQ(h.load(0, first, 8, RegionAttr::Bypass), 56u);
+    EXPECT_EQ(h.amo(0, first, AmoOp::Add, 4, 0, 8, RegionAttr::Bypass),
+              56u);
+    EXPECT_EQ(h.load(0, first, 8, RegionAttr::Bypass), 60u);
     h.drain();
     // Served at the home without re-fetching: the fetch count stays
     // at the coherent traffic's level (5 blocks), and the L1 still

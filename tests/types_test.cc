@@ -5,16 +5,21 @@
  * non-placeholder name, and Protocol names must parse back to the
  * value they came from. Guards the stats/driver/bench surfaces that
  * print these names against a silently-added unnamed enum value.
+ * Also pins what one scalar access (ScalarOp) does to memory bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "coherence/msgs.hh"
 #include "coherence/protocol.hh"
 #include "coherence/types.hh"
+#include "mem/phys_mem.hh"
 
 namespace ccsvm::coherence
 {
@@ -59,22 +64,122 @@ TEST(Types, DirStateNamesCoverEveryValue)
 
 TEST(Types, MsgTypeNamesCoverEveryValue)
 {
-    const MsgType all[] = {
-        MsgType::GetS,      MsgType::GetM,    MsgType::PutS,
-        MsgType::PutOwned,  MsgType::FwdGetS, MsgType::FwdGetM,
-        MsgType::Inv,       MsgType::Recall,  MsgType::DataS,
-        MsgType::DataE,     MsgType::DataM,   MsgType::GrantM,
-        MsgType::InvAck,    MsgType::PutAck,  MsgType::RecallAck,
-        MsgType::RecallData, MsgType::Unblock,
-    };
+    // Walk the whole enum. BypassResp is its last value, and the one
+    // after it must be unnamed, so a type appended later fails here
+    // until this bound moves with it.
+    constexpr int last = static_cast<int>(MsgType::BypassResp);
     std::set<std::string> seen;
-    for (const MsgType t : all) {
-        const std::string name = msgTypeName(t);
-        EXPECT_NE(name, "?") << "unnamed MsgType "
-                             << static_cast<int>(t);
+    for (int v = 0; v <= last; ++v) {
+        const std::string name = msgTypeName(static_cast<MsgType>(v));
+        EXPECT_NE(name, "?") << "unnamed MsgType " << v;
         seen.insert(name);
     }
-    EXPECT_EQ(seen.size(), std::size(all));
+    EXPECT_EQ(seen.size(), static_cast<std::size_t>(last + 1));
+    EXPECT_STREQ(msgTypeName(static_cast<MsgType>(last + 1)), "?");
+}
+
+/** The value an atomic leaves in place of @p old_val, written out
+ * here independently of ScalarOp. */
+std::uint64_t
+referenceAmo(AmoOp op, std::uint64_t old_val, std::uint64_t operand,
+             std::uint64_t operand2)
+{
+    const auto s_old = static_cast<std::int64_t>(old_val);
+    const auto s_operand = static_cast<std::int64_t>(operand);
+    switch (op) {
+      case AmoOp::Add: return old_val + operand;
+      case AmoOp::Inc: return old_val + 1;
+      case AmoOp::Dec: return old_val - 1;
+      case AmoOp::Cas: return old_val == operand ? operand2 : old_val;
+      case AmoOp::Exch: return operand;
+      case AmoOp::Min:
+        return static_cast<std::uint64_t>(s_old < s_operand ? s_old
+                                                            : s_operand);
+      case AmoOp::Max:
+        return static_cast<std::uint64_t>(s_old > s_operand ? s_old
+                                                            : s_operand);
+    }
+    ADD_FAILURE() << "unknown AmoOp " << static_cast<int>(op);
+    return 0;
+}
+
+TEST(Types, ScalarOpAppliesEveryKindAtEverySize)
+{
+    using Kind = ScalarOp::Kind;
+    const AmoOp amos[] = {AmoOp::Add, AmoOp::Inc, AmoOp::Dec,
+                          AmoOp::Cas, AmoOp::Exch, AmoOp::Min,
+                          AmoOp::Max};
+    constexpr unsigned at = 8; // the access sits between guard bytes
+    constexpr std::uint8_t guard = 0xee;
+    mem::PhysMem phys(mem::pageBytes);
+    const Addr base = 0x100;
+
+    for (const unsigned size : {1u, 2u, 4u, 8u}) {
+        const std::uint64_t mask =
+            size == 8 ? ~std::uint64_t{0}
+                      : (std::uint64_t{1} << (8 * size)) - 1;
+        for (const std::uint64_t old_val :
+             {std::uint64_t{0x8877665544332211} & mask,
+              std::uint64_t{0}}) {
+            std::vector<ScalarOp> ops = {
+                {.kind = Kind::Read, .size = size},
+                {.kind = Kind::Write,
+                 .size = size,
+                 .wdata = 0xa5a55a5a0ff0f00f},
+            };
+            // Operands: the old value (a matching CAS, a doubling
+            // Add), one past it (a failing CAS), a negative and a
+            // small positive bound for Min/Max.
+            for (const AmoOp a : amos)
+                for (const std::uint64_t operand :
+                     {old_val, old_val + 1, std::uint64_t(-5),
+                      std::uint64_t{0x7f}})
+                    ops.push_back({.kind = Kind::Amo,
+                                   .amoOp = a,
+                                   .size = size,
+                                   .operand = operand,
+                                   .operand2 = 0x0123456789abcdef});
+
+            for (const ScalarOp &op : ops) {
+                SCOPED_TRACE(testing::Message()
+                             << "size " << size << " old " << old_val
+                             << " kind " << static_cast<int>(op.kind)
+                             << " amo " << static_cast<int>(op.amoOp)
+                             << " operand " << op.operand);
+                std::uint64_t want_ret = old_val;
+                std::uint64_t want_new = old_val;
+                if (op.kind == Kind::Write) {
+                    want_ret = 0;
+                    want_new = op.wdata & mask;
+                } else if (op.kind == Kind::Amo) {
+                    want_new = referenceAmo(op.amoOp, old_val,
+                                            op.operand, op.operand2) &
+                               mask;
+                }
+
+                std::array<std::uint8_t, 24> buf;
+                buf.fill(guard);
+                std::memcpy(buf.data() + at, &old_val, size);
+                phys.write(base, buf.data(), buf.size());
+
+                EXPECT_EQ(op.applyTo(buf.data() + at), want_ret);
+                std::uint64_t got = 0;
+                std::memcpy(&got, buf.data() + at, size);
+                EXPECT_EQ(got, want_new);
+                for (unsigned i = 0; i < buf.size(); ++i) {
+                    if (i >= at && i < at + size)
+                        continue;
+                    EXPECT_EQ(buf[i], guard) << "byte " << i;
+                }
+
+                // On physical memory: the same value and bytes.
+                EXPECT_EQ(op.applyTo(phys, base + at), want_ret);
+                std::array<std::uint8_t, 24> mem_bytes;
+                phys.read(base, mem_bytes.data(), mem_bytes.size());
+                EXPECT_EQ(mem_bytes, buf);
+            }
+        }
+    }
 }
 
 TEST(Types, ProtocolNamesRoundTrip)
