@@ -6,6 +6,9 @@
 #     dirty-read writebacks) and at least as many invalidations as
 #     moesi, whose Owned state absorbs dirty sharing
 #
+# The protocol list comes from the driver's own --list-protocols, so
+# this sweep cannot drift when a protocol is added.
+#
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckProtocolSweep.cmake
 
@@ -13,7 +16,8 @@ include(${CMAKE_CURRENT_LIST_DIR}/CcsvmCheck.cmake)
 ccsvm_require(CCSVM_DRIVER CCSVM_OUT_DIR)
 file(MAKE_DIRECTORY ${CCSVM_OUT_DIR})
 
-foreach(proto IN ITEMS msi mesi moesi)
+ccsvm_list(--list-protocols protocols)
+foreach(proto IN LISTS protocols)
   set(json ${CCSVM_OUT_DIR}/protocol_sweep_${proto}.json)
   ccsvm_run(--workload matmul --n 16 --protocol ${proto} JSON ${json})
   file(READ ${json} doc)

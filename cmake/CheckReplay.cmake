@@ -11,7 +11,8 @@
 #   - ccsvm-trace inspect/validate/stats must accept the fresh trace
 #   - a shape-mismatched replay (--cpu-cores 2) must exit 2 with a
 #     "machine shape" diagnostic; --workload replay without --trace
-#     must exit 2
+#     must exit 2, and so must a trace with one byte flipped mid-body
+#     ("cannot read trace")
 #   - every committed trace under CCSVM_TRACES_DIR (optional) must
 #     pass ccsvm-trace validate and replay cleanly at default shape.
 #
@@ -90,6 +91,25 @@ ccsvm_run(--workload replay --trace ${fresh_trace} --cpu-cores 2
 ccsvm_run(--workload replay EXIT 2 MATCHES "--trace")
 ccsvm_run(TOOL ${CCSVM_TRACE_TOOL}
           validate ${CCSVM_OUT_DIR}/replay_nonexistent.ccsvmt EXIT 1)
+
+# One byte flipped mid-body leaves the header intact: the driver must
+# parse the whole file before the run and exit 2, never abort. CMake
+# cannot write binary data, so dd overwrites the byte in a copy.
+set(flipped ${CCSVM_OUT_DIR}/replay_flipped.ccsvmt)
+configure_file(${fresh_trace} ${flipped} COPYONLY)
+file(SIZE ${flipped} size)
+math(EXPR mid "${size} / 2")
+file(READ ${flipped} old_byte OFFSET ${mid} LIMIT 1 HEX)
+set(new_byte X)
+if(old_byte STREQUAL "58") # already 'X'
+  set(new_byte Y)
+endif()
+file(WRITE ${CCSVM_OUT_DIR}/replay_flip_byte "${new_byte}")
+ccsvm_run(TOOL dd if=${CCSVM_OUT_DIR}/replay_flip_byte of=${flipped}
+          bs=1 seek=${mid} count=1 conv=notrunc)
+ccsvm_run(TOOL ${CCSVM_TRACE_TOOL} validate ${flipped} EXIT 1)
+ccsvm_run(--workload replay --trace ${flipped}
+          EXIT 2 MATCHES "cannot read trace")
 
 # --- the committed trace library ------------------------------------
 

@@ -7,6 +7,10 @@
 #     msi strictly greater than moesi
 #   - false-sharing L1 invalidations at least 10x the padded baseline
 #
+# The patterns are the synth: names of the driver's --list-workloads
+# and the protocols its --list-protocols, so this sweep cannot drift
+# when either is added.
+#
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -P CheckSynthSweep.cmake
 
@@ -25,11 +29,22 @@ function(synth_metrics json wb_out invs_out)
   set(${invs_out} ${invs} PARENT_SCOPE)
 endfunction()
 
+ccsvm_list(--list-protocols protocols)
+ccsvm_list(--list-workloads workloads)
+set(patterns "")
+foreach(line IN LISTS workloads)
+  if(line MATCHES "^ *synth:([^ ]+)")
+    list(APPEND patterns ${CMAKE_MATCH_1})
+  endif()
+endforeach()
+if(NOT patterns)
+  message(FATAL_ERROR "--list-workloads names no synth: pattern")
+endif()
+
 # One validated run per (pattern, protocol); iterations kept small —
 # the assertions below only need the traffic shape, not its scale.
-foreach(pattern IN ITEMS padded false hot migratory prodcons stream
-                         ptrchase readmostly)
-  foreach(proto IN ITEMS msi mesi moesi)
+foreach(pattern IN LISTS patterns)
+  foreach(proto IN LISTS protocols)
     ccsvm_run(--workload synth:${pattern} --iters 48 --protocol ${proto}
               JSON ${CCSVM_OUT_DIR}/synth_${pattern}_${proto}.json)
   endforeach()

@@ -111,15 +111,17 @@ print(f'ci.sh: trace rows={len(trace["traceEvents"])} '
 EOF
 fi
 
-# Trace capture + replay smoke: capture a run, validate the file with
-# ccsvm-trace, replay it, and check the committed trace library. The
-# quantitative assertions (capture/replay stats byte-identity at 1 and
-# 4 sim threads, shape-mismatch rejection) live in replay_test and the
-# ccsvm_replay_check ctest, which the full pass above already ran.
+# Trace capture + replay smoke: capture a run, validate and inspect
+# the file with ccsvm-trace, replay it, and check the committed trace
+# library. The quantitative assertions (capture/replay stats
+# byte-identity at 1 and 4 sim threads, shape-mismatch rejection) live
+# in replay_test and the ccsvm_replay_check ctest, which the full pass
+# above already ran.
 echo "=== trace capture/replay smoke ==="
 "$BUILD_DIR"/tools/ccsvm --workload synth:false --iters 12 \
     --capture-out "$BUILD_DIR/ci_smoke.ccsvmt"
 "$BUILD_DIR"/tools/ccsvm-trace validate "$BUILD_DIR/ci_smoke.ccsvmt"
+"$BUILD_DIR"/tools/ccsvm-trace inspect "$BUILD_DIR/ci_smoke.ccsvmt"
 "$BUILD_DIR"/tools/ccsvm --workload replay \
     --trace "$BUILD_DIR/ci_smoke.ccsvmt"
 for trace in traces/*.ccsvmt; do

@@ -134,17 +134,14 @@ ApuMachine::launchGpuTask(core::KernelFn fn, Addr args_pa, unsigned n,
     for (auto &unit : gpuUnits_)
         unit->flushCache();
 
-    auto shared_fn = std::make_shared<core::KernelFn>(std::move(fn));
+    // No process: GPU addresses are physical (pinned).
+    auto desc = std::make_shared<core::TaskDescriptor>();
+    desc->fn = std::move(fn);
+    desc->args = args_pa;
     constexpr unsigned wavefront = 64;
-    for (unsigned first = 0; first < n; first += wavefront) {
-        GpuWork w;
-        w.fn = shared_fn;
-        w.argsPa = args_pa;
-        w.first = first;
-        w.count = std::min(wavefront, n - first);
-        w.state = state;
-        gpuPending_.push_back(std::move(w));
-    }
+    for (unsigned first = 0; first < n; first += wavefront)
+        gpuPending_.push_back(
+            {desc, state, first, std::min(wavefront, n - first)});
     dispatchGpu();
 }
 
@@ -152,19 +149,19 @@ void
 ApuMachine::dispatchGpu()
 {
     while (!gpuPending_.empty()) {
-        GpuWork &w = gpuPending_.front();
+        const unsigned count = gpuPending_.front().count;
         GpuSimdUnit *target = nullptr;
         for (auto &unit : gpuUnits_) {
-            if (unit->freeContexts() >= w.count) {
+            if (unit->freeContexts() >= count) {
                 target = unit.get();
                 break;
             }
         }
         if (!target)
             return;
-        GpuWork work = std::move(gpuPending_.front());
+        core::TaskChunk chunk = std::move(gpuPending_.front());
         gpuPending_.pop_front();
-        target->assignWork(std::move(work));
+        target->assign(std::move(chunk));
     }
 }
 

@@ -142,8 +142,7 @@ class ApuMachine
     std::vector<std::unique_ptr<CpuThread>> cpuThreads_;
 
     Addr pinnedBrk_;
-    std::deque<GpuWork> gpuPending_;
-    bool gpuDispatchScheduled_ = false;
+    std::deque<core::TaskChunk> gpuPending_;
 };
 
 } // namespace ccsvm::apu

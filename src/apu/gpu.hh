@@ -5,6 +5,11 @@
  * Radeon cores per SIMD unit, 600 MHz; each VLIW instruction is 1-4
  * operations").
  *
+ * A SIMD unit is a ThroughputCore (core/throughput_core.hh), the
+ * model it shares with the CCSVM MTTOP core: the same contexts, issue
+ * loop and thread exit, with one lane per issued work-item op. What
+ * is the GPU's own is VLIW packing and the memory path.
+ *
  * The GPU is deliberately NOT a peer in the coherence protocol — that
  * is the whole point of the baseline. Work-item memory accesses go to
  * pinned physical memory through a per-unit read-tag cache and a
@@ -20,18 +25,15 @@
 #ifndef CCSVM_APU_GPU_HH
 #define CCSVM_APU_GPU_HH
 
-#include <deque>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
 #include "cache/cache_array.hh"
-#include "core/thread_context.hh"
+#include "core/throughput_core.hh"
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
-#include "sim/clock.hh"
 #include "sim/stats.hh"
 
 namespace ccsvm::apu
@@ -54,78 +56,33 @@ struct GpuSimdUnitConfig
     Tick cacheHitLatency = 4 * 1667; ///< 4 GPU cycles
 };
 
-/** A chunk of work-items dispatched to one SIMD unit. The kernel
- * function is shared: coroutine frames reference the callable's
- * captures, so it must outlive every work-item of the launch. */
-struct GpuWork
-{
-    std::shared_ptr<core::KernelFn> fn;
-    Addr argsPa = 0; ///< physical address of the kernel arg block
-    ThreadId first = 0;
-    unsigned count = 0;
-    std::shared_ptr<core::TaskState> state;
-};
-
 /** One VLIW SIMD processing unit. */
-class GpuSimdUnit : public core::CoreModel
+class GpuSimdUnit final : public core::ThroughputCore
 {
   public:
     GpuSimdUnit(sim::EventQueue &eq, sim::StatRegistry &stats,
                 const std::string &name, const GpuSimdUnitConfig &cfg,
                 mem::DramCtrl &dram, mem::PhysMem &phys);
 
-    /** Notify when contexts free up (dispatcher hook). */
-    void
-    setContextsFreedHandler(std::function<void()> fn)
-    {
-        onContextsFreed_ = std::move(fn);
-    }
-
-    unsigned freeContexts() const { return freeSlots_; }
-
-    /** Accept a chunk of work-items (driver dispatch). */
-    void assignWork(GpuWork work);
-
     /** Invalidate the read cache (kernel-boundary flush). */
     void flushCache();
 
-    // CoreModel.
-    void onOpDeclared(core::ThreadContext &tc) override;
-    void onThreadDone(core::ThreadContext &tc) override;
-
   private:
-    struct Slot
-    {
-        core::ThreadContext tc;
-        bool inUse = false;
-        std::shared_ptr<core::KernelFn> fn;
-        std::shared_ptr<core::TaskState> state;
-    };
-
     struct TagLine
     {
         Addr addr = invalidAddr;
         bool valid = false;
     };
 
-    void scheduleCycle();
-    void cycle();
-    void processOp(core::ThreadContext &tc);
+    Cycles computeCycles(std::uint64_t n) override;
+    void access(core::ThreadContext &tc) override;
     void doLoad(core::ThreadContext &tc);
     /** A store or an atomic: both perform at issue. */
     void doWrite(core::ThreadContext &tc);
 
-    sim::EventQueue *eq_;
     GpuSimdUnitConfig cfg_;
-    sim::ClockDomain clock_;
     mem::DramCtrl *dram_;
     mem::PhysMem *phys_;
-
-    std::vector<std::unique_ptr<Slot>> slots_;
-    unsigned freeSlots_;
-    std::deque<core::ThreadContext *> ready_;
-    bool cycleScheduled_ = false;
-    std::function<void()> onContextsFreed_;
 
     cache::CacheArray<TagLine> readCache_;
     /** Read misses in flight: coalesced joiners per block. */
@@ -133,12 +90,9 @@ class GpuSimdUnit : public core::CoreModel
         pendingReads_;
     Addr wcBlock_ = invalidAddr; ///< write-combining buffer tag
 
-    sim::Counter &instructions_;
     sim::Counter &vliwInstrs_;
-    sim::Counter &memOps_;
     sim::Counter &cacheHits_;
     sim::Counter &coalesced_;
-    sim::Counter &threadsRun_;
 };
 
 } // namespace ccsvm::apu

@@ -94,19 +94,6 @@ class Context
         return b;
     }
 
-    /** Host-side backdoor into a buffer (init/verify). */
-    void
-    writeBuffer(const Buffer &b, Addr off, const void *src, Addr len)
-    {
-        machine_->physMem().write(b.pa + off, src, len);
-    }
-
-    void
-    readBuffer(const Buffer &b, Addr off, void *dst, Addr len)
-    {
-        machine_->physMem().read(b.pa + off, dst, len);
-    }
-
     /** Host-side: stage a kernel-argument block in pinned memory
      * (the driver writes GPU-visible const memory). */
     Addr

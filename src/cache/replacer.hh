@@ -87,7 +87,6 @@ class Replacer
         : kind_(kind), seed_(seed)
     {}
 
-    ReplacerKind kindOf() const { return kind_; }
     const char *name() const { return replacerName(kind_); }
 
     /**

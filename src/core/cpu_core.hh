@@ -96,8 +96,6 @@ class CpuCore : public CoreModel
     void runThread(ThreadContext &tc, sim::GuestTask task,
                    std::function<void()> on_done = {});
 
-    bool busy() const { return running_; }
-
     // CoreModel interface.
     void onOpDeclared(ThreadContext &tc) override;
     void onThreadDone(ThreadContext &tc) override;

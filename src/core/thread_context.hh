@@ -29,14 +29,13 @@ class ThreadContext
   public:
     ThreadContext() = default;
 
-    /** Rebind for a new task (MTTOP context slots are reused). */
+    /** Rebind for a new task (throughput-core slots are reused). */
     void
     bind(ThreadId tid, runtime::Process *proc, CoreModel *core)
     {
         tid_ = tid;
         process_ = proc;
         core_ = core;
-        hasPending_ = false;
         resume_ = nullptr;
     }
 
@@ -62,7 +61,6 @@ class ThreadContext
         await_suspend(std::coroutine_handle<> h) noexcept
         {
             tc->resume_ = h;
-            tc->hasPending_ = true;
             // The core must only *schedule* work here; resumption
             // always happens from a later event.
             tc->core_->onOpDeclared(*tc);
@@ -206,7 +204,6 @@ class ThreadContext
         root_ = std::move(task);
     }
 
-    bool hasPendingOp() const { return hasPending_; }
     GuestOp &pendingOp() { return op_; }
 
     /** Resume the guest coroutine from an event context; handles both
@@ -214,7 +211,6 @@ class ThreadContext
     void
     resumeFromEvent()
     {
-        hasPending_ = false;
         if (resume_) {
             auto h = resume_;
             resume_ = nullptr;
@@ -258,7 +254,6 @@ class ThreadContext
     sim::GuestTask root_;
     std::coroutine_handle<> resume_ = nullptr;
     GuestOp op_;
-    bool hasPending_ = false;
 };
 
 } // namespace ccsvm::core

@@ -87,13 +87,10 @@ Mifd::acceptTask(core::TaskDescriptor desc)
     for (ThreadId first = shared_desc->firstTid;
          first <= shared_desc->lastTid;
          first += cfg_.simdWidth) {
-        Chunk c;
-        c.desc = shared_desc;
-        c.state = state;
-        c.first = first;
-        c.count = std::min<unsigned>(
-            cfg_.simdWidth, shared_desc->lastTid - first + 1);
-        pending_.push_back(std::move(c));
+        pending_.push_back(
+            {shared_desc, state, first,
+             std::min<unsigned>(cfg_.simdWidth,
+                                shared_desc->lastTid - first + 1)});
     }
     dispatch();
 }
@@ -102,7 +99,7 @@ void
 Mifd::dispatch()
 {
     while (!pending_.empty()) {
-        Chunk &c = pending_.front();
+        const core::TaskChunk &c = pending_.front();
 
         // Round-robin over cores until the device's mirror shows one
         // with room for the chunk. The mirror is decremented here (at
@@ -123,7 +120,7 @@ Mifd::dispatch()
             return; // no contexts free; retried on notifyContextsFreed
         rrNext_ = (chosen + 1) % mttops_.size();
 
-        Chunk chunk = std::move(pending_.front());
+        core::TaskChunk chunk = std::move(pending_.front());
         pending_.pop_front();
         ++chunks_;
         ctxFree_[chosen] -= chunk.count;
@@ -144,10 +141,7 @@ Mifd::dispatch()
             [this, core, dst, chunk = std::move(chunk)]() mutable {
                 net_->send(node_, dst, noc::VNet::Request, 32,
                            [core, chunk = std::move(chunk)]() mutable {
-                               core->assignChunk(chunk.desc,
-                                                 chunk.first,
-                                                 chunk.count,
-                                                 chunk.state);
+                               core->assignChunk(std::move(chunk));
                            });
             });
     }

@@ -80,14 +80,6 @@ class Mifd : public core::MifdIface
     void notifyContextsFreed(unsigned port) override;
 
   private:
-    struct Chunk
-    {
-        std::shared_ptr<core::TaskDescriptor> desc;
-        std::shared_ptr<core::TaskState> state;
-        ThreadId first = 0;
-        unsigned count = 0;
-    };
-
     void acceptTask(core::TaskDescriptor desc);
     void dispatch();
     unsigned totalFreeContexts() const;
@@ -99,7 +91,7 @@ class Mifd : public core::MifdIface
     noc::NodeId node_;
     std::vector<MttopPort> mttops_;
 
-    std::deque<Chunk> pending_;
+    std::deque<core::TaskChunk> pending_;
     /** Device-side mirror of free contexts per core: decremented when
      * a chunk is dispatched, incremented when a core reports a freed
      * context. Replaces live freeContexts() polls (which would race

@@ -51,9 +51,6 @@ class ClockDomain
         return aligned + n * period_;
     }
 
-    /** Current cycle count of this domain. */
-    Cycles curCycle() const { return eq_->now() / period_; }
-
   private:
     EventQueue *eq_;
     Tick period_;

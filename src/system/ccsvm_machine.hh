@@ -204,7 +204,6 @@ class CcsvmMachine
     /** Resolved per-cluster protocols (default: config().protocol). */
     coherence::Protocol cpuProtocol() const { return *cfg_.cpuProtocol; }
     coherence::Protocol mttopProtocol() const { return *cfg_.mttopProtocol; }
-    core::CpuCore &cpuCore(int i) { return *cpuCores_[i]; }
     core::MttopCore &mttopCore(int i) { return *mttopCores_[i]; }
 
     /** Off-chip DRAM transactions so far (Figure 9's metric). */

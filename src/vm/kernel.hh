@@ -82,8 +82,6 @@ class AddressSpace
         return va;
     }
 
-    VAddr heapBrk() const { return heapBrk_; }
-
     // --- region-based coherence (attrs ride in the TLB) -------------
 
     /** Declare a page-aligned region with a coherence attribute. */

@@ -165,15 +165,6 @@ class FrameAllocator
 
     void free(Addr frame) { freeList_.push_back(frame); }
 
-    std::uint64_t
-    framesAllocated() const
-    {
-        return (next_ - (end_ - capacity())) / mem::pageBytes -
-               freeList_.size();
-    }
-
-    Addr capacity() const { return end_; }
-
   private:
     Addr next_;
     Addr end_;

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "mem/phys_mem.hh"
+
 namespace ccsvm::workloads::replay
 {
 
@@ -164,6 +166,18 @@ attrFromCode(std::uint8_t code)
     }
 }
 
+/** A protocol byte; one that names no coherence::Protocol is
+ * rejected. */
+std::uint8_t
+protocolByte(Cursor &c)
+{
+    const std::uint8_t p = c.u8();
+    if (p > static_cast<std::uint8_t>(coherence::Protocol::MOESI))
+        throw std::runtime_error("malformed trace: bad protocol " +
+                                 std::to_string(p));
+    return p;
+}
+
 /** Per-file-stream decode state persisting across chunks. */
 struct StreamState
 {
@@ -193,8 +207,12 @@ decodeRecord(Cursor &c, StreamState &st)
         r.size = 1u << size_log2;
         st.prevVa += static_cast<std::uint64_t>(unzigzag(c.varint()));
         r.va = st.prevVa;
+        // The L1 and the home bank perform an access within one block.
+        if ((r.va & mem::blockOffsetMask) + r.size > mem::blockBytes)
+            throw std::runtime_error("malformed trace: access "
+                                     "straddles a block");
         if (r.attr == attrOverride)
-            r.attrProtocol = c.u8();
+            r.attrProtocol = protocolByte(c);
     }
     switch (r.kind) {
       case RecKind::Load:
@@ -204,6 +222,10 @@ decodeRecord(Cursor &c, StreamState &st)
         break;
       case RecKind::Amo:
         r.amoOp = c.u8();
+        // Max is the last AmoOp.
+        if (r.amoOp > static_cast<std::uint8_t>(coherence::AmoOp::Max))
+            throw std::runtime_error("malformed trace: bad amo op " +
+                                     std::to_string(r.amoOp));
         r.operand = c.varint();
         r.operand2 = c.varint();
         break;
@@ -250,7 +272,7 @@ readTrace(const std::string &path)
         mr.base = c.varint();
         mr.size = c.varint();
         mr.attr = attrFromCode(c.u8());
-        mr.protocol = static_cast<coherence::Protocol>(c.u8());
+        mr.protocol = static_cast<coherence::Protocol>(protocolByte(c));
         t.regions.push_back(std::move(mr));
     }
 
@@ -340,6 +362,8 @@ readTrace(const std::string &path)
         end_streams != t.streams.size())
         throw std::runtime_error(
             "malformed trace: End counts disagree with body");
+    if (c.remaining() != 0)
+        throw std::runtime_error("malformed trace: bytes after End");
     return t;
 }
 

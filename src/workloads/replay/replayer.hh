@@ -38,7 +38,7 @@ TraceShape shapeOf(const system::CcsvmConfig &cfg);
  * Replay @p trace_path on @p m. Throws std::runtime_error on an
  * unreadable/corrupt trace, a machine-shape mismatch, or a v1
  * restriction; the driver turns these into exit-2 diagnostics before
- * construction via readTraceInfo() + shapeMismatch().
+ * construction via readTrace() + shapeMismatch().
  */
 RunResult runReplay(system::CcsvmMachine &m,
                     const std::string &trace_path);

@@ -1,7 +1,8 @@
 /**
  * @file
  * APU baseline machine tests: OoO-class CPU timing, the uncached
- * pinned window, GPU work dispatch with coalescing, the OpenCL-like
+ * pinned window, GPU work dispatch with coalescing, the GPU's issue
+ * width and its waves of work beyond its contexts, the OpenCL-like
  * runtime end-to-end, and the structural incoherence that motivates
  * the whole paper.
  */
@@ -123,6 +124,77 @@ TEST(Apu, GpuRunsWorkItemsAndCoalesces)
                   m.stats().get("gpu1.coalesced") +
                   m.stats().get("gpu2.coalesced"),
               0u);
+}
+
+TEST(Apu, GpuIssueWidthBoundsOpsPerCycle)
+{
+    // Work-items of one compute(1) each on one unit at one op per
+    // VLIW instruction: `lanes` of them issue per cycle, so the
+    // launch ends ceil(n / lanes) cycles after the first issue. The
+    // first cycle starts the threads, the second issues their ops,
+    // and the last ops complete one cycle after they issue: two
+    // cycles on top. At 300 items the launch also outgrows the
+    // unit's 256 contexts, and the waiting wavefront must not stall
+    // issue.
+    for (const unsigned lanes : {8u, 16u}) {
+        for (const unsigned n : {64u, 300u}) {
+            ApuConfig cfg;
+            cfg.numSimdUnits = 1;
+            cfg.gpu.lanes = lanes;
+            cfg.gpu.vliwUtilization = 1.0;
+            ApuMachine m(cfg);
+            auto state = std::make_shared<core::TaskState>();
+            state->remaining = static_cast<int>(n);
+            Tick done = 0;
+            state->onComplete = [&] { done = m.now(); };
+            const Tick start = m.now();
+            m.launchGpuTask(
+                [](ThreadContext &tc, VAddr) -> GuestTask {
+                    co_await tc.compute(1);
+                },
+                0, n, state);
+            m.run();
+            const Tick cycles = (n + lanes - 1) / lanes + 2;
+            EXPECT_EQ(done - start, cycles * cfg.gpu.clockPeriod)
+                << n << " items at " << lanes << " lanes";
+            EXPECT_EQ(m.stats().get("gpu0.vliwInstrs"), n);
+        }
+    }
+}
+
+TEST(Apu, GpuLaunchLargerThanEveryContextRunsInWaves)
+{
+    // 300 work-items on 2 units of 64 contexts: five wavefronts (the
+    // last holds 44) over 128 contexts. Each item increments its own
+    // output slot, so a slot run twice or never shows.
+    ApuConfig cfg;
+    cfg.numSimdUnits = 2;
+    cfg.gpu.numContexts = 64;
+    ApuMachine m(cfg);
+    constexpr unsigned n = 300;
+    const Addr out = m.allocPinned(n * 4);
+    const Addr args = m.allocPinned(64);
+    m.physMem().writeScalar(args, out, 8);
+
+    auto state = std::make_shared<core::TaskState>();
+    state->remaining = static_cast<int>(n);
+    bool done = false;
+    state->onComplete = [&] { done = true; };
+    m.launchGpuTask(
+        [](ThreadContext &tc, VAddr a) -> GuestTask {
+            const Addr out_pa = co_await tc.load<std::uint64_t>(a);
+            co_await tc.amo(out_pa + tc.tid() * 4,
+                            coherence::AmoOp::Inc, 0, 0, 4);
+        },
+        args, n, state);
+    m.run();
+    ASSERT_TRUE(done);
+    for (unsigned i = 0; i < n; ++i)
+        EXPECT_EQ(m.physMem().readScalar(out + i * 4, 4), 1u)
+            << "work-item " << i;
+    EXPECT_EQ(m.stats().get("gpu0.threads") +
+                  m.stats().get("gpu1.threads"),
+              n);
 }
 
 TEST(Apu, GpuIsNotCoherentWithCpuCaches)

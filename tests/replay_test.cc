@@ -4,8 +4,9 @@
  * (docs/TRACE_FORMAT.md):
  *
  *  - varint / zigzag primitives round-trip edge values
- *  - the reader rejects bad magic, truncated files and checksum
- *    corruption with the documented messages
+ *  - the reader rejects bad magic, truncated files, checksum
+ *    corruption, out-of-range AMO and protocol bytes, block-straddling
+ *    accesses and bytes after End with the documented messages
  *  - shapeMismatch() flags every checked header field, in both
  *    directions, and deliberately ignores the protocol fields
  *  - a capture file is byte-identical at --sim-threads 1 vs 4
@@ -141,6 +142,178 @@ TEST(TraceReader, RejectsUnsupportedVersion)
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what())
                       .find("unsupported trace version 99"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// --- range-checked bytes --------------------------------------------
+
+/** A minimal valid trace and the offsets of the bytes the reader
+ * range-checks: a protocol-override region, then one CPU stream of an
+ * 8-byte Amo at 0x1000 and an 8-byte protocol-override Load 0x38
+ * above it. Each checked byte holds the largest valid value, and the
+ * Load ends exactly at its block's end. */
+struct TinyTrace
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t regionProtocol = 0;
+    std::size_t amoOp = 0;
+    std::size_t loadVaDelta = 0;
+    std::size_t loadProtocol = 0;
+};
+
+TinyTrace
+tinyTrace()
+{
+    constexpr auto moesi =
+        static_cast<std::uint8_t>(coherence::Protocol::MOESI);
+    TinyTrace t;
+    std::vector<std::uint8_t> &b = t.bytes;
+    b.assign(traceMagic, traceMagic + 8);
+    put32(b, traceVersion);
+    put32(b, traceHeaderBytes);
+    b.resize(traceHeaderBytes, 0); // the reader checks no shape
+
+    putVarint(b, 1); // regions
+    putVarint(b, 1);
+    b.push_back('r');
+    putVarint(b, 0x1000);
+    putVarint(b, 0x1000);
+    b.push_back(attrOverride);
+    t.regionProtocol = b.size();
+    b.push_back(moesi);
+    putVarint(b, 0); // premap
+
+    b.push_back(tagStreamDef);
+    putVarint(b, 0);
+    b.push_back(static_cast<std::uint8_t>(StreamKind::Cpu));
+    putVarint(b, 0);
+    putVarint(b, 0);
+
+    std::vector<std::uint8_t> rec;
+    rec.push_back(packOpcode(RecKind::Amo, 3, attrNone));
+    putVarint(rec, 0);
+    putVarint(rec, zigzag(0x1000));
+    const std::size_t amo_op = rec.size();
+    rec.push_back(static_cast<std::uint8_t>(coherence::AmoOp::Max));
+    putVarint(rec, 1);
+    putVarint(rec, 0);
+    rec.push_back(packOpcode(RecKind::Load, 3, attrOverride));
+    putVarint(rec, 0);
+    const std::size_t load_va = rec.size();
+    putVarint(rec, zigzag(0x38));
+    const std::size_t load_protocol = rec.size();
+    rec.push_back(moesi);
+
+    b.push_back(tagChunk);
+    putVarint(b, 0);
+    putVarint(b, 2);
+    putVarint(b, rec.size());
+    t.amoOp = b.size() + amo_op;
+    t.loadVaDelta = b.size() + load_va;
+    t.loadProtocol = b.size() + load_protocol;
+    b.insert(b.end(), rec.begin(), rec.end());
+
+    b.push_back(tagEnd);
+    putVarint(b, 2);
+    putVarint(b, 1);
+    put64(b, 0); // checksum, set by writePatched
+    return t;
+}
+
+/** Write @p bytes with byte @p off set to @p v and the checksum
+ * recomputed; returns the path. */
+std::string
+writePatched(const std::string &name, std::vector<std::uint8_t> bytes,
+             std::size_t off, std::uint8_t v)
+{
+    bytes[off] = v;
+    const std::size_t end = bytes.size() - 8;
+    Fnv1a fnv;
+    fnv.update(bytes.data(), end);
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[end + i] = static_cast<std::uint8_t>(fnv.value() >> (8 * i));
+    const std::string path = tmpPath(name);
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char *>(bytes.data()),
+            std::streamsize(bytes.size()));
+    return path;
+}
+
+TEST(TraceReader, AcceptsEveryByteAtTheTopOfItsRange)
+{
+    const TinyTrace t = tinyTrace();
+    const TraceData d = readTrace(writePatched(
+        "tiny.ccsvmt", t.bytes, t.amoOp, t.bytes[t.amoOp]));
+    ASSERT_EQ(d.regions.size(), 1u);
+    EXPECT_EQ(d.regions[0].protocol, coherence::Protocol::MOESI);
+    ASSERT_EQ(d.streams.size(), 1u);
+    ASSERT_EQ(d.streams[0].records.size(), 2u);
+    const TraceRecord &amo = d.streams[0].records[0];
+    const TraceRecord &load = d.streams[0].records[1];
+    EXPECT_EQ(amo.amoOp, static_cast<std::uint8_t>(coherence::AmoOp::Max));
+    EXPECT_EQ(load.va, 0x1038u);
+    EXPECT_EQ(load.size, 8u);
+    EXPECT_EQ(load.attrProtocol,
+              static_cast<std::uint8_t>(coherence::Protocol::MOESI));
+}
+
+TEST(TraceReader, RejectsOutOfRangeBytes)
+{
+    const TinyTrace t = tinyTrace();
+    const std::uint8_t bad_protocol =
+        static_cast<std::uint8_t>(coherence::Protocol::MOESI) + 1;
+    struct Case
+    {
+        const char *name;
+        std::size_t off;
+        std::uint8_t value;
+        const char *what;
+    };
+    const Case cases[] = {
+        {"amo_op", t.amoOp,
+         static_cast<std::uint8_t>(coherence::AmoOp::Max) + 1,
+         "malformed trace: bad amo op 7"},
+        {"region_protocol", t.regionProtocol, bad_protocol,
+         "malformed trace: bad protocol 3"},
+        {"record_protocol", t.loadProtocol, bad_protocol,
+         "malformed trace: bad protocol 3"},
+        // The Load moves to 0x1039: its 8 bytes cross 0x1040.
+        {"straddle", t.loadVaDelta,
+         static_cast<std::uint8_t>(zigzag(0x39)),
+         "malformed trace: access straddles a block"},
+    };
+    for (const Case &c : cases) {
+        const std::string path = writePatched(
+            std::string("bad_") + c.name + ".ccsvmt", t.bytes, c.off,
+            c.value);
+        try {
+            readTrace(path);
+            ADD_FAILURE() << c.name << " must not parse";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(c.what),
+                      std::string::npos)
+                << c.name << ": " << e.what();
+        }
+    }
+}
+
+TEST(TraceReader, RejectsBytesAfterEnd)
+{
+    const TinyTrace t = tinyTrace();
+    const std::string path = writePatched(
+        "trailing.ccsvmt", t.bytes, t.amoOp, t.bytes[t.amoOp]);
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::app);
+        f.put('\0');
+    }
+    try {
+        readTrace(path);
+        FAIL() << "a byte after End must not parse";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "malformed trace: bytes after End"),
                   std::string::npos)
             << e.what();
     }

@@ -1003,7 +1003,8 @@ main(int argc, char **argv)
 
     // Validate replay points before simulating anything: a missing,
     // corrupt or shape-mismatched trace is a CLI error (exit 2 with a
-    // diagnostic), not a mid-sweep exception.
+    // diagnostic), not a mid-sweep exception. The whole file is
+    // parsed: a corrupt body must be caught here too.
     for (const PointSpec &spec : points) {
         if (spec.workload != "replay")
             continue;
@@ -1015,7 +1016,7 @@ main(int argc, char **argv)
         }
         try {
             const workloads::replay::TraceInfo info =
-                workloads::replay::readTraceInfo(o.params.replayTrace);
+                workloads::replay::readTrace(o.params.replayTrace).info;
             const std::string err = workloads::replay::shapeMismatch(
                 info.shape, workloads::replay::shapeOf(spec.cfg));
             if (!err.empty()) {
