@@ -13,6 +13,10 @@
 #     "machine shape" diagnostic; --workload replay without --trace
 #     must exit 2, and so must a trace with one byte flipped mid-body
 #     ("cannot read trace")
+#   - with python3 on PATH: a well-formed trace that replay rejects
+#     (its CPU stream relabelled mttop, or its first premapped frame
+#     moved one page) validates, and the driver exits 2 ("cannot
+#     replay trace")
 #   - every committed trace under CCSVM_TRACES_DIR (optional) must
 #     pass ccsvm-trace validate and replay cleanly at default shape.
 #
@@ -110,6 +114,65 @@ ccsvm_run(TOOL dd if=${CCSVM_OUT_DIR}/replay_flip_byte of=${flipped}
 ccsvm_run(TOOL ${CCSVM_TRACE_TOOL} validate ${flipped} EXIT 1)
 ccsvm_run(--workload replay --trace ${flipped}
           EXIT 2 MATCHES "cannot read trace")
+
+# Two well-formed traces that replay itself rejects: the first
+# StreamDef (the CPU stream) relabelled mttop leaves no CPU op stream,
+# and a first premapped frame one page later makes the frame
+# allocator diverge. Both parse and validate; the driver must exit 2,
+# never abort. python3 patches the bytes and recomputes the FNV-1a
+# checksum (docs/TRACE_FORMAT.md).
+set(patch_trace [=[
+import sys
+src, dst, case = sys.argv[1:]
+b = bytearray(open(src, 'rb').read())
+def varint(p):
+    v, shift = 0, 0
+    while True:
+        v |= (b[p] & 0x7f) << shift
+        shift += 7
+        p += 1
+        if b[p - 1] < 0x80:
+            return v, p
+def encode(v):
+    out = bytearray()
+    while v >= 0x80:
+        out.append(v & 0x7f | 0x80)
+        v >>= 7
+    out.append(v)
+    return out
+n, p = varint(64)
+for _ in range(n):
+    k, p = varint(p)
+    p = varint(varint(p + k)[1])[1] + 2
+n, p = varint(p)
+assert n > 0, 'no premapped pages'
+if case == 'premap':
+    delta, q = varint(p)
+    b[p:q] = encode(delta + 4096)
+else:
+    for _ in range(n):
+        p = varint(varint(p)[1])[1] + 1
+    assert b[p:p + 3] == bytes([1, 0, 0]), 'first StreamDef is not cpu'
+    b[p + 2] = 1
+h = 0xcbf29ce484222325
+for x in b[:-8]:
+    h = (h ^ x) * 0x100000001b3 % 2**64
+b[-8:] = h.to_bytes(8, 'little')
+open(dst, 'wb').write(b)
+]=])
+find_program(CCSVM_PYTHON3 python3)
+if(CCSVM_PYTHON3)
+  foreach(case cpu_stream premap)
+    set(patched ${CCSVM_OUT_DIR}/replay_bad_${case}.ccsvmt)
+    ccsvm_run(TOOL ${CCSVM_PYTHON3} -c "${patch_trace}" ${fresh_trace}
+              ${patched} ${case})
+    ccsvm_run(TOOL ${CCSVM_TRACE_TOOL} validate ${patched})
+    ccsvm_run(--workload replay --trace ${patched}
+              EXIT 2 MATCHES "cannot replay trace")
+  endforeach()
+else()
+  message(STATUS "python3 not found; replay-rejection cases skipped")
+endif()
 
 # --- the committed trace library ------------------------------------
 

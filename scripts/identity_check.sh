@@ -9,6 +9,9 @@
 # stderr and every output file byte for byte. In a corpus line,
 # @OUT@ is an output directory and @REPO@ this repo's root.
 #
+# It then compares both builds' `ccsvm-trace inspect` and `stats`
+# output for every committed trace under traces/.
+#
 # It then does the same for every bench binary the build lists in
 # bench/benches.txt, comparing exit code, stdout, stderr and the
 # CCSVM_BENCH_JSON file, except abl_engine, abl_trace and abl_replay,
@@ -31,7 +34,8 @@ old="$(cd "$1" && pwd)"
 new="$(cd "$2" && pwd)"
 corpus="$repo/scripts/identity_corpus.txt"
 for b in "$old" "$new"; do
-    [[ -x $b/tools/ccsvm && -f $b/bench/benches.txt ]] || {
+    [[ -x $b/tools/ccsvm && -x $b/tools/ccsvm-trace &&
+        -f $b/bench/benches.txt ]] || {
         echo "identity_check: $b is not a build with benches" >&2
         exit 2
     }
@@ -84,6 +88,18 @@ while IFS= read -r line || [[ -n $line ]]; do
     compare "ccsvm $line"
 done <"$corpus"
 echo "identity_check: $n driver lines identical"
+
+traces=0
+for trace in "$repo"/traces/*.ccsvmt; do
+    for cmd in inspect stats; do
+        case_id="trace-$cmd-$(basename "$trace" .ccsvmt)"
+        run old ccsvm-trace "$old/tools/ccsvm-trace" "$cmd" "$trace"
+        run new ccsvm-trace "$new/tools/ccsvm-trace" "$cmd" "$trace"
+        compare "ccsvm-trace $cmd $trace"
+    done
+    traces=$((traces + 1))
+done
+echo "identity_check: $traces traces read identically by ccsvm-trace"
 
 benches=0
 while IFS= read -r bench; do

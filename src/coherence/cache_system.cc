@@ -32,7 +32,7 @@ CacheSystem::CacheSystem(const CacheSystemConfig &cfg,
                          sim::StatRegistry &stats, noc::Network &net,
                          mem::DramCtrl &dram, mem::PhysMem &phys)
     : clusters_(cfg.clusters), hash_(&sliceHash(cfg.sliceHash)),
-      phys_(&phys)
+      net_(&net), phys_(&phys)
 {
     int num_l1s = 0;
     for (const L1Cluster &c : clusters_)
@@ -48,15 +48,28 @@ CacheSystem::CacheSystem(const CacheSystemConfig &cfg,
         for (int i = 0; i < c.count; ++i) {
             const L1Id id = numL1s();
             l1s_.push_back(std::make_unique<L1Controller>(
-                *this, c, stats, l1Name(id), id, /*node=*/id, net,
+                *this, c, stats, l1Name(id), id, /*node=*/id,
                 monitor_.get()));
         }
     }
     for (int b = 0; b < static_cast<int>(cfg.bankQueues.size()); ++b) {
         banks_.push_back(std::make_unique<Directory>(
             *this, *cfg.bankQueues[b], stats, "dir" + std::to_string(b),
-            cfg.bank, b, /*node=*/num_l1s + b, net, dram, phys));
+            cfg.bank, b, /*node=*/num_l1s + b, dram, phys));
     }
+}
+
+void
+CacheSystem::send(noc::NodeId from, noc::NodeId to, CohMsg msg) const
+{
+    const unsigned bytes = msg.wireBytes();
+    net_->send(from, to, bytes,
+               [this, to, msg = std::move(msg)]() mutable {
+                   if (to < numL1s())
+                       l1(to).handleMessage(std::move(msg));
+                   else
+                       bank(to - numL1s()).handleMessage(std::move(msg));
+               });
 }
 
 std::string

@@ -12,9 +12,10 @@
  *    latency.<kind>.*; bank b is "dir<b>".
  * Controllers reach their peers, each block's home and each other's
  * protocol and core kind through this class instead of keeping
- * copies. homeOf() is the one address-to-home-bank lookup, and the
- * class is the one runtime::FunctionalMem: a host read sees a dirty
- * owner L1, then the home bank, then memory.
+ * copies. homeOf() is the one address-to-home-bank lookup, send() is
+ * the one way a protocol message crosses the network, and the class
+ * is the one runtime::FunctionalMem: a host read sees a dirty owner
+ * L1, then the home bank, then memory.
  */
 
 #ifndef CCSVM_COHERENCE_CACHE_SYSTEM_HH
@@ -81,12 +82,18 @@ class CacheSystem : public runtime::FunctionalMem
     /** The SWMR monitor; nullptr when the checks are off. */
     const SwmrMonitor *monitor() const { return monitor_.get(); }
 
+    /** Send @p msg over the network from node @p from to the
+     * controller at node @p to (an L1 id, or a bank's node()); it is
+     * handled there on arrival. */
+    void send(noc::NodeId from, noc::NodeId to, CohMsg msg) const;
+
     void funcRead(Addr pa, void *dst, unsigned len) override;
     void funcWrite(Addr pa, const void *src, unsigned len) override;
 
   private:
     std::vector<L1Cluster> clusters_;
     const SliceHash *hash_;
+    noc::Network *net_;
     mem::PhysMem *phys_;
     std::unique_ptr<SwmrMonitor> monitor_;
     std::vector<std::unique_ptr<L1Controller>> l1s_;

@@ -12,10 +12,10 @@ namespace ccsvm::coherence
 Directory::Directory(const CacheSystem &sys, sim::EventQueue &eq,
                      sim::StatRegistry &stats, const std::string &name,
                      const DirConfig &cfg, int bank_id,
-                     noc::NodeId node, noc::Network &net,
-                     mem::DramCtrl &dram, mem::PhysMem &phys)
+                     noc::NodeId node, mem::DramCtrl &dram,
+                     mem::PhysMem &phys)
     : sys_(&sys), eq_(&eq), cfg_(cfg), bankId_(bank_id),
-      net_(&net), node_(node), dram_(&dram), phys_(&phys),
+      node_(node), dram_(&dram), phys_(&phys),
       // Each bank offsets the stochastic (rand) replacer's seed by
       // its id so banks draw independent victim streams.
       array_(cfg.bankSizeBytes, cfg.assoc, cfg.replace,
@@ -180,32 +180,9 @@ Directory::isMttopL1(L1Id id) const
 }
 
 const ProtocolPolicy &
-Directory::policyFor(L1Id id) const
+Directory::clusterPolicy(L1Id id) const
 {
     return sys_->l1(id).policy();
-}
-
-const ProtocolPolicy &
-Directory::policyForReq(const CohMsg &msg) const
-{
-    if (msg.region == RegionAttr::ProtocolOverride)
-        return protocolPolicy(msg.regionProt);
-    return policyFor(msg.sender);
-}
-
-const ProtocolPolicy &
-Directory::policyFor(const L2Line &line, L1Id id) const
-{
-    if (line.region == RegionAttr::ProtocolOverride)
-        return protocolPolicy(line.regionProt);
-    return policyFor(id);
-}
-
-void
-Directory::stampRegion(L2Line &line, const CohMsg &msg)
-{
-    line.region = msg.region;
-    line.regionProt = msg.regionProt;
 }
 
 // ---------------------------------------------------------------------
@@ -311,6 +288,17 @@ Directory::retryStalledAllocs()
 // GetS / GetM
 // ---------------------------------------------------------------------
 
+Directory::Txn &
+Directory::openTxn(L2Line &line, const CohMsg &msg)
+{
+    line.busy = true;
+    line.region = msg.region;
+    Txn &txn = txns_[msg.blockAddr];
+    txn = {.req = msg.type, .requestor = msg.sender,
+           .startTick = eq_->now()};
+    return txn;
+}
+
 void
 Directory::processGetS(CohMsg &msg, L2Line *line)
 {
@@ -319,15 +307,8 @@ Directory::processGetS(CohMsg &msg, L2Line *line)
         return;
     }
 
-    line->busy = true;
-    stampRegion(*line, msg);
+    Txn &txn = openTxn(*line, msg);
     array_.touch(line);
-    Txn &txn = txns_[msg.blockAddr];
-    txn.req = MsgType::GetS;
-    txn.requestor = msg.sender;
-    txn.forwarded = false;
-    txn.oldOwner = noL1;
-    txn.startTick = eq_->now();
 
     if (line->st == DirState::S) {
         CohMsg rsp;
@@ -339,7 +320,8 @@ Directory::processGetS(CohMsg &msg, L2Line *line)
             // the requestor's protocol offers (E under MESI/MOESI,
             // S under MSI) — the region's override protocol when the
             // page carries one, else the requestor's cluster policy.
-            rsp.type = policyForReq(msg).soleCopyFill();
+            rsp.type = policyFor(line->region, clusterPolicy(msg.sender))
+                           .soleCopyFill();
         } else {
             rsp.type = MsgType::DataS;
         }
@@ -365,7 +347,8 @@ Directory::processGetS(CohMsg &msg, L2Line *line)
     // home on its Unblock. A protocol-override region binds both
     // ends to the region protocol instead.
     fwd.allowDirtySharing = pairAllowsDirtySharing(
-        policyFor(*line, line->owner), policyFor(*line, msg.sender));
+        policyFor(line->region, clusterPolicy(line->owner)),
+        policyFor(line->region, clusterPolicy(msg.sender)));
     sendToL1(line->owner, std::move(fwd), cfg_.ctrlLatency);
 }
 
@@ -377,68 +360,39 @@ Directory::processGetM(CohMsg &msg, L2Line *line)
         return;
     }
 
-    line->busy = true;
-    stampRegion(*line, msg);
+    Txn &txn = openTxn(*line, msg);
     array_.touch(line);
-    Txn &txn = txns_[msg.blockAddr];
-    txn.req = MsgType::GetM;
-    txn.requestor = msg.sender;
-    txn.forwarded = false;
-    txn.oldOwner = noL1;
-    txn.startTick = eq_->now();
 
     const L1Id req = msg.sender;
+    ccsvm_assert(line->st == DirState::S || line->owner != noL1,
+                 "ownerless %s state", dirStateName(line->st));
+    ccsvm_assert(line->owner != req || line->st == DirState::O,
+                 "X-owner L1 %d re-requesting GetM", req);
 
-    if (line->st == DirState::S) {
-        const bool req_has_copy = isSharer(*line, req);
-        const int acks = static_cast<int>(popcount(line->sharers)) -
-                         (req_has_copy ? 1 : 0);
-        CohMsg rsp;
-        rsp.blockAddr = msg.blockAddr;
-        rsp.ackCount = acks;
-        if (req_has_copy) {
-            rsp.type = MsgType::GrantM;
-            sendToL1(req, std::move(rsp), cfg_.ctrlLatency);
-        } else {
-            rsp.type = MsgType::DataM;
-            rsp.hasData = true;
-            rsp.data = line->data;
-            serveData(req, std::move(rsp));
-        }
-        sendInvs(*line, req, req);
-        line->sharers = 0;
-        return;
-    }
-
-    // X or O.
-    ccsvm_assert(line->owner != noL1, "ownerless %s state",
-                 dirStateName(line->st));
-    if (line->owner == req) {
-        // O-owner upgrading: invalidate the other sharers.
-        ccsvm_assert(line->st == DirState::O,
-                     "X-owner L1 %d re-requesting GetM", req);
-        CohMsg rsp;
+    // Every other sharer acks the requestor; the owner (X or O) is
+    // never listed as a sharer.
+    CohMsg rsp;
+    rsp.blockAddr = msg.blockAddr;
+    rsp.requestor = req;
+    rsp.ackCount = static_cast<int>(popcount(line->sharers)) -
+                   (isSharer(*line, req) ? 1 : 0);
+    if (line->owner != noL1 && line->owner != req) {
+        // Another L1 owns the block: it supplies the data.
+        txn.forwarded = true;
+        txn.oldOwner = line->owner;
+        rsp.type = MsgType::FwdGetM;
+        sendToL1(line->owner, std::move(rsp), cfg_.ctrlLatency);
+    } else if (line->owner == req || isSharer(*line, req)) {
+        // The requestor holds the data (a sharer, or the O owner
+        // upgrading): grant write permission without it.
         rsp.type = MsgType::GrantM;
-        rsp.blockAddr = msg.blockAddr;
-        rsp.ackCount = static_cast<int>(popcount(line->sharers));
         sendToL1(req, std::move(rsp), cfg_.ctrlLatency);
-        sendInvs(*line, req, req);
-        line->sharers = 0;
-        return;
+    } else {
+        rsp.type = MsgType::DataM;
+        rsp.hasData = true;
+        rsp.data = line->data;
+        serveData(req, std::move(rsp));
     }
-
-    const bool req_has_copy = isSharer(*line, req);
-    const int acks = static_cast<int>(popcount(line->sharers)) -
-                     (req_has_copy ? 1 : 0);
-    txn.forwarded = true;
-    txn.oldOwner = line->owner;
-
-    CohMsg fwd;
-    fwd.type = MsgType::FwdGetM;
-    fwd.blockAddr = msg.blockAddr;
-    fwd.requestor = req;
-    fwd.ackCount = acks;
-    sendToL1(line->owner, std::move(fwd), cfg_.ctrlLatency);
     sendInvs(*line, req, req);
     line->sharers = 0;
 }
@@ -454,7 +408,7 @@ Directory::sendInvs(L2Line &line, L1Id skip, L1Id ack_dest)
         inv.blockAddr = line.addr;
         inv.requestor = ack_dest;
         ++(isMttopL1(id) ? invsSentMttop_ : invsSentCpu_);
-        ++(line.region == RegionAttr::ProtocolOverride
+        ++(line.region.attr == RegionAttr::ProtocolOverride
                ? invsSentOverride_
                : invsSentCoherent_);
         sendToL1(id, std::move(inv), cfg_.ctrlLatency);
@@ -651,10 +605,12 @@ Directory::processUnblock(CohMsg &msg)
             // Old owner kept a dirty copy: Owned state. Only
             // reachable when this directory offered dirty sharing to
             // the pair, i.e. both clusters have O.
-            ccsvm_assert(pairAllowsDirtySharing(
-                             policyFor(*line, txn.oldOwner),
-                             policyFor(*line, txn.requestor)),
-                         "dirty-shared Unblock under a pair without O");
+            ccsvm_assert(
+                pairAllowsDirtySharing(
+                    policyFor(line->region, clusterPolicy(txn.oldOwner)),
+                    policyFor(line->region,
+                              clusterPolicy(txn.requestor))),
+                "dirty-shared Unblock under a pair without O");
             line->st = DirState::O;
             line->owner = txn.oldOwner;
             line->sharers |= 1u << txn.requestor;
@@ -712,32 +668,22 @@ Directory::allocateAndFetch(CohMsg msg)
         return;
     }
 
-    line->busy = true;
-    line->st = DirState::S;
-    line->owner = noL1;
-    line->sharers = 0;
-    line->dirty = false;
-    stampRegion(*line, msg);
-
+    // A fresh line is clean and S with no holders (L2Line defaults).
+    openTxn(*line, msg);
     if (++occLevel_ > occPeak_) {
         occupancy_ += occLevel_ - occPeak_;
         occPeak_ = occLevel_;
     }
 
     ++fetches_;
-    ++(msg.region == RegionAttr::ProtocolOverride ? fetchesOverride_
-                                                  : fetchesCoherent_);
+    ++(msg.region.attr == RegionAttr::ProtocolOverride
+           ? fetchesOverride_
+           : fetchesCoherent_);
     const Addr addr = msg.blockAddr;
     const L1Id requestor = msg.sender;
     const bool want_m = msg.type == MsgType::GetM;
-    const ProtocolPolicy *req_policy = &policyForReq(msg);
-
-    Txn &txn = txns_[addr];
-    txn.req = want_m ? MsgType::GetM : MsgType::GetS;
-    txn.requestor = requestor;
-    txn.forwarded = false;
-    txn.oldOwner = noL1;
-    txn.startTick = eq_->now();
+    const ProtocolPolicy *req_policy =
+        &policyFor(msg.region, clusterPolicy(requestor));
 
     dram_->access(false, mem::blockBytes, [this, addr, requestor,
                                            want_m, req_policy] {
@@ -763,7 +709,7 @@ Directory::startRecall(L2Line *victim, CohMsg pending_msg)
 {
     ++recallsStat_;
     ++conflictEvictions_;
-    if (victim->region == RegionAttr::Coherent)
+    if (victim->region.attr == RegionAttr::Coherent)
         ++conflictEvictionsCoherent_;
     victim->busy = true;
 
@@ -842,17 +788,10 @@ Directory::finishRecall(Addr victim_addr)
 void
 Directory::sendToL1(L1Id dst, CohMsg msg, Tick extra_latency)
 {
-    L1Controller *l1 = &sys_->l1(dst);
-    const unsigned bytes = msg.wireBytes();
-    const noc::VNet vnet = msg.vnet();
-    const noc::NodeId dst_node = l1->node();
-    eq_->scheduleIn(extra_latency, [this, l1, dst_node, vnet, bytes,
-                                    msg = std::move(msg)]() mutable {
-        net_->send(node_, dst_node, vnet, bytes,
-                   [l1, msg = std::move(msg)]() mutable {
-                       l1->handleMessage(std::move(msg));
-                   });
-    });
+    eq_->scheduleIn(extra_latency,
+                    [this, dst, msg = std::move(msg)]() mutable {
+                        sys_->send(node_, dst, std::move(msg));
+                    });
 }
 
 } // namespace ccsvm::coherence

@@ -18,9 +18,10 @@
  * triggers an access to off-chip memory" (Sec. 3.2.2).
  *
  * The directory is blocking: one transaction per block at a time,
- * closed by the requestor's Unblock message; requests to a busy block
- * stall in a per-block FIFO. Inclusive-L2 evictions recall the block
- * from all L1 holders before freeing the frame.
+ * opened by openTxn() and closed by the requestor's Unblock message;
+ * requests to a busy block stall in a per-block FIFO. Inclusive-L2
+ * evictions recall the block from all L1 holders before freeing the
+ * frame.
  */
 
 #ifndef CCSVM_COHERENCE_DIRECTORY_HH
@@ -81,8 +82,7 @@ class Directory
     Directory(const CacheSystem &sys, sim::EventQueue &eq,
               sim::StatRegistry &stats, const std::string &name,
               const DirConfig &cfg, int bank_id, noc::NodeId node,
-              noc::Network &net, mem::DramCtrl &dram,
-              mem::PhysMem &phys);
+              mem::DramCtrl &dram, mem::PhysMem &phys);
 
     /** Network-side entry point. */
     void handleMessage(CohMsg msg);
@@ -119,12 +119,12 @@ class Directory
         DirState st = DirState::S;
         L1Id owner = noL1;
         SharerMask sharers = 0;
-        /** Region class of the block, recorded from its requests. A
+        /** Region of the block, stamped by every transaction. A
          * block belongs to exactly one VM region, so every request
          * agrees; ProtocolOverride lines resolve both ends of a
-         * transaction against regionProt instead of the clusters'. */
-        RegionAttr region = RegionAttr::Coherent;
-        Protocol regionProt{};
+         * transaction against the region's protocol instead of the
+         * clusters'. */
+        Region region;
         std::array<std::uint8_t, mem::blockBytes> data{};
 
         /** The region replacement policy's preference hook: lines a
@@ -133,7 +133,7 @@ class Directory
          * before hard-earned default-coherent lines. */
         bool evictPreferred() const
         {
-            return region != RegionAttr::Coherent;
+            return region.attr != RegionAttr::Coherent;
         }
     };
 
@@ -167,6 +167,11 @@ class Directory
     void processUnblock(CohMsg &msg);
     void processRecallResponse(CohMsg &msg);
 
+    /** Open @p msg's GetS or GetM transaction on @p line: mark the
+     * line busy until the Unblock and stamp it with the request's
+     * region. */
+    Txn &openTxn(L2Line &line, const CohMsg &msg);
+
     /** NP block: allocate a frame (recalling a victim if needed) and
      * fetch from DRAM, then grant. */
     void allocateAndFetch(CohMsg msg);
@@ -187,16 +192,8 @@ class Directory
     bool isSharer(const L2Line &line, L1Id id) const;
     /** L1 @p id serves an MTTOP core. */
     bool isMttopL1(L1Id id) const;
-    /** The protocol policy governing L1 @p id's cluster. */
-    const ProtocolPolicy &policyFor(L1Id id) const;
-    /** The policy governing a request: the region's override when the
-     * request carries one, else the requestor's cluster policy. */
-    const ProtocolPolicy &policyForReq(const CohMsg &msg) const;
-    /** The policy governing L1 @p id's side of a transaction on
-     * @p line: the line's region override, else its cluster policy. */
-    const ProtocolPolicy &policyFor(const L2Line &line, L1Id id) const;
-    /** Record the request's region class on the line. */
-    static void stampRegion(L2Line &line, const CohMsg &msg);
+    /** The protocol policy of L1 @p id's cluster. */
+    const ProtocolPolicy &clusterPolicy(L1Id id) const;
     void sendInvs(L2Line &line, L1Id skip, L1Id ack_dest);
     void sendToL1(L1Id dst, CohMsg msg, Tick extra_latency);
     void sendPutAck(Addr block_addr, L1Id dst);
@@ -208,7 +205,6 @@ class Directory
     sim::EventQueue *eq_;
     DirConfig cfg_;
     int bankId_;
-    noc::Network *net_;
     noc::NodeId node_;
     mem::DramCtrl *dram_;
     mem::PhysMem *phys_;

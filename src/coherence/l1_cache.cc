@@ -27,17 +27,24 @@ permits(CohState s, const ScalarOp &op)
     return op.writes() ? canWrite(s) : canRead(s);
 }
 
+/** True if @p s makes the L1 the block's owner (E, M or O): it
+ * answers forwards and recalls with data. */
+bool
+owns(CohState s)
+{
+    return s == CohState::E || s == CohState::M || s == CohState::O;
+}
+
 } // namespace
 
 L1Controller::L1Controller(const CacheSystem &sys,
                            const L1Cluster &cluster,
                            sim::StatRegistry &stats,
                            const std::string &name, L1Id id,
-                           noc::NodeId node, noc::Network &net,
-                           SwmrMonitor *monitor)
+                           noc::NodeId node, SwmrMonitor *monitor)
     : sys_(&sys), eq_(cluster.queue), cfg_(cluster.cfg),
       kind_(cluster.kind), policy_(&protocolPolicy(cluster.protocol)),
-      id_(id), net_(&net), node_(node),
+      id_(id), node_(node),
       monitor_(monitor), array_(cfg_.sizeBytes, cfg_.assoc),
       hits_(stats.counter(name + ".hits", "L1 accesses hitting")),
       misses_(stats.counter(name + ".misses", "L1 accesses missing")),
@@ -94,6 +101,25 @@ L1Controller::stateOf(Addr block_addr)
     return line ? line->state : CohState::I;
 }
 
+L1Controller::Line *
+L1Controller::copyOf(Addr block_addr)
+{
+    if (Line *line = array_.lookup(block_addr))
+        return line;
+    auto ev = evicts_.find(block_addr);
+    return ev == evicts_.end() ? nullptr : &ev->second.line;
+}
+
+L1Controller::Line &
+L1Controller::held(const CohMsg &msg)
+{
+    Line *copy = copyOf(msg.blockAddr);
+    ccsvm_assert(copy, "%s for block 0x%llx not held by L1 %d",
+                 msgTypeName(msg.type),
+                 (unsigned long long)msg.blockAddr, id_);
+    return *copy;
+}
+
 // ---------------------------------------------------------------------
 // Core-side access path
 // ---------------------------------------------------------------------
@@ -127,12 +153,6 @@ L1Controller::completeOp(MemRequestPtr req, std::uint64_t value)
                     [cb = std::move(cb), value] { cb(value); });
 }
 
-const ProtocolPolicy &
-L1Controller::linePolicy(const Line &line) const
-{
-    return line.policy ? *line.policy : *policy_;
-}
-
 void
 L1Controller::recordLatency(sim::LatencyHistogram &h,
                             const MemRequest &req)
@@ -154,7 +174,7 @@ L1Controller::access(MemRequestPtr req)
     if (req->issueTick == MemRequest::notIssued)
         req->issueTick = eq_->now();
 
-    if (req->region == RegionAttr::Bypass) {
+    if (req->region.attr == RegionAttr::Bypass) {
         // Bypass regions are never cached, so the block cannot be in
         // the array, the victim buffer or an MSHR; the op goes
         // straight to the home node as an uncacheable access.
@@ -196,10 +216,6 @@ L1Controller::access(MemRequestPtr req)
     entry.blockAddr = block;
     entry.wantM = req->op.writes();
     entry.region = req->region;
-    entry.regionProt = req->regionProt;
-    entry.policy = req->region == RegionAttr::ProtocolOverride
-                       ? &protocolPolicy(req->regionProt)
-                       : policy_;
     entry.startTick = eq_->now();
     if (entry.wantM && line) {
         ++upgrades_;
@@ -218,7 +234,6 @@ L1Controller::issueBypass(MemRequestPtr req)
     msg.blockAddr = block;
     msg.sender = id_;
     msg.requestor = id_;
-    msg.region = RegionAttr::Bypass;
     msg.reqOffset = static_cast<unsigned>(req->paddr - block);
     msg.op = req->op;
     msg.bypassId = nextBypassId_++;
@@ -261,7 +276,6 @@ L1Controller::startTransaction(MshrEntry &entry)
     msg.sender = id_;
     msg.requestor = id_;
     msg.region = entry.region;
-    msg.regionProt = entry.regionProt;
     sendToDir(std::move(msg));
 }
 
@@ -310,8 +324,8 @@ L1Controller::evictLine(Line *line)
                  (unsigned long long)addr);
 
     auto &ev = evicts_[addr];
-    ev.state = line->state;
-    ev.data = line->data;
+    ev.line = *line;
+    ev.line.valid = false;
 
     CohMsg msg;
     msg.blockAddr = addr;
@@ -347,7 +361,7 @@ L1Controller::finalizeFill(MshrEntry &entry)
         }
     }
 
-    line->policy = entry.policy ? entry.policy : policy_;
+    line->region = entry.region;
     if (entry.dataReceived) {
         line->data = entry.data;
         setLineState(*line, entry.fillState);
@@ -487,157 +501,101 @@ void
 L1Controller::handleFwdGetS(CohMsg &msg)
 {
     ++fwdsServed_;
+    Line &copy = held(msg);
+    ccsvm_assert(owns(copy.state), "FwdGetS to non-owner in %s",
+                 cohStateName(copy.state));
+    // The directory's pair-wise verdict rides on the forward: with
+    // dirty sharing a dirty owner keeps the block in O; without it
+    // (and for a clean E owner) it downgrades to S, and the requestor
+    // carries the dirty data home on its Unblock.
+    const CohState next =
+        ownerStateOnFwdGetS(copy.state, msg.allowDirtySharing);
+    ccsvm_assert(next != CohState::O ||
+                     policyFor(copy.region, *policy_)
+                         .allowsDirtySharing(),
+                 "L1 %d offered O but this block's protocol (%s) "
+                 "lacks it (L1/directory protocol mismatch?)",
+                 id_, policyFor(copy.region, *policy_).name());
+
     CohMsg rsp;
     rsp.type = MsgType::DataS;
     rsp.blockAddr = msg.blockAddr;
     rsp.sender = id_;
     rsp.hasData = true;
-    rsp.ackCount = 0;
-
-    if (Line *line = array_.lookup(msg.blockAddr)) {
-        ccsvm_assert(line->state == CohState::E ||
-                         line->state == CohState::M ||
-                         line->state == CohState::O,
-                     "FwdGetS to non-owner in %s",
-                     cohStateName(line->state));
-        rsp.data = line->data;
-        rsp.dirty = line->state != CohState::E;
-        // The directory's pair-wise verdict rides on the forward:
-        // with dirty sharing a dirty owner keeps the block in O;
-        // without it (and for a clean E owner) it downgrades to S,
-        // and the requestor carries the dirty data home on its
-        // Unblock.
-        const CohState next =
-            ownerStateOnFwdGetS(line->state, msg.allowDirtySharing);
-        ccsvm_assert(next != CohState::O ||
-                         linePolicy(*line).allowsDirtySharing(),
-                     "L1 %d offered O but this block's protocol (%s) "
-                     "lacks it (L1/directory protocol mismatch?)",
-                     id_, linePolicy(*line).name());
-        rsp.ownerRetained = next == CohState::O;
-        setLineState(*line, next);
-        sendToL1(msg.requestor, std::move(rsp));
-        return;
-    }
-
-    // Racing with our own eviction: answer from the victim buffer.
-    auto ev = evicts_.find(msg.blockAddr);
-    ccsvm_assert(ev != evicts_.end(),
-                 "FwdGetS for block 0x%llx not held by L1 %d",
-                 (unsigned long long)msg.blockAddr, id_);
-    rsp.data = ev->second.data;
-    rsp.dirty = ev->second.state != CohState::E;
-    // The conceptual owner state lives in the victim buffer; under
-    // dirty sharing the directory re-lists us as the O owner and our
-    // in-flight PutOwned retires as a stale put.
-    rsp.ownerRetained =
-        ownerStateOnFwdGetS(ev->second.state, msg.allowDirtySharing) ==
-        CohState::O;
-    sendToL1(msg.requestor, std::move(rsp));
+    rsp.data = copy.data;
+    rsp.dirty = copy.state != CohState::E;
+    rsp.ownerRetained = next == CohState::O;
+    // A victim copy keeps its state: under dirty sharing the directory
+    // re-lists us as the O owner and our in-flight PutOwned retires as
+    // a stale put.
+    if (copy.valid)
+        setLineState(copy, next);
+    sys_->send(node_, msg.requestor, std::move(rsp));
 }
 
 void
 L1Controller::handleFwdGetM(CohMsg &msg)
 {
     ++fwdsServed_;
+    Line &copy = held(msg);
+    ccsvm_assert(owns(copy.state), "FwdGetM to non-owner in %s",
+                 cohStateName(copy.state));
     CohMsg rsp;
     rsp.type = MsgType::DataM;
     rsp.blockAddr = msg.blockAddr;
     rsp.sender = id_;
     rsp.hasData = true;
+    rsp.data = copy.data;
     rsp.ackCount = msg.ackCount;
-
-    if (Line *line = array_.lookup(msg.blockAddr)) {
-        ccsvm_assert(line->state == CohState::E ||
-                         line->state == CohState::M ||
-                         line->state == CohState::O,
-                     "FwdGetM to non-owner in %s",
-                     cohStateName(line->state));
-        rsp.data = line->data;
-        dropLine(line);
-        sendToL1(msg.requestor, std::move(rsp));
-        return;
-    }
-
-    auto ev = evicts_.find(msg.blockAddr);
-    ccsvm_assert(ev != evicts_.end(),
-                 "FwdGetM for block 0x%llx not held by L1 %d",
-                 (unsigned long long)msg.blockAddr, id_);
-    rsp.data = ev->second.data;
-    sendToL1(msg.requestor, std::move(rsp));
-}
-
-void
-L1Controller::sendAckForInv(const CohMsg &inv)
-{
-    CohMsg ack;
-    ack.blockAddr = inv.blockAddr;
-    ack.sender = id_;
-    if (inv.requestor == noL1) {
-        // Recall-driven invalidation: ack the directory.
-        ack.type = MsgType::RecallAck;
-        sendToDir(std::move(ack));
-    } else {
-        ack.type = MsgType::InvAck;
-        sendToL1(inv.requestor, std::move(ack));
-    }
+    if (copy.valid)
+        dropLine(&copy);
+    sys_->send(node_, msg.requestor, std::move(rsp));
 }
 
 void
 L1Controller::handleInv(CohMsg &msg)
 {
     ++invsReceived_;
-    if (Line *line = array_.lookup(msg.blockAddr)) {
-        ccsvm_assert(line->state == CohState::S,
-                     "Inv in state %s", cohStateName(line->state));
-        dropLine(line);
+    Line &copy = held(msg);
+    if (copy.valid) {
+        ccsvm_assert(copy.state == CohState::S, "Inv in state %s",
+                     cohStateName(copy.state));
         // If we were upgrading this block (SM), we lost our data; the
         // directory will necessarily answer our GetM with DataM.
-        sendAckForInv(msg);
-        return;
+        dropLine(&copy);
     }
-    // Eviction race: our PutS is in flight; ack and let the stale put
-    // be acknowledged later.
-    auto ev = evicts_.find(msg.blockAddr);
-    ccsvm_assert(ev != evicts_.end(),
-                 "Inv for block 0x%llx not held by L1 %d",
-                 (unsigned long long)msg.blockAddr, id_);
-    sendAckForInv(msg);
+    // A victim copy's put is in flight: ack now, and the stale put is
+    // acknowledged later.
+    CohMsg ack;
+    ack.blockAddr = msg.blockAddr;
+    ack.sender = id_;
+    if (msg.requestor == noL1) {
+        // Recall-driven invalidation: ack the directory.
+        ack.type = MsgType::RecallAck;
+        sendToDir(std::move(ack));
+    } else {
+        ack.type = MsgType::InvAck;
+        sys_->send(node_, msg.requestor, std::move(ack));
+    }
 }
 
 void
 L1Controller::handleRecall(CohMsg &msg)
 {
+    Line &copy = held(msg);
     CohMsg rsp;
     rsp.blockAddr = msg.blockAddr;
     rsp.sender = id_;
-
-    if (Line *line = array_.lookup(msg.blockAddr)) {
-        if (line->state == CohState::S) {
-            rsp.type = MsgType::RecallAck;
-        } else {
-            rsp.type = MsgType::RecallData;
-            rsp.hasData = true;
-            rsp.data = line->data;
-            rsp.dirty = line->state != CohState::E;
-        }
-        dropLine(line);
-        sendToDir(std::move(rsp));
-        return;
-    }
-
-    auto ev = evicts_.find(msg.blockAddr);
-    ccsvm_assert(ev != evicts_.end(),
-                 "Recall for block 0x%llx not held by L1 %d",
-                 (unsigned long long)msg.blockAddr, id_);
-    if (ev->second.state == CohState::S) {
+    if (copy.state == CohState::S) {
         rsp.type = MsgType::RecallAck;
     } else {
         rsp.type = MsgType::RecallData;
         rsp.hasData = true;
-        rsp.data = ev->second.data;
-        rsp.dirty = ev->second.state != CohState::E;
+        rsp.data = copy.data;
+        rsp.dirty = copy.state != CohState::E;
     }
+    if (copy.valid)
+        dropLine(&copy);
     sendToDir(std::move(rsp));
 }
 
@@ -661,10 +619,11 @@ L1Controller::handleData(CohMsg &msg)
         entry.acksExpected = 0;
         break;
       case MsgType::DataE:
-        ccsvm_assert(entry.policy->hasExclusiveState(),
+        ccsvm_assert(policyFor(entry.region, *policy_)
+                         .hasExclusiveState(),
                      "DataE at L1 %d for a block whose protocol (%s) "
                      "has no E (L1/directory protocol mismatch?)",
-                     id_, entry.policy->name());
+                     id_, policyFor(entry.region, *policy_).name());
         entry.dataReceived = true;
         entry.data = msg.data;
         entry.fillState = CohState::E;
@@ -716,21 +675,11 @@ L1Controller::handlePutAck(CohMsg &msg)
 bool
 L1Controller::funcReadBlock(Addr block_addr, std::uint8_t *out)
 {
-    if (Line *line = array_.lookup(block_addr)) {
-        if (line->state == CohState::E || line->state == CohState::M ||
-            line->state == CohState::O) {
-            std::memcpy(out, line->data.data(), mem::blockBytes);
-            return true;
-        }
+    const Line *copy = copyOf(block_addr);
+    if (!copy || !owns(copy->state))
         return false;
-    }
-    auto ev = evicts_.find(block_addr);
-    if (ev != evicts_.end() && ev->second.state != CohState::S &&
-        ev->second.state != CohState::I) {
-        std::memcpy(out, ev->second.data.data(), mem::blockBytes);
-        return true;
-    }
-    return false;
+    std::memcpy(out, copy->data.data(), mem::blockBytes);
+    return true;
 }
 
 void
@@ -739,41 +688,22 @@ L1Controller::funcWriteBlock(Addr block_addr, unsigned offset,
 {
     ccsvm_assert(offset + len <= mem::blockBytes,
                  "functional write crosses block");
-    if (Line *line = array_.lookup(block_addr))
-        std::memcpy(line->data.data() + offset, src, len);
-    if (auto ev = evicts_.find(block_addr); ev != evicts_.end())
-        std::memcpy(ev->second.data.data() + offset, src, len);
+    if (Line *copy = copyOf(block_addr))
+        std::memcpy(copy->data.data() + offset, src, len);
     if (auto it = mshrs_.find(block_addr);
         it != mshrs_.end() && it->second.dataReceived)
         std::memcpy(it->second.data.data() + offset, src, len);
 }
 
 // ---------------------------------------------------------------------
-// Messaging helpers
+// Messaging helper
 // ---------------------------------------------------------------------
 
 void
 L1Controller::sendToDir(CohMsg msg)
 {
-    Directory *dir = &sys_->homeOf(msg.blockAddr);
-    const unsigned bytes = msg.wireBytes();
-    const noc::VNet vnet = msg.vnet();
-    net_->send(node_, dir->node(), vnet, bytes,
-               [dir, msg = std::move(msg)]() mutable {
-                   dir->handleMessage(std::move(msg));
-               });
-}
-
-void
-L1Controller::sendToL1(L1Id dst, CohMsg msg)
-{
-    L1Controller *peer = &sys_->l1(dst);
-    const unsigned bytes = msg.wireBytes();
-    const noc::VNet vnet = msg.vnet();
-    net_->send(node_, peer->node(), vnet, bytes,
-               [peer, msg = std::move(msg)]() mutable {
-                   peer->handleMessage(std::move(msg));
-               });
+    const noc::NodeId home = sys_->homeOf(msg.blockAddr).node();
+    sys_->send(node_, home, std::move(msg));
 }
 
 } // namespace ccsvm::coherence

@@ -13,7 +13,9 @@
  * paper specifies for its MTTOP cores (Sec. 3.2.4). Misses allocate
  * MSHRs (with same-block coalescing, which the MTTOP's many threads
  * rely on); evictions move the block to a victim buffer so forwards
- * and invalidations racing with the eviction can still be answered.
+ * and invalidations racing with the eviction can still be answered:
+ * held() is the one lookup of the copy a probe reaches, in the array
+ * or in the victim buffer.
  */
 
 #ifndef CCSVM_COHERENCE_L1_CACHE_HH
@@ -65,8 +67,7 @@ class L1Controller
   public:
     L1Controller(const CacheSystem &sys, const L1Cluster &cluster,
                  sim::StatRegistry &stats, const std::string &name,
-                 L1Id id, noc::NodeId node, noc::Network &net,
-                 SwmrMonitor *monitor);
+                 L1Id id, noc::NodeId node, SwmrMonitor *monitor);
 
     /** Core-side entry point: submit one request. */
     void access(MemRequestPtr req);
@@ -107,11 +108,9 @@ class L1Controller
     struct Line
     {
         Addr addr = invalidAddr;
-        bool valid = false;
+        bool valid = false; ///< in the array (a victim copy is not)
         CohState state = CohState::I;
-        /** Policy governing this block: the region's override
-         * protocol, or the cluster default. Set on every fill. */
-        const ProtocolPolicy *policy = nullptr;
+        Region region; ///< set on every fill
         std::array<std::uint8_t, mem::blockBytes> data{};
     };
 
@@ -134,13 +133,9 @@ class L1Controller
         std::array<std::uint8_t, mem::blockBytes> data{};
         std::deque<MemRequestPtr> ops;
         bool unblockSent = false;
-        /** Region class of the block (uniform across coalesced ops:
-         * regions are page-granular, blocks never span pages). */
-        RegionAttr region = RegionAttr::Coherent;
-        Protocol regionProt{};
-        /** Resolved policy for this transaction (override or cluster
-         * default). */
-        const ProtocolPolicy *policy = nullptr;
+        /** Region of the block (uniform across coalesced ops: regions
+         * are page-granular, blocks never span pages). */
+        Region region;
         /** Tick the transaction's MSHR was allocated (trace span
          * start). */
         Tick startTick = 0;
@@ -153,8 +148,9 @@ class L1Controller
     /** Victim buffer entry: eviction awaiting PutAck. */
     struct EvictEntry
     {
-        CohState state = CohState::I;
-        std::array<std::uint8_t, mem::blockBytes> data{};
+        /** The evicted line as it left the array (valid cleared):
+         * probes racing the put answer from it without changing it. */
+        Line line;
         std::deque<MemRequestPtr> waiters;
     };
 
@@ -162,8 +158,13 @@ class L1Controller
     void issueBypass(MemRequestPtr req);
     void handleBypassResp(CohMsg &msg);
 
-    /** Policy governing @p line (region override or cluster default). */
-    const ProtocolPolicy &linePolicy(const Line &line) const;
+    /** The copy of @p block_addr this L1 holds: the array line, else
+     * the victim-buffer copy while its put is in flight; nullptr when
+     * there is neither. */
+    Line *copyOf(Addr block_addr);
+    /** The copy a probe (forward, Inv or Recall) reaches; the
+     * directory only probes L1s that hold one. */
+    Line &held(const CohMsg &msg);
 
     // --- protocol actions ---
     void startTransaction(MshrEntry &entry);
@@ -196,10 +197,9 @@ class L1Controller
     void handleInvAck(CohMsg &msg);
     void handlePutAck(CohMsg &msg);
 
-    // --- messaging helpers ---
+    // --- helpers ---
+    /** Send @p msg to its block's home bank. */
     void sendToDir(CohMsg msg);
-    void sendToL1(L1Id dst, CohMsg msg);
-    void sendAckForInv(const CohMsg &inv);
     void setLineState(Line &line, CohState s);
     void dropLine(Line *line);
 
@@ -209,7 +209,6 @@ class L1Controller
     CoreKind kind_;
     const ProtocolPolicy *policy_;
     L1Id id_;
-    noc::Network *net_;
     noc::NodeId node_;
     SwmrMonitor *monitor_;
 

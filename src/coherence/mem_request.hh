@@ -28,12 +28,11 @@ struct MemRequest
     ScalarOp op;
     Addr paddr = 0;
 
-    /** Region attribute of the page this access targets (carried by
-     * the TLB alongside the translation). Bypass requests skip the L1
-     * array entirely; ProtocolOverride requests are driven by
-     * regionProt instead of the cluster's protocol. */
-    RegionAttr region = RegionAttr::Coherent;
-    Protocol regionProt{}; ///< valid when region == ProtocolOverride
+    /** Region of the page this access targets (carried by the TLB
+     * alongside the translation). Bypass requests skip the L1 array
+     * entirely; ProtocolOverride requests run under the region's
+     * protocol instead of the cluster's. */
+    Region region;
 
     /** Sentinel for issueTick: not yet presented to an L1. */
     static constexpr Tick notIssued = ~Tick(0);

@@ -17,28 +17,27 @@
 #include "base/types.hh"
 #include "coherence/types.hh"
 #include "mem/phys_mem.hh"
-#include "noc/network.hh"
 
 namespace ccsvm::coherence
 {
 
-/** All protocol message types, grouped by virtual network. */
+/** All protocol message types, grouped by direction. */
 enum class MsgType : std::uint8_t
 {
-    // Request vnet: L1 -> directory.
+    // Requests: L1 -> directory.
     GetS,      ///< read permission
     GetM,      ///< write permission
     PutS,      ///< shared-copy eviction notice
     PutOwned,  ///< E/M/O eviction; carries data when dirty
     Bypass,    ///< uncacheable scalar access (op) at the home node
 
-    // Forward vnet: directory -> L1.
+    // Forwards: directory -> L1.
     FwdGetS,   ///< supply data to requestor, keep O/S copy
     FwdGetM,   ///< supply data to requestor, invalidate
     Inv,       ///< invalidate shared copy, ack to ackDest
     Recall,    ///< inclusive-L2 eviction: surrender the block to dir
 
-    // Response vnet.
+    // Responses.
     DataS,       ///< shared data (dirty flag set when from an O/M owner)
     DataE,       ///< exclusive clean data grant
     DataM,       ///< modifiable data; ackCount invalidations pending
@@ -96,12 +95,10 @@ struct CohMsg
      * making the home copy clean, whatever its own protocol. */
     bool ownerRetained = false;
 
-    /** GetS/GetM: the requestor's region class for this block, so the
+    /** GetS/GetM: the requestor's region for this block, so the
      * directory can resolve an override protocol and split its fill/
      * invalidation counters per region class. */
-    RegionAttr region = RegionAttr::Coherent;
-    /** Region protocol when region == ProtocolOverride. */
-    Protocol regionProt{};
+    Region region;
 
     /** Bypass: the scalar access, performed on the op.size bytes at
      * blockAddr + reqOffset. BypassResp echoes bypassId and carries
@@ -119,26 +116,6 @@ struct CohMsg
             (type == MsgType::Bypass && op.writes()))
             return ctrlMsgBytes + 8;
         return hasData ? dataMsgBytes : ctrlMsgBytes;
-    }
-
-    noc::VNet
-    vnet() const
-    {
-        switch (type) {
-          case MsgType::GetS:
-          case MsgType::GetM:
-          case MsgType::PutS:
-          case MsgType::PutOwned:
-          case MsgType::Bypass:
-            return noc::VNet::Request;
-          case MsgType::FwdGetS:
-          case MsgType::FwdGetM:
-          case MsgType::Inv:
-          case MsgType::Recall:
-            return noc::VNet::Forward;
-          default:
-            return noc::VNet::Response;
-        }
     }
 };
 

@@ -108,6 +108,17 @@ class ProtocolPolicy
 /** Shared immutable policy instance for @p p. */
 const ProtocolPolicy &protocolPolicy(Protocol p);
 
+/** The policy governing a block of @p region held by an L1 of a
+ * cluster running @p cluster: the region's override protocol, else
+ * the cluster's. */
+inline const ProtocolPolicy &
+policyFor(Region region, const ProtocolPolicy &cluster)
+{
+    return region.attr == RegionAttr::ProtocolOverride
+               ? protocolPolicy(region.prot)
+               : cluster;
+}
+
 /**
  * Directory: may a forwarded read leave the line dirty-shared (owner
  * keeps O, home copy stays stale)? Requires the O state at BOTH ends

@@ -111,6 +111,19 @@ enum class RegionAttr : std::uint8_t
 /** Lower-case attribute name ("coherent", "bypass", "override"). */
 const char *regionAttrName(RegionAttr a);
 
+/**
+ * A block's region: its attribute and, for ProtocolOverride, the
+ * protocol that replaces the cluster's. It rides with the TLB entry
+ * into every request, MSHR, protocol message and L2 line of the
+ * block, and policyFor() (protocol.hh) is the one place it is
+ * resolved to a protocol.
+ */
+struct Region
+{
+    RegionAttr attr = RegionAttr::Coherent;
+    Protocol prot{}; ///< valid when attr == ProtocolOverride
+};
+
 /** Atomic read-modify-write operations (the MTTOP ISA's atomics,
  * Sec. 3.2.4: atomic_cas, atomic_add, atomic_inc, atomic_dec, plus
  * exchange and min/max used by the workloads). */

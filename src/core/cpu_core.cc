@@ -203,7 +203,7 @@ CpuCore::doSyscall(ThreadContext &tc)
     // travels to the MIFD over the interconnect.
     eq_->scheduleIn(cfg_.syscallLatency, [this, task, &tc] {
         MifdIface *dev = mifd_.dev;
-        net_->send(node_, mifd_.node, noc::VNet::Request, 64,
+        net_->send(node_, mifd_.node, 64,
                    [dev, task] { dev->submitTask(*task); });
         // The syscall returns to the guest once the write is posted.
         tc.completeOp(0);

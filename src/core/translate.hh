@@ -39,8 +39,7 @@ issueToL1(coherence::L1Controller &l1, ThreadContext &tc, Addr paddr,
     auto req = std::make_unique<coherence::MemRequest>();
     req->op = tc.pendingOp().mem;
     req->paddr = paddr;
-    req->region = te.attr;
-    req->regionProt = te.prot;
+    req->region = te.region;
     req->onDone = [&tc](std::uint64_t v) { tc.completeOp(v); };
     l1.access(std::move(req));
 }
@@ -75,12 +74,9 @@ translateAndIssue(vm::Tlb &tlb, vm::Walker &walker, ThreadContext &tc,
                     }
                     vm::TlbEntry te{r.frame, r.writable};
                     if (const vm::MemRegion *mr =
-                            proc.addressSpace().regionFor(va)) {
-                        te.attr = mr->attr;
-                        te.prot = mr->protocol;
-                    }
-                    tlb.insert(va, te.frame, te.writable, te.attr,
-                               te.prot);
+                            proc.addressSpace().regionFor(va))
+                        te.region = {mr->attr, mr->protocol};
+                    tlb.insert(va, te.frame, te.writable, te.region);
                     issue(te.frame | (va & mem::pageOffsetMask), te);
                 });
 }

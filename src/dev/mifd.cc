@@ -139,7 +139,7 @@ Mifd::dispatch()
         eq_->schedule(
             deviceFree_,
             [this, core, dst, chunk = std::move(chunk)]() mutable {
-                net_->send(node_, dst, noc::VNet::Request, 32,
+                net_->send(node_, dst, 32,
                            [core, chunk = std::move(chunk)]() mutable {
                                core->assignChunk(std::move(chunk));
                            });

@@ -42,7 +42,7 @@ class CrossbarNetwork : public Network
     {}
 
     void
-    send(NodeId src, NodeId dst, VNet, unsigned bytes,
+    send(NodeId src, NodeId dst, unsigned bytes,
          Deliver deliver) override
     {
         ccsvm_assert(src >= 0 && src < cfg_.nodes, "bad src %d", src);

@@ -4,11 +4,9 @@
  *
  * The coherence protocol exchanges typed messages between controllers;
  * the network's job is purely timing: given source node, destination
- * node, virtual network and size, decide when the receiver's delivery
- * closure runs. Three virtual networks (request, forward, response)
- * mirror the paper's directory protocol; with unbounded buffering they
- * cannot deadlock, but keeping them distinct preserves per-class
- * statistics and point-to-point ordering semantics.
+ * node and size, decide when the receiver's delivery closure runs.
+ * Buffering is unbounded, so no message class can block another and
+ * the network carries no virtual-network class.
  */
 
 #ifndef CCSVM_NOC_NETWORK_HH
@@ -20,15 +18,6 @@
 
 namespace ccsvm::noc
 {
-
-/** Virtual network classes, ordered by protocol priority. */
-enum class VNet : unsigned
-{
-    Request = 0,   ///< GetS/GetM/Put* from L1s to the directory
-    Forward = 1,   ///< Fwd/Inv/Recall from the directory to L1s
-    Response = 2,  ///< Data, Acks, Unblock
-    NumVNets = 3,
-};
 
 /** Identifier of an endpoint attached to the network. */
 using NodeId = int;
@@ -43,10 +32,12 @@ class Network
 
     /**
      * Send a message of @p bytes from @p src to @p dst; @p deliver runs
-     * at the arrival tick. Messages between the same (src, dst) pair on
-     * the same virtual network are delivered in send order.
+     * at the arrival tick. Messages from one src to one dst are
+     * delivered in send order, whatever their sizes: they share one
+     * path and each waits for the one before it to clear each link
+     * (torus) or the destination port (crossbar).
      */
-    virtual void send(NodeId src, NodeId dst, VNet vnet, unsigned bytes,
+    virtual void send(NodeId src, NodeId dst, unsigned bytes,
                       Deliver deliver) = 0;
 
     /** Number of attachable endpoints. */

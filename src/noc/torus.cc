@@ -129,7 +129,7 @@ TorusNetwork::serializationTicks(unsigned bytes) const
 }
 
 void
-TorusNetwork::send(NodeId src, NodeId dst, VNet vnet, unsigned bytes,
+TorusNetwork::send(NodeId src, NodeId dst, unsigned bytes,
                    Deliver deliver)
 {
     ccsvm_assert(src >= 0 && src < numNodes(), "bad src node %d", src);
@@ -162,7 +162,7 @@ TorusNetwork::send(NodeId src, NodeId dst, VNet vnet, unsigned bytes,
                     sim::prioNetwork);
         return;
     }
-    forward(Packet{dst, bytes, vnet, std::move(done)}, src);
+    forward(Packet{dst, bytes, std::move(done)}, src);
 }
 
 void

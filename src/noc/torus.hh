@@ -43,7 +43,7 @@ class TorusNetwork : public Network
     TorusNetwork(sim::EventQueue &eq, sim::StatRegistry &stats,
                  const std::string &name, const TorusConfig &cfg);
 
-    void send(NodeId src, NodeId dst, VNet vnet, unsigned bytes,
+    void send(NodeId src, NodeId dst, unsigned bytes,
               Deliver deliver) override;
 
     int numNodes() const override { return cfg_.width * cfg_.height; }
@@ -73,7 +73,6 @@ class TorusNetwork : public Network
     {
         NodeId dst;
         unsigned bytes;
-        VNet vnet;
         Deliver deliver;
     };
 

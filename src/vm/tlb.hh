@@ -5,10 +5,10 @@
  * an intrusive recency list spliced on every hit, with a map from VPN
  * to list node — the translation hot path never scans the whole TLB.
  *
- * Each entry carries the page's region attribute alongside the
- * translation (region-based coherence: the core stamps every memory
- * request with the attribute so the L1 can bypass or override the
- * cluster protocol per region).
+ * Each entry carries the page's region alongside the translation
+ * (region-based coherence: the core stamps every memory request with
+ * it so the L1 can bypass or override the cluster protocol per
+ * region).
  *
  * TLB coherence follows the paper's conservative choice (Sec. 3.2.1):
  * CPU-initiated shootdowns flush MTTOP TLBs entirely; CPU TLBs
@@ -36,8 +36,7 @@ struct TlbEntry
 {
     Addr frame = 0;
     bool writable = false;
-    coherence::RegionAttr attr = coherence::RegionAttr::Coherent;
-    coherence::Protocol prot{}; ///< valid when attr == ProtocolOverride
+    coherence::Region region{};
 };
 
 /** One core-private TLB. */
@@ -76,11 +75,10 @@ class Tlb
     /** Install a translation, evicting true-LRU if full. */
     void
     insert(VAddr va, Addr frame, bool writable,
-           coherence::RegionAttr attr = coherence::RegionAttr::Coherent,
-           coherence::Protocol prot = {})
+           coherence::Region region = {})
     {
         const VAddr vpn = va >> mem::pageShift;
-        const TlbEntry entry{frame, writable, attr, prot};
+        const TlbEntry entry{frame, writable, region};
         if (auto it = map_.find(vpn); it != map_.end()) {
             it->second->entry = entry;
             lru_.splice(lru_.begin(), lru_, it->second);

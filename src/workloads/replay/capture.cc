@@ -69,17 +69,7 @@ CaptureStream::record(core::GuestOp &op, Tick now)
     ccsvm_assert(now >= prevTick_,
                  "capture stream ticks went backwards");
 
-    RecKind kind{};
-    switch (op.kind) {
-      case OpKind::Memory: kind = memoryRecKind(op.mem.kind); break;
-      case OpKind::Compute: kind = RecKind::Compute; break;
-      case OpKind::Stall: kind = RecKind::Stall; break;
-      case OpKind::MifdWrite: kind = RecKind::Launch; break;
-      case OpKind::HostWait:
-        ccsvm_panic("trace capture does not support HostWait ops; "
-                    "run this workload without --capture-out");
-    }
-
+    const RecKind kind = recKindOf(op);
     const bool is_memory = op.kind == OpKind::Memory;
     unsigned size_log2 = 0;
     std::uint8_t attr = attrNone;

@@ -193,53 +193,62 @@ decodeRecord(Cursor &c, StreamState &st)
     const unsigned kind_bits = opcode & 0x7;
     if (kind_bits > static_cast<unsigned>(RecKind::Launch))
         throw std::runtime_error("malformed trace: bad record kind");
-    r.kind = static_cast<RecKind>(kind_bits);
+    const auto kind = static_cast<RecKind>(kind_bits);
     const unsigned size_log2 = (opcode >> 3) & 0x3;
     r.attr = (opcode >> 5) & 0x3;
 
     st.prevTick += c.varint();
     r.tick = st.prevTick;
 
-    const bool is_memory = r.kind == RecKind::Load ||
-                           r.kind == RecKind::Store ||
-                           r.kind == RecKind::Amo;
-    if (is_memory) {
-        r.size = 1u << size_log2;
+    core::GuestOp &op = r.op;
+    switch (kind) {
+      case RecKind::Load:
+      case RecKind::Store:
+      case RecKind::Amo: {
+        op.kind = core::OpKind::Memory;
+        coherence::ScalarOp &access = op.mem;
+        access.kind = memoryOpKind(kind);
+        access.size = 1u << size_log2;
         st.prevVa += static_cast<std::uint64_t>(unzigzag(c.varint()));
-        r.va = st.prevVa;
+        op.va = st.prevVa;
         // The L1 and the home bank perform an access within one block.
-        if ((r.va & mem::blockOffsetMask) + r.size > mem::blockBytes)
+        if ((op.va & mem::blockOffsetMask) + access.size > mem::blockBytes)
             throw std::runtime_error("malformed trace: access "
                                      "straddles a block");
         if (r.attr == attrOverride)
             r.attrProtocol = protocolByte(c);
-    }
-    switch (r.kind) {
-      case RecKind::Load:
+        if (kind == RecKind::Store)
+            access.wdata = c.varint();
+        if (kind == RecKind::Amo) {
+            const std::uint8_t amo_op = c.u8();
+            // Max is the last AmoOp.
+            if (amo_op > static_cast<std::uint8_t>(coherence::AmoOp::Max))
+                throw std::runtime_error("malformed trace: bad amo op " +
+                                         std::to_string(amo_op));
+            access.amoOp = static_cast<coherence::AmoOp>(amo_op);
+            access.operand = c.varint();
+            access.operand2 = c.varint();
+        }
         break;
-      case RecKind::Store:
-        r.wdata = c.varint();
-        break;
-      case RecKind::Amo:
-        r.amoOp = c.u8();
-        // Max is the last AmoOp.
-        if (r.amoOp > static_cast<std::uint8_t>(coherence::AmoOp::Max))
-            throw std::runtime_error("malformed trace: bad amo op " +
-                                     std::to_string(r.amoOp));
-        r.operand = c.varint();
-        r.operand2 = c.varint();
-        break;
+      }
       case RecKind::Compute:
+        op.kind = core::OpKind::Compute;
+        op.computeCount = c.varint();
+        break;
       case RecKind::Stall:
-        r.count = c.varint();
+        op.kind = core::OpKind::Stall;
+        op.stallTicks = c.varint();
         break;
       case RecKind::Launch: {
-        r.launchId = c.varint();
-        r.firstTid = static_cast<ThreadId>(c.varint());
-        r.lastTid =
-            r.firstTid + static_cast<ThreadId>(c.varint());
-        r.requireAll = c.u8() != 0;
-        r.args = c.varint();
+        op.kind = core::OpKind::MifdWrite;
+        auto task = std::make_shared<core::TaskDescriptor>();
+        task->captureId = c.varint();
+        task->firstTid = static_cast<ThreadId>(c.varint());
+        task->lastTid =
+            task->firstTid + static_cast<ThreadId>(c.varint());
+        task->requireAll = c.u8() != 0;
+        task->args = c.varint();
+        op.task = std::move(task);
         break;
       }
     }

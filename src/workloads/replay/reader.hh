@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/guest_ops.hh"
 #include "vm/page_table.hh"
 #include "workloads/replay/trace_format.hh"
 
@@ -29,26 +30,16 @@ struct TraceInfo
     TraceShape shape;
 };
 
-/** One decoded record, fat form (all fields materialized). */
+/** One decoded record: the guest op it recorded, at its issue tick.
+ * A launch's task carries the recorded thread range, requireAll and
+ * args, with the launch id as its captureId; its kernel and process
+ * are the replayer's to give. */
 struct TraceRecord
 {
-    RecKind kind = RecKind::Compute;
-    Tick tick = 0;   ///< absolute issue tick
-    vm::VAddr va = 0;
-    unsigned size = 8;
-    std::uint8_t attr = attrNone;   ///< AttrCode at capture time
-    std::uint8_t attrProtocol = 0;  ///< with attrOverride
-    std::uint64_t wdata = 0;        ///< Store
-    std::uint8_t amoOp = 0;         ///< Amo
-    std::uint64_t operand = 0;      ///< Amo
-    std::uint64_t operand2 = 0;     ///< Amo
-    std::uint64_t count = 0;        ///< Compute n / Stall ticks
-    // Launch fields.
-    std::uint64_t launchId = 0;
-    ThreadId firstTid = 0;
-    ThreadId lastTid = 0;
-    bool requireAll = true;
-    std::uint64_t args = 0;
+    Tick tick = 0; ///< absolute issue tick
+    core::GuestOp op;
+    std::uint8_t attr = attrNone;  ///< AttrCode at capture time
+    std::uint8_t attrProtocol = 0; ///< with attrOverride
 };
 
 /** One guest thread's record stream. */

@@ -26,35 +26,17 @@ replayStream(core::ThreadContext &tc, const TraceStream &s,
              ReplayCtx &ctx)
 {
     for (const TraceRecord &r : s.records) {
-        core::GuestOp op;
-        switch (r.kind) {
-          case RecKind::Load:
-          case RecKind::Store:
-          case RecKind::Amo:
-            op.kind = core::OpKind::Memory;
-            op.va = r.va;
-            op.mem = {.kind = memoryOpKind(r.kind),
-                      .amoOp = static_cast<coherence::AmoOp>(r.amoOp),
-                      .size = r.size,
-                      .wdata = r.wdata,
-                      .operand = r.operand,
-                      .operand2 = r.operand2};
-            break;
-          case RecKind::Compute:
-            op.kind = core::OpKind::Compute;
-            op.computeCount = r.count;
-            break;
-          case RecKind::Stall:
-            op.kind = core::OpKind::Stall;
-            op.stallTicks = r.count;
-            break;
-          case RecKind::Launch: {
-            op.kind = core::OpKind::MifdWrite;
-            core::TaskDescriptor desc;
+        core::GuestOp op = r.op;
+        if (op.kind == core::OpKind::MifdWrite) {
+            // The recorded launch, run by the launched threads'
+            // recorded streams in this run's process. The capture
+            // run's launches never carry onComplete (xthreads joins by
+            // polling guest memory), so an empty one is faithful.
+            auto desc = std::make_shared<core::TaskDescriptor>(*op.task);
             ReplayCtx *cp = &ctx;
-            const std::uint64_t id = r.launchId;
-            desc.fn = [cp, id](core::ThreadContext &mtc,
-                               vm::VAddr) -> sim::GuestTask {
+            const std::uint64_t id = desc->captureId;
+            desc->fn = [cp, id](core::ThreadContext &mtc,
+                                vm::VAddr) -> sim::GuestTask {
                 const auto it = cp->mttop.find({id, mtc.tid()});
                 if (it == cp->mttop.end()) {
                     // Launched thread that recorded no ops: it
@@ -63,18 +45,8 @@ replayStream(core::ThreadContext &tc, const TraceStream &s,
                 }
                 co_await replayStream(mtc, *it->second, *cp);
             };
-            desc.args = r.args;
-            desc.firstTid = r.firstTid;
-            desc.lastTid = r.lastTid;
-            desc.process = ctx.proc;
-            // The capture run's launches never carry onComplete
-            // (xthreads joins by polling guest memory), so an empty
-            // one is faithful.
-            desc.requireAll = r.requireAll;
-            op.task = std::make_shared<core::TaskDescriptor>(
-                std::move(desc));
-            break;
-          }
+            desc->process = ctx.proc;
+            op.task = std::move(desc);
         }
         co_await tc.rawOp(std::move(op));
     }

@@ -28,8 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 #include "coherence/types.hh"
+#include "core/guest_ops.hh"
 
 namespace ccsvm::workloads::replay
 {
@@ -73,6 +75,21 @@ static_assert(memoryRecKind(coherence::ScalarOp::Kind::Read) ==
                   RecKind::Store &&
               memoryRecKind(coherence::ScalarOp::Kind::Amo) ==
                   RecKind::Amo);
+
+/** The record kind of guest op @p op; a HostWait has none. */
+inline RecKind
+recKindOf(const core::GuestOp &op)
+{
+    switch (op.kind) {
+      case core::OpKind::Memory: return memoryRecKind(op.mem.kind);
+      case core::OpKind::Compute: return RecKind::Compute;
+      case core::OpKind::Stall: return RecKind::Stall;
+      case core::OpKind::MifdWrite: return RecKind::Launch;
+      case core::OpKind::HostWait: break;
+    }
+    ccsvm_panic("trace capture does not support HostWait ops; run "
+                "this workload without --capture-out");
+}
 
 /** Region-attribute code (bits 5-6 of the opcode byte). */
 enum AttrCode : std::uint8_t

@@ -93,20 +93,16 @@ struct CohHarness
     Directory &bank(int b) { return caches.bank(b); }
 
     /** Fire @p op at L1 @p id without waiting (for concurrency
-     * tests). The optional region attribute/protocol model a request
-     * whose page carries a region annotation (bypass or protocol
-     * override). */
+     * tests). The optional region models a request whose page
+     * carries a region annotation (bypass or protocol override). */
     void
     issue(int id, Addr pa, ScalarOp op,
-          std::function<void(std::uint64_t)> on_done,
-          RegionAttr region = RegionAttr::Coherent,
-          Protocol region_prot = {})
+          std::function<void(std::uint64_t)> on_done, Region region = {})
     {
         auto req = std::make_unique<MemRequest>();
         req->op = op;
         req->paddr = pa;
         req->region = region;
-        req->regionProt = region_prot;
         req->onDone = std::move(on_done);
         l1(id).access(std::move(req));
     }
@@ -114,9 +110,7 @@ struct CohHarness
     /** Issue @p op at L1 @p id and run until it completes; returns
      * the loaded or old value (0 for a store). */
     std::uint64_t
-    access(int id, Addr pa, ScalarOp op,
-           RegionAttr region = RegionAttr::Coherent,
-           Protocol region_prot = {})
+    access(int id, Addr pa, ScalarOp op, Region region = {})
     {
         std::uint64_t result = 0;
         bool done = false;
@@ -125,41 +119,37 @@ struct CohHarness
                   result = v;
                   done = true;
               },
-              region, region_prot);
+              region);
         runUntil(done);
         return result;
     }
 
     /** Blocking load at L1 @p id. */
     std::uint64_t
-    load(int id, Addr pa, unsigned size = 8,
-         RegionAttr region = RegionAttr::Coherent,
-         Protocol region_prot = {})
+    load(int id, Addr pa, unsigned size = 8, Region region = {})
     {
         return access(id, pa,
                       {.kind = ScalarOp::Kind::Read, .size = size},
-                      region, region_prot);
+                      region);
     }
 
     /** Blocking store at L1 @p id. */
     void
     store(int id, Addr pa, std::uint64_t value, unsigned size = 8,
-          RegionAttr region = RegionAttr::Coherent,
-          Protocol region_prot = {})
+          Region region = {})
     {
         access(id, pa,
                {.kind = ScalarOp::Kind::Write,
                 .size = size,
                 .wdata = value},
-               region, region_prot);
+               region);
     }
 
     /** Blocking atomic at L1 @p id; returns the old value. */
     std::uint64_t
     amo(int id, Addr pa, AmoOp op, std::uint64_t operand = 0,
         std::uint64_t operand2 = 0, unsigned size = 8,
-        RegionAttr region = RegionAttr::Coherent,
-        Protocol region_prot = {})
+        Region region = {})
     {
         return access(id, pa,
                       {.kind = ScalarOp::Kind::Amo,
@@ -167,7 +157,7 @@ struct CohHarness
                        .size = size,
                        .operand = operand,
                        .operand2 = operand2},
-                      region, region_prot);
+                      region);
     }
 
     void

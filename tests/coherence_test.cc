@@ -45,6 +45,25 @@ class CoherenceP : public ::testing::TestWithParam<Protocol>
     {
         return hasE() ? CohState::E : CohState::S;
     }
+
+    /** L1s holding one line each, for the victim-buffer races: in a
+     * 4-L1, 1-bank harness L1 1 is one hop from the home and L1 0
+     * two, so a request L1 1 sends when L1 0 evicts a block reaches
+     * the home before L1 0's put does. */
+    static constexpr L1Config oneLineL1{64, 1, 690, 8};
+
+    /** Have L1 0 load @p other, whose fill evicts @p x from L1 0's
+     * one line, and run only until x has left the array: its put is
+     * then in flight and its copy sits in the victim buffer. */
+    static void
+    evictFromL1Zero(CohHarness &h, Addr x, Addr other)
+    {
+        ASSERT_NE(h.stateAt(0, x), CohState::I);
+        h.issue(0, other, {.kind = ScalarOp::Kind::Read},
+                [](std::uint64_t) {});
+        ASSERT_TRUE(h.eq.runUntil(
+            [&] { return h.stateAt(0, x) == CohState::I; }));
+    }
 };
 
 TEST_P(CoherenceP, ColdReadReturnsMemoryValueAndGrantsBestState)
@@ -372,6 +391,73 @@ TEST_P(CoherenceP, CleanEvictionDoesNotCarryData)
     h.drain();
     EXPECT_GE(h.stats.get("cpu0.l1.evictions"), 4u);
     EXPECT_EQ(h.stats.get("dir0.writebacks"), 0u);
+}
+
+TEST_P(CoherenceP, FwdGetSRacingPutIsAnsweredFromVictimBuffer)
+{
+    CohHarness h(4, 1, oneLineL1, {}, proto());
+    const Addr x = 0x11000;
+    h.store(0, x, 5);
+    evictFromL1Zero(h, x, x + 64);
+    // L1 1's read beats the PutOwned: the home forwards it to L1 0,
+    // which answers from its victim buffer.
+    EXPECT_EQ(h.load(1, x), 5u);
+    EXPECT_EQ(h.stats.get("cpu0.l1.fwds"), 1u);
+    h.drain();
+    EXPECT_EQ(h.load(3, x), 5u);
+    EXPECT_EQ(h.stateAt(0, x), CohState::I);
+}
+
+TEST_P(CoherenceP, FwdGetMRacingPutIsAnsweredFromVictimBuffer)
+{
+    CohHarness h(4, 1, oneLineL1, {}, proto());
+    const Addr x = 0x12000;
+    h.store(0, x, 5);
+    evictFromL1Zero(h, x, x + 64);
+    EXPECT_EQ(h.amo(1, x, AmoOp::Add, 3), 5u);
+    EXPECT_EQ(h.stats.get("cpu0.l1.fwds"), 1u);
+    EXPECT_EQ(h.stateAt(1, x), CohState::M);
+    h.drain();
+    EXPECT_EQ(h.load(3, x), 8u);
+}
+
+TEST_P(CoherenceP, InvRacingPutSIsAckedFromVictimBuffer)
+{
+    CohHarness h(4, 1, oneLineL1, {}, proto());
+    const Addr x = 0x13000;
+    h.phys.writeScalar(x, 5, 8);
+    h.load(2, x);
+    h.load(0, x); // L1 0 and L1 2 share x
+    ASSERT_EQ(h.stateAt(0, x), CohState::S);
+    evictFromL1Zero(h, x, x + 64);
+    // L1 1's store beats the PutS: the home still lists L1 0 as a
+    // sharer, and L1 0 acks the Inv for the copy it no longer holds.
+    h.store(1, x, 9);
+    EXPECT_EQ(h.stats.get("cpu0.l1.invs"), 1u);
+    EXPECT_EQ(h.stateAt(2, x), CohState::I);
+    h.drain();
+    EXPECT_EQ(h.load(3, x), 9u);
+}
+
+TEST_P(CoherenceP, RecallRacingPutIsAnsweredFromVictimBuffer)
+{
+    // A 2-set, 1-way L2: x and x + 128 share a set, x + 64 does not.
+    DirConfig dcfg;
+    dcfg.bankSizeBytes = 128;
+    dcfg.assoc = 1;
+    CohHarness h(4, 1, oneLineL1, dcfg, proto());
+    const Addr x = 0x14000;
+    h.store(0, x, 5);
+    evictFromL1Zero(h, x, x + 64);
+    // L1 1's fill of a conflicting block beats the PutOwned: the home
+    // recalls x from L1 0, whose dirty victim copy answers, and the
+    // put then waits for the recall to finish.
+    h.load(1, x + 128);
+    EXPECT_EQ(h.stats.get("dir0.recalls"), 1u);
+    EXPECT_EQ(h.stats.get("dir0.stalls"), 1u);
+    EXPECT_EQ(h.stats.get("dir0.writebacks"), 1u);
+    h.drain();
+    EXPECT_EQ(h.load(3, x), 5u);
 }
 
 TEST_P(CoherenceP, InclusiveL2EvictionRecallsL1Copies)

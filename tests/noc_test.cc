@@ -68,7 +68,7 @@ TEST_F(TorusTest, DeliveryLatencyMatchesHops)
     Tick arrived = 0;
     // 0 -> 2: two X hops. Each hop: serialization of 8 B at 12 GB/s
     // (666 ps -> under one cycle) + 2-cycle hop latency.
-    net.send(0, 2, VNet::Request, 8, [&] { arrived = eq.now(); });
+    net.send(0, 2, 8, [&] { arrived = eq.now(); });
     eq.run();
     EXPECT_GT(arrived, 0u);
     // Two hops, each at least 2 NoC cycles: >= 4 ns.
@@ -83,7 +83,7 @@ TEST_F(TorusTest, AllPairsDeliver)
     int delivered = 0;
     for (int s = 0; s < net.numNodes(); ++s) {
         for (int d = 0; d < net.numNodes(); ++d)
-            net.send(s, d, VNet::Response, 72, [&] { ++delivered; });
+            net.send(s, d, 72, [&] { ++delivered; });
     }
     eq.run();
     EXPECT_EQ(delivered, net.numNodes() * net.numNodes());
@@ -93,8 +93,10 @@ TEST_F(TorusTest, SamePathFifoOrder)
 {
     TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
     std::vector<int> order;
+    // Mixed sizes: a short message never overtakes a long one sent
+    // before it.
     for (int i = 0; i < 8; ++i)
-        net.send(0, 2, VNet::Request, 72,
+        net.send(0, 2, i % 2 ? 8 : 4096,
                  [&order, i] { order.push_back(i); });
     eq.run();
     ASSERT_EQ(order.size(), 8u);
@@ -108,8 +110,8 @@ TEST_F(TorusTest, ContentionDelaysSharedLink)
     // Two large packets over the same 0->1 link: the second must
     // arrive at least one serialization time after the first.
     Tick first = 0, second = 0;
-    net.send(0, 1, VNet::Response, 4096, [&] { first = eq.now(); });
-    net.send(0, 1, VNet::Response, 4096, [&] { second = eq.now(); });
+    net.send(0, 1, 4096, [&] { first = eq.now(); });
+    net.send(0, 1, 4096, [&] { second = eq.now(); });
     eq.run();
     // 4096 B at 12 GB/s = ~341 ns serialization.
     EXPECT_GE(second - first, 340000u);
@@ -119,8 +121,8 @@ TEST_F(TorusTest, DisjointPathsDoNotInterfere)
 {
     TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
     Tick a = 0, b = 0;
-    net.send(0, 1, VNet::Request, 72, [&] { a = eq.now(); });
-    net.send(8, 9, VNet::Request, 72, [&] { b = eq.now(); });
+    net.send(0, 1, 72, [&] { a = eq.now(); });
+    net.send(8, 9, 72, [&] { b = eq.now(); });
     eq.run();
     EXPECT_EQ(a, b) << "independent links must not contend";
 }
@@ -129,7 +131,7 @@ TEST_F(TorusTest, LocalDeliveryStillCostsARouterHop)
 {
     TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
     Tick arrived = 0;
-    net.send(3, 3, VNet::Response, 72, [&] { arrived = eq.now(); });
+    net.send(3, 3, 72, [&] { arrived = eq.now(); });
     eq.run();
     EXPECT_EQ(arrived, 2000u);
 }
@@ -137,8 +139,8 @@ TEST_F(TorusTest, LocalDeliveryStillCostsARouterHop)
 TEST_F(TorusTest, StatsAccumulate)
 {
     TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
-    net.send(0, 2, VNet::Request, 8, [] {});
-    net.send(0, 1, VNet::Response, 72, [] {});
+    net.send(0, 2, 8, [] {});
+    net.send(0, 1, 72, [] {});
     eq.run();
     EXPECT_EQ(stats.get("noc.packets"), 2u);
     EXPECT_EQ(stats.get("noc.bytes"), 80u);
@@ -155,7 +157,7 @@ TEST(CrossbarTest, DeliversWithFixedLatency)
     cfg.bandwidthGBps = 24.0;
     CrossbarNetwork net(eq, stats, "xbar", cfg);
     Tick arrived = 0;
-    net.send(0, 3, VNet::Request, 8, [&] { arrived = eq.now(); });
+    net.send(0, 3, 8, [&] { arrived = eq.now(); });
     eq.run();
     // serialization (~0.3ns -> 1 tick floor) + 4ns latency
     EXPECT_GE(arrived, 4 * tickNs);
@@ -172,13 +174,10 @@ TEST(CrossbarTest, PerPortOccupancySerializes)
     cfg.bandwidthGBps = 1.0; // 1 byte per ns
     CrossbarNetwork net(eq, stats, "xbar", cfg);
     std::vector<Tick> arrivals;
-    net.send(0, 2, VNet::Request, 1000,
-             [&] { arrivals.push_back(eq.now()); });
-    net.send(1, 2, VNet::Request, 1000,
-             [&] { arrivals.push_back(eq.now()); });
+    net.send(0, 2, 1000, [&] { arrivals.push_back(eq.now()); });
+    net.send(1, 2, 1000, [&] { arrivals.push_back(eq.now()); });
     // Different destination: not serialized against the above.
-    net.send(1, 3, VNet::Request, 1000,
-             [&] { arrivals.push_back(eq.now()); });
+    net.send(1, 3, 1000, [&] { arrivals.push_back(eq.now()); });
     eq.run();
     ASSERT_EQ(arrivals.size(), 3u);
     std::sort(arrivals.begin(), arrivals.end());

@@ -88,28 +88,28 @@ TEST(TlbRegions, CarriesAttributeAndProtocol)
     sim::EventQueue eq;
     sim::StatRegistry stats;
     vm::Tlb tlb(stats, "tlb", 4);
-    tlb.insert(0x1000, 0xa000, true, RegionAttr::Bypass);
+    tlb.insert(0x1000, 0xa000, true, {RegionAttr::Bypass});
     tlb.insert(0x2000, 0xb000, false,
-               RegionAttr::ProtocolOverride, Protocol::MSI);
+               {RegionAttr::ProtocolOverride, Protocol::MSI});
     tlb.insert(0x3000, 0xc000, true);
 
     vm::TlbEntry e;
     ASSERT_TRUE(tlb.lookup(0x1008, e));
     EXPECT_EQ(e.frame, 0xa000u);
     EXPECT_TRUE(e.writable);
-    EXPECT_EQ(e.attr, RegionAttr::Bypass);
+    EXPECT_EQ(e.region.attr, RegionAttr::Bypass);
 
     ASSERT_TRUE(tlb.lookup(0x2ff8, e));
-    EXPECT_EQ(e.attr, RegionAttr::ProtocolOverride);
-    EXPECT_EQ(e.prot, Protocol::MSI);
+    EXPECT_EQ(e.region.attr, RegionAttr::ProtocolOverride);
+    EXPECT_EQ(e.region.prot, Protocol::MSI);
 
     ASSERT_TRUE(tlb.lookup(0x3000, e));
-    EXPECT_EQ(e.attr, RegionAttr::Coherent);
+    EXPECT_EQ(e.region.attr, RegionAttr::Coherent);
 
     // Re-insert updates the attribute in place.
-    tlb.insert(0x3000, 0xc000, true, RegionAttr::Bypass);
+    tlb.insert(0x3000, 0xc000, true, {RegionAttr::Bypass});
     ASSERT_TRUE(tlb.lookup(0x3000, e));
-    EXPECT_EQ(e.attr, RegionAttr::Bypass);
+    EXPECT_EQ(e.region.attr, RegionAttr::Bypass);
     EXPECT_EQ(tlb.size(), 3u);
 }
 
@@ -192,9 +192,9 @@ TEST_P(RegionProtocolTest, BypassRoundTripWithoutCaching)
     const Addr pa = 0x8000;
     h.phys.writeScalar(pa, 77, 8);
 
-    EXPECT_EQ(h.load(0, pa, 8, RegionAttr::Bypass), 77u);
-    h.store(1, pa, 123, 8, RegionAttr::Bypass);
-    EXPECT_EQ(h.load(0, pa, 8, RegionAttr::Bypass), 123u);
+    EXPECT_EQ(h.load(0, pa, 8, {RegionAttr::Bypass}), 77u);
+    h.store(1, pa, 123, 8, {RegionAttr::Bypass});
+    EXPECT_EQ(h.load(0, pa, 8, {RegionAttr::Bypass}), 123u);
     h.drain();
 
     // Nothing was cached anywhere: both L1s stay I and the home never
@@ -219,11 +219,11 @@ TEST_P(RegionProtocolTest, BypassAtomicReturnsOldValue)
     const Addr pa = 0x9000;
     h.phys.writeScalar(pa, 40, 8);
 
-    EXPECT_EQ(h.amo(0, pa, AmoOp::Add, 2, 0, 8, RegionAttr::Bypass),
+    EXPECT_EQ(h.amo(0, pa, AmoOp::Add, 2, 0, 8, {RegionAttr::Bypass}),
               40u);
-    EXPECT_EQ(h.amo(1, pa, AmoOp::Add, 3, 0, 8, RegionAttr::Bypass),
+    EXPECT_EQ(h.amo(1, pa, AmoOp::Add, 3, 0, 8, {RegionAttr::Bypass}),
               42u);
-    EXPECT_EQ(h.load(0, pa, 8, RegionAttr::Bypass), 45u);
+    EXPECT_EQ(h.load(0, pa, 8, {RegionAttr::Bypass}), 45u);
     h.drain();
     EXPECT_EQ(sumDirCounter(h, ".bypassWrites"), 2u);
     for (int id = 0; id < h.caches.numL1s(); ++id)
@@ -255,12 +255,12 @@ TEST_P(RegionProtocolTest, BypassHitsResidentL2Copy)
     EXPECT_EQ(owner, noL1);
     EXPECT_EQ(sharers, 0u);
 
-    EXPECT_EQ(h.load(0, first, 8, RegionAttr::Bypass), 55u);
-    h.store(0, first, 56, 8, RegionAttr::Bypass);
-    EXPECT_EQ(h.load(0, first, 8, RegionAttr::Bypass), 56u);
-    EXPECT_EQ(h.amo(0, first, AmoOp::Add, 4, 0, 8, RegionAttr::Bypass),
+    EXPECT_EQ(h.load(0, first, 8, {RegionAttr::Bypass}), 55u);
+    h.store(0, first, 56, 8, {RegionAttr::Bypass});
+    EXPECT_EQ(h.load(0, first, 8, {RegionAttr::Bypass}), 56u);
+    EXPECT_EQ(h.amo(0, first, AmoOp::Add, 4, 0, 8, {RegionAttr::Bypass}),
               56u);
-    EXPECT_EQ(h.load(0, first, 8, RegionAttr::Bypass), 60u);
+    EXPECT_EQ(h.load(0, first, 8, {RegionAttr::Bypass}), 60u);
     h.drain();
     // Served at the home without re-fetching: the fetch count stays
     // at the coherent traffic's level (5 blocks), and the L1 still
@@ -277,18 +277,17 @@ TEST_P(RegionProtocolTest, OverrideRegionControlsSoleCopyFill)
     // A MESI-override page: the sole-copy read fill must be E no
     // matter how weak the cluster protocol is.
     const Addr mesi_pa = 0xa000;
-    h.load(0, mesi_pa, 8, RegionAttr::ProtocolOverride,
-           Protocol::MESI);
+    h.load(0, mesi_pa, 8, {RegionAttr::ProtocolOverride, Protocol::MESI});
     EXPECT_EQ(h.stateAt(0, mesi_pa), CohState::E);
 
     // An MSI-override page: never E, even under a MOESI cluster.
     const Addr msi_pa = 0xb000;
-    h.load(0, msi_pa, 8, RegionAttr::ProtocolOverride, Protocol::MSI);
+    h.load(0, msi_pa, 8, {RegionAttr::ProtocolOverride, Protocol::MSI});
     EXPECT_EQ(h.stateAt(0, msi_pa), CohState::S);
 
     // The MSI-override store now pays an explicit upgrade.
-    h.store(0, msi_pa, 9, 8, RegionAttr::ProtocolOverride,
-            Protocol::MSI);
+    h.store(0, msi_pa, 9, 8,
+            {RegionAttr::ProtocolOverride, Protocol::MSI});
     EXPECT_EQ(h.stateAt(0, msi_pa), CohState::M);
     h.drain();
 }
@@ -303,11 +302,10 @@ TEST_P(RegionProtocolTest, OverrideMsiReadOfDirtyDataWritesBackHome)
     // L1 reads it. MSI has no O state, so whatever the cluster runs,
     // the owner must downgrade and the read must carry the dirty data
     // home (a sharingWb at the directory).
-    h.store(0, pa, 31, 8, RegionAttr::ProtocolOverride,
-            Protocol::MSI);
-    EXPECT_EQ(h.load(1, pa, 8, RegionAttr::ProtocolOverride,
-                     Protocol::MSI),
-              31u);
+    h.store(0, pa, 31, 8, {RegionAttr::ProtocolOverride, Protocol::MSI});
+    EXPECT_EQ(
+        h.load(1, pa, 8, {RegionAttr::ProtocolOverride, Protocol::MSI}),
+        31u);
     h.drain();
     EXPECT_EQ(h.stateAt(0, pa), CohState::S);
     EXPECT_EQ(h.stateAt(1, pa), CohState::S);
@@ -328,10 +326,10 @@ TEST_P(RegionProtocolTest, RegionClassSplitsDirectoryCounters)
 
     // Override block shared then written: .override split.
     const Addr ovr_pa = 0xe000;
-    h.load(1, ovr_pa, 8, RegionAttr::ProtocolOverride, Protocol::MSI);
-    h.load(2, ovr_pa, 8, RegionAttr::ProtocolOverride, Protocol::MSI);
-    h.store(1, ovr_pa, 2, 8, RegionAttr::ProtocolOverride,
-            Protocol::MSI);
+    h.load(1, ovr_pa, 8, {RegionAttr::ProtocolOverride, Protocol::MSI});
+    h.load(2, ovr_pa, 8, {RegionAttr::ProtocolOverride, Protocol::MSI});
+    h.store(1, ovr_pa, 2, 8,
+            {RegionAttr::ProtocolOverride, Protocol::MSI});
     h.drain();
 
     EXPECT_EQ(sumDirCounter(h, ".invsSent.coherent"), 1u);

@@ -252,9 +252,9 @@ TEST(TraceReader, AcceptsEveryByteAtTheTopOfItsRange)
     ASSERT_EQ(d.streams[0].records.size(), 2u);
     const TraceRecord &amo = d.streams[0].records[0];
     const TraceRecord &load = d.streams[0].records[1];
-    EXPECT_EQ(amo.amoOp, static_cast<std::uint8_t>(coherence::AmoOp::Max));
-    EXPECT_EQ(load.va, 0x1038u);
-    EXPECT_EQ(load.size, 8u);
+    EXPECT_EQ(amo.op.mem.amoOp, coherence::AmoOp::Max);
+    EXPECT_EQ(load.op.va, 0x1038u);
+    EXPECT_EQ(load.op.mem.size, 8u);
     EXPECT_EQ(load.attrProtocol,
               static_cast<std::uint8_t>(coherence::Protocol::MOESI));
 }
@@ -548,10 +548,10 @@ TEST(TraceStructure, StreamsPreserveOrderingAndV1Layout)
         if (s.kind != StreamKind::Cpu)
             continue;
         for (const TraceRecord &r : s.records) {
-            if (r.kind != RecKind::Launch)
+            if (r.op.kind != core::OpKind::MifdWrite)
                 continue;
             saw_launch = true;
-            EXPECT_GE(r.lastTid, r.firstTid);
+            EXPECT_GE(r.op.task->lastTid, r.op.task->firstTid);
         }
     }
     EXPECT_TRUE(saw_launch);

@@ -48,6 +48,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -1039,15 +1040,24 @@ main(int argc, char **argv)
     // runner returns results in point order whatever --jobs is, so
     // every byte below is independent of worker count.
     std::vector<PointOutput> results;
-    if (points.size() == 1) {
-        results.push_back(runPoint(o, points[0]));
-    } else {
-        std::vector<std::function<PointOutput()>> tasks;
-        for (const PointSpec &spec : points)
-            tasks.emplace_back(
-                [&o, &spec]() { return runPoint(o, spec); });
-        const sim::SweepRunner runner(o.jobs);
-        results = runner.map<PointOutput>(tasks);
+    try {
+        if (points.size() == 1) {
+            results.push_back(runPoint(o, points[0]));
+        } else {
+            std::vector<std::function<PointOutput()>> tasks;
+            for (const PointSpec &spec : points)
+                tasks.emplace_back(
+                    [&o, &spec]() { return runPoint(o, spec); });
+            const sim::SweepRunner runner(o.jobs);
+            results = runner.map<PointOutput>(tasks);
+        }
+    } catch (const std::runtime_error &e) {
+        // Replay is the one workload that throws: a well-formed trace
+        // it cannot re-execute (no CPU op stream, a premap the frame
+        // allocator does not reproduce) is a CLI error too.
+        std::fprintf(stderr, "ccsvm: cannot replay trace '%s': %s\n",
+                     o.params.replayTrace.c_str(), e.what());
+        return 2;
     }
 
     // --json - reserves stdout for the JSON document: the human-facing

@@ -161,12 +161,10 @@ stats(const std::string &path)
         (s.kind == StreamKind::Cpu ? cpu_records : mttop_records) +=
             s.records.size();
         for (const TraceRecord &r : s.records) {
-            ++by_kind[r.kind];
-            if (r.kind == RecKind::Load ||
-                r.kind == RecKind::Store ||
-                r.kind == RecKind::Amo) {
+            ++by_kind[recKindOf(r.op)];
+            if (r.op.kind == core::OpKind::Memory) {
                 ++by_attr[r.attr];
-                mem_bytes += r.size;
+                mem_bytes += r.op.mem.size;
             }
             if (!any || r.tick < first)
                 first = r.tick;
