@@ -15,10 +15,11 @@
 #     on a region-annotated matmul squeezed into tiny banks, conflict
 #     evictions of coherent lines strictly drop vs lru while the
 #     pattern still conflicts (nonzero total evictions both ways)
-#   - a committed conflict-pattern trace replays correctly under
-#     every hash x replacer pair, with both lists harvested from the
-#     driver's own --list-slice-hashes / --list-replacers so the
-#     matrix cannot drift when a policy is added
+#   - the conflict pattern validates against its golden model, and
+#     its committed trace replays, under every hash x replacer pair,
+#     with both lists harvested from the driver's own
+#     --list-slice-hashes / --list-replacers so the matrix cannot
+#     drift when a policy is added
 #
 # Usage: cmake -DCCSVM_DRIVER=<path> -DCCSVM_OUT_DIR=<dir>
 #              -DCCSVM_TRACES_DIR=<dir> -P CheckBankSweep.cmake
@@ -143,13 +144,18 @@ if(NOT region_coh LESS lru_coh)
           "conflict evictions (${region_coh} vs lru's ${lru_coh})")
 endif()
 
-# --- 4. the committed conflict trace replays under every pair -------
+# --- 4. the conflict pattern runs and replays under every pair ------
+# A replay has no golden model, so the live run is the one that
+# checks the values.
 set(trace ${CCSVM_TRACES_DIR}/synth_conflict.ccsvmt)
 if(NOT EXISTS ${trace})
   message(FATAL_ERROR "missing committed trace ${trace}")
 endif()
 foreach(hash IN LISTS hashes)
   foreach(rep IN LISTS replacers)
+    ccsvm_run(--workload synth:conflict --iters 6
+              --slice-hash ${hash} --l2-replace ${rep}
+              JSON ${CCSVM_OUT_DIR}/bank_live_${hash}_${rep}.json)
     ccsvm_run(--workload replay --trace ${trace}
               --slice-hash ${hash} --l2-replace ${rep}
               JSON ${CCSVM_OUT_DIR}/bank_replay_${hash}_${rep}.json)
@@ -160,5 +166,5 @@ list(LENGTH protocols nproto)
 list(LENGTH hashes nhash)
 list(LENGTH replacers nrep)
 message(STATUS "bank sweep ok: identity x ${nproto} protocols, "
-               "occupancy skew, region replacer, replay x "
-               "${nhash} hashes x ${nrep} replacers all hold")
+               "occupancy skew, region replacer, conflict run and "
+               "replay x ${nhash} hashes x ${nrep} replacers all hold")

@@ -22,6 +22,8 @@
 #     (strictly fewer L1 upgrades than plain MSI), and matmul's
 #     read-mostly annotation (--region-hints) validates under every
 #     protocol
+#   - the atomics patterns (synth:hot, synth:readmostly) validate
+#     with the whole heap bypass, under every protocol
 #
 # The protocol list comes from the driver's own --list-protocols, so
 # this sweep cannot drift when a protocol is added.
@@ -152,12 +154,20 @@ ccsvm_run(--workload synth:stream --iters 2 --region-hints
           --region ${heap_region}:coherent
           JSON ${CCSVM_OUT_DIR}/region_precedence.json)
 
-# matmul's read-mostly annotation must validate under every protocol.
+# matmul's read-mostly annotation must validate under every protocol,
+# and so must the atomics patterns with the whole heap bypass, whose
+# atomics then go uncached to the home bank (stream's bypass buffer
+# sees only loads and stores).
 foreach(proto IN LISTS protocols)
   ccsvm_run(--workload matmul --n 16 --protocol ${proto} --region-hints
             JSON ${CCSVM_OUT_DIR}/region_matmul_${proto}.json)
+  foreach(pattern hot readmostly)
+    ccsvm_run(--workload synth:${pattern} --iters 8 --protocol ${proto}
+              --region ${heap_region}:bypass
+              JSON ${CCSVM_OUT_DIR}/region_bypass_${pattern}_${proto}.json)
+  endforeach()
 endforeach()
 
 list(LENGTH protocols nproto)
 message(STATUS "region sweep ok: ${nproto} protocols x "
-               "{identity, bypass, override} all hold")
+               "{identity, bypass, override, bypass atomics} all hold")

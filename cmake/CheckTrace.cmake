@@ -2,9 +2,9 @@
 #
 #   - A traced run exports Chrome trace-event JSON that is
 #     byte-identical at --sim-threads 1 and --sim-threads 4 (the
-#     per-partition rings merge in (when, priority, srcPart, srcSeq)
-#     order at window barriers, so host interleaving must not leak
-#     into the document).
+#     per-partition rings merge in (when, srcPart, srcSeq) order at
+#     window barriers, so host interleaving must not leak into the
+#     document).
 #   - The trace parses: cmake's string(JSON) always, python3's
 #     json.load when an interpreter is on PATH (closer to what
 #     Perfetto's importer accepts).
@@ -12,6 +12,8 @@
 #     is byte-identical to the same run without --trace-out.
 #   - --sample-interval populates a "series" section whose samples
 #     are identical at any thread count.
+#   - --trace-categories records the categories it names and no
+#     other.
 #   - The per-class latency histograms (latency.{cpu,mttop}.mem with
 #     p50/p90/p99) are present for matmul and two synthetic patterns.
 #
@@ -94,6 +96,22 @@ if(NOT doc1 STREQUAL doc4)
   message(FATAL_ERROR "stats/series JSON differs between "
           "--sim-threads 1 and 4")
 endif()
+
+# --- a category subset ----------------------------------------------
+set(trsub ${CCSVM_OUT_DIR}/trace_coh_noc.json)
+ccsvm_run(--workload synth:migratory --iters 16 --trace-out ${trsub}
+          --trace-categories coh,noc)
+file(READ ${trsub} sub)
+foreach(cat coh noc vm kernel engine)
+  string(FIND "${sub}" "\"cat\": \"${cat}\"" at)
+  if(cat MATCHES "^(coh|noc)$" AND at EQUAL -1)
+    message(FATAL_ERROR "--trace-categories coh,noc recorded no "
+            "${cat} event")
+  elseif(NOT cat MATCHES "^(coh|noc)$" AND NOT at EQUAL -1)
+    message(FATAL_ERROR "--trace-categories coh,noc recorded a "
+            "${cat} event")
+  endif()
+endforeach()
 
 # --- latency histograms across workload classes ---------------------
 foreach(wl matmul synth:false synth:stream)

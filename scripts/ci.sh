@@ -48,68 +48,28 @@ done
 # Full pass: every suite (including the long label), all protocols.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Partitioned-engine pass: rerun the machine-level suites with every
-# CcsvmMachine on the 4-worker windowed engine (CCSVM_SIM_THREADS is
-# the suites' opt-in knob — machines built without an explicit
-# simThreads consult it). The engine commits the same event order at
-# any thread count, so exactly the same assertions must hold.
-# litmus_test carries the long label but is named here anyway: its
-# repeated task resubmission is what caught the engine's clock-skew
-# bug. The list names every machine-building suite but the trace,
-# replay and parallel ones, which the TSan lane already runs threaded,
-# so MIFD launches, MTTOP fault relays and task completions cross
+# Partitioned-engine pass: rerun the suites that build a CcsvmMachine
+# or the protocol-test harness with every engine on 4 workers
+# (CCSVM_SIM_THREADS is the suites' opt-in knob — engines built
+# without an explicit thread count consult it). The engine commits
+# the same event order at any thread count, so exactly the same
+# assertions must hold. litmus_test carries the long label but is
+# named here anyway: its repeated task resubmission is what caught the
+# engine's clock-skew bug. The list names every such suite but the
+# trace, replay and parallel ones and the stress sweep, whose threaded
+# cases the TSan lane already runs, so MIFD launches, MTTOP fault
+# relays, task completions and the protocol tests' messages cross
 # partitions here too.
 MACHINE_SUITES='machine_test|mifd_test|litmus_test|coherence_test'
-MACHINE_SUITES+='|parteventq_test|process_test|synth_test'
-MACHINE_SUITES+='|workloads_test|xthreads_test'
-echo "=== machine suites on the 4-thread engine ==="
+MACHINE_SUITES+='|region_test|parteventq_test|process_test'
+MACHINE_SUITES+='|synth_test|workloads_test|xthreads_test'
+echo "=== machine and protocol suites on the 4-thread engine ==="
 CCSVM_SIM_THREADS=4 ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -j "$(nproc)" -R "$MACHINE_SUITES"
 
 # Driver smoke on the threaded engine (the quantitative byte-identity
 # grid lives in the ccsvm_parallel_engine ctest, run above).
 "$BUILD_DIR"/tools/ccsvm --workload matmul --n 8 --sim-threads 4
-
-# Synth smoke loop: every synthetic coherence pattern, tiny
-# iteration counts, all protocols. The pattern list comes from the
-# driver's own registry (--list-workloads), so this loop cannot
-# drift when a pattern is added or renamed.
-SYNTH_PATTERNS=$("$BUILD_DIR"/tools/ccsvm --list-workloads |
-    awk '$1 ~ /^synth:/ { print $1 }')
-[[ -n $SYNTH_PATTERNS ]] || {
-    echo "ci.sh: --list-workloads returned no synth patterns" >&2
-    exit 1
-}
-for pattern in $SYNTH_PATTERNS; do
-    for proto in $PROTOCOLS; do
-        echo "=== synth smoke: $pattern protocol=$proto ==="
-        "$BUILD_DIR"/tools/ccsvm --workload "$pattern" --iters 8 \
-            --protocol "$proto"
-    done
-done
-
-# Observability smoke: a traced, sampled run with stdout JSON. The
-# quantitative assertions (trace byte-identity across --sim-threads,
-# stats unperturbed by tracing, histogram presence) live in the
-# ccsvm_trace_check ctest, which the full pass above already ran.
-echo "=== observability smoke ==="
-"$BUILD_DIR"/tools/ccsvm --workload matmul --n 8 \
-    --trace-out "$BUILD_DIR/ci_trace.json" \
-    --trace-categories coh,noc,kernel \
-    --sample-interval 500000 --json - > "$BUILD_DIR/ci_stats.json"
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$BUILD_DIR/ci_trace.json" "$BUILD_DIR/ci_stats.json" \
-        <<'EOF'
-import json, sys
-trace = json.load(open(sys.argv[1]))
-assert trace["traceEvents"], "empty trace"
-stats = json.load(open(sys.argv[2]))
-assert stats["series"]["samples"], "empty series"
-assert "latency.cpu.mem" in stats["stats"]["histograms"]
-print(f'ci.sh: trace rows={len(trace["traceEvents"])} '
-      f'samples={len(stats["series"]["samples"])}')
-EOF
-fi
 
 # Trace capture + replay smoke: capture a run, validate and inspect
 # the file with ccsvm-trace, replay it, and check the committed trace
@@ -126,43 +86,4 @@ echo "=== trace capture/replay smoke ==="
     --trace "$BUILD_DIR/ci_smoke.ccsvmt"
 for trace in traces/*.ccsvmt; do
     "$BUILD_DIR"/tools/ccsvm-trace validate "$trace"
-done
-
-# Bank-layer policy smoke: every home-slice hash x replacement policy
-# pair must run and validate on the conflict pattern (the bank
-# layer's worst case). Both lists come from the driver's own enum
-# tables (--list-slice-hashes / --list-replacers), so this loop
-# cannot drift when a policy is added. The quantitative assertions
-# (default-point byte-identity, occupancy skew, coherent-eviction
-# shielding, the replay matrix) live in the ccsvm_bank_sweep ctest,
-# which the full pass above already ran.
-SLICE_HASHES=$("$BUILD_DIR"/tools/ccsvm --list-slice-hashes)
-REPLACERS=$("$BUILD_DIR"/tools/ccsvm --list-replacers)
-[[ -n $SLICE_HASHES && -n $REPLACERS ]] || {
-    echo "ci.sh: empty --list-slice-hashes or --list-replacers" >&2
-    exit 1
-}
-for hash in $SLICE_HASHES; do
-    for replacer in $REPLACERS; do
-        echo "=== bank smoke: slice-hash=$hash l2-replace=$replacer ==="
-        "$BUILD_DIR"/tools/ccsvm --workload synth:conflict --iters 6 \
-            --slice-hash "$hash" --l2-replace "$replacer"
-    done
-done
-
-# Region-based coherence smoke: the per-workload default annotations
-# (synth:stream buffer -> bypass, matmul inputs -> read-mostly) and an
-# explicit whole-heap region must validate under every protocol. The
-# quantitative assertions (fewer fills/invalidations under bypass,
-# byte-identical default runs) live in the ccsvm_region_sweep ctest,
-# which the full pass above already ran — in the sanitizer lane too.
-for proto in $PROTOCOLS; do
-    echo "=== region smoke: protocol=$proto ==="
-    "$BUILD_DIR"/tools/ccsvm --workload synth:stream --iters 4 \
-        --protocol "$proto" --region-hints
-    "$BUILD_DIR"/tools/ccsvm --workload matmul --n 8 \
-        --protocol "$proto" --region-hints
-    "$BUILD_DIR"/tools/ccsvm --workload synth:hot --iters 8 \
-        --protocol "$proto" \
-        --region heap:0x20000000:0x40000000:bypass
 done

@@ -20,12 +20,6 @@ setQuiet(bool quiet)
     quietFlag = quiet;
 }
 
-bool
-quiet()
-{
-    return quietFlag;
-}
-
 void
 assertPrelude(const char *file, int line, const char *cond)
 {
@@ -46,38 +40,11 @@ panicImpl(const char *file, int line, const char *fmt, ...)
 }
 
 void
-fatalImpl(const char *file, int line, const char *fmt, ...)
-{
-    std::fprintf(stderr, "fatal: %s:%d: ", file, line);
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "\n");
-    std::exit(1);
-}
-
-void
 warnImpl(const char *fmt, ...)
 {
     if (quietFlag)
         return;
     std::fprintf(stderr, "warn: ");
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "\n");
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    if (quietFlag)
-        return;
-    // stderr, like warn: stdout is reserved for requested output
-    // (--json -) and must stay machine-parseable.
-    std::fprintf(stderr, "info: ");
     va_list args;
     va_start(args, fmt);
     std::vfprintf(stderr, fmt, args);

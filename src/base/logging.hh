@@ -3,9 +3,8 @@
  * Error and status reporting, following the gem5 conventions.
  *
  * panic() is for simulator bugs (conditions that must never happen no
- * matter what the user does); it aborts. fatal() is for user errors
- * (bad configuration, impossible parameters); it exits with status 1.
- * warn() and inform() report status without stopping the simulation.
+ * matter what the user does); it aborts. warn() reports a condition
+ * on stderr without stopping the simulation.
  */
 
 #ifndef CCSVM_BASE_LOGGING_HH
@@ -23,28 +22,17 @@ namespace ccsvm
 /** Print the failed-assertion banner (used by ccsvm_assert). */
 void assertPrelude(const char *file, int line, const char *cond);
 
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const char *fmt, ...)
-    __attribute__((format(printf, 3, 4)));
-
 void warnImpl(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-void informImpl(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Suppress all inform()/warn() output (used by benches). */
+/** Suppress all warn() output (used by benches). */
 void setQuiet(bool quiet);
-bool quiet();
 
 } // namespace ccsvm
 
 #define ccsvm_panic(...) \
     ::ccsvm::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define ccsvm_fatal(...) \
-    ::ccsvm::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define ccsvm_warn(...) ::ccsvm::warnImpl(__VA_ARGS__)
-#define ccsvm_inform(...) ::ccsvm::informImpl(__VA_ARGS__)
 
 /** panic() unless the given condition holds. */
 #define ccsvm_assert(cond, ...)                                          \

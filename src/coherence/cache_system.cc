@@ -28,6 +28,23 @@ forEachBlock(Addr pa, unsigned len, Fn fn)
 
 } // namespace
 
+std::vector<sim::EventQueue *>
+nodeQueues(const CacheSystemConfig &cfg, int nodes, sim::EventQueue &rest)
+{
+    std::vector<sim::EventQueue *> queues;
+    queues.reserve(static_cast<std::size_t>(nodes));
+    for (const L1Cluster &c : cfg.clusters)
+        queues.insert(queues.end(), static_cast<std::size_t>(c.count),
+                      c.queue);
+    queues.insert(queues.end(), cfg.bankQueues.begin(),
+                  cfg.bankQueues.end());
+    ccsvm_assert(static_cast<int>(queues.size()) <= nodes,
+                 "%zu L1s and banks on a %d-node network",
+                 queues.size(), nodes);
+    queues.resize(static_cast<std::size_t>(nodes), &rest);
+    return queues;
+}
+
 CacheSystem::CacheSystem(const CacheSystemConfig &cfg,
                          sim::StatRegistry &stats, noc::Network &net,
                          mem::DramCtrl &dram, mem::PhysMem &phys)

@@ -46,6 +46,15 @@ struct CacheSystemConfig
     bool swmrChecks = true; ///< run the SWMR monitor over every L1
 };
 
+/**
+ * The partition queue owning each node of a @p nodes-node network
+ * under the numbering above: an L1's cluster queue, a bank's own
+ * queue, and @p rest for every other node (a device, grid padding).
+ */
+std::vector<sim::EventQueue *> nodeQueues(const CacheSystemConfig &cfg,
+                                          int nodes,
+                                          sim::EventQueue &rest);
+
 /** Every L1 and home bank of one machine, built and wired. */
 class CacheSystem : public runtime::FunctionalMem
 {

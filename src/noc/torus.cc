@@ -6,10 +6,11 @@
 namespace ccsvm::noc
 {
 
-TorusNetwork::TorusNetwork(sim::EventQueue &eq, sim::StatRegistry &stats,
+TorusNetwork::TorusNetwork(std::vector<sim::EventQueue *> node_queues,
+                           sim::StatRegistry &stats,
                            const std::string &name,
                            const TorusConfig &cfg)
-    : eq_(&eq), cfg_(cfg), clock_(eq, cfg.clockPeriod),
+    : cfg_(cfg), nodeQ_(std::move(node_queues)),
       linkFree_(static_cast<std::size_t>(cfg.width) * cfg.height * 4, 0),
       packets_(stats.counter(name + ".packets", "packets injected")),
       bytes_(stats.counter(name + ".bytes", "payload bytes injected")),
@@ -20,6 +21,8 @@ TorusNetwork::TorusNetwork(sim::EventQueue &eq, sim::StatRegistry &stats,
 {
     ccsvm_assert(cfg.width >= 1 && cfg.height >= 1,
                  "torus dimensions must be positive");
+    ccsvm_assert(static_cast<int>(nodeQ_.size()) == numNodes(),
+                 "torus: need one queue per node");
 }
 
 namespace
@@ -41,21 +44,6 @@ ringDelta(int a, int b, int n)
 }
 
 } // namespace
-
-void
-TorusNetwork::setNodeQueues(std::vector<sim::EventQueue *> queues)
-{
-    ccsvm_assert(queues.empty() ||
-                     static_cast<int>(queues.size()) == numNodes(),
-                 "setNodeQueues: need one queue per node");
-    nodeQ_ = std::move(queues);
-}
-
-sim::EventQueue *
-TorusNetwork::queueAt(NodeId n) const
-{
-    return nodeQ_.empty() ? eq_ : nodeQ_[n];
-}
 
 Tick
 TorusNetwork::edgeAt(const sim::EventQueue *q, Cycles cycles) const
@@ -141,8 +129,8 @@ TorusNetwork::send(NodeId src, NodeId dst, unsigned bytes,
     // Injection runs in the source node's partition: every component
     // sends from its own node. The per-hop events that follow run in
     // the partition of the router they traverse.
-    sim::EventQueue *q = queueAt(src);
-    ccsvm_assert(nodeQ_.empty() || sim::activeQueue() == q,
+    sim::EventQueue *q = nodeQ_[src];
+    ccsvm_assert(sim::activeQueue() == q,
                  "torus send from outside node %d's partition", src);
 
     // Tag the packet with its injection time via a wrapper closure.
@@ -150,10 +138,11 @@ TorusNetwork::send(NodeId src, NodeId dst, unsigned bytes,
     const Tick start = q->now();
     auto done = [this, inner = std::move(deliver), start, dst,
                  bytes]() {
-        latency_.record(static_cast<double>(nowAt(dst) - start));
+        const Tick now = nodeQ_[dst]->now();
+        latency_.record(static_cast<double>(now - start));
         if (trc_.enabled(sim::traceNoc))
-            trc_.complete(sim::traceNoc, lane_, "pkt", start,
-                          nowAt(dst), bytes);
+            trc_.complete(sim::traceNoc, lane_, "pkt", start, now,
+                          bytes);
         inner();
     };
     if (src == dst) {
@@ -175,18 +164,17 @@ TorusNetwork::forward(Packet pkt, NodeId at)
     const NodeId next = nextHop(at, pkt.dst);
     const int link = linkIndex(at, next);
 
-    sim::EventQueue *q = queueAt(at);
+    sim::EventQueue *q = nodeQ_[at];
     const Tick ser = serializationTicks(pkt.bytes);
     const Tick depart = std::max(edgeAt(q), linkFree_[link]);
     linkFree_[link] = depart + ser;
-    const Tick arrive =
-        depart + ser + clock_.cyclesToTicks(cfg_.hopLatency);
+    const Tick arrive = depart + ser + cfg_.hopTicks();
     ++hops_;
 
     auto hop = [this, pkt = std::move(pkt), next]() mutable {
         forward(std::move(pkt), next);
     };
-    sim::EventQueue *nq = queueAt(next);
+    sim::EventQueue *nq = nodeQ_[next];
     if (nq == q) {
         q->schedule(arrive, std::move(hop), sim::prioNetwork);
     } else {

@@ -18,7 +18,6 @@
 
 #include "base/types.hh"
 #include "noc/network.hh"
-#include "sim/clock.hh"
 #include "sim/eventq.hh"
 #include "sim/parteventq.hh"
 #include "sim/stats.hh"
@@ -34,30 +33,37 @@ struct TorusConfig
     double linkBandwidthGBps = 12.0;  ///< Table 2
     Cycles hopLatency = 2;  ///< router traversal + link, in NoC cycles
     Tick clockPeriod = 1000; ///< 1 GHz NoC clock
+
+    /** One hop's latency in ticks: the soonest a packet can reach
+     * another node, hence the lookahead of an engine it spans. */
+    Tick hopTicks() const { return hopLatency * clockPeriod; }
 };
 
-/** 2D torus with XY routing and per-link occupancy. */
+/**
+ * 2D torus with XY routing and per-link occupancy.
+ *
+ * Every node belongs to one partition queue of a sim::PartEngine. A
+ * packet is injected in its source node's partition, each per-hop
+ * event runs in the partition of the router it traverses (a hop into
+ * another partition goes through PartEngine::post, which the
+ * hop-latency floor makes legal), and the delivery runs in the
+ * destination node's partition.
+ */
 class TorusNetwork : public Network
 {
   public:
-    TorusNetwork(sim::EventQueue &eq, sim::StatRegistry &stats,
-                 const std::string &name, const TorusConfig &cfg);
+    /**
+     * @param node_queues the partition queue owning each node, one per
+     *        node of the width x height grid
+     */
+    TorusNetwork(std::vector<sim::EventQueue *> node_queues,
+                 sim::StatRegistry &stats, const std::string &name,
+                 const TorusConfig &cfg);
 
     void send(NodeId src, NodeId dst, unsigned bytes,
               Deliver deliver) override;
 
     int numNodes() const override { return cfg_.width * cfg_.height; }
-
-    /**
-     * Partition mode: give every node its owning partition queue.
-     * A packet's per-hop events then run in the partition of the
-     * router they traverse (cross-partition hops go through
-     * PartEngine::post, which the hop-latency floor makes legal),
-     * and the final delivery runs in the destination node's
-     * partition. An empty vector (the default) keeps the legacy
-     * single-queue mode.
-     */
-    void setNodeQueues(std::vector<sim::EventQueue *> queues);
 
     /**
      * Next hop from @p at toward @p dst under XY dimension-order
@@ -84,17 +90,11 @@ class TorusNetwork : public Network
 
     Tick serializationTicks(unsigned bytes) const;
 
-    /** Queue whose partition owns node @p n (eq_ in legacy mode). */
-    sim::EventQueue *queueAt(NodeId n) const;
-    /** Current time at node @p n's queue. */
-    Tick nowAt(NodeId n) const { return queueAt(n)->now(); }
     /** Next NoC clock edge (+ @p cycles) as seen from @p q. */
     Tick edgeAt(const sim::EventQueue *q, Cycles cycles = 0) const;
 
-    sim::EventQueue *eq_;
     TorusConfig cfg_;
-    sim::ClockDomain clock_;
-    /** Per-node partition queues; empty = legacy single queue. */
+    /** The partition queue owning each node. */
     std::vector<sim::EventQueue *> nodeQ_;
     /** busy-until tick per directional link (4 per node: +X -X +Y -Y).
      * Link at*4+dir is only touched by node @p at's partition. */

@@ -131,13 +131,13 @@ Tracer::sortMerged()
 {
     if (sorted_)
         return;
-    // (when, priority, recording partition, record sequence) is a
-    // total order that no host schedule affects: any host
-    // interleaving of the rings collapses to one canonical sequence.
+    // (when, recording partition, record sequence) is a total order
+    // that no host schedule affects: any host interleaving of the
+    // rings collapses to one canonical sequence.
     std::sort(merged_.begin(), merged_.end(),
               [](const TraceEvent &a, const TraceEvent &b) {
-                  return std::tie(a.when, a.prio, a.srcPart, a.srcSeq) <
-                         std::tie(b.when, b.prio, b.srcPart, b.srcSeq);
+                  return std::tie(a.when, a.srcPart, a.srcSeq) <
+                         std::tie(b.when, b.srcPart, b.srcSeq);
               });
     sorted_ = true;
 }

@@ -10,9 +10,9 @@
  * (PerPartition), and an event only ever touches the ring of the
  * partition it executes in. At every window barrier the engine
  * (single-threaded again) flushes the rings into one merged vector;
- * writeJson() sorts it by (when, priority, srcPart, srcSeq) before
- * emitting, so the exported trace is byte-identical at any
- * --sim-threads value.
+ * writeJson() sorts it by (when, srcPart, srcSeq) before emitting,
+ * so the exported trace is byte-identical at any --sim-threads
+ * value.
  *
  * The output is Chrome trace-event JSON (one "traceEvents" array of
  * complete/instant events plus thread_name metadata), loadable in
@@ -58,7 +58,6 @@ struct TraceEvent
 {
     Tick when = 0;           ///< start tick (ps)
     Tick dur = 0;            ///< span length; 0 for instants
-    int prio = 0;            ///< merge tie-break (matches event prio)
     int srcPart = 0;         ///< recording partition
     std::uint64_t srcSeq = 0;///< per-partition record sequence
     unsigned cat = 0;        ///< single TraceCat bit
@@ -149,7 +148,7 @@ class Tracer
     std::uint64_t recorded() const;
     std::uint64_t dropped() const;
 
-    /** Flushed events in deterministic (when, prio, srcPart, srcSeq)
+    /** Flushed events in deterministic (when, srcPart, srcSeq)
      * order. Flushes any ring remainder first. */
     const std::vector<TraceEvent> &events();
 

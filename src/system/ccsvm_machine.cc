@@ -37,9 +37,7 @@ resolveSimThreads(int requested)
 
 CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
     : cfg_(std::move(cfg)),
-      engine_(partBank0 + cfg_.numL2Banks,
-              static_cast<Tick>(cfg_.noc.hopLatency) *
-                  cfg_.noc.clockPeriod,
+      engine_(partBank0 + cfg_.numL2Banks, cfg_.noc.hopTicks(),
               resolveSimThreads(cfg_.simThreads)),
       stats_(engine_.partitions()),
       phys_(cfg_.physMemBytes)
@@ -52,6 +50,21 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
     dram_ = std::make_unique<mem::DramCtrl>(sysQ(), stats_, "dram",
                                             cfg_.dram);
 
+    // Each cluster's L1s live in its partition, alongside its cores;
+    // each home bank gets its own.
+    coherence::CacheSystemConfig caches;
+    caches.clusters = {
+        {coherence::CoreKind::Cpu, cfg_.numCpuCores, cfg_.cpuL1,
+         *cfg_.cpuProtocol, &cpuQ()},
+        {coherence::CoreKind::Mttop, cfg_.numMttopCores, cfg_.mttopL1,
+         *cfg_.mttopProtocol, &mttopQ()},
+    };
+    caches.bank = cfg_.l2;
+    for (int b = 0; b < cfg_.numL2Banks; ++b)
+        caches.bankQueues.push_back(&bankQ(b));
+    caches.sliceHash = cfg_.sliceHash;
+    caches.swmrChecks = cfg_.swmrChecks;
+
     // Auto-size the torus to hold all endpoints if the configured grid
     // is too small: CPUs + MTTOPs + L2 banks + MIFD.
     const int endpoints = cfg_.numCpuCores + cfg_.numMttopCores +
@@ -62,8 +75,14 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
         cfg_.noc.height =
             (endpoints + cfg_.noc.width - 1) / cfg_.noc.width;
     }
-    net_ = std::make_unique<noc::TorusNetwork>(sysQ(), stats_, "noc",
-                                               cfg_.noc);
+    // The MIFD and the grid padding sit in the system partition.
+    // Padding nodes never source traffic, but packets pass through
+    // them, so they need a fixed owner to keep those hops
+    // deterministic.
+    net_ = std::make_unique<noc::TorusNetwork>(
+        coherence::nodeQueues(caches,
+                              cfg_.noc.width * cfg_.noc.height, sysQ()),
+        stats_, "noc", cfg_.noc);
 
     // Observability: arm the tracer before components intern their
     // lanes in buildNodes(). An unparseable category list is a
@@ -81,7 +100,7 @@ CcsvmMachine::CcsvmMachine(CcsvmConfig cfg)
         sysQ(), stats_, phys_, cfg_.kernel, cfg_.framePoolBase,
         cfg_.physMemBytes - cfg_.framePoolBase);
 
-    buildNodes();
+    buildNodes(caches);
     if (cfg_.sampleInterval > 0)
         resolveSeries();
 
@@ -159,22 +178,8 @@ CcsvmMachine::resolveSeries()
 CcsvmMachine::~CcsvmMachine() = default;
 
 void
-CcsvmMachine::buildNodes()
+CcsvmMachine::buildNodes(const coherence::CacheSystemConfig &caches)
 {
-    // Each cluster's L1s live in its partition, alongside its cores;
-    // each home bank gets its own.
-    coherence::CacheSystemConfig caches;
-    caches.clusters = {
-        {coherence::CoreKind::Cpu, cfg_.numCpuCores, cfg_.cpuL1,
-         *cfg_.cpuProtocol, &cpuQ()},
-        {coherence::CoreKind::Mttop, cfg_.numMttopCores, cfg_.mttopL1,
-         *cfg_.mttopProtocol, &mttopQ()},
-    };
-    caches.bank = cfg_.l2;
-    for (int b = 0; b < cfg_.numL2Banks; ++b)
-        caches.bankQueues.push_back(&bankQ(b));
-    caches.sliceHash = cfg_.sliceHash;
-    caches.swmrChecks = cfg_.swmrChecks;
     caches_ = std::make_unique<coherence::CacheSystem>(
         caches, stats_, *net_, *dram_, phys_);
     auto mttop_l1 = [this](int j) -> coherence::L1Controller & {
@@ -217,21 +222,6 @@ CcsvmMachine::buildNodes()
     mifd_->connectMttops(std::move(mttop_ports));
     for (auto &cpu : cpuCores_)
         cpu->connectMifd({mifd_.get(), mifd_node});
-
-    // Teach the torus which partition owns each node, so per-hop
-    // events run in the traversed router's partition. Nodes beyond
-    // the endpoints (grid padding) never source traffic; parking them
-    // in the system partition keeps pass-through hops deterministic.
-    std::vector<sim::EventQueue *> node_queues(
-        static_cast<std::size_t>(net_->numNodes()), &sysQ());
-    for (int i = 0; i < cfg_.numCpuCores; ++i)
-        node_queues[caches_->l1(i).node()] = &cpuQ();
-    for (int j = 0; j < cfg_.numMttopCores; ++j)
-        node_queues[mttop_l1(j).node()] = &mttopQ();
-    for (int b = 0; b < cfg_.numL2Banks; ++b)
-        node_queues[caches_->bank(b).node()] = &bankQ(b);
-    node_queues[mifd_node] = &sysQ();
-    net_->setNodeQueues(std::move(node_queues));
 }
 
 runtime::Process &

@@ -239,7 +239,7 @@ class CcsvmMachine
     void dumpStats(std::ostream &os) const { stats_.dump(os); }
 
   private:
-    void buildNodes();
+    void buildNodes(const coherence::CacheSystemConfig &caches);
     /** Resolve the time-series columns to their counters (after
      * buildNodes, which creates every one of them). */
     void resolveSeries();

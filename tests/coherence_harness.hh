@@ -3,7 +3,11 @@
  * Reusable harness for coherence-protocol tests: a CacheSystem of
  * N L1s and B home banks on a torus, with DRAM, physical memory and
  * the SWMR monitor, plus blocking helpers that issue one access and
- * run the event queue until it completes.
+ * run until it completes. It runs on a PartEngine partitioned as the
+ * CCSVM machine is (the CPU cluster, the MTTOP cluster, DRAM, one
+ * partition per bank) at the thread count CCSVM_SIM_THREADS gives.
+ * It builds no CcsvmMachine: the machine's MIFD needs an MTTOP core,
+ * which the single-cluster tests do not have.
  */
 
 #ifndef CCSVM_TESTS_COHERENCE_HARNESS_HH
@@ -13,8 +17,9 @@
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
 #include "noc/torus.hh"
-#include "sim/eventq.hh"
+#include "sim/parteventq.hh"
 #include "sim/stats.hh"
+#include "system/ccsvm_machine.hh"
 
 namespace ccsvm::test
 {
@@ -33,10 +38,23 @@ struct CohHarness
         Protocol mttopProto;
     };
 
-    sim::EventQueue eq;
-    sim::StatRegistry stats;
+    /** The engine's partitions, in the machine's order. */
+    enum : int
+    {
+        partCpu = 0,
+        partMttop = 1,
+        partDram = 2,
+        partBank0 = 3,
+    };
+
+    /** A 2-row torus rather than the machine's grid: the
+     * victim-buffer race tests place their L1s by hop count. */
+    noc::TorusConfig torus;
+    sim::PartEngine engine;
+    sim::StatRegistry stats{engine.partitions()};
     mem::PhysMem phys{64 * 1024 * 1024};
-    mem::DramCtrl dram{eq, stats, "dram", {}};
+    mem::DramCtrl dram{engine.queue(partDram), stats, "dram", {}};
+    CacheSystemConfig config;
     noc::TorusNetwork net;
     CacheSystem caches;
 
@@ -64,19 +82,18 @@ struct CohHarness
     CohHarness(const Clusters &split, int num_banks,
                L1Config l1_cfg = {}, DirConfig dir_cfg = {},
                SliceHashKind hash = SliceHashKind::Mod)
-        : net(eq, stats, "noc",
-              torusFor(split.cpuL1s + split.mttopL1s + num_banks)),
-          caches(
-              CacheSystemConfig{
-                  {{CoreKind::Cpu, split.cpuL1s, l1_cfg, split.cpuProto,
-                    &eq},
-                   {CoreKind::Mttop, split.mttopL1s, l1_cfg,
-                    split.mttopProto, &eq}},
-                  dir_cfg,
-                  std::vector<sim::EventQueue *>(
-                      static_cast<std::size_t>(num_banks), &eq),
-                  hash},
-              stats, net, dram, phys)
+        : torus(torusFor(split.cpuL1s + split.mttopL1s + num_banks)),
+          engine(partBank0 + num_banks, torus.hopTicks(),
+                 system::resolveSimThreads(-1)),
+          config{{{CoreKind::Cpu, split.cpuL1s, l1_cfg, split.cpuProto,
+                   &engine.queue(partCpu)},
+                  {CoreKind::Mttop, split.mttopL1s, l1_cfg,
+                   split.mttopProto, &engine.queue(partMttop)}},
+                 dir_cfg, bankQueues(num_banks), hash},
+          net(nodeQueues(config, torus.width * torus.height,
+                         engine.queue(partDram)),
+              stats, "noc", torus),
+          caches(config, stats, net, dram, phys)
     {}
 
     /** A 2-row torus with room for @p nodes endpoints. */
@@ -89,12 +106,24 @@ struct CohHarness
         return tcfg;
     }
 
+    /** Each of @p num_banks banks' own partition queue. */
+    std::vector<sim::EventQueue *>
+    bankQueues(int num_banks)
+    {
+        std::vector<sim::EventQueue *> queues;
+        for (int b = 0; b < num_banks; ++b)
+            queues.push_back(&engine.queue(partBank0 + b));
+        return queues;
+    }
+
     L1Controller &l1(int id) { return caches.l1(id); }
     Directory &bank(int b) { return caches.bank(b); }
 
     /** Fire @p op at L1 @p id without waiting (for concurrency
-     * tests). The optional region models a request whose page
-     * carries a region annotation (bypass or protocol override). */
+     * tests): an event now in the L1's partition, as a core issues
+     * it, so call it from the host or from that partition. The
+     * optional region models a request whose page carries a region
+     * annotation (bypass or protocol override). */
     void
     issue(int id, Addr pa, ScalarOp op,
           std::function<void(std::uint64_t)> on_done, Region region = {})
@@ -104,7 +133,13 @@ struct CohHarness
         req->paddr = pa;
         req->region = region;
         req->onDone = std::move(on_done);
-        l1(id).access(std::move(req));
+        sim::EventQueue &q = engine.queue(
+            id < config.clusters[0].count ? partCpu : partMttop);
+        ccsvm_assert(!sim::activeQueue() || sim::activeQueue() == &q,
+                     "L1 %d issued from another partition", id);
+        q.schedule(q.now(), [this, id, req = std::move(req)]() mutable {
+            l1(id).access(std::move(req));
+        });
     }
 
     /** Issue @p op at L1 @p id and run until it completes; returns
@@ -163,12 +198,12 @@ struct CohHarness
     void
     runUntil(bool &done)
     {
-        bool ok = eq.runUntil([&] { return done; });
+        bool ok = engine.runUntil([&] { return done; });
         ccsvm_assert(ok, "request never completed (deadlock?)");
     }
 
     /** Run until all queued events drain. */
-    void drain() { eq.run(); }
+    void drain() { engine.run(); }
 
     CohState stateAt(int id, Addr pa) { return l1(id).stateOf(pa); }
 };

@@ -61,7 +61,7 @@ class CoherenceP : public ::testing::TestWithParam<Protocol>
         ASSERT_NE(h.stateAt(0, x), CohState::I);
         h.issue(0, other, {.kind = ScalarOp::Kind::Read},
                 [](std::uint64_t) {});
-        ASSERT_TRUE(h.eq.runUntil(
+        ASSERT_TRUE(h.engine.runUntil(
             [&] { return h.stateAt(0, x) == CohState::I; }));
     }
 };

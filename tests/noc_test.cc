@@ -1,17 +1,20 @@
 /**
  * @file
  * Unit tests for the torus and crossbar networks: routing correctness,
- * wraparound shortest paths, latency composition, link contention, and
- * per-path FIFO ordering.
+ * wraparound shortest paths, latency composition, link contention,
+ * per-path FIFO ordering, and the torus's hop across a partition
+ * boundary.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "noc/crossbar.hh"
 #include "noc/torus.hh"
 #include "sim/eventq.hh"
+#include "sim/parteventq.hh"
 #include "sim/stats.hh"
 
 namespace ccsvm::noc
@@ -19,28 +22,57 @@ namespace ccsvm::noc
 namespace
 {
 
-class TorusTest : public ::testing::Test
+/**
+ * A @p w x @p h torus (12 GB/s links, 2-cycle hops at 1 GHz) on a
+ * two-partition engine: columns x < w / 2 run in partition 0 and the
+ * rest in partition 1, or every node in partition 0 when @p split is
+ * false.
+ */
+struct PartTorus
 {
-  protected:
-    TorusConfig
-    makeConfig(int w, int h)
+    PartTorus(int w, int h, bool split = true)
+        : cfg{w, h, 12.0, 2, 1000}, engine(2, cfg.hopTicks()),
+          stats(engine.partitions())
     {
-        TorusConfig cfg;
-        cfg.width = w;
-        cfg.height = h;
-        cfg.linkBandwidthGBps = 12.0;
-        cfg.hopLatency = 2;
-        cfg.clockPeriod = 1000;
-        return cfg;
+        for (int n = 0; n < w * h; ++n)
+            nodeQ.push_back(
+                &engine.queue(split && n % w >= w / 2 ? 1 : 0));
+        net = std::make_unique<TorusNetwork>(nodeQ, stats, "noc", cfg);
     }
 
-    sim::EventQueue eq;
+    /** Send from an event now in @p src's partition, as every
+     * component does. */
+    void
+    send(NodeId src, NodeId dst, unsigned bytes,
+         Network::Deliver deliver)
+    {
+        sim::EventQueue &q = *nodeQ[src];
+        q.schedule(q.now(), [this, src, dst, bytes,
+                             deliver = std::move(deliver)]() mutable {
+            net->send(src, dst, bytes, std::move(deliver));
+        });
+    }
+
+    void run() { engine.run(); }
+
+    TorusConfig cfg;
+    sim::PartEngine engine;
     sim::StatRegistry stats;
+    std::vector<sim::EventQueue *> nodeQ;
+    std::unique_ptr<TorusNetwork> net;
 };
 
-TEST_F(TorusTest, HopCountsUseWraparound)
+/** The current tick of the partition a delivery runs in. */
+Tick
+now()
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
+    return sim::activeQueue()->now();
+}
+
+TEST(TorusTest, HopCountsUseWraparound)
+{
+    PartTorus t(4, 4);
+    const TorusNetwork &net = *t.net;
     // Same node.
     EXPECT_EQ(net.hopCount(0, 0), 0);
     // Adjacent.
@@ -53,23 +85,23 @@ TEST_F(TorusTest, HopCountsUseWraparound)
     EXPECT_EQ(net.hopCount(0, 12), 1);
 }
 
-TEST_F(TorusTest, XyRoutingGoesXFirst)
+TEST(TorusTest, XyRoutingGoesXFirst)
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
+    PartTorus t(4, 4);
     // From 0 to 5 (x=1, y=1): first hop must change X.
-    EXPECT_EQ(net.nextHop(0, 5), 1);
+    EXPECT_EQ(t.net->nextHop(0, 5), 1);
     // Then Y.
-    EXPECT_EQ(net.nextHop(1, 5), 5);
+    EXPECT_EQ(t.net->nextHop(1, 5), 5);
 }
 
-TEST_F(TorusTest, DeliveryLatencyMatchesHops)
+TEST(TorusTest, DeliveryLatencyMatchesHops)
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
+    PartTorus t(4, 4);
     Tick arrived = 0;
     // 0 -> 2: two X hops. Each hop: serialization of 8 B at 12 GB/s
     // (666 ps -> under one cycle) + 2-cycle hop latency.
-    net.send(0, 2, 8, [&] { arrived = eq.now(); });
-    eq.run();
+    t.send(0, 2, 8, [&] { arrived = now(); });
+    t.run();
     EXPECT_GT(arrived, 0u);
     // Two hops, each at least 2 NoC cycles: >= 4 ns.
     EXPECT_GE(arrived, 4000u);
@@ -77,74 +109,94 @@ TEST_F(TorusTest, DeliveryLatencyMatchesHops)
     EXPECT_LT(arrived, 10000u);
 }
 
-TEST_F(TorusTest, AllPairsDeliver)
+TEST(TorusTest, AllPairsDeliver)
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(5, 4));
+    PartTorus t(5, 4);
+    const int nodes = t.net->numNodes();
     int delivered = 0;
-    for (int s = 0; s < net.numNodes(); ++s) {
-        for (int d = 0; d < net.numNodes(); ++d)
-            net.send(s, d, 72, [&] { ++delivered; });
+    for (int s = 0; s < nodes; ++s) {
+        for (int d = 0; d < nodes; ++d)
+            t.send(s, d, 72, [&] { ++delivered; });
     }
-    eq.run();
-    EXPECT_EQ(delivered, net.numNodes() * net.numNodes());
+    t.run();
+    EXPECT_EQ(delivered, nodes * nodes);
 }
 
-TEST_F(TorusTest, SamePathFifoOrder)
+TEST(TorusTest, SamePathFifoOrder)
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
+    PartTorus t(4, 4);
     std::vector<int> order;
     // Mixed sizes: a short message never overtakes a long one sent
     // before it.
     for (int i = 0; i < 8; ++i)
-        net.send(0, 2, i % 2 ? 8 : 4096,
-                 [&order, i] { order.push_back(i); });
-    eq.run();
+        t.send(0, 2, i % 2 ? 8 : 4096,
+               [&order, i] { order.push_back(i); });
+    t.run();
     ASSERT_EQ(order.size(), 8u);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
 }
 
-TEST_F(TorusTest, ContentionDelaysSharedLink)
+TEST(TorusTest, ContentionDelaysSharedLink)
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(4, 1));
+    PartTorus t(4, 1);
     // Two large packets over the same 0->1 link: the second must
     // arrive at least one serialization time after the first.
     Tick first = 0, second = 0;
-    net.send(0, 1, 4096, [&] { first = eq.now(); });
-    net.send(0, 1, 4096, [&] { second = eq.now(); });
-    eq.run();
+    t.send(0, 1, 4096, [&] { first = now(); });
+    t.send(0, 1, 4096, [&] { second = now(); });
+    t.run();
     // 4096 B at 12 GB/s = ~341 ns serialization.
     EXPECT_GE(second - first, 340000u);
 }
 
-TEST_F(TorusTest, DisjointPathsDoNotInterfere)
+TEST(TorusTest, DisjointPathsDoNotInterfere)
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
+    PartTorus t(4, 4);
     Tick a = 0, b = 0;
-    net.send(0, 1, 72, [&] { a = eq.now(); });
-    net.send(8, 9, 72, [&] { b = eq.now(); });
-    eq.run();
+    t.send(0, 1, 72, [&] { a = now(); });
+    t.send(8, 9, 72, [&] { b = now(); });
+    t.run();
     EXPECT_EQ(a, b) << "independent links must not contend";
 }
 
-TEST_F(TorusTest, LocalDeliveryStillCostsARouterHop)
+TEST(TorusTest, LocalDeliveryStillCostsARouterHop)
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
+    PartTorus t(4, 4);
     Tick arrived = 0;
-    net.send(3, 3, 72, [&] { arrived = eq.now(); });
-    eq.run();
+    t.send(3, 3, 72, [&] { arrived = now(); });
+    t.run();
     EXPECT_EQ(arrived, 2000u);
 }
 
-TEST_F(TorusTest, StatsAccumulate)
+TEST(TorusTest, StatsAccumulate)
 {
-    TorusNetwork net(eq, stats, "noc", makeConfig(4, 4));
-    net.send(0, 2, 8, [] {});
-    net.send(0, 1, 72, [] {});
-    eq.run();
-    EXPECT_EQ(stats.get("noc.packets"), 2u);
-    EXPECT_EQ(stats.get("noc.bytes"), 80u);
-    EXPECT_EQ(stats.get("noc.hops"), 3u);
+    PartTorus t(4, 4);
+    t.send(0, 2, 8, [] {});
+    t.send(0, 1, 72, [] {});
+    t.run();
+    EXPECT_EQ(t.stats.get("noc.packets"), 2u);
+    EXPECT_EQ(t.stats.get("noc.bytes"), 80u);
+    EXPECT_EQ(t.stats.get("noc.hops"), 3u);
+}
+
+TEST(TorusTest, CrossPartitionHopArrivesOnTime)
+{
+    // From a node of each partition to every node: a route across the
+    // boundary takes that hop through PartEngine::post and must
+    // arrive at the tick the unsplit grid gives.
+    for (const NodeId src : {0, 3}) {
+        for (NodeId dst = 0; dst < 16; ++dst) {
+            PartTorus split(4, 4), flat(4, 4, false);
+            Tick a = 0, b = 0;
+            split.send(src, dst, 72, [&] { a = now(); });
+            flat.send(src, dst, 72, [&] { b = now(); });
+            split.run();
+            flat.run();
+            EXPECT_GT(a, 0u);
+            EXPECT_EQ(a, b) << src << " -> " << dst;
+        }
+    }
 }
 
 TEST(CrossbarTest, DeliversWithFixedLatency)

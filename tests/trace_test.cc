@@ -6,7 +6,7 @@
  *  - per-partition ring wraparound: oldest events overwritten, the
  *    drop count reported, the survivors the most recent ones
  *  - deterministic merged order: events flushed from several
- *    partitions sort by (when, prio, srcPart, srcSeq)
+ *    partitions sort by (when, srcPart, srcSeq)
  *  - writeJson structure (metadata rows, exact microsecond ts)
  *  - machine-level byte-identity: a traced matmul run exports the
  *    same trace document and the same time-series samples at
