@@ -120,7 +120,7 @@ apuAtomics(unsigned threads, unsigned iters, bool contended)
                 co_await tc.amo(target, coherence::AmoOp::Inc);
         },
         args, threads, state);
-    m.eventq().runUntil([&] { return done; });
+    m.runUntil([&] { return done; });
     return m.now() - t0;
 }
 

@@ -74,7 +74,7 @@ apuLaunch(unsigned threads)
                 },
                 threads, args, ev);
             co_await cl.finish(ctx, ev);
-        }) - m.config().threadSpawnLatency;
+        });
 }
 
 } // namespace

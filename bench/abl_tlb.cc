@@ -127,7 +127,8 @@ main()
                  system::CcsvmConfig cfg;
                  cfg.cpu.tlbEntries = entries;
                  cfg.mttop.tlbEntries = entries;
-                 return SweepOutcome{workloads::matmulXthreads(64, cfg),
+                 system::CcsvmMachine m(cfg);
+                 return SweepOutcome{workloads::matmulXthreads(m, 64),
                                      {}};
              },
              [entries](const SweepOutcome &o, FigureTable &t) {

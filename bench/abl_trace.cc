@@ -44,13 +44,13 @@ msSince(Clock::time_point t0)
         .count();
 }
 
-/** FNV-1a over the stats text: a cheap, order-sensitive fingerprint
+/** FNV-1a over the stats JSON: a cheap, order-sensitive fingerprint
  * of every counter/distribution/histogram value. */
 std::uint64_t
 statsHash(system::CcsvmMachine &m)
 {
     std::ostringstream ss;
-    m.dumpStats(ss);
+    m.stats().dumpJson(ss);
     const std::string text = ss.str();
     std::uint64_t h = 1469598103934665603ull;
     for (const char c : text) {

@@ -11,9 +11,8 @@
  * Environment knobs:
  *   CCSVM_BENCH_LARGE=1  extend sweeps toward the paper's sizes
  *                        (longer host runtime).
- *   CCSVM_BENCH_JOBS=N   cap the simulation workers (1 = sequential,
- *                        unset = CCSVM_JOBS, then hardware
- *                        concurrency).
+ *   CCSVM_JOBS=N         cap the simulation workers (1 = sequential,
+ *                        unset = hardware concurrency).
  *   CCSVM_BENCH_JSON=P   also write the figure as JSON to P (used by
  *                        bench/run_figures.sh).
  */
@@ -159,7 +158,7 @@ struct BenchPoint
  * worker count.
  *
  * @param hostTimed run the points one after another on this thread,
- *        whatever CCSVM_BENCH_JOBS says: for figures that measure
+ *        whatever CCSVM_JOBS says: for figures that measure
  *        host wall-clock, which concurrent points would distort.
  * @return the exit code: 1 if any point failed validation (each one
  *         named on stderr) or the JSON could not be written, else 0.
@@ -168,19 +167,14 @@ inline int
 runBench(const char *title, const char *x_label,
          std::vector<BenchPoint> points, bool hostTimed = false)
 {
+    // Built before quieting, so a bad CCSVM_JOBS still warns.
+    sim::SweepRunner sweep(hostTimed ? 1 : 0);
     setQuiet(true);
-    unsigned jobs = 0; // SweepRunner's default
-    if (const char *env = std::getenv("CCSVM_BENCH_JOBS"); env && env[0]) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (!*end)
-            jobs = static_cast<unsigned>(v);
-    }
     std::vector<std::function<SweepOutcome()>> runs;
     for (BenchPoint &p : points)
         runs.push_back(std::move(p.run));
     const std::vector<SweepOutcome> outcomes =
-        sim::SweepRunner(hostTimed ? 1 : jobs).map<SweepOutcome>(runs);
+        sweep.map<SweepOutcome>(runs);
 
     FigureTable table;
     std::uint64_t total_sim_ticks = 0;

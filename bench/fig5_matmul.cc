@@ -47,7 +47,8 @@ main()
         points.push_back(
             {"fig5/ccsvm_xthreads/" + std::to_string(n),
              [n] {
-                 return SweepOutcome{workloads::matmulXthreads(n), {}};
+                 system::CcsvmMachine m;
+                 return SweepOutcome{workloads::matmulXthreads(m, n), {}};
              },
              [n, &cpu_ms](const SweepOutcome &o, FigureTable &t) {
                  t.record(n, "ccsvm_rel", toMs(o.run.ticks) / cpu_ms[n]);

@@ -42,7 +42,8 @@ main()
         points.push_back(
             {"fig6/ccsvm_xthreads/" + std::to_string(n),
              [n] {
-                 return SweepOutcome{workloads::apspXthreads(n), {}};
+                 system::CcsvmMachine m;
+                 return SweepOutcome{workloads::apspXthreads(m, n), {}};
              },
              [n, &cpu_ms](const SweepOutcome &o, FigureTable &t) {
                  t.record(n, "ccsvm_rel", toMs(o.run.ticks) / cpu_ms[n]);

@@ -58,8 +58,9 @@ main()
         points.push_back(
             {"fig7/ccsvm_xthreads/" + std::to_string(b),
              [b] {
+                 system::CcsvmMachine m;
                  return SweepOutcome{
-                     workloads::barnesHutXthreads(params(b)), {}};
+                     workloads::barnesHutXthreads(m, params(b)), {}};
              },
              [b, &cpu_ms](const SweepOutcome &o, FigureTable &t) {
                  t.record(b, "ccsvm_rel", toMs(o.run.ticks) / cpu_ms[b]);

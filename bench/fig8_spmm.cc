@@ -58,7 +58,10 @@ ccsvmPoint(std::string name, workloads::SpmmParams p, std::uint64_t x,
            const char *series, BaselineMs &cpu_ms)
 {
     return {std::move(name),
-            [p] { return SweepOutcome{workloads::spmmXthreads(p), {}}; },
+            [p] {
+                system::CcsvmMachine m;
+                return SweepOutcome{workloads::spmmXthreads(m, p), {}};
+            },
             [x, series, &cpu_ms](const SweepOutcome &o, FigureTable &t) {
                 t.record(x, series, cpu_ms[x] / toMs(o.run.ticks));
             }};

@@ -31,7 +31,10 @@ main()
         {"fig9/cpu_core/", "cpu_dram",
          [](unsigned n) { return workloads::matmulCpuSingle(n); }},
         {"fig9/ccsvm_xthreads/", "ccsvm_dram",
-         [](unsigned n) { return workloads::matmulXthreads(n); }},
+         [](unsigned n) {
+             system::CcsvmMachine m;
+             return workloads::matmulXthreads(m, n);
+         }},
         {"fig9/apu_opencl/", "apu_dram",
          [](unsigned n) { return workloads::matmulOpenCl(n); }},
     };

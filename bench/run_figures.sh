@@ -9,7 +9,7 @@
 #
 # The benches run concurrently, bounded by --jobs (default: nproc);
 # each binary additionally parallelizes its own simulation sweep
-# (CCSVM_BENCH_JOBS, see bench_common.hh). Per-bench wall-clock and
+# (CCSVM_JOBS, see bench_common.hh). Per-bench wall-clock and
 # total simulated ticks are collected into BENCH_figures.json, and a
 # wall-clock summary table is printed at the end.
 #
@@ -76,7 +76,7 @@ run_one() {
     local t0 t1
     t0="$(now_ms)"
     if ! CCSVM_BENCH_JSON="$OUT_DIR/BENCH_$fig.json" \
-         CCSVM_BENCH_JOBS="$JOBS" \
+         CCSVM_JOBS="$JOBS" \
          "$bin" > "$OUT_DIR/$fig.log" 2>&1; then
         echo "FAILED" > "$OUT_DIR/$fig.wall_ms"
         return 1
@@ -88,7 +88,7 @@ run_one() {
 total_t0="$(now_ms)"
 
 # Launch up to $JOBS benches at a time; each also fans out its own
-# simulation sweep (the inner CCSVM_BENCH_JOBS), so the worker pool is
+# simulation sweep (the inner CCSVM_JOBS), so the worker pool is
 # shared with the kernel scheduler rather than partitioned exactly.
 pids=()
 running=0

@@ -104,12 +104,10 @@ cpuThroughputRatio()
     {
         apu::ApuMachine m;
         auto &proc = m.createProcess();
-        apu_ticks = m.runMain(proc,
-                              [](ThreadContext &ctx,
-                                 vm::VAddr) -> GuestTask {
-                                  co_await ctx.compute(100000);
-                              }) -
-                    m.config().threadSpawnLatency;
+        apu_ticks = m.runMain(
+            proc, [](ThreadContext &ctx, vm::VAddr) -> GuestTask {
+                co_await ctx.compute(100000);
+            });
     }
     const double ratio = static_cast<double>(ccsvm_ticks) /
                          static_cast<double>(apu_ticks);

@@ -24,28 +24,9 @@ fi
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-# The protocol list comes from the driver's own enum table
-# (--list-protocols), so these loops cannot drift when a protocol is
-# added or renamed.
-PROTOCOLS=$("$BUILD_DIR"/tools/ccsvm --list-protocols)
-[[ -n $PROTOCOLS ]] || {
-    echo "ci.sh: --list-protocols returned no protocols" >&2
-    exit 1
-}
-
-# Per-protocol fast loop: the value-parametrized suites instantiate
-# only the protocols named in CCSVM_PROTOCOLS, so each sub-second
-# pass checks the non-long labels against one coherence protocol in
-# isolation (and proves the CCSVM_PROTOCOLS narrowing itself works).
-# The full pass below still covers all protocols together — and,
-# through the pair-parametrized suites, all protocol pairs.
-for proto in $PROTOCOLS; do
-    echo "=== non-long suites, protocol=$proto ==="
-    CCSVM_PROTOCOLS="$proto" ctest --test-dir "$BUILD_DIR" \
-        --output-on-failure -j "$(nproc)" -LE long
-done
-
-# Full pass: every suite (including the long label), all protocols.
+# Full pass: every suite (including the long label). The protocol
+# suites instantiate every protocol and, through the pair-parametrized
+# suites, every protocol pair.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # Partitioned-engine pass: rerun the suites that build a CcsvmMachine

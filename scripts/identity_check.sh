@@ -22,7 +22,7 @@
 # nothing differs and kept (its path printed) otherwise.
 #
 # usage: scripts/identity_check.sh OLD_BUILD NEW_BUILD
-#   CCSVM_BENCH_JOBS=N     sweep workers per bench (default 2)
+#   CCSVM_JOBS=N           sweep workers per bench (default 2)
 set -euo pipefail
 
 [[ $# -eq 2 ]] || {
@@ -44,7 +44,7 @@ done
 work="$(mktemp -d)"
 trap 'rc=$?; if ((rc == 0)); then rm -rf "$work"; else
     echo "identity_check: outputs kept in $work" >&2; fi' EXIT
-export CCSVM_BENCH_JOBS="${CCSVM_BENCH_JOBS:-2}"
+export CCSVM_JOBS="${CCSVM_JOBS:-2}"
 
 # run SIDE NAME BIN ARGS...: run BIN with argv[0] NAME inside
 # $work/SIDE/<case>/run (a bench writes its JSON to out/), capturing

@@ -30,7 +30,6 @@ ApuMachine::ApuMachine(ApuConfig cfg)
     caches.bank.assoc = 32;
     caches.bank.ctrlLatency = 2 * tickNs; // UNB probe path
     caches.bankQueues = {&eq_};
-    caches.swmrChecks = cfg_.swmrChecks;
     caches_ = std::make_unique<coherence::CacheSystem>(
         caches, stats_, *xbar_, *dram_, phys_);
 
@@ -71,30 +70,36 @@ ApuMachine::createProcess()
     return *processes_.back();
 }
 
-void
-ApuMachine::spawnCpuThread(int cpu_idx, runtime::Process &proc,
-                           core::KernelFn fn, vm::VAddr args,
-                           std::function<void()> on_done)
+sim::Callback
+ApuMachine::newCpuThread(int cpu_idx, runtime::Process &proc,
+                         core::KernelFn fn, vm::VAddr args,
+                         std::function<void()> on_done)
 {
     ccsvm_assert(cpu_idx >= 0 && cpu_idx < cfg_.numCpuCores,
                  "bad CPU index %d", cpu_idx);
     auto thread = std::make_unique<CpuThread>();
     thread->fn = std::move(fn);
-    core::ThreadContext &ref = thread->tc;
     CpuThread *tptr = thread.get();
     cpuThreads_.push_back(std::move(thread));
-    ref.bind(proc.allocTid(), &proc, cpuCores_[cpu_idx].get());
-    core::CpuCore *core = cpuCores_[cpu_idx].get();
-    // pthread_create is not free on a real OS. The kernel function
-    // lives in the stored CpuThread so the coroutine's captures stay
-    // valid for its whole lifetime.
+    tptr->tc.bind(proc.allocTid(), &proc, cpuCores_[cpu_idx].get());
+    // The kernel function lives in the stored CpuThread so the
+    // coroutine's captures stay valid for its whole lifetime.
+    return [core = cpuCores_[cpu_idx].get(), tptr, args,
+            on_done = std::move(on_done)]() mutable {
+        core->runThread(tptr->tc, tptr->fn(tptr->tc, args),
+                        std::move(on_done));
+    };
+}
+
+void
+ApuMachine::spawnCpuThread(int cpu_idx, runtime::Process &proc,
+                           core::KernelFn fn, vm::VAddr args,
+                           std::function<void()> on_done)
+{
+    // pthread_create is not free on a real OS.
     eq_.scheduleIn(cfg_.threadSpawnLatency,
-                   [core, tptr, args,
-                    on_done = std::move(on_done)]() mutable {
-                       core->runThread(tptr->tc,
-                                       tptr->fn(tptr->tc, args),
-                                       std::move(on_done));
-                   });
+                   newCpuThread(cpu_idx, proc, std::move(fn), args,
+                                std::move(on_done)));
 }
 
 Tick
@@ -103,8 +108,8 @@ ApuMachine::runMain(runtime::Process &proc, core::KernelFn fn,
 {
     const Tick start = eq_.now();
     bool done = false;
-    spawnCpuThread(0, proc, std::move(fn), args, [&] { done = true; });
-    const bool finished = eq_.runUntil([&] { return done; });
+    newCpuThread(0, proc, std::move(fn), args, [&] { done = true; })();
+    const bool finished = runUntil([&] { return done; });
     ccsvm_assert(finished, "guest main never exited (deadlock?)");
     return eq_.now() - start;
 }
@@ -113,6 +118,12 @@ void
 ApuMachine::run(Tick limit)
 {
     eq_.run(limit);
+}
+
+bool
+ApuMachine::runUntil(const std::function<bool()> &done, Tick limit)
+{
+    return eq_.runUntil(done, limit);
 }
 
 Addr

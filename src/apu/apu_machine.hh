@@ -65,7 +65,6 @@ struct ApuConfig
     Addr pinnedSize = 512ull * 1024 * 1024;
 
     Tick threadSpawnLatency = 15 * tickUs; ///< pthread_create
-    bool swmrChecks = true;
 };
 
 /** The simulated Llano-class APU. */
@@ -83,13 +82,20 @@ class ApuMachine
                         core::KernelFn fn, vm::VAddr args,
                         std::function<void()> on_done = {});
 
-    /** Run @p fn as main on CPU 0 until it exits; returns ticks. */
+    /** Run @p fn as main on CPU 0, started at once as on the CCSVM
+     * chip, until it exits; returns ticks. */
     Tick runMain(runtime::Process &proc, core::KernelFn fn,
                  vm::VAddr args = 0);
 
     void run(Tick limit = sim::EventQueue::maxTick);
+    /**
+     * Run until the host-side predicate @p done is true (checked
+     * after every event) or the machine drains.
+     * @return true iff the predicate fired
+     */
+    bool runUntil(const std::function<bool()> &done,
+                  Tick limit = sim::EventQueue::maxTick);
     Tick now() const { return eq_.now(); }
-    sim::EventQueue &eventq() { return eq_; }
     sim::StatRegistry &stats() { return stats_; }
     mem::PhysMem &physMem() { return phys_; }
     /** The CPU caches and their directory at memory; also the
@@ -113,6 +119,11 @@ class ApuMachine
     std::uint64_t dramAccesses() const;
 
   private:
+    /** Bind a new thread running @p fn to CPU @p cpu_idx; the
+     * returned callback starts it. */
+    sim::Callback newCpuThread(int cpu_idx, runtime::Process &proc,
+                               core::KernelFn fn, vm::VAddr args,
+                               std::function<void()> on_done);
     void dispatchGpu();
 
     ApuConfig cfg_;

@@ -49,8 +49,9 @@ namespace ccsvm::coherence
 // region table can name one without pulling in this header.
 
 /** Every selectable protocol, in enum order. The driver's
- * --list-protocols, its usage/error text and CI's protocol loops all
- * derive from this table, so adding a protocol extends them all. */
+ * --list-protocols, its usage/error text, the driver ctests' protocol
+ * loops and the protocol-parametrized test suites all derive from
+ * this table, so adding a protocol extends them all. */
 inline constexpr std::array<Protocol, 3> allProtocols = {
     Protocol::MSI, Protocol::MESI, Protocol::MOESI};
 

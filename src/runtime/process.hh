@@ -108,17 +108,6 @@ class Process
         return total;
     }
 
-    /** Allocate one per-thread guest stack region. */
-    vm::VAddr
-    allocStack()
-    {
-        const vm::VAddr base =
-            vm::AddressLayout::stacksBase +
-            nextStack_ * vm::AddressLayout::stackSize;
-        ++nextStack_;
-        return base;
-    }
-
     ThreadId allocTid() { return nextTid_++; }
 
     // --- host backdoor (functional, zero simulated time) ------------
@@ -216,7 +205,6 @@ class Process
 
     std::map<vm::VAddr, Addr> free_;        ///< free list: va -> size
     std::map<vm::VAddr, Addr> allocations_; ///< live: va -> size
-    unsigned nextStack_ = 0;
     ThreadId nextTid_ = 0;
 };
 

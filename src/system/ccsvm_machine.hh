@@ -204,7 +204,13 @@ class CcsvmMachine
     /** Resolved per-cluster protocols (default: config().protocol). */
     coherence::Protocol cpuProtocol() const { return *cfg_.cpuProtocol; }
     coherence::Protocol mttopProtocol() const { return *cfg_.mttopProtocol; }
-    core::MttopCore &mttopCore(int i) { return *mttopCores_[i]; }
+    /** Guest threads the MTTOP cores can hold at once. */
+    unsigned
+    mttopContexts() const
+    {
+        return static_cast<unsigned>(cfg_.numMttopCores) *
+               cfg_.mttop.numContexts;
+    }
 
     /** Off-chip DRAM transactions so far (Figure 9's metric). */
     std::uint64_t dramAccesses() const;

@@ -7,7 +7,7 @@
  * evaluation actually exercises: physical frame allocation, per-process
  * address spaces with lazy page allocation, the page-fault service path
  * (with a kernel-entry cost and a single kernel lock serializing
- * faults), virtual-region management for the guest heap/stacks, and
+ * faults), virtual-region management for the guest heap, and
  * TLB shootdown (CPU IPIs; MTTOP TLBs are flushed wholesale via the
  * MIFD, Sec. 3.2.1).
  */
@@ -47,11 +47,8 @@ struct KernelConfig
 /** Virtual address space layout constants for guest processes. */
 struct AddressLayout
 {
-    static constexpr VAddr globalsBase = 0x0000'1000'0000ull;
     static constexpr VAddr heapBase = 0x0000'2000'0000ull;
     static constexpr VAddr heapLimit = 0x0000'6000'0000ull;
-    static constexpr VAddr stacksBase = 0x0000'7000'0000ull;
-    static constexpr VAddr stackSize = 64 * 1024;
 };
 
 class Kernel;

@@ -160,10 +160,7 @@ apspXthreads(system::CcsvmMachine &m, unsigned n)
 {
     runtime::Process &proc = m.createProcess();
 
-    const unsigned max_contexts =
-        static_cast<unsigned>(m.numMttopCores()) *
-        m.mttopCore(0).totalContexts();
-    const unsigned num_threads = std::min(n, max_contexts);
+    const unsigned num_threads = std::min(n, m.mttopContexts());
 
     const VAddr d = proc.gmalloc(n * n * 4);
     const VAddr barrier = proc.gmalloc(num_threads * 4);
@@ -182,9 +179,8 @@ apspXthreads(system::CcsvmMachine &m, unsigned n)
     proc.poke<std::uint32_t>(args + argN, n);
     proc.poke<std::uint32_t>(args + argThreads, num_threads);
 
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc,
+    RunResult r = measureMain(
+        m, proc,
         [d, n, num_threads, barrier, sense,
          done](ThreadContext &ctx, VAddr args_va) -> GuestTask {
             co_await generateDist(ctx, d, n);
@@ -200,24 +196,12 @@ apspXthreads(system::CcsvmMachine &m, unsigned n)
             co_await xt::cpuWaitAll(ctx, done, 0, num_threads - 1);
         },
         args);
-
-    RunResult r;
-    r.ticks = ticks;
-    r.ticksNoInit = ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verify(
         [&proc, d](unsigned idx) {
             return proc.peek<std::int32_t>(d + idx * 4);
         },
         n);
     return r;
-}
-
-RunResult
-apspXthreads(unsigned n, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return apspXthreads(m, n);
 }
 
 RunResult
@@ -230,9 +214,8 @@ apspOpenCl(unsigned n, apu::ApuConfig cfg, apu::ocl::OclConfig ocl)
     apu::ocl::Buffer bd = cl.createBuffer(n * n * 4);
 
     Tick init_ticks = 0;
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc,
+    RunResult r = measureMain(
+        m, proc,
         [&m, &cl, &bd, n, &init_ticks](ThreadContext &ctx,
                                        VAddr) -> GuestTask {
             const Tick t0 = m.now();
@@ -265,11 +248,7 @@ apspOpenCl(unsigned n, apu::ApuConfig cfg, apu::ocl::OclConfig ocl)
                 co_await cl.finish(ctx, ev);
             }
         });
-
-    RunResult r;
-    r.ticks = ticks;
-    r.ticksNoInit = ticks - init_ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
+    r.ticksNoInit -= init_ticks;
     r.correct = verify(
         [&m, &bd](unsigned idx) {
             return static_cast<std::int32_t>(
@@ -286,18 +265,12 @@ apspCpuSingle(unsigned n, apu::ApuConfig cfg)
     runtime::Process &proc = m.createProcess();
     const VAddr d = proc.gmalloc(n * n * 4);
 
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc, [d, n](ThreadContext &ctx, VAddr) -> GuestTask {
+    RunResult r = measureMain(
+        m, proc, [d, n](ThreadContext &ctx, VAddr) -> GuestTask {
             co_await generateDist(ctx, d, n);
             for (unsigned k = 0; k < n; ++k)
                 co_await relaxRows(ctx, d, n, k, 0, 1);
         });
-
-    RunResult r;
-    r.ticks = ticks - cfg.threadSpawnLatency;
-    r.ticksNoInit = r.ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verify(
         [&proc, d](unsigned idx) {
             return proc.peek<std::int32_t>(d + idx * 4);

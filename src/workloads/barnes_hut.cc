@@ -542,10 +542,7 @@ barnesHutXthreads(system::CcsvmMachine &m, const BarnesHutParams &p)
 {
     runtime::Process &proc = m.createProcess();
 
-    const unsigned max_contexts =
-        static_cast<unsigned>(m.numMttopCores()) *
-        m.mttopCore(0).totalContexts();
-    const unsigned workers = std::min(p.bodies, max_contexts);
+    const unsigned workers = std::min(p.bodies, m.mttopContexts());
 
     const BodyArrays bodies = setupBodies(proc, p);
     const SyncVars sync = setupSync(proc, workers);
@@ -554,9 +551,8 @@ barnesHutXthreads(system::CcsvmMachine &m, const BarnesHutParams &p)
     for (unsigned t = 0; t < workers; ++t)
         proc.poke<std::uint32_t>(done + t * 4, 0);
 
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc,
+    RunResult r = measureMain(
+        m, proc,
         [&, workers](ThreadContext &ctx, VAddr) -> GuestTask {
             // Launch the persistent MTTOP worker pool once.
             co_await xt::createMthread(
@@ -572,20 +568,8 @@ barnesHutXthreads(system::CcsvmMachine &m, const BarnesHutParams &p)
                                      workers, false, workers);
             co_await xt::cpuWaitAll(ctx, done, 0, workers - 1);
         });
-
-    RunResult r;
-    r.ticks = ticks;
-    r.ticksNoInit = ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verifyPositions(proc, bodies, p);
     return r;
-}
-
-RunResult
-barnesHutXthreads(const BarnesHutParams &p, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return barnesHutXthreads(m, p);
 }
 
 RunResult
@@ -595,9 +579,8 @@ barnesHutCpuSingle(const BarnesHutParams &p, apu::ApuConfig cfg)
     runtime::Process &proc = m.createProcess();
     const BodyArrays bodies = setupBodies(proc, p);
 
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc, [&](ThreadContext &ctx, VAddr) -> GuestTask {
+    RunResult r = measureMain(
+        m, proc, [&](ThreadContext &ctx, VAddr) -> GuestTask {
             for (unsigned step = 0; step < p.steps; ++step) {
                 VAddr root = 0;
                 co_await guestBuildTree(ctx, p, bodies, root);
@@ -605,11 +588,6 @@ barnesHutCpuSingle(const BarnesHutParams &p, apu::ApuConfig cfg)
                                              1);
             }
         });
-
-    RunResult r;
-    r.ticks = ticks - cfg.threadSpawnLatency;
-    r.ticksNoInit = r.ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verifyPositions(proc, bodies, p);
     return r;
 }
@@ -627,7 +605,6 @@ barnesHutPthreads(const BarnesHutParams &p, apu::ApuConfig cfg)
     const SyncVars sync = setupSync(proc, workers);
     const VAddr root_slot = proc.gmalloc(8);
 
-    const std::uint64_t dram0 = m.dramAccesses();
     int remaining = static_cast<int>(workers);
     for (unsigned w = 0; w < workers; ++w) {
         m.spawnCpuThread(
@@ -638,17 +615,12 @@ barnesHutPthreads(const BarnesHutParams &p, apu::ApuConfig cfg)
             },
             0, [&remaining] { --remaining; });
     }
-    const Tick ticks = m.runMain(
-        proc, [&](ThreadContext &ctx, VAddr) -> GuestTask {
+    RunResult r = measureMain(
+        m, proc, [&](ThreadContext &ctx, VAddr) -> GuestTask {
             co_await coordinatorLoop(ctx, p, bodies, sync, root_slot,
                                      workers, true, stride);
         });
-    m.eventq().runUntil([&] { return remaining == 0; });
-
-    RunResult r;
-    r.ticks = ticks;
-    r.ticksNoInit = r.ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
+    m.runUntil([&] { return remaining == 0; });
     r.correct = verifyPositions(proc, bodies, p);
     return r;
 }

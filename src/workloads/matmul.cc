@@ -206,10 +206,7 @@ matmulXthreads(system::CcsvmMachine &m, unsigned n, bool region_hints,
     const MatmulInputs in(n, seed);
     runtime::Process &proc = m.createProcess();
 
-    const unsigned max_contexts =
-        static_cast<unsigned>(m.numMttopCores()) *
-        m.mttopCore(0).totalContexts();
-    const unsigned num_threads = std::min(n * n, max_contexts);
+    const unsigned num_threads = std::min(n * n, m.mttopContexts());
 
     // Region hints: the input matrices are written once (by the CPU's
     // input generation) and then only read by the MTTOP threads —
@@ -255,9 +252,8 @@ matmulXthreads(system::CcsvmMachine &m, unsigned n, bool region_hints,
     proc.poke<std::uint32_t>(args + argN, n);
     proc.poke<std::uint32_t>(args + argThreads, num_threads);
 
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc,
+    RunResult r = measureMain(
+        m, proc,
         [&in, a, b, n, num_threads](ThreadContext &ctx,
                                     VAddr args_va) -> GuestTask {
             co_await generateInputs(ctx, in, a, b, n);
@@ -269,20 +265,8 @@ matmulXthreads(system::CcsvmMachine &m, unsigned n, bool region_hints,
                                     num_threads - 1);
         },
         args);
-
-    RunResult r;
-    r.ticks = ticks;
-    r.ticksNoInit = ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verify(proc, in, c, n);
     return r;
-}
-
-RunResult
-matmulXthreads(unsigned n, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return matmulXthreads(m, n);
 }
 
 RunResult
@@ -303,9 +287,8 @@ matmulOpenCl(unsigned n, apu::ApuConfig cfg, apu::ocl::OclConfig ocl,
     const Addr args = cl.writeArgs({ba.pa, bb.pa, bc.pa, n});
 
     Tick init_ticks = 0;
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc,
+    RunResult r = measureMain(
+        m, proc,
         [&m, &cl, &ba, &bb, &in, args, n,
          &init_ticks](ThreadContext &ctx, VAddr) -> GuestTask {
             const Tick t0 = m.now();
@@ -337,11 +320,7 @@ matmulOpenCl(unsigned n, apu::ApuConfig cfg, apu::ocl::OclConfig ocl,
                 n * n, args, ev);
             co_await cl.finish(ctx, ev);
         });
-
-    RunResult r;
-    r.ticks = ticks;
-    r.ticksNoInit = ticks - init_ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
+    r.ticksNoInit -= init_ticks;
     // Verify against the golden model through raw memory (the GPU
     // wrote through the pinned region).
     const auto golden = goldenMatmul(in, n);
@@ -367,20 +346,12 @@ matmulCpuSingle(unsigned n, apu::ApuConfig cfg, std::uint64_t seed)
     const VAddr b = proc.gmalloc(n * n * 4);
     const VAddr c = proc.gmalloc(n * n * 4);
 
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc,
+    RunResult r = measureMain(
+        m, proc,
         [&in, a, b, c, n](ThreadContext &ctx, VAddr) -> GuestTask {
             co_await generateInputs(ctx, in, a, b, n);
             co_await matmulBody(ctx, a, b, c, n, 1, 0);
         });
-
-    RunResult r;
-    // Exclude the pthread-create charge: the baseline is "just using
-    // the CPU core".
-    r.ticks = ticks - cfg.threadSpawnLatency;
-    r.ticksNoInit = r.ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verify(proc, in, c, n);
     return r;
 }

@@ -142,16 +142,10 @@ runReplay(system::CcsvmMachine &m, const std::string &trace_path)
 
     const TraceStream *ms = main_stream;
     ReplayCtx *cp = &ctx;
-    const Tick ticks = m.runMain(
-        proc,
-        [cp, ms](core::ThreadContext &tc, vm::VAddr) {
+    RunResult res = measureMain(
+        m, proc, [cp, ms](core::ThreadContext &tc, vm::VAddr) {
             return replayStream(tc, *ms, *cp);
         });
-
-    RunResult res;
-    res.ticks = ticks;
-    res.ticksNoInit = ticks;
-    res.dramAccesses = m.dramAccesses();
     // Replay has no golden model of its own; the capture run already
     // validated the workload's output. Reaching this point means the
     // whole stream re-executed without faulting the machine.

@@ -270,10 +270,7 @@ spmmXthreads(system::CcsvmMachine &m, const SpmmParams &p)
 {
     runtime::Process &proc = m.createProcess();
 
-    const unsigned max_contexts =
-        static_cast<unsigned>(m.numMttopCores()) *
-        m.mttopCore(0).totalContexts();
-    const unsigned workers = std::min(p.n, max_contexts);
+    const unsigned workers = std::min(p.n, m.mttopContexts());
 
     const VAddr a_rows = proc.gmalloc(p.n * 8);
     const VAddr b_rows = proc.gmalloc(p.n * 8);
@@ -297,10 +294,9 @@ spmmXthreads(system::CcsvmMachine &m, const SpmmParams &p)
     proc.poke<std::uint32_t>(args + argN, p.n);
     proc.poke<std::uint32_t>(args + argThreads, workers);
 
-    const std::uint64_t dram0 = m.dramAccesses();
     Tick build_ticks = 0;
-    const Tick ticks = m.runMain(
-        proc,
+    RunResult r = measureMain(
+        m, proc,
         [&, workers](ThreadContext &ctx,
                      VAddr args_va) -> GuestTask {
             const Tick t0 = m.now();
@@ -315,22 +311,12 @@ spmmXthreads(system::CcsvmMachine &m, const SpmmParams &p)
                                                   workers - 1, done);
         },
         args);
-
-    RunResult r;
     // The benchmark is the multiplication; input construction is
     // identical (and serial) on every system and excluded.
-    r.ticks = ticks - build_ticks;
+    r.ticks -= build_ticks;
     r.ticksNoInit = r.ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verify(proc, p, c_rows);
     return r;
-}
-
-RunResult
-spmmXthreads(const SpmmParams &p, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return spmmXthreads(m, p);
 }
 
 RunResult
@@ -344,10 +330,9 @@ spmmCpuSingle(const SpmmParams &p, apu::ApuConfig cfg)
     const VAddr c_rows = proc.gmalloc(p.n * 8);
     const VAddr scratch = proc.gmalloc(static_cast<Addr>(p.n) * 8);
 
-    const std::uint64_t dram0 = m.dramAccesses();
     Tick build_ticks = 0;
-    const Tick ticks = m.runMain(
-        proc, [&](ThreadContext &ctx, VAddr) -> GuestTask {
+    RunResult r = measureMain(
+        m, proc, [&](ThreadContext &ctx, VAddr) -> GuestTask {
             const Tick t0 = m.now();
             co_await buildInput(ctx, p, 0, a_rows);
             co_await buildInput(ctx, p, 1, b_rows);
@@ -361,11 +346,8 @@ spmmCpuSingle(const SpmmParams &p, apu::ApuConfig cfg)
             co_await spmmRows(ctx, a_rows, b_rows, c_rows, scratch,
                               p.n, 0, 1, alloc);
         });
-
-    RunResult r;
-    r.ticks = ticks - cfg.threadSpawnLatency - build_ticks;
+    r.ticks -= build_ticks;
     r.ticksNoInit = r.ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verify(proc, p, c_rows);
     return r;
 }

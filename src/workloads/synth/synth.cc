@@ -678,9 +678,6 @@ verify(runtime::Process &proc, const Geometry &g, VAddr region,
 RunResult
 synthXthreads(system::CcsvmMachine &m, const SynthParams &in)
 {
-    const unsigned max_contexts =
-        static_cast<unsigned>(m.numMttopCores()) *
-        m.mttopCore(0).totalContexts();
     SynthParams params = in;
     if (in.pattern == Pattern::Conflict) {
         // The conflict stride is a machine property, not a knob: one
@@ -697,7 +694,7 @@ synthXthreads(system::CcsvmMachine &m, const SynthParams &in)
         params.strideBytes =
             static_cast<unsigned>(stride_blocks * mem::blockBytes);
     }
-    const Geometry g = makeGeometry(params, max_contexts);
+    const Geometry g = makeGeometry(params, m.mttopContexts());
     const SynthParams &p = g.p;
 
     runtime::Process &proc = m.createProcess();
@@ -790,9 +787,8 @@ synthXthreads(system::CcsvmMachine &m, const SynthParams &in)
                              static_cast<std::uint32_t>(
                                  g.chunkBytes));
 
-    const std::uint64_t dram0 = m.dramAccesses();
-    const Tick ticks = m.runMain(
-        proc,
+    RunResult r = measureMain(
+        m, proc,
         [num = p.threads](ThreadContext &ctx,
                           VAddr args_va) -> GuestTask {
             const VAddr done_va =
@@ -802,20 +798,8 @@ synthXthreads(system::CcsvmMachine &m, const SynthParams &in)
             co_await xt::cpuWaitAll(ctx, done_va, 0, num - 1);
         },
         args);
-
-    RunResult r;
-    r.ticks = ticks;
-    r.ticksNoInit = ticks;
-    r.dramAccesses = m.dramAccesses() - dram0;
     r.correct = verify(proc, g, region, results, aux);
     return r;
-}
-
-RunResult
-synthXthreads(const SynthParams &p, system::CcsvmConfig cfg)
-{
-    system::CcsvmMachine m(cfg);
-    return synthXthreads(m, p);
 }
 
 } // namespace ccsvm::workloads::synth

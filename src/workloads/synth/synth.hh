@@ -137,10 +137,6 @@ struct SynthParams
  * driver's stats dump keeps access to the registry afterwards). */
 RunResult synthXthreads(system::CcsvmMachine &m, const SynthParams &p);
 
-/** Convenience overload building a fresh machine from @p cfg. */
-RunResult synthXthreads(const SynthParams &p,
-                        system::CcsvmConfig cfg = {});
-
 } // namespace ccsvm::workloads::synth
 
 #endif // CCSVM_WORKLOADS_SYNTH_SYNTH_HH

@@ -14,9 +14,10 @@
  * - sparse matrix multiply (Fig. 8): linked-list rows, result built
  *   with mttop_malloc; CCSVM/xthreads vs one CPU core
  *
- * Every runner builds a fresh machine, runs the workload as guest
- * code, validates results against a host golden model, and reports
- * the measured region's time and off-chip DRAM transactions.
+ * Every runner runs the workload as guest code on a fresh machine (an
+ * APU runner builds its own, a CCSVM runner takes the caller's),
+ * validates results against a host golden model, and reports the
+ * measured region's time and off-chip DRAM transactions.
  */
 
 #ifndef CCSVM_WORKLOADS_WORKLOADS_HH
@@ -29,7 +30,17 @@
 namespace ccsvm::workloads
 {
 
-/** Outcome of one workload run. */
+/**
+ * Outcome of one workload run.
+ *
+ * The measured region, on either machine, runs from the start of the
+ * guest main thread on CPU 0 to its exit; measureMain() defines it
+ * once. Main starts at once; every other CPU thread the APU starts
+ * pays its pthread_create cost inside the region. A runner subtracts
+ * only a prefix of main that is not the benchmark: OpenCL platform
+ * init + JIT from ticksNoInit, spmm's serial input build from both
+ * tick fields.
+ */
 struct RunResult
 {
     /** Measured region, ticks (ps). For OpenCL runs this includes
@@ -45,12 +56,22 @@ struct RunResult
     bool correct = false;
 };
 
-// --- dense matrix multiply (Fig. 5 / Fig. 9) -------------------------
+/** Run @p main as @p proc's main thread on @p m (a CcsvmMachine or
+ * an ApuMachine) and measure it; the caller sets `correct`. */
+template <typename Machine>
+RunResult
+measureMain(Machine &m, runtime::Process &proc, core::KernelFn main,
+            vm::VAddr args = 0)
+{
+    const std::uint64_t dram = m.dramAccesses();
+    RunResult r;
+    r.ticks = m.runMain(proc, std::move(main), args);
+    r.ticksNoInit = r.ticks;
+    r.dramAccesses = m.dramAccesses() - dram;
+    return r;
+}
 
-// Each CCSVM runner comes in two forms: the original one that builds
-// a fresh machine from a config, and an overload that runs on a
-// caller-provided machine so the caller keeps access to the full
-// stats registry afterwards (the ccsvm driver's JSON dump needs it).
+// --- dense matrix multiply (Fig. 5 / Fig. 9) -------------------------
 
 /** @param region_hints annotate the A/B input matrices as read-mostly
  * regions (protocol override to MESI): their fills stay clean-
@@ -66,8 +87,6 @@ struct RunResult
 RunResult matmulXthreads(system::CcsvmMachine &m, unsigned n,
                          bool region_hints = false,
                          std::uint64_t seed = 0);
-RunResult matmulXthreads(unsigned n,
-                         system::CcsvmConfig cfg = {});
 RunResult matmulOpenCl(unsigned n, apu::ApuConfig cfg = {},
                        apu::ocl::OclConfig ocl = {},
                        std::uint64_t seed = 0);
@@ -77,7 +96,6 @@ RunResult matmulCpuSingle(unsigned n, apu::ApuConfig cfg = {},
 // --- all-pairs shortest path (Fig. 6) --------------------------------
 
 RunResult apspXthreads(system::CcsvmMachine &m, unsigned n);
-RunResult apspXthreads(unsigned n, system::CcsvmConfig cfg = {});
 RunResult apspOpenCl(unsigned n, apu::ApuConfig cfg = {},
                      apu::ocl::OclConfig ocl = {});
 RunResult apspCpuSingle(unsigned n, apu::ApuConfig cfg = {});
@@ -95,8 +113,6 @@ struct BarnesHutParams
 
 RunResult barnesHutXthreads(system::CcsvmMachine &m,
                             const BarnesHutParams &p);
-RunResult barnesHutXthreads(const BarnesHutParams &p,
-                            system::CcsvmConfig cfg = {});
 RunResult barnesHutCpuSingle(const BarnesHutParams &p,
                              apu::ApuConfig cfg = {});
 /** pthreads across the APU's 4 CPU cores (the paper's comparison). */
@@ -114,8 +130,6 @@ struct SpmmParams
 
 RunResult spmmXthreads(system::CcsvmMachine &m,
                        const SpmmParams &p);
-RunResult spmmXthreads(const SpmmParams &p,
-                       system::CcsvmConfig cfg = {});
 RunResult spmmCpuSingle(const SpmmParams &p, apu::ApuConfig cfg = {});
 
 } // namespace ccsvm::workloads

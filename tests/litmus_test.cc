@@ -150,8 +150,7 @@ struct LitmusParam
 class Litmus : public ::testing::TestWithParam<LitmusParam>
 {};
 
-/** All (protocol, placement) combinations, honoring the
- * CCSVM_PROTOCOLS narrowing used by scripts/ci.sh. */
+/** All (protocol, placement) combinations. */
 std::vector<LitmusParam>
 litmusParams()
 {

@@ -93,7 +93,7 @@ TEST(SweepRunner, ZeroJobsResolvesToAtLeastOneWorker)
 }
 
 /** One experiment: run a workload on a fresh machine, return the
- * headline numbers plus the machine's full stats dump. */
+ * headline numbers plus the machine's full stats JSON. */
 struct GoldenRun
 {
     RunResult r;
@@ -109,7 +109,7 @@ runMatmulMsi()
     GoldenRun g;
     g.r = workloads::matmulXthreads(m, 12);
     std::ostringstream ss;
-    m.stats().dump(ss);
+    m.stats().dumpJson(ss);
     g.stats = ss.str();
     return g;
 }
@@ -127,7 +127,7 @@ runSpmmMoesiSmallMachine()
     GoldenRun g;
     g.r = workloads::spmmXthreads(m, p);
     std::ostringstream ss;
-    m.stats().dump(ss);
+    m.stats().dumpJson(ss);
     g.stats = ss.str();
     return g;
 }

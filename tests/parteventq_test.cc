@@ -427,7 +427,7 @@ using vm::VAddr;
 namespace xt = ccsvm::xthreads;
 
 /** Run the 8-thread launch/signal/join workload and return the full
- * stats dump; the engine promises it is identical at any thread
+ * stats JSON; the engine promises it is identical at any thread
  * count. */
 std::string
 launchAndDump(int sim_threads, Tick *elapsed)
@@ -451,7 +451,7 @@ launchAndDump(int sim_threads, Tick *elapsed)
         },
         done);
     std::ostringstream os;
-    m.dumpStats(os);
+    m.stats().dumpJson(os);
     return os.str();
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the Process abstraction: the guest heap allocator
  * (first-fit, free-list coalescing), backdoor access across page
- * boundaries, stacks, and thread-id allocation.
+ * boundaries, and thread-id allocation.
  */
 
 #include <gtest/gtest.h>
@@ -102,13 +102,6 @@ TEST_F(ProcessFixture, BackdoorAgreesWithGuestStores)
               buf);
     // The guest value may be dirty in an L1; funcRead must see it.
     EXPECT_EQ(proc.peek<std::uint64_t>(buf), 0x1122334455ull);
-}
-
-TEST_F(ProcessFixture, StacksAreDisjoint)
-{
-    const vm::VAddr s1 = proc.allocStack();
-    const vm::VAddr s2 = proc.allocStack();
-    EXPECT_GE(s2, s1 + vm::AddressLayout::stackSize);
 }
 
 TEST_F(ProcessFixture, TidsAreSequential)

@@ -2,10 +2,9 @@
  * @file
  * Protocol selection for value-parametrized test suites.
  *
- * By default every suite instantiates all three coherence protocols
- * (msi, mesi, moesi). CCSVM_PROTOCOLS — a comma-separated list of
- * protocol names — narrows the instantiation so CI can run an
- * env-driven per-protocol loop (scripts/ci.sh) without rebuilding.
+ * Every suite instantiates all three coherence protocols (msi, mesi,
+ * moesi), and every pair-parametrized suite all nine CPU x MTTOP
+ * pairings.
  */
 
 #ifndef CCSVM_TESTS_PROTOCOL_ENV_HH
@@ -13,45 +12,20 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "base/logging.hh"
 #include "coherence/protocol.hh"
 
 namespace ccsvm::test
 {
 
-/** Protocols to instantiate, honoring CCSVM_PROTOCOLS. */
-inline std::vector<coherence::Protocol>
+/** Protocols to instantiate: every one. */
+inline const auto &
 testProtocols()
 {
-    const char *env = std::getenv("CCSVM_PROTOCOLS");
-    const std::string spec =
-        env && env[0] ? env : "msi,mesi,moesi";
-
-    std::vector<coherence::Protocol> out;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string tok = spec.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (!tok.empty()) {
-            coherence::Protocol p;
-            ccsvm_assert(coherence::protocolFromName(tok, p),
-                         "CCSVM_PROTOCOLS: unknown protocol '%s'",
-                         tok.c_str());
-            out.push_back(p);
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    ccsvm_assert(!out.empty(), "CCSVM_PROTOCOLS selected nothing");
-    return out;
+    return coherence::allProtocols;
 }
 
 /** gtest name generator: the protocol's lower-case name. */
@@ -70,16 +44,13 @@ struct ProtocolParamName
 using ProtocolPair =
     std::pair<coherence::Protocol, coherence::Protocol>;
 
-/** Every CPU x MTTOP protocol pairing over testProtocols(), so
- * CCSVM_PROTOCOLS narrows the pair instantiations the same way it
- * narrows the single-protocol ones (one protocol -> one pair). */
+/** Every CPU x MTTOP protocol pairing. */
 inline std::vector<ProtocolPair>
 testProtocolPairs()
 {
-    const std::vector<coherence::Protocol> protos = testProtocols();
     std::vector<ProtocolPair> out;
-    for (const coherence::Protocol cpu : protos) {
-        for (const coherence::Protocol mttop : protos)
+    for (const coherence::Protocol cpu : testProtocols()) {
+        for (const coherence::Protocol mttop : testProtocols())
             out.emplace_back(cpu, mttop);
     }
     return out;

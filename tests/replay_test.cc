@@ -396,7 +396,7 @@ smallFalseShare()
     return sp;
 }
 
-/** Stats dump of a synth:false run, capturing iff @p capture_path is
+/** Stats JSON of a synth:false run, capturing iff @p capture_path is
  * non-empty. */
 std::string
 runSynth(const std::string &capture_path, int sim_threads)
@@ -409,7 +409,7 @@ runSynth(const std::string &capture_path, int sim_threads)
         workloads::synth::synthXthreads(m, smallFalseShare());
     EXPECT_TRUE(r.correct);
     std::ostringstream ss;
-    m.dumpStats(ss);
+    m.stats().dumpJson(ss);
     return ss.str();
 }
 
@@ -422,7 +422,7 @@ runReplayOf(const std::string &trace_path, int sim_threads)
     const workloads::RunResult r = runReplay(m, trace_path);
     EXPECT_TRUE(r.correct);
     std::ostringstream ss;
-    m.dumpStats(ss);
+    m.stats().dumpJson(ss);
     return ss.str();
 }
 
@@ -475,7 +475,7 @@ TEST(TraceCaptureReplay, MatmulStatsAreByteIdenticalOnReplay)
             workloads::matmulXthreads(m, 8);
         EXPECT_TRUE(r.correct);
         std::ostringstream ss;
-        m.dumpStats(ss);
+        m.stats().dumpJson(ss);
         cap = ss.str();
     }
     EXPECT_EQ(cap, runReplayOf(path, 1));

@@ -42,19 +42,21 @@ quickParams(Pattern pat)
 class SynthP : public ::testing::TestWithParam<Protocol>
 {
   protected:
-    system::CcsvmConfig
-    config() const
+    /** Run @p p on a fresh machine under the suite's protocol. */
+    RunResult
+    run(const SynthParams &p) const
     {
         system::CcsvmConfig cfg;
         cfg.protocol = GetParam();
-        return cfg;
+        system::CcsvmMachine m(cfg);
+        return synthXthreads(m, p);
     }
 };
 
 TEST_P(SynthP, EveryPatternMatchesItsGoldenModel)
 {
     for (const Pattern pat : allPatterns) {
-        const RunResult r = synthXthreads(quickParams(pat), config());
+        const RunResult r = run(quickParams(pat));
         EXPECT_TRUE(r.correct) << patternName(pat);
         EXPECT_GT(r.ticks, 0u) << patternName(pat);
     }
@@ -66,26 +68,26 @@ TEST_P(SynthP, OddThreadCountsAndDegenerateGeometry)
     // false sharing, readmostly with no reads, minimal footprints.
     SynthParams p = quickParams(Pattern::ProdCons);
     p.threads = 5;
-    EXPECT_TRUE(synthXthreads(p, config()).correct);
+    EXPECT_TRUE(run(p).correct);
 
     p = quickParams(Pattern::Migratory);
     p.threads = 1;
-    EXPECT_TRUE(synthXthreads(p, config()).correct);
+    EXPECT_TRUE(run(p).correct);
 
     p = quickParams(Pattern::FalseShare);
     p.threads = 3;
     p.sharingDegree = 1;
-    EXPECT_TRUE(synthXthreads(p, config()).correct);
+    EXPECT_TRUE(run(p).correct);
 
     p = quickParams(Pattern::ReadMostly);
     p.readsPerWrite = 0;
     p.sharingDegree = 1;
-    EXPECT_TRUE(synthXthreads(p, config()).correct);
+    EXPECT_TRUE(run(p).correct);
 
     p = quickParams(Pattern::PtrChase);
     p.footprintBytes = 512;
     p.strideBytes = 8;
-    EXPECT_TRUE(synthXthreads(p, config()).correct);
+    EXPECT_TRUE(run(p).correct);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, SynthP,

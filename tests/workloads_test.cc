@@ -17,7 +17,8 @@ namespace
 TEST(Matmul, XthreadsCorrectAcrossSizes)
 {
     for (unsigned n : {4u, 8u, 16u}) {
-        RunResult r = matmulXthreads(n);
+        system::CcsvmMachine m;
+        RunResult r = matmulXthreads(m, n);
         EXPECT_TRUE(r.correct) << "n=" << n;
         EXPECT_GT(r.ticks, 0u);
     }
@@ -44,7 +45,8 @@ TEST(Matmul, CcsvmBeatsApuAtSmallSizes)
     // Figure 5's headline: at small matrix sizes CCSVM/xthreads wins
     // by orders of magnitude against the APU, even ignoring init.
     const unsigned n = 16;
-    RunResult ccsvm = matmulXthreads(n);
+    system::CcsvmMachine m;
+    RunResult ccsvm = matmulXthreads(m, n);
     RunResult apu = matmulOpenCl(n);
     RunResult cpu = matmulCpuSingle(n);
     ASSERT_TRUE(ccsvm.correct && apu.correct && cpu.correct);
@@ -58,7 +60,8 @@ TEST(Matmul, CcsvmUsesFarFewerDramAccesses)
 {
     // Figure 9: the APU communicates through DRAM, CCSVM on-chip.
     const unsigned n = 16;
-    RunResult ccsvm = matmulXthreads(n);
+    system::CcsvmMachine m;
+    RunResult ccsvm = matmulXthreads(m, n);
     RunResult apu = matmulOpenCl(n);
     ASSERT_TRUE(ccsvm.correct && apu.correct);
     EXPECT_LT(ccsvm.dramAccesses * 4, apu.dramAccesses);
@@ -67,7 +70,8 @@ TEST(Matmul, CcsvmUsesFarFewerDramAccesses)
 TEST(Apsp, AllSystemsCorrect)
 {
     const unsigned n = 12;
-    RunResult x = apspXthreads(n);
+    system::CcsvmMachine m;
+    RunResult x = apspXthreads(m, n);
     RunResult c = apspCpuSingle(n);
     RunResult o = apspOpenCl(n);
     EXPECT_TRUE(x.correct);
@@ -80,7 +84,8 @@ TEST(Apsp, ApuNeverBeatsCpuAndCcsvmWins)
     // Figure 6: per-iteration relaunch costs sink the APU below the
     // plain CPU; CCSVM's on-chip barrier wins.
     const unsigned n = 16;
-    RunResult x = apspXthreads(n);
+    system::CcsvmMachine m;
+    RunResult x = apspXthreads(m, n);
     RunResult c = apspCpuSingle(n);
     RunResult o = apspOpenCl(n);
     ASSERT_TRUE(x.correct && c.correct && o.correct);
@@ -95,7 +100,8 @@ TEST(BarnesHut, XthreadsMatchesGolden)
     BarnesHutParams p;
     p.bodies = 48;
     p.steps = 2;
-    RunResult r = barnesHutXthreads(p);
+    system::CcsvmMachine m;
+    RunResult r = barnesHutXthreads(m, p);
     EXPECT_TRUE(r.correct);
 }
 
@@ -123,7 +129,8 @@ TEST(Spmm, XthreadsMatchesGoldenAcrossDensities)
         SpmmParams p;
         p.n = 24;
         p.density = density;
-        RunResult r = spmmXthreads(p);
+        system::CcsvmMachine m;
+        RunResult r = spmmXthreads(m, p);
         EXPECT_TRUE(r.correct) << "density=" << density;
     }
 }
