@@ -17,9 +17,12 @@
 # CCSVM_BENCH_JSON file, except abl_engine, abl_trace and abl_replay,
 # whose tables carry host-time columns.
 #
-# Exits 0 when nothing differs, 1 naming the first difference, 2 on
-# bad usage. The outputs go to a temporary directory, deleted when
-# nothing differs and kept (its path printed) otherwise.
+# Every case is compared, whatever an earlier one found: each case
+# that differs is named with the head of its diff as it is found, and
+# all of them are listed again at the end. Exits 0 when nothing
+# differs, 1 when anything does, 2 on bad usage. The outputs go to a
+# temporary directory, deleted when nothing differs and kept (its path
+# printed) otherwise.
 #
 # usage: scripts/identity_check.sh OLD_BUILD NEW_BUILD
 #   CCSVM_JOBS=N           sweep workers per bench (default 2)
@@ -59,20 +62,41 @@ run() {
     echo "$rc" >"$dir/exit"
 }
 
-# compare WHAT: fail on the first byte that differs between sides.
+# The cases that differ, and how many of the current kind matched.
+differ=()
+same=0
+
+# compare WHAT: report every way the two sides of case WHAT differ,
+# and count the case as identical or add it to differ.
 compare() {
-    local a="$work/old/$case_id" b="$work/new/$case_id" f
+    local a="$work/old/$case_id" b="$work/new/$case_id" f ok=1
     for f in exit stdout stderr; do
         if ! cmp -s "$a/$f" "$b/$f"; then
             echo "identity_check: $1: $f differs" >&2
             diff "$a/$f" "$b/$f" | head -20 >&2 || true
-            exit 1
+            ok=0
         fi
     done
     if ! diff -rq "$a/run" "$b/run" >&2; then
         echo "identity_check: $1: output files differ" >&2
-        exit 1
+        ok=0
     fi
+    if ((ok)); then
+        same=$((same + 1))
+    else
+        differ+=("$1")
+    fi
+}
+
+# tally N WHAT: print how many of the N cases of kind WHAT matched,
+# then start counting the next kind.
+tally() {
+    if ((same == $1)); then
+        echo "identity_check: $1 $2 identical"
+    else
+        echo "identity_check: $same of $1 $2 identical"
+    fi
+    same=0
 }
 
 n=0
@@ -87,7 +111,7 @@ while IFS= read -r line || [[ -n $line ]]; do
     run new ccsvm "$new/tools/ccsvm" "${args[@]}"
     compare "ccsvm $line"
 done <"$corpus"
-echo "identity_check: $n driver lines identical"
+tally "$n" "driver lines"
 
 traces=0
 for trace in "$repo"/traces/*.ccsvmt; do
@@ -99,7 +123,7 @@ for trace in "$repo"/traces/*.ccsvmt; do
     done
     traces=$((traces + 1))
 done
-echo "identity_check: $traces traces read identically by ccsvm-trace"
+tally "$((traces * 2))" "ccsvm-trace runs over $traces traces"
 
 benches=0
 while IFS= read -r bench; do
@@ -110,4 +134,10 @@ while IFS= read -r bench; do
     compare "bench $bench"
     benches=$((benches + 1))
 done <"$old/bench/benches.txt"
-echo "identity_check: $benches benches identical"
+tally "$benches" "benches"
+
+if ((${#differ[@]})); then
+    echo "identity_check: ${#differ[@]} cases differ:" >&2
+    printf '  %s\n' "${differ[@]}" >&2
+    exit 1
+fi

@@ -7,13 +7,23 @@
  * state, L2 lines carry directory state); it owns only geometry,
  * lookup, allocation and victim selection. Lines carry real 64-byte
  * data blocks — the coherence protocol is functionally load-bearing.
+ *
+ * The ways are allocated zero-filled, and all-zero bytes are an
+ * invalid way, so building an array writes none of them: a large L2
+ * whose memory comes fresh from the OS costs no page faults until its
+ * lines are first used.
  */
 
 #ifndef CCSVM_CACHE_CACHE_ARRAY_HH
 #define CCSVM_CACHE_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <new>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "base/intmath.hh"
@@ -28,8 +38,9 @@ namespace ccsvm::cache
 /**
  * Set-associative array of LineT.
  *
- * LineT must provide members: `Addr addr`, `bool valid`. The array
- * addresses lines by aligned block address.
+ * LineT must provide members: `Addr addr`, `bool valid`, and be
+ * trivially copyable and destructible. The array addresses lines by
+ * aligned block address.
  */
 template <typename LineT>
 class CacheArray
@@ -48,9 +59,11 @@ class CacheArray
                      "cache must have a power-of-two set count "
                      "(size=%llu assoc=%u)",
                      (unsigned long long)size_bytes, assoc);
-        ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
-        for (auto &w : ways_)
-            w.line.valid = false;
+        const std::size_t n = static_cast<std::size_t>(numSets_) * assoc_;
+        store_.reset(static_cast<Way *>(std::calloc(n, sizeof(Way))));
+        if (!store_)
+            throw std::bad_alloc();
+        ways_ = {store_.get(), n};
         metas_.resize(assoc_);
     }
 
@@ -169,6 +182,14 @@ class CacheArray
         std::uint64_t lastUse = 0;
         std::uint64_t allocSeq = 0;
     };
+    // calloc creates the ways; nothing destroys them.
+    static_assert(std::is_trivially_copyable_v<Way> &&
+                  std::is_trivially_destructible_v<Way>);
+
+    struct Free
+    {
+        void operator()(Way *p) const noexcept { std::free(p); }
+    };
 
     std::pair<std::size_t, std::size_t>
     setRange(Addr block_addr) const
@@ -192,7 +213,8 @@ class CacheArray
     std::uint64_t useClock_ = 0;
     std::uint64_t allocClock_ = 0;
     Replacer replacer_;
-    std::vector<Way> ways_;
+    std::unique_ptr<Way[], Free> store_;
+    std::span<Way> ways_;
     std::vector<WayMeta> metas_; ///< per-set scratch for findVictim
 };
 

@@ -76,17 +76,34 @@ CacheSystem::CacheSystem(const CacheSystemConfig &cfg,
     }
 }
 
+noc::Network::Deliver
+CacheSystem::deliveryTo(noc::NodeId to, CohMsg msg) const
+{
+    return [this, to, msg = std::move(msg)]() mutable {
+        if (to < numL1s())
+            l1(to).handleMessage(std::move(msg));
+        else
+            bank(to - numL1s()).handleMessage(std::move(msg));
+    };
+}
+
 void
 CacheSystem::send(noc::NodeId from, noc::NodeId to, CohMsg msg) const
 {
     const unsigned bytes = msg.wireBytes();
-    net_->send(from, to, bytes,
-               [this, to, msg = std::move(msg)]() mutable {
-                   if (to < numL1s())
-                       l1(to).handleMessage(std::move(msg));
-                   else
-                       bank(to - numL1s()).handleMessage(std::move(msg));
-               });
+    net_->send(from, to, bytes, deliveryTo(to, std::move(msg)));
+}
+
+void
+CacheSystem::send(noc::NodeId from, noc::NodeId to, CohMsg msg,
+                  sim::EventQueue &q, Tick delay) const
+{
+    const unsigned bytes = msg.wireBytes();
+    auto deliver = deliveryTo(to, std::move(msg));
+    q.scheduleIn(delay, [this, from, to, bytes,
+                         deliver = std::move(deliver)]() mutable {
+        net_->send(from, to, bytes, std::move(deliver));
+    });
 }
 
 std::string

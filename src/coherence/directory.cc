@@ -86,11 +86,8 @@ Directory::Directory(const CacheSystem &sys, sim::EventQueue &eq,
 std::size_t
 Directory::pendingWork() const
 {
-    std::size_t n = txns_.size() + recalls_.size() +
-                    stalledAllocs_.size();
-    for (const auto &[addr, q] : stalled_)
-        n += q.size();
-    return n;
+    return txns_.size() + recalls_.size() + stalled_.size() +
+           stalledAllocs_.size();
 }
 
 std::string
@@ -110,14 +107,12 @@ Directory::describePending() const
                       (unsigned long long)addr, rec.acksLeft);
         out += buf;
     }
-    for (const auto &[addr, q] : stalled_) {
-        for (const auto &m : q) {
-            std::snprintf(buf, sizeof(buf),
-                          "stalled %s addr=0x%llx from=%d; ",
-                          msgTypeName(m.type),
-                          (unsigned long long)addr, m.sender);
-            out += buf;
-        }
+    for (const auto &m : stalled_) {
+        std::snprintf(buf, sizeof(buf),
+                      "stalled %s addr=0x%llx from=%d; ",
+                      msgTypeName(m.type),
+                      (unsigned long long)m.blockAddr, m.sender);
+        out += buf;
     }
     for (const auto &m : stalledAllocs_) {
         std::snprintf(buf, sizeof(buf),
@@ -209,7 +204,7 @@ Directory::handleMessage(CohMsg msg)
         L2Line *line = array_.lookup(msg.blockAddr);
         if (line && line->busy) {
             ++stalls_;
-            stalled_[msg.blockAddr].push_back(std::move(msg));
+            stalled_.push_back(std::move(msg));
             return;
         }
         processRequest(msg);
@@ -258,19 +253,23 @@ Directory::processRequest(CohMsg &msg)
 void
 Directory::retryStalled(Addr block_addr)
 {
-    auto it = stalled_.find(block_addr);
-    if (it == stalled_.end())
-        return;
-    auto &q = it->second;
-    while (!q.empty()) {
+    for (std::size_t i = 0; i < stalled_.size();) {
+        if (stalled_[i].blockAddr != block_addr) {
+            ++i;
+            continue;
+        }
         L2Line *line = array_.lookup(block_addr);
         if (line && line->busy)
             return; // reprocessing blocked again; stop
-        CohMsg msg = std::move(q.front());
-        q.pop_front();
+        const auto pos = stalled_.begin() + static_cast<std::ptrdiff_t>(i);
+        CohMsg msg = std::move(*pos);
+        stalled_.erase(pos);
         processRequest(msg);
+        // Processing can retry or stall other requests: rescan. The
+        // block's older requests are gone, so the next match is its
+        // oldest left.
+        i = 0;
     }
-    stalled_.erase(block_addr);
 }
 
 void
@@ -293,7 +292,7 @@ Directory::openTxn(L2Line &line, const CohMsg &msg)
 {
     line.busy = true;
     line.region = msg.region;
-    Txn &txn = txns_[msg.blockAddr];
+    Txn &txn = txns_.emplace(msg.blockAddr);
     txn = {.req = msg.type, .requestor = msg.sender,
            .startTick = eq_->now()};
     return txn;
@@ -713,7 +712,7 @@ Directory::startRecall(L2Line *victim, CohMsg pending_msg)
         ++conflictEvictionsCoherent_;
     victim->busy = true;
 
-    Recall &rec = recalls_[victim->addr];
+    Recall &rec = recalls_.emplace(victim->addr);
     rec.pendingReq = std::move(pending_msg);
     rec.acksLeft = static_cast<int>(popcount(victim->sharers));
 
@@ -788,10 +787,7 @@ Directory::finishRecall(Addr victim_addr)
 void
 Directory::sendToL1(L1Id dst, CohMsg msg, Tick extra_latency)
 {
-    eq_->scheduleIn(extra_latency,
-                    [this, dst, msg = std::move(msg)]() mutable {
-                        sys_->send(node_, dst, std::move(msg));
-                    });
+    sys_->send(node_, dst, std::move(msg), *eq_, extra_latency);
 }
 
 } // namespace ccsvm::coherence

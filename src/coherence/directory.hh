@@ -19,20 +19,19 @@
  *
  * The directory is blocking: one transaction per block at a time,
  * opened by openTxn() and closed by the requestor's Unblock message;
- * requests to a busy block stall in a per-block FIFO. Inclusive-L2
- * evictions recall the block from all L1 holders before freeing the
- * frame.
+ * requests to a busy block stall, and are retried in arrival order
+ * when it frees. Inclusive-L2 evictions recall the block from all L1
+ * holders before freeing the frame.
  */
 
 #ifndef CCSVM_COHERENCE_DIRECTORY_HH
 #define CCSVM_COHERENCE_DIRECTORY_HH
 
-#include <deque>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "base/recycling_map.hh"
 #include "base/types.hh"
 #include "cache/cache_array.hh"
 #include "cache/replacer.hh"
@@ -210,9 +209,10 @@ class Directory
     mem::PhysMem *phys_;
 
     cache::CacheArray<L2Line> array_;
-    std::unordered_map<Addr, Txn> txns_;
-    std::unordered_map<Addr, Recall> recalls_;
-    std::unordered_map<Addr, std::deque<CohMsg>> stalled_;
+    RecyclingMap<Addr, Txn> txns_;
+    RecyclingMap<Addr, Recall> recalls_;
+    /** Requests to busy blocks, every block's in arrival order. */
+    std::vector<CohMsg> stalled_;
     std::vector<CohMsg> stalledAllocs_;
 
     sim::Counter &getS_;

@@ -1,6 +1,7 @@
 #include "coherence/l1_cache.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "base/logging.hh"
 #include "coherence/cache_system.hh"
@@ -144,13 +145,14 @@ L1Controller::performOp(Line &line, MemRequest &req)
 }
 
 void
-L1Controller::completeOp(MemRequestPtr req, std::uint64_t value)
+L1Controller::completeOp(MemRequest &req, std::uint64_t value)
 {
     // The hit latency models the L1 access pipeline; misses already
     // paid the protocol latency on top.
-    auto cb = std::move(req->onDone);
-    eq_->scheduleIn(cfg_.hitLatency,
-                    [cb = std::move(cb), value] { cb(value); });
+    eq_->scheduleIn(cfg_.hitLatency, [&req, value] {
+        auto done = std::move(req.onDone);
+        done(value);
+    });
 }
 
 void
@@ -167,77 +169,77 @@ L1Controller::recordLatency(sim::LatencyHistogram &h,
 }
 
 void
-L1Controller::access(MemRequestPtr req)
+L1Controller::access(MemRequest &req)
 {
     // First presentation of this request (retries via PutAck waiters
     // or the overflow queue keep the original stamp).
-    if (req->issueTick == MemRequest::notIssued)
-        req->issueTick = eq_->now();
+    if (req.issueTick == MemRequest::notIssued)
+        req.issueTick = eq_->now();
 
-    if (req->region.attr == RegionAttr::Bypass) {
+    if (req.region.attr == RegionAttr::Bypass) {
         // Bypass regions are never cached, so the block cannot be in
         // the array, the victim buffer or an MSHR; the op goes
         // straight to the home node as an uncacheable access.
         ++bypassOps_;
-        issueBypass(std::move(req));
+        issueBypass(req);
         return;
     }
 
-    const Addr block = mem::blockAlign(req->paddr);
+    const Addr block = mem::blockAlign(req.paddr);
 
     // Block mid-eviction: wait for the PutAck, then retry.
     if (auto ev = evicts_.find(block); ev != evicts_.end()) {
-        ev->second.waiters.push_back(std::move(req));
+        ev->second.waiters.push(req);
         return;
     }
 
     Line *line = array_.lookup(block);
-    if (line && permits(line->state, req->op)) {
+    if (line && permits(line->state, req.op)) {
         ++hits_;
         array_.touch(line);
-        const std::uint64_t v = performOp(*line, *req);
-        recordLatency(latHit_, *req);
-        completeOp(std::move(req), v);
+        const std::uint64_t v = performOp(*line, req);
+        recordLatency(latHit_, req);
+        completeOp(req, v);
         return;
     }
 
     ++misses_;
     if (auto it = mshrs_.find(block); it != mshrs_.end()) {
         // Coalesce into the outstanding transaction.
-        it->second.ops.push_back(std::move(req));
+        it->second.ops.push(req);
         return;
     }
     if (mshrs_.size() >= cfg_.maxMshrs) {
-        overflow_.push_back(std::move(req));
+        overflow_.push(req);
         return;
     }
 
-    auto &entry = mshrs_[block];
+    MshrEntry &entry = mshrs_.emplace(block);
     entry.blockAddr = block;
-    entry.wantM = req->op.writes();
-    entry.region = req->region;
+    entry.wantM = req.op.writes();
+    entry.region = req.region;
     entry.startTick = eq_->now();
     if (entry.wantM && line) {
         ++upgrades_;
         entry.upgrade = true;
     }
-    entry.ops.push_back(std::move(req));
+    entry.ops.push(req);
     startTransaction(entry);
 }
 
 void
-L1Controller::issueBypass(MemRequestPtr req)
+L1Controller::issueBypass(MemRequest &req)
 {
-    const Addr block = mem::blockAlign(req->paddr);
+    const Addr block = mem::blockAlign(req.paddr);
     CohMsg msg;
     msg.type = MsgType::Bypass;
     msg.blockAddr = block;
     msg.sender = id_;
     msg.requestor = id_;
-    msg.reqOffset = static_cast<unsigned>(req->paddr - block);
-    msg.op = req->op;
+    msg.reqOffset = static_cast<unsigned>(req.paddr - block);
+    msg.op = req.op;
     msg.bypassId = nextBypassId_++;
-    bypassPending_.emplace(msg.bypassId, std::move(req));
+    bypassPending_.emplace(msg.bypassId) = &req;
     sendToDir(std::move(msg));
 }
 
@@ -248,13 +250,13 @@ L1Controller::handleBypassResp(CohMsg &msg)
     ccsvm_assert(it != bypassPending_.end(),
                  "BypassResp id %llu without pending op at L1 %d",
                  (unsigned long long)msg.bypassId, id_);
-    MemRequestPtr req = std::move(it->second);
+    MemRequest &req = *it->second;
     bypassPending_.erase(it);
-    recordLatency(latBypass_, *req);
+    recordLatency(latBypass_, req);
     if (trc_.enabled(sim::traceCoh))
-        trc_.complete(sim::traceCoh, lane_, "Bypass", req->issueTick,
+        trc_.complete(sim::traceCoh, lane_, "Bypass", req.issueTick,
                       eq_->now(), msg.blockAddr);
-    completeOp(std::move(req), msg.op.wdata);
+    completeOp(req, msg.op.wdata);
 }
 
 void
@@ -304,7 +306,7 @@ L1Controller::installLine(Addr block_addr)
     // Evict the LRU line that has no transaction in flight.
     Line *victim = array_.findVictim(
         block_addr, [this](const Line &l) {
-            return mshrs_.find(l.addr) == mshrs_.end();
+            return !mshrs_.contains(l.addr);
         });
     if (!victim)
         return nullptr; // all ways busy upgrading: stall this fill
@@ -319,11 +321,11 @@ L1Controller::evictLine(Line *line)
 {
     ++evictions_;
     const Addr addr = line->addr;
-    ccsvm_assert(evicts_.find(addr) == evicts_.end(),
+    ccsvm_assert(!evicts_.contains(addr),
                  "double eviction of block 0x%llx",
                  (unsigned long long)addr);
 
-    auto &ev = evicts_[addr];
+    EvictEntry &ev = evicts_.emplace(addr);
     ev.line = *line;
     ev.line.valid = false;
 
@@ -402,7 +404,7 @@ void
 L1Controller::replayOps(MshrEntry &entry, Line *line)
 {
     while (!entry.ops.empty()) {
-        MemRequest &req = *entry.ops.front();
+        MemRequest &req = *entry.ops.head;
         if (!permits(line->state, req.op)) {
             // A store coalesced behind a GetS fill: upgrade.
             entry.wantM = true;
@@ -412,13 +414,12 @@ L1Controller::replayOps(MshrEntry &entry, Line *line)
             return;
         }
         const std::uint64_t v = performOp(*line, req);
-        MemRequestPtr done = std::move(entry.ops.front());
-        entry.ops.pop_front();
+        entry.ops.pop();
         recordLatency(entry.upgrade ? latUpgrade_
                       : entry.wantM ? latGetM_
                                     : latGetS_,
-                      *done);
-        completeOp(std::move(done), v);
+                      req);
+        completeOp(req, v);
     }
 
     if (trc_.enabled(sim::traceCoh))
@@ -449,11 +450,8 @@ L1Controller::retryStalledFills()
 void
 L1Controller::drainOverflow()
 {
-    while (!overflow_.empty() && mshrs_.size() < cfg_.maxMshrs) {
-        MemRequestPtr req = std::move(overflow_.front());
-        overflow_.pop_front();
-        access(std::move(req));
-    }
+    while (!overflow_.empty() && mshrs_.size() < cfg_.maxMshrs)
+        access(overflow_.pop());
 }
 
 // ---------------------------------------------------------------------
@@ -661,10 +659,11 @@ L1Controller::handlePutAck(CohMsg &msg)
     auto it = evicts_.find(msg.blockAddr);
     ccsvm_assert(it != evicts_.end(),
                  "PutAck without eviction at L1 %d", id_);
-    std::deque<MemRequestPtr> waiters = std::move(it->second.waiters);
+    RequestQueue waiters = std::exchange(it->second.waiters, {});
     evicts_.erase(it);
-    for (auto &req : waiters)
-        access(std::move(req));
+    // pop() reads each request's link before access() relinks it.
+    while (!waiters.empty())
+        access(waiters.pop());
     retryStalledFills();
 }
 

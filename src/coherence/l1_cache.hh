@@ -21,11 +21,10 @@
 #ifndef CCSVM_COHERENCE_L1_CACHE_HH
 #define CCSVM_COHERENCE_L1_CACHE_HH
 
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "base/recycling_map.hh"
 #include "base/types.hh"
 #include "cache/cache_array.hh"
 #include "coherence/mem_request.hh"
@@ -69,8 +68,9 @@ class L1Controller
                  sim::StatRegistry &stats, const std::string &name,
                  L1Id id, noc::NodeId node, SwmrMonitor *monitor);
 
-    /** Core-side entry point: submit one request. */
-    void access(MemRequestPtr req);
+    /** Core-side entry point: submit one request. The issuer keeps
+     * @p req alive until its onDone runs. */
+    void access(MemRequest &req);
 
     /** Network-side entry point. */
     void handleMessage(CohMsg msg);
@@ -104,6 +104,34 @@ class L1Controller
                         const void *src, unsigned len);
 
   private:
+    /** A FIFO of waiting requests, linked through MemRequest::next. */
+    struct RequestQueue
+    {
+        MemRequest *head = nullptr;
+        MemRequest *tail = nullptr;
+
+        bool empty() const { return head == nullptr; }
+
+        void
+        push(MemRequest &req)
+        {
+            req.next = nullptr;
+            (tail ? tail->next : head) = &req;
+            tail = &req;
+        }
+
+        /** Unlink the oldest request; it may be queued again at once. */
+        MemRequest &
+        pop()
+        {
+            MemRequest &req = *head;
+            head = req.next;
+            if (!head)
+                tail = nullptr;
+            return req;
+        }
+    };
+
     /** One L1 line: stable MOESI state plus real data. */
     struct Line
     {
@@ -131,7 +159,7 @@ class L1Controller
          * so the L2 copy becomes clean. */
         bool fillOwnerRetained = false;
         std::array<std::uint8_t, mem::blockBytes> data{};
-        std::deque<MemRequestPtr> ops;
+        RequestQueue ops;
         bool unblockSent = false;
         /** Region of the block (uniform across coalesced ops: regions
          * are page-granular, blocks never span pages). */
@@ -151,11 +179,11 @@ class L1Controller
         /** The evicted line as it left the array (valid cleared):
          * probes racing the put answer from it without changing it. */
         Line line;
-        std::deque<MemRequestPtr> waiters;
+        RequestQueue waiters;
     };
 
     // --- region-bypass path (uncacheable ops at the home node) ---
-    void issueBypass(MemRequestPtr req);
+    void issueBypass(MemRequest &req);
     void handleBypassResp(CohMsg &msg);
 
     /** The copy of @p block_addr this L1 holds: the array line, else
@@ -181,7 +209,7 @@ class L1Controller
 
     /** Functional access on held data; returns the load/old value. */
     std::uint64_t performOp(Line &line, MemRequest &req);
-    void completeOp(MemRequestPtr req, std::uint64_t value);
+    void completeOp(MemRequest &req, std::uint64_t value);
 
     /** Record @p req's end-to-end latency — issueTick to completion
      * including the hit pipeline completeOp is about to charge — into
@@ -213,12 +241,13 @@ class L1Controller
     SwmrMonitor *monitor_;
 
     cache::CacheArray<Line> array_;
-    std::unordered_map<Addr, MshrEntry> mshrs_;
-    std::unordered_map<Addr, EvictEntry> evicts_;
+    RecyclingMap<Addr, MshrEntry> mshrs_;
+    RecyclingMap<Addr, EvictEntry> evicts_;
     /** Outstanding bypass ops awaiting their BypassResp, by id. */
-    std::unordered_map<std::uint64_t, MemRequestPtr> bypassPending_;
+    RecyclingMap<std::uint64_t, MemRequest *> bypassPending_;
     std::uint64_t nextBypassId_ = 0;
-    std::deque<MemRequestPtr> overflow_;
+    /** Misses waiting for a free MSHR. */
+    RequestQueue overflow_;
     std::vector<Addr> stalledFills_;
 
     sim::Counter &hits_;

@@ -7,6 +7,12 @@
  * 64-byte block). The L1 performs the functional access on real block
  * data once coherence permission is held and invokes onDone with the
  * read (or pre-RMW) value.
+ *
+ * The issuer owns the request and keeps it alive until onDone runs: a
+ * core thread's request lives in its ThreadContext, which has at most
+ * one access in flight. The L1 never copies or frees a request; while
+ * one waits (coalesced in an MSHR, behind a victim-buffer eviction or
+ * in the overflow queue) the L1 links it through `next`.
  */
 
 #ifndef CCSVM_COHERENCE_MEM_REQUEST_HH
@@ -14,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "base/types.hh"
 #include "coherence/types.hh"
@@ -43,11 +48,15 @@ struct MemRequest
     Tick issueTick = notIssued;
 
     /** Completion callback; the argument is the loaded value (loads)
-     * or the old value (atomics); 0 for stores. */
+     * or the old value (atomics); 0 for stores. The L1 moves it out
+     * of the request before calling it, and no longer refers to the
+     * request after that, so the callback may reuse or free it. */
     std::function<void(std::uint64_t)> onDone;
-};
 
-using MemRequestPtr = std::unique_ptr<MemRequest>;
+    /** The L1's link to the next request in the queue this one waits
+     * in; meaningless while the request is in no queue. */
+    MemRequest *next = nullptr;
+};
 
 } // namespace ccsvm::coherence
 

@@ -6,7 +6,8 @@
  * records the operation and parks the coroutine until the owning core
  * model completes it. A thread has at most one operation outstanding
  * and no write buffer, which is exactly how the paper's chip keeps
- * sequential consistency trivially (Sec. 3.2.3).
+ * sequential consistency trivially (Sec. 3.2.3). So each context
+ * carries the one L1 request its loads, stores and atomics reuse.
  */
 
 #ifndef CCSVM_CORE_THREAD_CONTEXT_HH
@@ -17,6 +18,7 @@
 #include <cstring>
 
 #include "base/logging.hh"
+#include "coherence/mem_request.hh"
 #include "core/guest_ops.hh"
 #include "sim/guest_task.hh"
 
@@ -28,6 +30,10 @@ class ThreadContext
 {
   public:
     ThreadContext() = default;
+    /** Pinned: cores, event callbacks and an L1 queue hold its
+     * address (and its request's). */
+    ThreadContext(const ThreadContext &) = delete;
+    ThreadContext &operator=(const ThreadContext &) = delete;
 
     /** Rebind for a new task (throughput-core slots are reused). */
     void
@@ -206,6 +212,10 @@ class ThreadContext
 
     GuestOp &pendingOp() { return op_; }
 
+    /** The request this thread's pending access presents to its L1;
+     * free again once the access completes. */
+    coherence::MemRequest &memRequest() { return req_; }
+
     /** Resume the guest coroutine from an event context; handles both
      * the initial start and op completions. */
     void
@@ -254,6 +264,7 @@ class ThreadContext
     sim::GuestTask root_;
     std::coroutine_handle<> resume_ = nullptr;
     GuestOp op_;
+    coherence::MemRequest req_;
 };
 
 } // namespace ccsvm::core

@@ -14,7 +14,8 @@ ThroughputCore::ThroughputCore(sim::EventQueue &eq, Tick clock_period,
                                sim::Counter &mem_ops,
                                sim::Counter &threads)
     : eq_(&eq), clock_(eq, clock_period), issueWidth_(issue_width),
-      slots_(num_contexts), freeSlots_(num_contexts), doneq_(&eq),
+      slots_(num_contexts), freeSlots_(num_contexts),
+      ready_(num_contexts), doneq_(&eq),
       instructions_(instructions), memOps_(mem_ops), threads_(threads)
 {}
 
@@ -74,7 +75,9 @@ ThroughputCore::onThreadDone(ThreadContext &tc)
 void
 ThroughputCore::onOpDeclared(ThreadContext &tc)
 {
-    ready_.push_back(&tc);
+    ccsvm_assert(readyCount_ < ready_.size(),
+                 "more declared ops than thread contexts");
+    ready_[(readyHead_ + readyCount_++) % ready_.size()] = &tc;
     scheduleCycle();
 }
 
@@ -91,13 +94,14 @@ void
 ThroughputCore::cycle()
 {
     cycleScheduled_ = false;
-    for (unsigned issued = 0;
-         issued < issueWidth_ && !ready_.empty(); ++issued) {
-        ThreadContext *tc = ready_.front();
-        ready_.pop_front();
+    for (unsigned issued = 0; issued < issueWidth_ && readyCount_ > 0;
+         ++issued) {
+        ThreadContext *tc = ready_[readyHead_];
+        readyHead_ = (readyHead_ + 1) % ready_.size();
+        --readyCount_;
         issue(*tc);
     }
-    if (!ready_.empty())
+    if (readyCount_ > 0)
         scheduleCycle();
 }
 

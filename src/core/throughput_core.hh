@@ -21,7 +21,6 @@
 #ifndef CCSVM_CORE_THROUGHPUT_CORE_HH
 #define CCSVM_CORE_THROUGHPUT_CORE_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -132,7 +131,12 @@ class ThroughputCore : public CoreModel
     unsigned issueWidth_;
     std::vector<Slot> slots_;
     unsigned freeSlots_;
-    std::deque<ThreadContext *> ready_;
+    /** Threads with a declared op, oldest at readyHead_: a ring of
+     * one entry per context, since a thread declares one op at a
+     * time. */
+    std::vector<ThreadContext *> ready_;
+    std::size_t readyHead_ = 0;
+    std::size_t readyCount_ = 0;
     bool cycleScheduled_ = false;
     sim::EventQueue *doneq_;
     std::function<void()> onContextsFreed_;

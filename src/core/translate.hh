@@ -15,7 +15,6 @@
 #ifndef CCSVM_CORE_TRANSLATE_HH
 #define CCSVM_CORE_TRANSLATE_HH
 
-#include <memory>
 #include <utility>
 
 #include "coherence/l1_cache.hh"
@@ -29,19 +28,19 @@ namespace ccsvm::core
 
 /**
  * Send @p tc's pending load, store or atomic to @p l1 at @p paddr,
- * stamped with @p te's region attribute. The op completes with the
- * value the L1 returns.
+ * stamped with @p te's region attribute, in the thread's own request.
+ * The op completes with the value the L1 returns.
  */
 inline void
 issueToL1(coherence::L1Controller &l1, ThreadContext &tc, Addr paddr,
           const vm::TlbEntry &te)
 {
-    auto req = std::make_unique<coherence::MemRequest>();
-    req->op = tc.pendingOp().mem;
-    req->paddr = paddr;
-    req->region = te.region;
-    req->onDone = [&tc](std::uint64_t v) { tc.completeOp(v); };
-    l1.access(std::move(req));
+    coherence::MemRequest &req = tc.memRequest();
+    req = {.op = tc.pendingOp().mem,
+           .paddr = paddr,
+           .region = te.region,
+           .onDone = [&tc](std::uint64_t v) { tc.completeOp(v); }};
+    l1.access(req);
 }
 
 /**

@@ -133,32 +133,35 @@ TorusNetwork::send(NodeId src, NodeId dst, unsigned bytes,
     ccsvm_assert(sim::activeQueue() == q,
                  "torus send from outside node %d's partition", src);
 
-    // Tag the packet with its injection time via a wrapper closure.
-    // The record runs at delivery, in the destination's partition.
-    const Tick start = q->now();
-    auto done = [this, inner = std::move(deliver), start, dst,
-                 bytes]() {
-        const Tick now = nodeQ_[dst]->now();
-        latency_.record(static_cast<double>(now - start));
-        if (trc_.enabled(sim::traceNoc))
-            trc_.complete(sim::traceNoc, lane_, "pkt", start, now,
-                          bytes);
-        inner();
-    };
+    Packet pkt{dst, bytes, q->now(), std::move(deliver)};
     if (src == dst) {
         // Local delivery still pays one router traversal.
-        q->schedule(edgeAt(q, cfg_.hopLatency), std::move(done),
+        q->schedule(edgeAt(q, cfg_.hopLatency),
+                    [this, pkt = std::move(pkt)]() mutable {
+                        arrive(pkt);
+                    },
                     sim::prioNetwork);
         return;
     }
-    forward(Packet{dst, bytes, std::move(done)}, src);
+    forward(std::move(pkt), src);
+}
+
+void
+TorusNetwork::arrive(Packet &pkt)
+{
+    const Tick now = nodeQ_[pkt.dst]->now();
+    latency_.record(static_cast<double>(now - pkt.start));
+    if (trc_.enabled(sim::traceNoc))
+        trc_.complete(sim::traceNoc, lane_, "pkt", pkt.start, now,
+                      pkt.bytes);
+    pkt.deliver();
 }
 
 void
 TorusNetwork::forward(Packet pkt, NodeId at)
 {
     if (at == pkt.dst) {
-        pkt.deliver();
+        arrive(pkt);
         return;
     }
     const NodeId next = nextHop(at, pkt.dst);

@@ -47,7 +47,9 @@ struct TorusConfig
  * event runs in the partition of the router it traverses (a hop into
  * another partition goes through PartEngine::post, which the
  * hop-latency floor makes legal), and the delivery runs in the
- * destination node's partition.
+ * destination node's partition. A packet is one value moved from hop
+ * to hop: its delivery closure, stamped with its injection tick, is
+ * wrapped in nothing else, and each hop's event holds it inline.
  */
 class TorusNetwork : public Network
 {
@@ -79,6 +81,7 @@ class TorusNetwork : public Network
     {
         NodeId dst;
         unsigned bytes;
+        Tick start; ///< injection tick
         Deliver deliver;
     };
 
@@ -87,6 +90,10 @@ class TorusNetwork : public Network
 
     /** Advance @p pkt from node @p at; called once per hop. */
     void forward(Packet pkt, NodeId at);
+
+    /** Record @p pkt's latency and trace span at its destination,
+     * then deliver it. */
+    void arrive(Packet &pkt);
 
     Tick serializationTicks(unsigned bytes) const;
 

@@ -55,10 +55,12 @@ enum : int
  *
  * A capture of up to inlineBytes bytes (pointer-aligned, with a
  * noexcept move) is stored in the object itself. That covers the
- * NoC's per-hop closure (64 B) and the L1 completion closure (40 B).
- * A larger capture, such as a send carrying a whole CohMsg, falls
- * back to one heap allocation. Moving relocates the capture and
- * leaves the source empty.
+ * memory path's frequent events: the NoC's per-hop closure (64 B), a
+ * home bank's delayed send (56 B) and the L1 completion (16 B).
+ * A larger capture falls back to one heap allocation. No event
+ * captures a whole CohMsg (152 B): a message is wrapped once, in the
+ * delivery closure the network carries. Moving relocates the capture
+ * and leaves the source empty.
  */
 class Callback
 {

@@ -4,6 +4,8 @@
  * (Table 2, for both CPU and MTTOP cores). The LRU is constant-time:
  * an intrusive recency list spliced on every hit, with a map from VPN
  * to list node — the translation hot path never scans the whole TLB.
+ * A fill, an eviction, an invalidation or a flush reuses list and map
+ * nodes instead of allocating.
  *
  * Each entry carries the page's region alongside the translation
  * (region-based coherence: the core stamps every memory request with
@@ -20,8 +22,8 @@
 
 #include <list>
 #include <string>
-#include <unordered_map>
 
+#include "base/recycling_map.hh"
 #include "base/types.hh"
 #include "coherence/types.hh"
 #include "mem/phys_mem.hh"
@@ -87,10 +89,13 @@ class Tlb
         if (map_.size() >= entries_) {
             // Evict the least recently used entry: the list tail.
             map_.erase(lru_.back().vpn);
-            lru_.pop_back();
+            free_.splice(free_.begin(), lru_, std::prev(lru_.end()));
         }
-        lru_.push_front(Node{vpn, entry});
-        map_[vpn] = lru_.begin();
+        if (free_.empty())
+            free_.emplace_front();
+        lru_.splice(lru_.begin(), free_, free_.begin());
+        lru_.front() = Node{vpn, entry};
+        map_.emplace(vpn) = lru_.begin();
     }
 
     /** Invalidate one translation (x86 invlpg). */
@@ -100,7 +105,7 @@ class Tlb
         auto it = map_.find(va >> mem::pageShift);
         if (it == map_.end())
             return;
-        lru_.erase(it->second);
+        free_.splice(free_.begin(), lru_, it->second);
         map_.erase(it);
     }
 
@@ -110,7 +115,7 @@ class Tlb
     {
         ++flushes_;
         map_.clear();
-        lru_.clear();
+        free_.splice(free_.begin(), lru_);
     }
 
     std::size_t size() const { return map_.size(); }
@@ -127,7 +132,9 @@ class Tlb
     unsigned entries_;
     /** Recency order, most recent first. */
     std::list<Node> lru_;
-    std::unordered_map<VAddr, std::list<Node>::iterator> map_;
+    /** Nodes of evicted, invalidated and flushed entries. */
+    std::list<Node> free_;
+    RecyclingMap<VAddr, std::list<Node>::iterator> map_;
 
     sim::Counter &hits_;
     sim::Counter &misses_;

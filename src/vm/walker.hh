@@ -17,8 +17,8 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 
+#include "base/recycling_map.hh"
 #include "base/types.hh"
 #include "mem/dram.hh"
 #include "sim/eventq.hh"
@@ -65,8 +65,12 @@ class PteLineFilter
     void
     insert(Addr line)
     {
-        if (map_.size() >= entries_ &&
-            map_.find(line) == map_.end()) {
+        if (auto it = map_.find(line); it != map_.end()) {
+            it->second = ++useClock_;
+            return;
+        }
+        if (map_.size() >= entries_) {
+            // Use stamps are unique, so the scan order cannot matter.
             auto lru = map_.begin();
             for (auto it = map_.begin(); it != map_.end(); ++it) {
                 if (it->second < lru->second)
@@ -74,12 +78,13 @@ class PteLineFilter
             }
             map_.erase(lru);
         }
-        map_[line] = ++useClock_;
+        map_.emplace(line) = ++useClock_;
     }
 
   private:
     unsigned entries_;
-    std::unordered_map<Addr, std::uint64_t> map_;
+    /** Each line's last-use stamp. */
+    RecyclingMap<Addr, std::uint64_t> map_;
     std::uint64_t useClock_ = 0;
 };
 

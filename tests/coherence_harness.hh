@@ -119,27 +119,40 @@ struct CohHarness
     L1Controller &l1(int id) { return caches.l1(id); }
     Directory &bank(int b) { return caches.bank(b); }
 
-    /** Fire @p op at L1 @p id without waiting (for concurrency
-     * tests): an event now in the L1's partition, as a core issues
-     * it, so call it from the host or from that partition. The
-     * optional region models a request whose page carries a region
-     * annotation (bypass or protocol override). */
+    /** Fire @p req at L1 @p id without waiting: an event now in the
+     * L1's partition, as a core issues it, so call it from the host
+     * or from that partition. The caller keeps @p req alive until
+     * its onDone runs. */
     void
-    issue(int id, Addr pa, ScalarOp op,
-          std::function<void(std::uint64_t)> on_done, Region region = {})
+    issue(int id, MemRequest &req)
     {
-        auto req = std::make_unique<MemRequest>();
-        req->op = op;
-        req->paddr = pa;
-        req->region = region;
-        req->onDone = std::move(on_done);
         sim::EventQueue &q = engine.queue(
             id < config.clusters[0].count ? partCpu : partMttop);
         ccsvm_assert(!sim::activeQueue() || sim::activeQueue() == &q,
                      "L1 %d issued from another partition", id);
-        q.schedule(q.now(), [this, id, req = std::move(req)]() mutable {
-            l1(id).access(std::move(req));
-        });
+        q.schedule(q.now(), [this, id, &req] { l1(id).access(req); });
+    }
+
+    /** Fire @p op at L1 @p id without waiting (for concurrency
+     * tests), in a request the harness owns until @p on_done runs.
+     * The optional region models a request whose page carries a
+     * region annotation (bypass or protocol override). */
+    void
+    issue(int id, Addr pa, ScalarOp op,
+          std::function<void(std::uint64_t)> on_done, Region region = {})
+    {
+        auto *req = new MemRequest;
+        *req = {.op = op,
+                .paddr = pa,
+                .region = region,
+                .onDone = [req, on_done = std::move(on_done)](
+                              std::uint64_t v) {
+                    // The L1 has moved this callback out of the
+                    // request, so it may free it.
+                    delete req;
+                    on_done(v);
+                }};
+        issue(id, *req);
     }
 
     /** Issue @p op at L1 @p id and run until it completes; returns

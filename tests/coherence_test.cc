@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "coherence_harness.hh"
 #include "protocol_env.hh"
@@ -351,12 +353,18 @@ TEST_P(CoherenceP, MshrOverflowQueuesAndDrains)
     L1Config cfg;
     cfg.maxMshrs = 1;
     CohHarness h(1, 1, cfg, {}, proto());
-    int done = 0;
-    for (Addr a = 0; a < 8; ++a)
-        h.issue(0, 0x20000 + a * 64, {.kind = ScalarOp::Kind::Read},
-                [&](std::uint64_t) { ++done; });
+    // Seven misses wait for the one MSHR and take it in issue order.
+    std::vector<Addr> issued, completed;
+    for (Addr a = 0; a < 8; ++a) {
+        const Addr pa = 0x20000 + a * 64;
+        issued.push_back(pa);
+        h.issue(0, pa, {.kind = ScalarOp::Kind::Read},
+                [&completed, pa](std::uint64_t) {
+                    completed.push_back(pa);
+                });
+    }
     h.drain();
-    EXPECT_EQ(done, 8);
+    EXPECT_EQ(completed, issued);
 }
 
 TEST_P(CoherenceP, L1EvictionWritesBackThroughPutOwned)
@@ -458,6 +466,31 @@ TEST_P(CoherenceP, RecallRacingPutIsAnsweredFromVictimBuffer)
     EXPECT_EQ(h.stats.get("dir0.writebacks"), 1u);
     h.drain();
     EXPECT_EQ(h.load(3, x), 5u);
+}
+
+TEST_P(CoherenceP, AccessesDuringOwnPutWaitForPutAckInOrder)
+{
+    CohHarness h(4, 1, oneLineL1, {}, proto());
+    const Addr x = 0x15000;
+    h.store(0, x, 5);
+    evictFromL1Zero(h, x, x + 64);
+    // L1 0's own accesses to x while its put is in flight wait for
+    // the PutAck, then run in issue order.
+    std::vector<std::pair<char, std::uint64_t>> done;
+    const auto note = [&done](char what) {
+        return [&done, what](std::uint64_t v) { done.push_back({what, v}); };
+    };
+    h.issue(0, x, {.kind = ScalarOp::Kind::Read}, note('l'));
+    h.issue(0, x, {.kind = ScalarOp::Kind::Write, .wdata = 7}, note('s'));
+    h.issue(0, x,
+            {.kind = ScalarOp::Kind::Amo, .amoOp = AmoOp::Add,
+             .operand = 1},
+            note('a'));
+    h.drain();
+    const std::vector<std::pair<char, std::uint64_t>> expected{
+        {'l', 5}, {'s', 0}, {'a', 7}};
+    EXPECT_EQ(done, expected);
+    EXPECT_EQ(h.load(0, x), 8u);
 }
 
 TEST_P(CoherenceP, InclusiveL2EvictionRecallsL1Copies)
