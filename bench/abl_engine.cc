@@ -11,9 +11,12 @@
  *     directory banks all active) is repeated at 1/2/4 engine
  *     threads; simulated results are identical by construction, so
  *     wall ms, events/s, and the events-per-window grain are the
- *     whole story. Speedup needs real cores: on a single-CPU host
- *     the extra threads only add window hand-off overhead, which
- *     this bench then quantifies.
+ *     whole story. Speedup needs real cores and windows whose work
+ *     is spread over several partitions: a window whose active
+ *     partitions all belong to the calling thread (the busiest
+ *     ones, by the engine's load-based owner map) runs inline, and
+ *     any other pays a hand-off to the workers, which this bench
+ *     then quantifies.
  *
  *  2. What does the raw (unpartitioned) EventQueue sustain on
  *     schedule+run churn? The measured second burst re-schedules into

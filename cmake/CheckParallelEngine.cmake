@@ -3,7 +3,8 @@
 # windows must emit byte-identical JSON whatever --sim-threads is:
 #
 #   - --sim-threads 1 (windows run inline on the calling thread) vs
-#     --sim-threads 4 (worker pool) across a
+#     --sim-threads 2 (one worker holds every partition the caller
+#     does not) vs --sim-threads 4 (worker pool) across a
 #     {matmul, synth:false, barneshut, matmul on 62 L2 banks,
 #     synth:migratory, synth:ptrchase} x {msi, moesi} grid. barneshut
 #     is the benchmark's threaded workload; 62 banks make 65 engine
@@ -49,18 +50,20 @@ foreach(point IN LISTS points)
   list(POP_FRONT point name)
   foreach(proto msi moesi)
     set(tag "${name}_${proto}")
-    foreach(threads 1 4)
+    foreach(threads 1 2 4)
       set(json ${CCSVM_OUT_DIR}/pengine_${tag}_t${threads}.json)
       ccsvm_run(${point} --protocol ${proto}
                 --sim-threads ${threads} JSON ${json})
       ccsvm_normalize(doc_t${threads} ${json})
     endforeach()
-    if(NOT doc_t1 STREQUAL doc_t4)
-      message(FATAL_ERROR "${tag}: JSON differs between "
-              "--sim-threads 1 and --sim-threads 4:\n"
-              "--- threads 1:\n${doc_t1}\n"
-              "--- threads 4:\n${doc_t4}")
-    endif()
+    foreach(threads 2 4)
+      if(NOT doc_t1 STREQUAL doc_t${threads})
+        message(FATAL_ERROR "${tag}: JSON differs between "
+                "--sim-threads 1 and --sim-threads ${threads}:\n"
+                "--- threads 1:\n${doc_t1}\n"
+                "--- threads ${threads}:\n${doc_t${threads}}")
+      endif()
+    endforeach()
     string(JSON threads GET "${doc_t4}" machine sim_threads)
   endforeach()
 endforeach()
@@ -97,4 +100,5 @@ if(NOT big_doc STREQUAL serial_doc)
 endif()
 
 message(STATUS "parallel engine ok: 12 grid points byte-identical "
-               "at --sim-threads 1 vs 4 (+ env knob, + INT_MAX threads)")
+               "at --sim-threads 1 vs 2 vs 4 (+ env knob, + INT_MAX "
+               "threads)")

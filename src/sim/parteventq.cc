@@ -7,6 +7,7 @@
 #include "sim/parteventq.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 namespace ccsvm::sim
@@ -16,6 +17,59 @@ namespace detail
 {
 constinit thread_local EventQueue *tlsActiveQueue = nullptr;
 } // namespace detail
+
+namespace
+{
+
+/** Windows between two owner-map rebalances: often enough to follow
+ * a workload's phases, rarely enough that the rebalance (a sort of
+ * the partitions) costs nothing measurable. */
+constexpr std::uint64_t kRebalanceWindows = 1024;
+
+/** How long a hand-off side spins before it parks: long enough to
+ * span the inline windows between most threaded ones, so a worker in
+ * steady use rarely parks, and short enough that an idle engine's
+ * workers cost no CPU. */
+constexpr std::chrono::microseconds kSpin{50};
+
+/** door_: the open bit, plus kEntrant per worker inside. */
+constexpr unsigned kOpen = 1;
+constexpr unsigned kEntrant = 2;
+
+void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Spin until @p ready() holds or the kSpin budget runs out.
+ * @return whether @p ready() held. The clock is read only every 64
+ * polls, from the 64th on, so a short wait never reads it. */
+template <typename Ready>
+bool
+spinUntil(const Ready &ready)
+{
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point until{};
+    for (unsigned i = 1;; ++i) {
+        if (ready())
+            return true;
+        cpuRelax();
+        if (i % 64 == 0) {
+            const Clock::time_point now = Clock::now();
+            if (i == 64)
+                until = now + kSpin;
+            else if (now >= until)
+                return false;
+        }
+    }
+}
+
+} // namespace
 
 PartEngine::PartEngine(int partitions, Tick lookahead, int threads)
     : lookahead_(lookahead)
@@ -29,6 +83,10 @@ PartEngine::PartEngine(int partitions, Tick lookahead, int threads)
             "PartEngine: needs at least one partition");
     queues_.reserve(partitions);
     out_.resize(partitions);
+    owner_.resize(partitions);
+    loadMark_.resize(partitions);
+    byLoad_.resize(partitions);
+    claimed_ = std::make_unique<std::atomic<bool>[]>(partitions);
     for (int p = 0; p < partitions; ++p) {
         queues_.push_back(std::make_unique<EventQueue>());
         queues_.back()->engine_ = this;
@@ -48,6 +106,9 @@ PartEngine::setThreads(int n)
     // thread count at construction, long before the first window.
     if (static_cast<int>(workers_.size()) != poolSize())
         stopWorkers();
+    // Owners name threads of the old count: map again at the next
+    // threaded window.
+    rebalanceAt_ = 0;
 }
 
 int
@@ -65,13 +126,13 @@ PartEngine::stopWorkers()
         return;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
+        stop_.store(true);
     }
     cv_.notify_all();
     for (auto &w : workers_)
         w.join();
     workers_.clear();
-    stop_ = false;
+    stop_.store(false);
 }
 
 std::uint64_t
@@ -166,45 +227,93 @@ PartEngine::advanceTo(Tick w)
 }
 
 void
-PartEngine::claimLoop()
+PartEngine::rebalance()
 {
-    const int n = static_cast<int>(active_.size());
-    for (;;) {
-        const int i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n)
-            return;
-        EventQueue *q = queues_[active_[i]].get();
-        detail::tlsActiveQueue = q;
-        q->runWindow(windowEnd_);
-        detail::tlsActiveQueue = nullptr;
-        pending_.fetch_sub(1, std::memory_order_acq_rel);
+    // A partition's load is the events it executed since the last
+    // rebalance, plus one so that partitions with no history yet
+    // still spread over the threads. Heaviest first, ties by index,
+    // each to the least-loaded thread, ties to the lower index: the
+    // heaviest partition lands on thread 0, the caller of run.
+    const int n = partitions();
+    const auto load = [&](int p) {
+        return queues_[p]->eventsExecuted() - loadMark_[p] + 1;
+    };
+    for (int p = 0; p < n; ++p)
+        byLoad_[p] = p;
+    std::sort(byLoad_.begin(), byLoad_.end(), [&](int a, int b) {
+        return load(a) != load(b) ? load(a) > load(b) : a < b;
+    });
+    threadLoad_.assign(poolSize() + 1, 0);
+    for (const int p : byLoad_) {
+        const auto least =
+            std::min_element(threadLoad_.begin(), threadLoad_.end());
+        *least += load(p);
+        owner_[p] = static_cast<int>(least - threadLoad_.begin());
     }
+    for (int p = 0; p < n; ++p)
+        loadMark_[p] = queues_[p]->eventsExecuted();
+    rebalanceAt_ = windows_ + kRebalanceWindows;
 }
 
 void
-PartEngine::workerLoop()
+PartEngine::runPartition(int p, Tick end)
+{
+    EventQueue *q = queues_[p].get();
+    detail::tlsActiveQueue = q;
+    q->runWindow(end);
+    detail::tlsActiveQueue = nullptr;
+}
+
+void
+PartEngine::claimLoop(int self)
+{
+    const auto claim = [&](int p) {
+        // The load skips the exchange's cache-line write for a
+        // partition another thread already holds.
+        return !claimed_[p].load(std::memory_order_relaxed) &&
+               !claimed_[p].exchange(true);
+    };
+    // Thread 0's partitions were claimed when the window was
+    // published, so a fast worker never takes the caller's (the
+    // heaviest) partition before the caller reaches it.
+    for (const int p : active_)
+        if (owner_[p] == self && (self == 0 || claim(p)))
+            runPartition(p, windowEnd_);
+    for (const int p : active_)
+        if (claim(p))
+            runPartition(p, windowEnd_);
+}
+
+void
+PartEngine::workerLoop(int self)
 {
     std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lk(mu_);
+    const auto woken = [&] { return stop_.load() || gen_.load() != seen; };
     for (;;) {
-        cv_.wait(lk, [&] { return stop_ || gen_ != seen; });
-        if (stop_)
+        if (!spinUntil(woken)) {
+            std::unique_lock<std::mutex> lk(mu_);
+            parked_.fetch_add(1);
+            cv_.wait(lk, woken);
+            parked_.fetch_sub(1);
+        }
+        if (stop_.load())
             return;
-        seen = gen_;
-        // A worker that slept through a whole window (its wake was
-        // absorbed, or it was slow to run) finds the door already
+        seen = gen_.load();
+        // A worker that slept through a whole window finds the door
         // closed: it must not claim, because the coordinator has
         // moved on and may be rebuilding active_ for a later window.
-        if (!open_)
+        bool entered = false;
+        for (unsigned door = door_.load(); (door & kOpen) && !entered;)
+            entered = door_.compare_exchange_weak(door, door + kEntrant);
+        if (!entered)
             continue;
-        ++inWindow_;
-        lk.unlock();
-        claimLoop();
-        lk.lock();
-        --inWindow_;
-        if (inWindow_ == 0 &&
-            pending_.load(std::memory_order_acquire) == 0)
-            doneCv_.notify_all();
+        claimLoop(self);
+        // The last worker out of a closed door wakes a parked
+        // coordinator.
+        if (door_.fetch_sub(kEntrant) == kEntrant && joinParked_.load()) {
+            std::lock_guard<std::mutex> lk(mu_);
+            doneCv_.notify_one();
+        }
     }
 }
 
@@ -222,12 +331,21 @@ PartEngine::runWindowAll(Tick end)
         if (queues_[p]->peekWhen() < end)
             active_.push_back(p);
     const int pool = poolSize();
-    if (pool == 0 || active_.size() <= 1) {
-        // Nothing to overlap: run inline on the calling thread with
-        // no worker hand-off. Identical partition/window schedule to
-        // the threaded path (partition order within a window is
-        // unobservable — the queues are independent until the next
-        // barrier).
+    int foreign = 0; // active partitions owned by a worker
+    if (pool > 0 && active_.size() > 1) {
+        if (windows_ >= rebalanceAt_)
+            rebalance();
+        for (const int p : active_)
+            foreign += owner_[p] != 0;
+    }
+    if (foreign == 0) {
+        // Nothing to overlap, or all of it belongs to the calling
+        // thread: run inline with no worker hand-off. Identical
+        // partition/window schedule to the threaded path (partition
+        // order within a window is unobservable — the queues are
+        // independent until the next barrier). The loop is
+        // runPartition's body, kept inline: the serial engine runs it
+        // once per window.
         for (const int p : active_) {
             detail::tlsActiveQueue = queues_[p].get();
             queues_[p]->runWindow(end);
@@ -237,39 +355,36 @@ PartEngine::runWindowAll(Tick end)
     }
     if (workers_.empty()) {
         workers_.reserve(pool);
-        for (int i = 0; i < pool; ++i)
-            workers_.emplace_back([this] { workerLoop(); });
+        for (int i = 1; i <= pool; ++i)
+            workers_.emplace_back([this, i] { workerLoop(i); });
     }
-    {
+    windowEnd_ = end;
+    for (const int p : active_)
+        claimed_[p].store(owner_[p] == 0, std::memory_order_relaxed);
+    door_.store(kOpen); // no worker is inside: the last join saw 0
+    gen_.fetch_add(1);
+    // Wake parked workers, at most one per partition a worker owns:
+    // a window with 2 active partitions on an 8-thread engine costs
+    // one wakeup, not seven. Which worker wakes does not matter;
+    // workers steal what their owners leave.
+    if (const int parked = parked_.load(); parked > 0) {
         std::lock_guard<std::mutex> lk(mu_);
-        windowEnd_ = end;
-        next_.store(0, std::memory_order_relaxed);
-        pending_.store(static_cast<int>(active_.size()),
-                       std::memory_order_relaxed);
-        ++gen_;
-        open_ = true;
+        for (int i = std::min(parked, foreign); i > 0; --i)
+            cv_.notify_one();
     }
-    // Wake only as many workers as there are partitions beyond the
-    // coordinator's own: a window with 2 active partitions on an
-    // 8-thread engine costs one wakeup, not seven. A missed wake is
-    // harmless — claiming is dynamic and the coordinator always
-    // participates.
-    const int wake =
-        std::min(pool, static_cast<int>(active_.size()) - 1);
-    for (int i = 0; i < wake; ++i)
-        cv_.notify_one();
-    claimLoop(); // the coordinator is worker 0
-    // Wait for every claimed partition to finish AND every entered
-    // worker to leave, then close the door. Only after that may
-    // active_/next_/pending_ be touched again (by the next publish
-    // or by the inline path), so a late-waking worker can never
-    // claim against a stale or half-built window.
-    std::unique_lock<std::mutex> lk(mu_);
-    doneCv_.wait(lk, [&] {
-        return inWindow_ == 0 &&
-               pending_.load(std::memory_order_acquire) == 0;
-    });
-    open_ = false;
+    claimLoop(0); // the coordinator is thread 0
+    // Every active partition has run or is held by a worker inside
+    // the door. Close it and wait for those workers to leave; only
+    // then may active_, owner_ and claimed_ be touched again.
+    if (door_.fetch_and(~kOpen) != kOpen) {
+        const auto joined = [&] { return door_.load() == 0; };
+        if (!spinUntil(joined)) {
+            std::unique_lock<std::mutex> lk(mu_);
+            joinParked_.store(true);
+            doneCv_.wait(lk, joined);
+            joinParked_.store(false);
+        }
+    }
 }
 
 template <typename Done>

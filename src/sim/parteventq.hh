@@ -24,9 +24,22 @@
  * `threads == 1` runs the same partition/window schedule inline on
  * the calling thread.
  *
+ * With more threads every partition has an owner thread, worked out
+ * from measured load at the first threaded window and then every
+ * fixed number of windows: heaviest first by the events executed
+ * since the last rebalance, each partition goes to the least-loaded
+ * thread (LPT), so the busiest one lands on thread 0, the caller of
+ * run. A window whose active partitions all belong to thread 0 runs
+ * inline, with no hand-off. Any other is handed to the workers: each
+ * thread runs the active partitions it owns, then steals any still
+ * unclaimed, so a late or descheduled worker never stalls a window.
+ * Both waits of the hand-off (a worker's for the next window, the
+ * caller's for the join) spin for a short fixed budget, then park.
+ *
  * A mailbox needs no lock: only the host thread running its source
- * partition's window appends to it, and the window join (pending_
- * and inWindow_ under mu_) orders every append before the drain.
+ * partition's window appends to it, and the window join (the caller
+ * closes the door and waits until every worker inside has left)
+ * orders every append before the drain.
  */
 
 #ifndef CCSVM_SIM_PARTEVENTQ_HH
@@ -238,9 +251,15 @@ class PartEngine
     void drainMailboxes();
     /** Execute one window [*, end) across all partitions. */
     void runWindowAll(Tick end);
-    /** Claim-and-run partitions of the published window. */
-    void claimLoop();
-    void workerLoop();
+    /** Give every partition an owner thread by LPT over the events
+     * it executed since the last rebalance. */
+    void rebalance();
+    /** Run partition @p p's events before @p end on this thread. */
+    void runPartition(int p, Tick end);
+    /** Run the published window's partitions as host thread
+     * @p self: first those it owns, then any still unclaimed. */
+    void claimLoop(int self);
+    void workerLoop(int self);
     void stopWorkers();
 
     std::vector<std::unique_ptr<EventQueue>> queues_;
@@ -252,28 +271,52 @@ class PartEngine
     BarrierHook barrierHook_;
 
     /** Partitions with events in the current window, rebuilt at each
-     * window start by the coordinator (workers read it only between
-     * the gen_ publish and their pending_ decrement). */
+     * window start by the coordinator; workers read it only inside
+     * the door. */
     std::vector<int> active_;
 
-    // Window hand-off: the coordinator publishes {gen_, windowEnd_,
-    // active_} under mu_ and opens the door (open_); woken workers
-    // register themselves (inWindow_) under mu_ before claiming
-    // active-list indices via next_. The coordinator waits until
-    // every claim is done and every entrant has left, then closes
-    // the door — so a worker waking late for a finished window can
-    // never claim against stale or in-flux state.
+    // Owner map, per partition: the host thread that runs it first
+    // in a threaded window (0 = the caller of run) and its
+    // eventsExecuted() at the last rebalance. byLoad_ and
+    // threadLoad_ are rebalance()'s scratch, kept so that a
+    // rebalance allocates nothing once the engine runs.
+    std::vector<int> owner_;
+    std::vector<std::uint64_t> loadMark_;
+    std::vector<int> byLoad_;
+    std::vector<std::uint64_t> threadLoad_;
+    /** windows() count from which the next threaded window
+     * rebalances (0: at the first one). */
+    std::uint64_t rebalanceAt_ = 0;
+
+    // Window hand-off. The coordinator (the caller of run) publishes
+    // {windowEnd_, active_, claimed_: set for its own partitions},
+    // opens the door and bumps gen_. Workers spin on gen_, then park
+    // on cv_. A worker enters by adding kEntrant to door_ while its
+    // open bit is set (one CAS, so a worker that finds the door
+    // closed changes nothing), claims and runs partitions, and
+    // leaves by taking kEntrant off again. Once every active
+    // partition has run or is held by a worker inside, the
+    // coordinator clears the open bit and waits (spin, then doneCv_)
+    // for door_ to reach 0. Only then may active_, owner_ and
+    // claimed_ change, so a worker waking late for a finished window
+    // never claims against stale state. mu_ guards only parking: a
+    // side that parks counts itself (parked_, joinParked_) before it
+    // rechecks its condition, and the other side changes the
+    // condition, then reads that count and takes mu_ before it
+    // notifies. Both are sequentially consistent atomics, so one of
+    // the two sides sees the other and no wakeup is lost.
+    Tick windowEnd_ = 0;
+    std::unique_ptr<std::atomic<bool>[]> claimed_;
+    std::atomic<std::uint64_t> gen_{0};
+    std::atomic<unsigned> door_{0};
+    std::atomic<int> parked_{0};
+    std::atomic<bool> joinParked_{false};
+    std::atomic<bool> stop_{false};
     std::mutex mu_;
     std::condition_variable cv_;
     std::condition_variable doneCv_;
+    /** Declared last: the workers use every member above. */
     std::vector<std::thread> workers_;
-    std::uint64_t gen_ = 0;
-    Tick windowEnd_ = 0;
-    bool stop_ = false;
-    bool open_ = false;
-    int inWindow_ = 0;
-    std::atomic<int> next_{0};
-    std::atomic<int> pending_{0};
 };
 
 /**

@@ -4,19 +4,24 @@
  * cross-partition ordering, the callIn/replyFrom routing contract,
  * thread-count-independent statistics
  * (per-partition stat slots written from every partition at once),
- * and the worker-count resolution helpers. The suite carries the
+ * the window hand-off (owner map, parked workers), and the
+ * worker-count resolution helpers. The suite carries the
  * "concurrent" ctest label so the CI ThreadSanitizer lane exercises
  * the multi-threaded window paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <limits>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/xthreads.hh"
@@ -324,6 +329,224 @@ TEST(PartEngine, OversizedThreadCountRunsOneWorkerPerPartition)
     eng.run();
     EXPECT_EQ(eng.eventsExecuted(), 100u);
     EXPECT_TRUE(eng.empty());
+}
+
+/**
+ * A scripted workload on an engine of lookahead kL. In window w
+ * (ticks [w kL, (w + 1) kL)) partition p runs events(p, w) local
+ * events, the first of which schedules the partition's next active
+ * window, and posts one message to the next partition (by index,
+ * wrapping) active in window w + 1. So exactly the partitions with
+ * events(p, w) > 0 are active in window w. Every event appends an id
+ * to its partition's log, the partition's commit order, and counts
+ * whether it ran off the host thread that called run.
+ */
+class Script
+{
+  public:
+    static constexpr Tick kL = 10;
+    using Events = std::function<int(int p, std::uint64_t w)>;
+
+    Script(PartEngine &eng, std::uint64_t windows, Events events)
+        : log(eng.partitions()), offCaller(eng.partitions(), 0),
+          eng_(eng), windows_(windows), events_(std::move(events))
+    {
+        for (int p = 0; p < eng.partitions(); ++p)
+            if (const std::uint64_t w = nextActive(p, 0); w < windows_)
+                eng.queue(p).schedule(w * kL,
+                                      [this, p, w] { window(p, w); });
+    }
+
+    // Its events hold `this`.
+    Script(const Script &) = delete;
+    Script &operator=(const Script &) = delete;
+
+    /** Run every window, in slices of @p slice windows with a host
+     * pause of @p pause after each slice but the last. */
+    void
+    run(std::uint64_t slice, std::chrono::microseconds pause)
+    {
+        caller_ = std::this_thread::get_id();
+        for (std::uint64_t w = slice;; w += slice) {
+            eng_.run(w * kL - 1);
+            if (w >= windows_)
+                return;
+            std::this_thread::sleep_for(pause);
+        }
+    }
+
+    std::vector<std::vector<std::uint64_t>> log;
+    std::vector<std::uint64_t> offCaller;
+
+  private:
+    static std::uint64_t
+    id(std::uint64_t w, int p, int i)
+    {
+        return w << 20 | static_cast<std::uint64_t>(p) << 12 |
+               static_cast<std::uint64_t>(i);
+    }
+
+    std::uint64_t
+    nextActive(int p, std::uint64_t w) const
+    {
+        while (w < windows_ && events_(p, w) == 0)
+            ++w;
+        return w;
+    }
+
+    void
+    note(int p, std::uint64_t v)
+    {
+        log[p].push_back(v);
+        offCaller[p] += std::this_thread::get_id() != caller_;
+    }
+
+    void
+    window(int p, std::uint64_t w)
+    {
+        EventQueue &q = eng_.queue(p);
+        if (const std::uint64_t next = nextActive(p, w + 1);
+            next < windows_)
+            q.schedule(next * kL, [this, p, next] { window(p, next); });
+        note(p, id(w, p, 0));
+        for (int i = 1; i < events_(p, w); ++i)
+            q.schedule(w * kL + static_cast<Tick>(i % 8),
+                       [this, p, v = id(w, p, i)] { note(p, v); });
+        const int parts = eng_.partitions();
+        for (int d = 1; d < parts && w + 1 < windows_; ++d) {
+            const int to = (p + d) % parts;
+            if (events_(to, w + 1) > 0) {
+                eng_.post(eng_.queue(to), (w + 1) * kL + 8,
+                          [this, to, v = id(w, p, 4095)] { note(to, v); });
+                break;
+            }
+        }
+    }
+
+    PartEngine &eng_;
+    std::uint64_t windows_;
+    Events events_;
+    std::thread::id caller_;
+};
+
+/** The per-partition logs of @p events over @p windows windows on a
+ * 1-thread engine of @p parts partitions. */
+std::vector<std::vector<std::uint64_t>>
+serialLog(int parts, std::uint64_t windows, const Script::Events &events)
+{
+    PartEngine eng(parts, Script::kL);
+    Script s(eng, windows, events);
+    s.run(windows, {});
+    return s.log;
+}
+
+TEST(PartEngine, HeaviestPartitionStaysOnTheCaller)
+{
+    // Partition 2 runs 8 events in every window; the others join at
+    // window 10, one event every other window. The first window with
+    // two active partitions maps partition 2, by far the heaviest, to
+    // thread 0, and so does every later rebalance: each of its events
+    // runs on the thread that called run, while the commit order
+    // stays the serial one.
+    constexpr int kParts = 5;
+    constexpr std::uint64_t kWindows = 3000; // spans 2 rebalances
+    const Script::Events events = [](int p, std::uint64_t w) {
+        if (p == 2)
+            return 8;
+        return w >= 10 && (w + p) % 2 == 0 ? 1 : 0;
+    };
+    const auto serial = serialLog(kParts, kWindows, events);
+    for (const int threads : {2, 4}) {
+        PartEngine eng(kParts, Script::kL, threads);
+        Script s(eng, kWindows, events);
+        s.run(kWindows, {});
+        EXPECT_EQ(s.offCaller[2], 0u) << "threads=" << threads;
+        EXPECT_EQ(s.log, serial) << "threads=" << threads;
+        EXPECT_EQ(eng.windows(), kWindows);
+    }
+}
+
+TEST(PartEngine, ParkedWorkersWakeForLaterWindows)
+{
+    // 10,500 windows cycling through one, two and all five partitions
+    // active, run in slices with a host pause after each: far longer
+    // than the hand-off's spin budget, so the workers park between
+    // slices and must be woken for the next one. Any window lost or
+    // run twice across a park shows in the logs.
+    constexpr int kParts = 5;
+    constexpr std::uint64_t kWindows = 10500;
+    const Script::Events events = [](int p, std::uint64_t w) {
+        const int n = 1 + static_cast<int>((w + p) % 4);
+        const auto at = [&](std::uint64_t k) {
+            return p == static_cast<int>(k % kParts);
+        };
+        switch (w % 3) {
+        case 0:
+            return at(w / 3) ? n : 0;
+        case 1:
+            return at(w) || at(w + 2) ? n : 0;
+        default:
+            return n;
+        }
+    };
+    const auto serial = serialLog(kParts, kWindows, events);
+    for (const int threads : {2, 4}) {
+        PartEngine eng(kParts, Script::kL, threads);
+        Script s(eng, kWindows, events);
+        s.run(350, std::chrono::milliseconds(2));
+        EXPECT_EQ(s.log, serial) << "threads=" << threads;
+        EXPECT_EQ(eng.windows(), kWindows);
+        EXPECT_TRUE(eng.empty());
+    }
+}
+
+TEST(PartEngine, ParkedCallerWakesWhenTheLastWorkerLeaves)
+{
+    // Partition 1 (the worker's) holds each window for 2 ms, partition
+    // 0 (the caller's) for 0.5 ms: the worker has claimed partition 1
+    // long before the caller is done, so the caller outwaits its spin
+    // budget at the join and parks. The worker leaving last must wake
+    // it; a lost wakeup hangs here.
+    PartEngine eng(2, Script::kL, 2);
+    int runs[2] = {};
+    for (Tick w = 0; w < 20; ++w)
+        for (int p = 0; p < 2; ++p)
+            eng.queue(p).schedule(w * Script::kL, [&runs, p] {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(p == 0 ? 500 : 2000));
+                ++runs[p];
+            });
+    eng.run();
+    EXPECT_EQ(runs[0], 20);
+    EXPECT_EQ(runs[1], 20);
+    EXPECT_EQ(eng.windows(), 20u);
+}
+
+double
+cpuSeconds()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const auto sec = [](const timeval &t) {
+        return static_cast<double>(t.tv_sec) + t.tv_usec * 1e-6;
+    };
+    return sec(ru.ru_utime) + sec(ru.ru_stime);
+}
+
+TEST(PartEngine, IdleWorkersPark)
+{
+    // After a threaded run the engine's three workers are still
+    // alive; each spins for its budget and then parks. A worker that
+    // spun on would cost up to 100 ms of CPU per worker over this
+    // 100 ms sleep.
+    PartEngine eng(5, Script::kL, 4);
+    Script s(eng, 2000, [](int, std::uint64_t) { return 2; });
+    s.run(2000, {});
+    const double before = cpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const double used = cpuSeconds() - before;
+    EXPECT_LT(used, 0.02) << "idle engine used " << used * 1e3
+                          << " ms of CPU in 100 ms";
 }
 
 // gtest runs *DeathTest suites first, before any other test of this
