@@ -13,11 +13,10 @@
 #     events per window; ptrchase's MTTOP page walks and DRAM reads
 #     send walker and DRAM replies across partitions. The
 #     partition/window schedule is the same at any thread count, and
-#     each (source, destination) partition pair has one mailbox,
-#     written only by the thread running the source and drained at
-#     the barrier source by source in post order, so every
-#     (when, priority) key commits its local events, then its posts
-#     by (source partition, post order). Every tick count and every
+#     each source partition has one post list, written only by the
+#     thread running the source and drained at the barrier source by
+#     source in post order, so every (when, priority) key commits its
+#     local events, then its posts by (source partition, post order). Every tick count and every
 #     stat must therefore match byte for byte; any host-interleaving
 #     leak shows up here as a diff. Only the echoed "sim_threads"
 #     field may differ, and is normalized away before comparing.

@@ -30,23 +30,15 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # Partitioned-engine pass: rerun the suites that build a CcsvmMachine
-# or the protocol-test harness with every engine on 4 workers
+# or the protocol-test harness (the "machine" ctest label, set in
+# tests/CMakeLists.txt) with every engine on 4 workers
 # (CCSVM_SIM_THREADS is the suites' opt-in knob — engines built
 # without an explicit thread count consult it). The engine commits
 # the same event order at any thread count, so exactly the same
-# assertions must hold. litmus_test carries the long label but is
-# named here anyway: its repeated task resubmission is what caught the
-# engine's clock-skew bug. The list names every such suite but the
-# trace, replay and parallel ones and the stress sweep, whose threaded
-# cases the TSan lane already runs, so MIFD launches, MTTOP fault
-# relays, task completions and the protocol tests' messages cross
-# partitions here too.
-MACHINE_SUITES='machine_test|mifd_test|litmus_test|coherence_test'
-MACHINE_SUITES+='|region_test|parteventq_test|process_test'
-MACHINE_SUITES+='|synth_test|workloads_test|xthreads_test'
+# assertions must hold.
 echo "=== machine and protocol suites on the 4-thread engine ==="
 CCSVM_SIM_THREADS=4 ctest --test-dir "$BUILD_DIR" \
-    --output-on-failure -j "$(nproc)" -R "$MACHINE_SUITES"
+    --output-on-failure -j "$(nproc)" -L machine
 
 # Driver smoke on the threaded engine (the quantitative byte-identity
 # grid lives in the ccsvm_parallel_engine ctest, run above).

@@ -1,7 +1,7 @@
 /**
  * @file
- * PartEngine implementation: window loop, mailbox barriers, and the
- * persistent worker pool.
+ * PartEngine implementation: window loop, post-list barriers, and
+ * the persistent worker pool.
  */
 
 #include "sim/parteventq.hh"
@@ -26,15 +26,15 @@ namespace
  * the partitions) costs nothing measurable. */
 constexpr std::uint64_t kRebalanceWindows = 1024;
 
-/** How long a hand-off side spins before it parks: long enough to
- * span the inline windows between most threaded ones, so a worker in
- * steady use rarely parks, and short enough that an idle engine's
- * workers cost no CPU. */
+/** How long a hand-off side spins before it blocks in its atomic's
+ * wait: long enough to span the inline windows between most threaded
+ * ones, so a worker in steady use rarely blocks, and short enough
+ * that an idle engine's workers cost no CPU. */
 constexpr std::chrono::microseconds kSpin{50};
 
 /** door_: the open bit, plus kEntrant per worker inside. */
-constexpr unsigned kOpen = 1;
-constexpr unsigned kEntrant = 2;
+constexpr std::uint32_t kOpen = 1;
+constexpr std::uint32_t kEntrant = 2;
 
 void
 cpuRelax()
@@ -91,7 +91,6 @@ PartEngine::PartEngine(int partitions, Tick lookahead, int threads)
         queues_.push_back(std::make_unique<EventQueue>());
         queues_.back()->engine_ = this;
         queues_.back()->part_ = p;
-        out_[p].to.resize(partitions);
     }
     setThreads(threads);
 }
@@ -124,11 +123,9 @@ PartEngine::stopWorkers()
 {
     if (workers_.empty())
         return;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_.store(true);
-    }
-    cv_.notify_all();
+    stop_.store(true);
+    gen_.fetch_add(1);
+    gen_.notify_all();
     for (auto &w : workers_)
         w.join();
     workers_.clear();
@@ -151,7 +148,7 @@ PartEngine::empty() const
         if (!q->empty())
             return false;
     for (const Outbox &o : out_)
-        if (!o.touched.empty())
+        if (!o.posts.empty())
             return false;
     return true;
 }
@@ -171,34 +168,30 @@ PartEngine::post(EventQueue &target, Tick when,
                  (unsigned long long)src->now(),
                  (unsigned long long)lookahead_);
     // Single writer, the thread running src's window: no lock.
-    Outbox &o = out_[src->part_];
-    std::vector<CrossEvent> &mb = o.to[target.part_];
-    if (mb.empty())
-        o.touched.push_back(target.part_);
-    mb.push_back(CrossEvent{when, priority, std::move(cb)});
+    out_[src->part_].posts.emplace_back(target.part_, priority, when,
+                                        std::move(cb));
 }
 
 void
-PartEngine::drainMailboxes()
+PartEngine::drainPosts()
 {
-    // clear() keeps each vector's capacity, so the steady state
+    // clear() keeps each list's capacity, so the steady state
     // allocates nothing.
     for (std::size_t s = 0; s < out_.size(); ++s) {
-        Outbox &o = out_[s];
-        for (const int d : o.touched) {
-            EventQueue &q = *queues_[d];
-            for (CrossEvent &ev : o.to[d]) {
-                ccsvm_assert(ev.when >= q.now(),
-                             "post from partition %zu in partition "
-                             "%d's past: when=%llu dest-now=%llu "
-                             "prio=%d",
-                             s, d, (unsigned long long)ev.when,
-                             (unsigned long long)q.now(), ev.priority);
-                q.schedule(ev.when, std::move(ev.cb), ev.priority);
-            }
-            o.to[d].clear();
+        for (CrossEvent &ev : out_[s].posts) {
+            // The destination's schedule checks the post against its
+            // own clock; a destination that sat out windows has not
+            // reached the committed time yet, so check that here.
+            ccsvm_assert(ev.when >= now_,
+                         "post from partition %zu to partition %d "
+                         "before the committed time: when=%llu "
+                         "now=%llu prio=%d",
+                         s, ev.dest, (unsigned long long)ev.when,
+                         (unsigned long long)now_, ev.priority);
+            queues_[ev.dest]->schedule(ev.when, std::move(ev.cb),
+                                       ev.priority);
         }
-        o.touched.clear();
+        out_[s].posts.clear();
     }
 }
 
@@ -209,21 +202,6 @@ PartEngine::nextEventTime() const
     for (const auto &q : queues_)
         t = std::min(t, q->peekWhen());
     return t;
-}
-
-void
-PartEngine::advanceTo(Tick w)
-{
-    // Fast-forward idle partitions to the window base. Without this a
-    // partition that sat out several windows keeps a stale local
-    // clock, and host-side calls between runs (a new task submission,
-    // say) would anchor fresh events to that stale clock — placing
-    // them, and any NoC traffic they inject, in other partitions'
-    // pasts. The base is the global minimum pending-event time, so no
-    // queue holds an event before it and the fast-forward never
-    // reorders anything.
-    for (auto &q : queues_)
-        q->now_ = std::max(q->now_, w);
 }
 
 void
@@ -287,15 +265,11 @@ PartEngine::claimLoop(int self)
 void
 PartEngine::workerLoop(int self)
 {
-    std::uint64_t seen = 0;
-    const auto woken = [&] { return stop_.load() || gen_.load() != seen; };
+    std::uint32_t seen = 0;
     for (;;) {
-        if (!spinUntil(woken)) {
-            std::unique_lock<std::mutex> lk(mu_);
-            parked_.fetch_add(1);
-            cv_.wait(lk, woken);
-            parked_.fetch_sub(1);
-        }
+        // stopWorkers bumps gen_ too.
+        if (!spinUntil([&] { return gen_.load() != seen; }))
+            gen_.wait(seen);
         if (stop_.load())
             return;
         seen = gen_.load();
@@ -303,17 +277,15 @@ PartEngine::workerLoop(int self)
         // closed: it must not claim, because the coordinator has
         // moved on and may be rebuilding active_ for a later window.
         bool entered = false;
-        for (unsigned door = door_.load(); (door & kOpen) && !entered;)
+        for (std::uint32_t door = door_.load(); (door & kOpen) && !entered;)
             entered = door_.compare_exchange_weak(door, door + kEntrant);
         if (!entered)
             continue;
         claimLoop(self);
-        // The last worker out of a closed door wakes a parked
-        // coordinator.
-        if (door_.fetch_sub(kEntrant) == kEntrant && joinParked_.load()) {
-            std::lock_guard<std::mutex> lk(mu_);
-            doneCv_.notify_one();
-        }
+        // The last worker out of a closed door wakes the coordinator,
+        // should it wait at the join.
+        if (door_.fetch_sub(kEntrant) == kEntrant)
+            door_.notify_one();
     }
 }
 
@@ -322,10 +294,9 @@ PartEngine::runWindowAll(Tick end)
 {
     ++windows_;
     // Only partitions holding an event inside [*, end) do any work
-    // this window; the rest were already fast-forwarded by
-    // advanceTo. The active set is fixed for the whole window:
+    // this window. The active set is fixed for the whole window:
     // in-window schedules stay partition-local and cross-partition
-    // sends sit in mailboxes until the next barrier.
+    // sends sit in post lists until the next barrier.
     active_.clear();
     for (int p = 0; p < partitions(); ++p)
         if (queues_[p]->peekWhen() < end)
@@ -343,14 +314,9 @@ PartEngine::runWindowAll(Tick end)
         // thread: run inline with no worker hand-off. Identical
         // partition/window schedule to the threaded path (partition
         // order within a window is unobservable — the queues are
-        // independent until the next barrier). The loop is
-        // runPartition's body, kept inline: the serial engine runs it
-        // once per window.
-        for (const int p : active_) {
-            detail::tlsActiveQueue = queues_[p].get();
-            queues_[p]->runWindow(end);
-        }
-        detail::tlsActiveQueue = nullptr;
+        // independent until the next barrier).
+        for (const int p : active_)
+            runPartition(p, end);
         return;
     }
     if (workers_.empty()) {
@@ -363,43 +329,36 @@ PartEngine::runWindowAll(Tick end)
         claimed_[p].store(owner_[p] == 0, std::memory_order_relaxed);
     door_.store(kOpen); // no worker is inside: the last join saw 0
     gen_.fetch_add(1);
-    // Wake parked workers, at most one per partition a worker owns:
-    // a window with 2 active partitions on an 8-thread engine costs
-    // one wakeup, not seven. Which worker wakes does not matter;
-    // workers steal what their owners leave.
-    if (const int parked = parked_.load(); parked > 0) {
-        std::lock_guard<std::mutex> lk(mu_);
-        for (int i = std::min(parked, foreign); i > 0; --i)
-            cv_.notify_one();
-    }
+    // Wake waiting workers, at most one per partition a worker owns:
+    // a window with one such partition on an 8-thread engine wakes
+    // one worker, not seven. Which worker wakes does not matter;
+    // workers steal what their owners leave. In libstdc++ a notify
+    // with no waiter makes no system call.
+    for (int i = std::min(foreign, pool); i > 0; --i)
+        gen_.notify_one();
     claimLoop(0); // the coordinator is thread 0
     // Every active partition has run or is held by a worker inside
     // the door. Close it and wait for those workers to leave; only
     // then may active_, owner_ and claimed_ be touched again.
-    if (door_.fetch_and(~kOpen) != kOpen) {
-        const auto joined = [&] { return door_.load() == 0; };
-        if (!spinUntil(joined)) {
-            std::unique_lock<std::mutex> lk(mu_);
-            joinParked_.store(true);
-            doneCv_.wait(lk, joined);
-            joinParked_.store(false);
-        }
-    }
+    if (door_.fetch_and(~kOpen) != kOpen &&
+        !spinUntil([&] { return door_.load() == 0; }))
+        for (std::uint32_t door; (door = door_.load()) != 0;)
+            door_.wait(door);
 }
 
 template <typename Done>
 bool
 PartEngine::runWindows(const Done &done, Tick limit)
 {
+    bool met;
     for (;;) {
-        drainMailboxes();
-        if (done())
-            return true;
+        drainPosts();
+        if ((met = done()))
+            break;
         const Tick w = nextEventTime();
         if (w == maxTick || w > limit)
-            return false;
+            break;
         now_ = w;
-        advanceTo(w);
         const Tick end =
             (w > maxTick - lookahead_) ? maxTick : w + lookahead_;
         const Tick wend =
@@ -408,6 +367,16 @@ PartEngine::runWindows(const Done &done, Tick limit)
         if (barrierHook_)
             barrierHook_(w, wend);
     }
+    // Only host code between runs reads a partition's clock outside
+    // its own events. Fast-forward the partitions that sat out the
+    // last windows to the committed time, so host work on one (a new
+    // task submission, say) never anchors events, or the NoC traffic
+    // they inject, in another partition's past. The committed time is
+    // a window base, the minimum pending-event time when that window
+    // began, so no queue holds an event before it.
+    for (auto &q : queues_)
+        q->now_ = std::max(q->now_, now_);
+    return met;
 }
 
 Tick

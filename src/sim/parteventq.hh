@@ -12,17 +12,19 @@
  * the window can arrive before W+L, so no event can land in another
  * partition's past.
  *
- * Cross-partition sends go into one mailbox per (source, destination)
- * partition pair, in post order. Each window barrier drains them
- * source by source, in partition index order, into the destination
- * queues. A queue runs each (when, priority) key's events in
- * insertion order, so every key commits its local events and then
- * its posts by (source partition, post order), as a sort by (when,
- * priority, source partition, post order) would: the committed event
- * order — and therefore every statistic — is byte-identical at any
- * host thread count and independent of host interleaving.
+ * Cross-partition sends go into one post list per source partition,
+ * in post order. Each window barrier drains the lists source by
+ * source, in partition index order, into the destination queues. A
+ * queue runs each (when, priority) key's events in insertion order,
+ * so every key commits its local events and then its posts by
+ * (source partition, post order), as a sort by (when, priority,
+ * source partition, post order) would: the committed event order —
+ * and therefore every statistic — is byte-identical at any host
+ * thread count and independent of host interleaving.
  * `threads == 1` runs the same partition/window schedule inline on
- * the calling thread.
+ * the calling thread. A partition that sits out windows keeps its
+ * clock until run or runUntil returns; then every clock is forwarded
+ * to the committed time, for host code that schedules between runs.
  *
  * With more threads every partition has an owner thread, worked out
  * from measured load at the first threaded window and then every
@@ -33,10 +35,11 @@
  * inline, with no hand-off. Any other is handed to the workers: each
  * thread runs the active partitions it owns, then steals any still
  * unclaimed, so a late or descheduled worker never stalls a window.
- * Both waits of the hand-off (a worker's for the next window, the
- * caller's for the join) spin for a short fixed budget, then park.
+ * Both waits of the hand-off (a worker's for the next window, on
+ * gen_, and the caller's for the join, on door_) spin for a short
+ * fixed budget, then block in that atomic's wait.
  *
- * A mailbox needs no lock: only the host thread running its source
+ * A post list needs no lock: only the host thread running its source
  * partition's window appends to it, and the window join (the caller
  * closes the door and waits until every worker inside has left)
  * orders every append before the drain.
@@ -46,11 +49,9 @@
 #define CCSVM_SIM_PARTEVENTQ_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -174,7 +175,7 @@ class PartEngine
      * engine amortizes its barriers over. */
     std::uint64_t windows() const { return windows_; }
 
-    /** True when every queue and every mailbox is empty. */
+    /** True when every queue and every post list is empty. */
     bool empty() const;
 
     /**
@@ -195,7 +196,9 @@ class PartEngine
 
     /**
      * Run windows until @p done returns true (checked at each window
-     * barrier) or every partition drains.
+     * barrier) or every partition drains. @p done observes state and
+     * never schedules: like a barrier hook, it runs before the
+     * partitions that sat out windows have their clocks forwarded.
      * @return true iff the predicate was satisfied.
      */
     bool runUntil(const std::function<bool()> &done,
@@ -207,7 +210,9 @@ class PartEngine
      * coordinator context where all partition state is quiescent.
      * The observability layer uses it to flush trace rings and take
      * time-series samples. The window schedule is thread-count
-     * independent, so anything the hook derives from it is too.
+     * independent, so anything the hook derives from it is too. A
+     * hook observes state and never schedules: a partition that sat
+     * out windows keeps its clock until the run returns.
      */
     using BarrierHook = std::function<void(Tick base, Tick end)>;
     void setBarrierHook(BarrierHook hook)
@@ -218,37 +223,35 @@ class PartEngine
   private:
     struct CrossEvent
     {
-        Tick when;
+        int dest;
         int priority;
+        Tick when;
         EventQueue::Callback cb;
     };
 
-    /** One source partition's mailboxes, written only by the host
-     * thread running that partition's window. Cache-line aligned so
-     * sources running on different threads share no line. */
+    /** One source partition's posts since the last barrier, to every
+     * destination, in post order; appended only by the host thread
+     * running that partition's window. Cache-line aligned so sources
+     * running on different threads share no line. */
     struct alignas(64) Outbox
     {
-        /** Posts to each destination partition, in post order. */
-        std::vector<std::vector<CrossEvent>> to;
-        /** Destinations posted to since the last barrier. */
-        std::vector<int> touched;
+        std::vector<CrossEvent> posts;
     };
 
     /** The window loop of run and runUntil: stops when @p done
      * returns true at a barrier (@return true), or when every
-     * partition drains or time would pass @p limit. */
+     * partition drains or time would pass @p limit. Then it forwards
+     * every clock to the committed time. */
     template <typename Done>
     bool runWindows(const Done &done, Tick limit);
     /** Pool workers beside the coordinator: threads() capped at one
      * per partition. */
     int poolSize() const;
-    /** Earliest pending tick across all queues (mailboxes drained). */
+    /** Earliest pending tick across all queues (posts drained). */
     Tick nextEventTime() const;
-    /** Fast-forward every queue's clock to the window base @p w. */
-    void advanceTo(Tick w);
-    /** Schedule every mailbox into its queue, sources in index
-     * order, and empty it (barrier). */
-    void drainMailboxes();
+    /** Schedule every post list into the destination queues, sources
+     * in index order, and empty it (barrier). */
+    void drainPosts();
     /** Execute one window [*, end) across all partitions. */
     void runWindowAll(Tick end);
     /** Give every partition an owner thread by LPT over the events
@@ -290,31 +293,27 @@ class PartEngine
 
     // Window hand-off. The coordinator (the caller of run) publishes
     // {windowEnd_, active_, claimed_: set for its own partitions},
-    // opens the door and bumps gen_. Workers spin on gen_, then park
-    // on cv_. A worker enters by adding kEntrant to door_ while its
+    // opens the door and bumps gen_. Workers spin on gen_, then wait
+    // on it. A worker enters by adding kEntrant to door_ while its
     // open bit is set (one CAS, so a worker that finds the door
     // closed changes nothing), claims and runs partitions, and
     // leaves by taking kEntrant off again. Once every active
     // partition has run or is held by a worker inside, the
-    // coordinator clears the open bit and waits (spin, then doneCv_)
-    // for door_ to reach 0. Only then may active_, owner_ and
-    // claimed_ change, so a worker waking late for a finished window
-    // never claims against stale state. mu_ guards only parking: a
-    // side that parks counts itself (parked_, joinParked_) before it
-    // rechecks its condition, and the other side changes the
-    // condition, then reads that count and takes mu_ before it
-    // notifies. Both are sequentially consistent atomics, so one of
-    // the two sides sees the other and no wakeup is lost.
+    // coordinator clears the open bit and spins, then waits on door_,
+    // until door_ reaches 0; the last worker out notifies it. Only
+    // then may active_, owner_ and claimed_ change, so a worker
+    // waking late for a finished window never claims against stale
+    // state. Each side changes its word before it notifies, and a
+    // wait rechecks the word before it blocks, so no wakeup is lost.
+    // Both words are 32-bit: libstdc++ blocks a wait on a 32-bit
+    // atomic in a futex on the word itself, but a 64-bit one on a
+    // proxy word from a process-wide table, which every notify
+    // increments and wakes every waiter on.
     Tick windowEnd_ = 0;
     std::unique_ptr<std::atomic<bool>[]> claimed_;
-    std::atomic<std::uint64_t> gen_{0};
-    std::atomic<unsigned> door_{0};
-    std::atomic<int> parked_{0};
-    std::atomic<bool> joinParked_{false};
+    std::atomic<std::uint32_t> gen_{0};
+    std::atomic<std::uint32_t> door_{0};
     std::atomic<bool> stop_{false};
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::condition_variable doneCv_;
     /** Declared last: the workers use every member above. */
     std::vector<std::thread> workers_;
 };

@@ -1,11 +1,11 @@
 /**
  * @file
  * Translation lookaside buffer: 64-entry, fully associative, true LRU
- * (Table 2, for both CPU and MTTOP cores). The LRU is constant-time:
- * an intrusive recency list spliced on every hit, with a map from VPN
- * to list node — the translation hot path never scans the whole TLB.
- * A fill, an eviction, an invalidation or a flush reuses list and map
- * nodes instead of allocating.
+ * (Table 2, for both CPU and MTTOP cores). The entries live in an
+ * LruMap from VPN to translation: a constant-time recency list
+ * spliced on every hit, so the translation hot path never scans the
+ * whole TLB, and a fill, an eviction, an invalidation or a flush
+ * reuses list and map nodes instead of allocating.
  *
  * Each entry carries the page's region alongside the translation
  * (region-based coherence: the core stamps every memory request with
@@ -20,10 +20,9 @@
 #ifndef CCSVM_VM_TLB_HH
 #define CCSVM_VM_TLB_HH
 
-#include <list>
 #include <string>
 
-#include "base/recycling_map.hh"
+#include "base/lru_map.hh"
 #include "base/types.hh"
 #include "coherence/types.hh"
 #include "mem/phys_mem.hh"
@@ -61,16 +60,13 @@ class Tlb
     bool
     lookup(VAddr va, TlbEntry &out)
     {
-        const VAddr vpn = va >> mem::pageShift;
-        auto it = map_.find(vpn);
-        if (it == map_.end()) {
+        const TlbEntry *e = entries_.find(va >> mem::pageShift);
+        if (!e) {
             ++misses_;
             return false;
         }
         ++hits_;
-        // Constant-time recency update: move the node to MRU.
-        lru_.splice(lru_.begin(), lru_, it->second);
-        out = it->second->entry;
+        out = *e;
         return true;
     }
 
@@ -79,62 +75,28 @@ class Tlb
     insert(VAddr va, Addr frame, bool writable,
            coherence::Region region = {})
     {
-        const VAddr vpn = va >> mem::pageShift;
-        const TlbEntry entry{frame, writable, region};
-        if (auto it = map_.find(vpn); it != map_.end()) {
-            it->second->entry = entry;
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return;
-        }
-        if (map_.size() >= entries_) {
-            // Evict the least recently used entry: the list tail.
-            map_.erase(lru_.back().vpn);
-            free_.splice(free_.begin(), lru_, std::prev(lru_.end()));
-        }
-        if (free_.empty())
-            free_.emplace_front();
-        lru_.splice(lru_.begin(), free_, free_.begin());
-        lru_.front() = Node{vpn, entry};
-        map_.emplace(vpn) = lru_.begin();
+        entries_.insert(va >> mem::pageShift,
+                        TlbEntry{frame, writable, region});
     }
 
     /** Invalidate one translation (x86 invlpg). */
-    void
-    invalidate(VAddr va)
-    {
-        auto it = map_.find(va >> mem::pageShift);
-        if (it == map_.end())
-            return;
-        free_.splice(free_.begin(), lru_, it->second);
-        map_.erase(it);
-    }
+    void invalidate(VAddr va) { entries_.erase(va >> mem::pageShift); }
 
     /** Flush everything (MTTOP shootdown policy; CR3 switch). */
     void
     flushAll()
     {
         ++flushes_;
-        map_.clear();
-        free_.splice(free_.begin(), lru_);
+        entries_.clear();
     }
 
-    std::size_t size() const { return map_.size(); }
+    std::size_t size() const { return entries_.size(); }
 
     std::uint64_t flushes() const { return flushes_.value(); }
 
   private:
-    struct Node
-    {
-        VAddr vpn = 0;
-        TlbEntry entry;
-    };
-
-    unsigned entries_;
-    /** Recency order, most recent first. */
-    std::list<Node> lru_;
-    /** Nodes of evicted, invalidated and flushed entries. */
-    std::list<Node> free_;
-    RecyclingMap<VAddr, std::list<Node>::iterator> map_;
+    /** Translations by VPN. */
+    LruMap<VAddr, TlbEntry> entries_;
 
     sim::Counter &hits_;
     sim::Counter &misses_;

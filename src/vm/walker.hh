@@ -17,8 +17,9 @@
 
 #include <functional>
 #include <string>
+#include <variant>
 
-#include "base/recycling_map.hh"
+#include "base/lru_map.hh"
 #include "base/types.hh"
 #include "mem/dram.hh"
 #include "sim/eventq.hh"
@@ -38,54 +39,25 @@ struct WalkerConfig
 };
 
 /**
- * A bounded LRU set of PTE lines. Each walker keeps one as its
- * page-walk cache. One more, shared by every walker, models the PTE
- * lines resident in the shared cache hierarchy: after any core's
- * walker fetches a PTE line, other cores find it on-chip instead of
- * re-reading DRAM (in the paper's chip the walkers' fills land in the
- * inclusive shared L2).
+ * A bounded true-LRU set of PTE lines, on the TLB's recency list
+ * (LruMap): a lookup hit and a re-insert make the line the most
+ * recent. Each walker keeps one as its page-walk cache. One more,
+ * shared by every walker, models the PTE lines resident in the shared
+ * cache hierarchy: after any core's walker fetches a PTE line, other
+ * cores find it on-chip instead of re-reading DRAM (in the paper's
+ * chip the walkers' fills land in the inclusive shared L2).
  */
 class PteLineFilter
 {
   public:
-    explicit PteLineFilter(unsigned entries = 512)
-        : entries_(entries)
-    {}
+    explicit PteLineFilter(unsigned entries = 512) : lines_(entries) {}
 
-    bool
-    lookup(Addr line)
-    {
-        auto it = map_.find(line);
-        if (it == map_.end())
-            return false;
-        it->second = ++useClock_;
-        return true;
-    }
+    bool lookup(Addr line) { return lines_.find(line) != nullptr; }
 
-    void
-    insert(Addr line)
-    {
-        if (auto it = map_.find(line); it != map_.end()) {
-            it->second = ++useClock_;
-            return;
-        }
-        if (map_.size() >= entries_) {
-            // Use stamps are unique, so the scan order cannot matter.
-            auto lru = map_.begin();
-            for (auto it = map_.begin(); it != map_.end(); ++it) {
-                if (it->second < lru->second)
-                    lru = it;
-            }
-            map_.erase(lru);
-        }
-        map_.emplace(line) = ++useClock_;
-    }
+    void insert(Addr line) { lines_.insert(line, {}); }
 
   private:
-    unsigned entries_;
-    /** Each line's last-use stamp. */
-    RecyclingMap<Addr, std::uint64_t> map_;
-    std::uint64_t useClock_ = 0;
+    LruMap<Addr, std::monostate> lines_;
 };
 
 /** Per-core hardware page table walker. */

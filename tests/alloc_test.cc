@@ -3,11 +3,12 @@
  * The memory system's steady state allocates no heap block per
  * access: an L1 hit allocates nothing, and a miss exactly one block
  * per coherence message it sends (the closure that carries the
- * message across the network). This binary replaces the global
+ * message across the network), and a full TLB or PTE-line filter
+ * allocates nothing to evict. This binary replaces the global
  * operator new with a counting one, so it is a suite of its own.
  *
  * Each case warms a CohHarness up with one round of accesses, so the
- * event pool, mailboxes and recycled map nodes reach their size, then
+ * event pool, post lists and recycled map nodes reach their size, then
  * repeats the identical round and counts. Accesses go through
  * requests built once by the test: the harness's issue(op, on_done)
  * allocates a request and a callback of its own per call.
@@ -20,6 +21,8 @@
 #include <new>
 
 #include "coherence_harness.hh"
+#include "vm/tlb.hh"
+#include "vm/walker.hh"
 
 namespace
 {
@@ -198,6 +201,30 @@ TEST(Alloc, EvictionsAndQueuedMissesAllocateOneBlockPerMessage)
     EXPECT_EQ(c.value, 7u);
     EXPECT_GT(cost.packets, 0u);
     EXPECT_EQ(cost.allocations, cost.packets);
+}
+
+TEST(Alloc, FullLruFiltersAllocateNothing)
+{
+    // Twelve pages and PTE lines cycle through a 4-entry TLB and a
+    // 4-line filter, so every access misses and evicts. The evicted
+    // entries' list and map nodes take the new ones.
+    sim::StatRegistry stats;
+    vm::Tlb tlb(stats, "tlb", 4);
+    vm::PteLineFilter lines(4);
+    const auto round = [&] {
+        vm::TlbEntry e;
+        for (Addr i = 0; i < 12; ++i) {
+            if (!tlb.lookup(i << mem::pageShift, e))
+                tlb.insert(i << mem::pageShift, i, true);
+            if (!lines.lookup(i * mem::blockBytes))
+                lines.insert(i * mem::blockBytes);
+        }
+    };
+    round();
+    const std::uint64_t before = allocations.load();
+    round();
+    EXPECT_EQ(allocations.load() - before, 0u);
+    EXPECT_EQ(stats.get("tlb.misses"), 24u);
 }
 
 } // namespace

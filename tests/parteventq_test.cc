@@ -126,15 +126,16 @@ TEST(PartEngine, SameTickCrossOrderIsDeterministic)
             << "threads=" << threads;
     }
 
-    // Seeded input: in each of two rounds, six source partitions post
-    // 50 events each to partition 0, on keys drawn from 2 ticks x 3
-    // priorities, while partition 0 already holds local events on the
-    // same keys. The second round runs after a later barrier, so a
-    // mailbox or touched list left over from the first one shows up
-    // as a duplicated or missing event. The expected order is the
-    // commit rule spelled out: per (when, priority) key, the local
-    // events in schedule order, then the posts by (source partition,
-    // post order).
+    // Seeded input: in each of two rounds, every one of seven
+    // partitions posts 50 events from one event, each to one of the
+    // six others, on keys drawn from 2 ticks x 3 priorities: a
+    // source's post list interleaves its destinations. Every partition
+    // already holds local events on the same keys. The second round
+    // runs after a later barrier, so a post left over from the first
+    // one shows up as a duplicated or missing event. The expected
+    // order at each destination is the commit rule spelled out: per
+    // (when, priority) key, its local events in schedule order, then
+    // the posts by (source partition, post order).
     constexpr int kParts = 7, kPosts = 50, kLocals = 12, kKeys = 6;
     constexpr Tick kPostAt[2] = {5, 35}; // sources post at this tick
     constexpr Tick kKeyAt[2] = {20, 50}; // to this tick and the next
@@ -142,55 +143,72 @@ TEST(PartEngine, SameTickCrossOrderIsDeterministic)
         return kKeyAt[round] + static_cast<Tick>(k / 3);
     };
     auto keyPrio = [](int k) { return k % 3 - 1; };
-    // Log entry of round r's event i from source s (0: local).
+    // Log entry of round r's event i from source s (kParts: local).
     auto id = [](int r, int s, int i) {
         return r * 100000 + s * 1000 + i;
     };
+    struct Post
+    {
+        int dest, key;
+    };
     std::mt19937 rng(20261018);
-    std::vector<int> localKeys[2];
-    std::vector<int> postKeys[2][kParts];
-    for (int r = 0; r < 2; ++r) {
-        for (int i = 0; i < kLocals; ++i)
-            localKeys[r].push_back(static_cast<int>(rng() % kKeys));
-        for (int s = 1; s < kParts; ++s)
-            for (int i = 0; i < kPosts; ++i)
-                postKeys[r][s].push_back(static_cast<int>(rng() % kKeys));
-    }
-    std::vector<int> expect;
+    std::vector<int> localKeys[2][kParts];
+    std::vector<Post> posts[2][kParts];
     for (int r = 0; r < 2; ++r)
-        for (int k = 0; k < kKeys; ++k) {
+        for (int p = 0; p < kParts; ++p) {
             for (int i = 0; i < kLocals; ++i)
-                if (localKeys[r][i] == k)
-                    expect.push_back(id(r, 0, i));
-            for (int s = 1; s < kParts; ++s)
-                for (int i = 0; i < kPosts; ++i)
-                    if (postKeys[r][s][i] == k)
-                        expect.push_back(id(r, s, i));
+                localKeys[r][p].push_back(static_cast<int>(rng() % kKeys));
+            for (int i = 0; i < kPosts; ++i) {
+                // Any partition but p.
+                const int skip = 1 + static_cast<int>(rng() % (kParts - 1));
+                posts[r][p].push_back(
+                    {(p + skip) % kParts, static_cast<int>(rng() % kKeys)});
+            }
         }
-    ASSERT_EQ(expect.size(), 2u * (kLocals + (kParts - 1) * kPosts));
+    std::vector<std::vector<int>> expect(kParts);
+    for (int d = 0; d < kParts; ++d)
+        for (int r = 0; r < 2; ++r)
+            for (int k = 0; k < kKeys; ++k) {
+                for (int i = 0; i < kLocals; ++i)
+                    if (localKeys[r][d][i] == k)
+                        expect[d].push_back(id(r, kParts, i));
+                for (int s = 0; s < kParts; ++s)
+                    for (int i = 0; i < kPosts; ++i)
+                        if (posts[r][s][i].dest == d &&
+                            posts[r][s][i].key == k)
+                            expect[d].push_back(id(r, s, i));
+            }
+    std::size_t expected = 0;
+    for (const auto &e : expect)
+        expected += e.size();
+    ASSERT_EQ(expected, 2u * kParts * (kLocals + kPosts));
 
     for (const int threads : {1, 2, 4}) {
         PartEngine eng(kParts, 10, threads);
-        std::vector<int> log;
-        for (int r = 0; r < 2; ++r) {
-            for (int i = 0; i < kLocals; ++i) {
-                const int k = localKeys[r][i];
-                eng.queue(0).schedule(
-                    keyWhen(r, k),
-                    [&log, v = id(r, 0, i)] { log.push_back(v); },
-                    keyPrio(k));
-            }
-            for (int s = 1; s < kParts; ++s)
-                eng.queue(s).schedule(kPostAt[r], [&, r, s] {
+        // log[d] is written only by events running in partition d.
+        std::vector<std::vector<int>> log(kParts);
+        for (int r = 0; r < 2; ++r)
+            for (int p = 0; p < kParts; ++p) {
+                for (int i = 0; i < kLocals; ++i) {
+                    const int k = localKeys[r][p][i];
+                    eng.queue(p).schedule(
+                        keyWhen(r, k),
+                        [&l = log[p], v = id(r, kParts, i)] {
+                            l.push_back(v);
+                        },
+                        keyPrio(k));
+                }
+                eng.queue(p).schedule(kPostAt[r], [&, r, p] {
                     for (int i = 0; i < kPosts; ++i) {
-                        const int k = postKeys[r][s][i];
-                        eng.post(
-                            eng.queue(0), keyWhen(r, k),
-                            [&log, v = id(r, s, i)] { log.push_back(v); },
-                            keyPrio(k));
+                        const Post &x = posts[r][p][i];
+                        eng.post(eng.queue(x.dest), keyWhen(r, x.key),
+                                 [&l = log[x.dest], v = id(r, p, i)] {
+                                     l.push_back(v);
+                                 },
+                                 keyPrio(x.key));
                     }
                 });
-        }
+            }
         eng.run();
         EXPECT_EQ(log, expect) << "threads=" << threads;
         EXPECT_TRUE(eng.empty());
@@ -200,9 +218,10 @@ TEST(PartEngine, SameTickCrossOrderIsDeterministic)
 TEST(PartEngine, HostScheduleAfterRunStaysConservative)
 {
     // Regression: a partition that sits idle while another runs far
-    // ahead must not keep a stale local clock. The window loop
-    // fast-forwards every queue to each window base, so after run()
-    // the clocks agree to within one lookahead and host-initiated
+    // ahead must not keep a stale local clock once the run returns.
+    // Its clock lags while it sits out windows; run() and runUntil()
+    // forward every clock to the committed time when they return, so
+    // the clocks then agree to within one lookahead and host-initiated
     // work on the quiet partition can still send cross-partition
     // messages (the litmus suite hit this resubmitting MTTOP tasks).
     PartEngine eng(2, 10);
@@ -210,18 +229,29 @@ TEST(PartEngine, HostScheduleAfterRunStaysConservative)
     for (Tick t = 50; t <= 10000; t += 50)
         eng.queue(1).schedule(t, [&] { ++heavy; });
     eng.queue(0).schedule(1, [] {});
-    eng.run();
-    EXPECT_EQ(heavy, 200);
-    // Both clocks are now within [W, W+L) of the final window.
-    EXPECT_GE(eng.queue(0).now() + eng.lookahead(),
-              eng.queue(1).now());
-
     bool delivered = false;
-    eng.queue(0).schedule(eng.queue(0).now() + 1, [&] {
-        postToPartition(eng.queue(1), [&] { delivered = true; });
-    });
-    eng.run();
-    EXPECT_TRUE(delivered);
+    // Host work on partition 0 that posts to partition 1, then the
+    // rest of the run.
+    const auto postAcrossAndRun = [&] {
+        // Both clocks are within [W, W+L) of the last window.
+        EXPECT_GE(eng.queue(0).now() + eng.lookahead(),
+                  eng.queue(1).now());
+        delivered = false;
+        eng.queue(0).schedule(eng.queue(0).now() + 1, [&] {
+            postToPartition(eng.queue(1), [&] { delivered = true; });
+        });
+        eng.run();
+        EXPECT_TRUE(delivered);
+    };
+
+    // The predicate fires at tick 5000, with partition 0 idle since
+    // tick 1.
+    ASSERT_TRUE(eng.runUntil([&] { return heavy == 100; }));
+    EXPECT_EQ(eng.queue(1).now(), 5000u);
+    postAcrossAndRun();
+    EXPECT_EQ(heavy, 200);
+    // run() returns after partition 1's last event, at tick 10000.
+    postAcrossAndRun();
     EXPECT_TRUE(eng.empty());
 }
 

@@ -146,6 +146,28 @@ TEST_F(VmFixture, TlbExactLruOrderUnderChurn)
     EXPECT_EQ(tlb.size(), 3u);
 }
 
+TEST_F(VmFixture, PteLineFilterExactLruOrder)
+{
+    // The walkers' PTE-line filters are true LRU like the TLB: a
+    // lookup hit and a re-insert each make a line the most recent,
+    // and a new line into a full filter evicts the least recent.
+    PteLineFilter lines(3);
+    lines.insert(0x40);
+    lines.insert(0x80);
+    lines.insert(0xc0);
+    // Recency now c0,80,40. Touch 40 -> 40,c0,80; re-insert 80 ->
+    // 80,40,c0. The next two inserts evict c0, then 40.
+    ASSERT_TRUE(lines.lookup(0x40));
+    lines.insert(0x80);
+    lines.insert(0x100);
+    EXPECT_FALSE(lines.lookup(0xc0));
+    lines.insert(0x140);
+    EXPECT_FALSE(lines.lookup(0x40));
+    EXPECT_TRUE(lines.lookup(0x80));
+    EXPECT_TRUE(lines.lookup(0x100));
+    EXPECT_TRUE(lines.lookup(0x140));
+}
+
 TEST_F(VmFixture, ShootdownPolicyCountsFlushes)
 {
     // The documented TLB-coherence policy (tlb.hh, paper Sec. 3.2.1):
