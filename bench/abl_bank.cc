@@ -18,11 +18,16 @@
  * Per row: simulated ms, DRAM transactions, the hottest bank's share
  * of directory requests (1/banks = perfectly spread, 1.0 = fully
  * pinned), peak directory occupancy of the hottest bank, and
- * conflict evictions split total/coherent. Expected shape: under mod
- * the strided stream pins one bank (share ~1) and xorfold/skew
- * spread it; conflict's evictions collapse as banks (and thus sets)
- * multiply; replacers reshuffle who gets evicted, not how often the
- * pattern conflicts.
+ * conflict evictions split total/coherent. Today mod puts 99.7% of
+ * the strided stream's directory requests on one of 4 banks and
+ * xorfold and skew 25%; BankAxis.XorfoldSpreadsTheStridedStream
+ * (tests/axes_test.cc) holds the hottest bank's peak occupancy, mod
+ * above xorfold, on a 1 MB stream. Under mod the conflict pattern's
+ * 952 evictions stay at every bank count (it derives its stride from
+ * the bank geometry); under xorfold and skew they fall to 0 at 4
+ * banks. BankAxis.RegionReplacerShieldsCoherentLines holds the region
+ * replacer's shape on an annotated matmul; nothing checks the
+ * replacer rows here.
  */
 
 #include "bench_common.hh"

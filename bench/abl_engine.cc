@@ -25,7 +25,7 @@
  *
  * Unlike the figure benches this binary measures host time, so its
  * points run one after another (runBench's hostTimed). Numbers from a
- * run_figures.sh session (which runs other benches concurrently) are
+ * parallel ctest run (which runs other tests concurrently) are
  * indicative only; run the binary alone for clean ones.
  */
 

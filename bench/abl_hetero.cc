@@ -10,11 +10,21 @@
  * exist) and false sharing (invalidation storms). Each row reports
  * runtime plus the pair-sensitive traffic: total writebacks (off-chip
  * plus dirty-read writebacks), the per-cluster split of the
- * dirty-read writebacks, and L1 invalidations. Expected shape: the
- * homogeneous diagonal reproduces abl_protocol; CPU-MOESI/MTTOP-MSI
- * moves the migratory writeback burden entirely onto the MTTOP
- * cluster; pairs whose MTTOP side has O but whose CPU side does not
- * charge the CPU cluster for reading MTTOP-dirty data.
+ * dirty-read writebacks, and L1 invalidations. The shapes and the
+ * tests that hold them:
+ *  - a homogeneous pair is its single-protocol run
+ *    (HeteroCoherenceP.HomogeneousPairMatchesSingleProtocolStats;
+ *    byte for byte through the driver in ccsvm_driver_axes);
+ *  - an MTTOP side without O pays the migratory hand-offs at the
+ *    home, charged to the MTTOP cluster
+ *    (HeteroCoherenceP.MigratoryHandoffChargesTheWeakerCluster, and
+ *    ProtocolPairAxis.MigratoryChargesTheMttopClusterWithoutO on the
+ *    whole chip): 719 MTTOP-side writebacks today in every migratory
+ *    row with an MSI or MESI MTTOP side, 0 with MOESI;
+ *  - a CPU reading MTTOP-dirty data under a pair without O at both
+ *    ends pays the writeback, charged to the CPU cluster
+ *    (HeteroCoherenceP.MttopOwnerDirtyDataIsNeverLost): 16 CPU-side
+ *    migratory writebacks today in every pair but all-MOESI.
  */
 
 #include "bench_common.hh"

@@ -9,8 +9,13 @@
  * the table reports runtime plus the protocol-sensitive traffic:
  * writebacks (off-chip plus the dirty-read writebacks that protocols
  * without an O state pay) and invalidations received at the L1s.
- * MOESI's O state should show the fewest writebacks; MSI, lacking E,
- * additionally pays an explicit upgrade for private read-then-write.
+ * The matmul n=16 row is the run whose shape
+ * ProtocolAxis.MatmulWritebacksAndInvalidationsOrder
+ * (tests/axes_test.cc) holds: MSI and MESI pay more writebacks than
+ * MOESI, whose O state absorbs the dirty sharing, and MSI at least
+ * MOESI's invalidations (today wb 49/49/0 and invs 5/2/2 for
+ * MSI/MESI/MOESI). MSI's explicit upgrade for a private
+ * read-then-write is CoherenceP.PrivateReadThenWriteUpgradeCost.
  */
 
 #include "bench_common.hh"

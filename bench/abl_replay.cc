@@ -18,8 +18,8 @@
  * committed baseline.
  *
  * Like abl_engine this binary measures host time, so its points run
- * one after another; numbers from a concurrent run_figures.sh sweep
- * are indicative only.
+ * one after another; numbers from a parallel ctest run are
+ * indicative only.
  */
 
 #include "bench_common.hh"

@@ -10,9 +10,15 @@
  * of 8 per core) so every configuration spreads its sharers across
  * all MTTOP L1s; each row reports runtime, writebacks (off-chip plus
  * the dirty-read writebacks protocols without an O state pay) and L1
- * invalidations. Expected shape: migratory writebacks MSI > MESI >>
- * MOESI (~0); false-sharing invalidations >> padded; stream/ptrchase
- * indifferent to the protocol.
+ * invalidations. synth_test holds each shape on the default 10-core
+ * chip at 16 threads: migratory writebacks MSI >= MESI > MOESI
+ * (SynthDiscrimination.MigratoryWritebacksOrderMsiMesiMoesi; the
+ * 2-core row reads 1455/1454/0 today), false-sharing invalidations
+ * at least 10x padded
+ * (SynthDiscrimination.FalseSharingInvalidationsDwarfPadded), and
+ * stream indifferent to the protocol
+ * (SynthDiscrimination.PrivatePatternsAreProtocolIndifferent).
+ * Nothing checks the 4-core row or ptrchase.
  */
 
 #include "bench_common.hh"

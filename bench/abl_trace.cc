@@ -18,8 +18,8 @@
  * never perturb it.
  *
  * Host-time measurement, so the points run one after another like
- * abl_engine's; numbers from a shared run_figures.sh sweep are
- * indicative only.
+ * abl_engine's; numbers from a parallel ctest run are indicative
+ * only.
  */
 
 #include "bench_common.hh"

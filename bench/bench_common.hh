@@ -13,8 +13,8 @@
  *                        (longer host runtime).
  *   CCSVM_JOBS=N         cap the simulation workers (1 = sequential,
  *                        unset = hardware concurrency).
- *   CCSVM_BENCH_JSON=P   also write the figure as JSON to P (used by
- *                        bench/run_figures.sh).
+ *   CCSVM_BENCH_JSON=P   also write the figure as JSON to P (each
+ *                        bench ctest writes BENCH_<name>.json).
  */
 
 #ifndef CCSVM_BENCH_BENCH_COMMON_HH

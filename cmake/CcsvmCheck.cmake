@@ -78,42 +78,13 @@ function(ccsvm_run)
 endfunction()
 
 # ccsvm_list(<flag> <var>): the names a --list-* flag prints, one per
-# line, as a list — so a sweep tracks every enum value the driver
+# line, as a list — so a check tracks every enum value the driver
 # knows.
 function(ccsvm_list flag var)
   ccsvm_run(${flag} STDOUT out)
   string(STRIP "${out}" out)
   string(REPLACE "\n" ";" names "${out}")
   set(${var} ${names} PARENT_SCOPE)
-endfunction()
-
-# ccsvm_sum(<doc> DIR|L1 <suffix> <var>): sum dir<b>.<suffix> over
-# every L2/directory bank (DIR), or cpu<i>.l1.<suffix> and
-# mttop<j>.l1.<suffix> over every L1 (L1), of the machine the driver
-# JSON <doc> describes.
-function(ccsvm_sum doc family suffix var)
-  if(family STREQUAL "DIR")
-    set(units "l2_banks dir .${suffix}")
-  elseif(family STREQUAL "L1")
-    set(units "cpu_cores cpu .l1.${suffix}"
-              "mttop_cores mttop .l1.${suffix}")
-  else()
-    message(FATAL_ERROR "ccsvm_sum: want DIR or L1, got '${family}'")
-  endif()
-  set(total 0)
-  foreach(unit IN LISTS units)
-    separate_arguments(unit)
-    list(GET unit 0 count_key)
-    list(GET unit 1 prefix)
-    list(GET unit 2 tail)
-    string(JSON n GET "${doc}" machine ${count_key})
-    math(EXPR last "${n} - 1")
-    foreach(i RANGE ${last})
-      string(JSON v GET "${doc}" stats counters ${prefix}${i}${tail})
-      math(EXPR total "${total} + ${v}")
-    endforeach()
-  endforeach()
-  set(${var} ${total} PARENT_SCOPE)
 endfunction()
 
 # ccsvm_normalize(<var> <json-file>): the file's text with the echoed

@@ -23,6 +23,8 @@ ccsvm_run(--slice-hash crc32 EXIT 2
           MATCHES "--slice-hash wants one of mod, xorfold, skew")
 ccsvm_run(--l2-replace plru EXIT 2
           MATCHES "--l2-replace wants one of lru, fifo, rand, region")
+ccsvm_run(--trace-categories bogus EXIT 2
+          MATCHES "--trace-categories wants a comma list of coh, noc, vm, kernel, engine or all")
 
 # Geometry the cache arrays cannot index: zero or non-power-of-two
 # set counts must be rejected up front with a diagnostic, exit 2.
@@ -59,6 +61,18 @@ foreach(bad "--region;r:0x10000000:-4096:bypass"
   list(GET bad 0 flag)
   ccsvm_run(${bad} --workload spmm EXIT 2 MATCHES "^ccsvm: ${flag} ")
 endforeach()
+
+# A leading zero is decimal, not octal: 020000 is 20,000 bytes, not a
+# page multiple (read as octal it would be 8,192 and run).
+ccsvm_run(--workload synth:stream --iters 2
+          --region h:0x20000000:020000:bypass EXIT 2
+          MATCHES "must be page-aligned")
+
+# Overlapping regions exit 2 with a CLI diagnostic instead of tripping
+# the region table's assert.
+ccsvm_run(--workload synth:stream --iters 2
+          --region a:0x20000000:0x2000:bypass
+          --region b:0x20001000:0x2000:coherent EXIT 2 MATCHES "overlaps")
 
 # A directory line keeps its sharers in a 32-bit mask, one bit per L1
 # (one per CPU or MTTOP core): 33 L1s are rejected naming both flags

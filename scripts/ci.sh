@@ -39,24 +39,3 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 echo "=== machine and protocol suites on the 4-thread engine ==="
 CCSVM_SIM_THREADS=4 ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -j "$(nproc)" -L machine
-
-# Driver smoke on the threaded engine (the quantitative byte-identity
-# grid lives in the ccsvm_parallel_engine ctest, run above).
-"$BUILD_DIR"/tools/ccsvm --workload matmul --n 8 --sim-threads 4
-
-# Trace capture + replay smoke: capture a run, validate and inspect
-# the file with ccsvm-trace, replay it, and check the committed trace
-# library. The quantitative assertions (capture/replay stats
-# byte-identity at 1 and 4 sim threads, shape-mismatch rejection) live
-# in replay_test and the ccsvm_replay_check ctest, which the full pass
-# above already ran.
-echo "=== trace capture/replay smoke ==="
-"$BUILD_DIR"/tools/ccsvm --workload synth:false --iters 12 \
-    --capture-out "$BUILD_DIR/ci_smoke.ccsvmt"
-"$BUILD_DIR"/tools/ccsvm-trace validate "$BUILD_DIR/ci_smoke.ccsvmt"
-"$BUILD_DIR"/tools/ccsvm-trace inspect "$BUILD_DIR/ci_smoke.ccsvmt"
-"$BUILD_DIR"/tools/ccsvm --workload replay \
-    --trace "$BUILD_DIR/ci_smoke.ccsvmt"
-for trace in traces/*.ccsvmt; do
-    "$BUILD_DIR"/tools/ccsvm-trace validate "$trace"
-done

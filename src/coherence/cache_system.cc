@@ -49,7 +49,7 @@ CacheSystem::CacheSystem(const CacheSystemConfig &cfg,
                          sim::StatRegistry &stats, noc::Network &net,
                          mem::DramCtrl &dram, mem::PhysMem &phys)
     : clusters_(cfg.clusters), hash_(&sliceHash(cfg.sliceHash)),
-      net_(&net), phys_(&phys)
+      net_(&net), phys_(&phys), stats_(&stats)
 {
     int num_l1s = 0;
     for (const L1Cluster &c : clusters_)
@@ -71,7 +71,7 @@ CacheSystem::CacheSystem(const CacheSystemConfig &cfg,
     }
     for (int b = 0; b < static_cast<int>(cfg.bankQueues.size()); ++b) {
         banks_.push_back(std::make_unique<Directory>(
-            *this, *cfg.bankQueues[b], stats, "dir" + std::to_string(b),
+            *this, *cfg.bankQueues[b], stats, bankName(b),
             cfg.bank, b, /*node=*/num_l1s + b, dram, phys));
     }
 }
@@ -117,6 +117,24 @@ CacheSystem::l1Name(L1Id id) const
         first += c.count;
     }
     ccsvm_panic("bad L1 id %d", id);
+}
+
+std::uint64_t
+CacheSystem::l1Total(const std::string &suffix) const
+{
+    std::uint64_t total = 0;
+    for (L1Id id = 0; id < numL1s(); ++id)
+        total += stats_->get(l1Name(id) + suffix);
+    return total;
+}
+
+std::uint64_t
+CacheSystem::bankTotal(const std::string &suffix) const
+{
+    std::uint64_t total = 0;
+    for (int b = 0; b < numBanks(); ++b)
+        total += stats_->get(bankName(b) + suffix);
+    return total;
 }
 
 void

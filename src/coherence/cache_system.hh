@@ -9,7 +9,8 @@
  *    first), and an L1's id is its NoC node; bank b is at node
  *    numL1s() + b;
  *  - the i-th L1 of a cluster is "<kind><i>.l1" and records into
- *    latency.<kind>.*; bank b is "dir<b>".
+ *    latency.<kind>.*; bank b is "dir<b>"; l1Total and bankTotal sum
+ *    one counter over them.
  * Controllers reach their peers, each block's home and each other's
  * protocol and core kind through this class instead of keeping
  * copies. homeOf() is the one address-to-home-bank lookup, send() is
@@ -87,6 +88,15 @@ class CacheSystem : public runtime::FunctionalMem
 
     /** Stat name prefix of L1 @p id ("cpu3.l1"). */
     std::string l1Name(L1Id id) const;
+    /** Stat name prefix of home bank @p b ("dir2"). */
+    static std::string bankName(int b) { return "dir" + std::to_string(b); }
+
+    /** Counter <l1Name(id)><suffix> summed over every L1
+     * (l1Total(".invs")). */
+    std::uint64_t l1Total(const std::string &suffix) const;
+    /** Counter <bankName(b)><suffix> summed over every home bank
+     * (bankTotal(".fetches")). */
+    std::uint64_t bankTotal(const std::string &suffix) const;
 
     /** The SWMR monitor; nullptr when the checks are off. */
     const SwmrMonitor *monitor() const { return monitor_.get(); }
@@ -117,6 +127,7 @@ class CacheSystem : public runtime::FunctionalMem
     std::unique_ptr<SwmrMonitor> monitor_;
     std::vector<std::unique_ptr<L1Controller>> l1s_;
     std::vector<std::unique_ptr<Directory>> banks_;
+    const sim::StatRegistry *stats_;
 };
 
 } // namespace ccsvm::coherence

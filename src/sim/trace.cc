@@ -19,18 +19,13 @@ Tracer::parseCategories(const std::string &list, unsigned &mask)
         if (comma == std::string::npos)
             comma = list.size();
         const std::string tok = list.substr(pos, comma - pos);
+        const auto *cat = std::find_if(
+            std::begin(traceCatNames), std::end(traceCatNames),
+            [&tok](const auto &c) { return tok == c.second; });
         if (tok == "all")
             m |= traceAll;
-        else if (tok == "coh")
-            m |= traceCoh;
-        else if (tok == "noc")
-            m |= traceNoc;
-        else if (tok == "vm")
-            m |= traceVm;
-        else if (tok == "kernel")
-            m |= traceKernel;
-        else if (tok == "engine")
-            m |= traceEngine;
+        else if (cat != std::end(traceCatNames))
+            m |= cat->first;
         else if (!tok.empty())
             return false;
         pos = comma + 1;
@@ -42,14 +37,20 @@ Tracer::parseCategories(const std::string &list, unsigned &mask)
 const char *
 Tracer::catName(unsigned bit)
 {
-    switch (bit) {
-      case traceCoh: return "coh";
-      case traceNoc: return "noc";
-      case traceVm: return "vm";
-      case traceKernel: return "kernel";
-      case traceEngine: return "engine";
-      default: return "?";
+    for (const auto &[cat, name] : traceCatNames) {
+        if (cat == bit)
+            return name;
     }
+    return "?";
+}
+
+std::string
+Tracer::catNameList()
+{
+    std::string out;
+    for (const auto &[cat, name] : traceCatNames)
+        out += (out.empty() ? "" : ", ") + std::string(name);
+    return out;
 }
 
 int

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -52,6 +53,14 @@ enum TraceCat : unsigned
 /** All categories on. */
 inline constexpr unsigned traceAll =
     traceCoh | traceNoc | traceVm | traceKernel | traceEngine;
+
+/** Each category's --trace-categories name, in bit order: the one
+ * table parseCategories, catName and catNameList read. */
+inline constexpr std::pair<TraceCat, const char *> traceCatNames[] = {
+    {traceCoh, "coh"},       {traceNoc, "noc"},
+    {traceVm, "vm"},         {traceKernel, "kernel"},
+    {traceEngine, "engine"},
+};
 
 /** One recorded event. `name` must be a string literal. */
 struct TraceEvent
@@ -91,6 +100,9 @@ class Tracer
 
     /** Category bit -> name, for JSON "cat" fields. */
     static const char *catName(unsigned bit);
+
+    /** Every category name, in bit order: "coh, noc, ...". */
+    static std::string catNameList();
 
     /**
      * Intern a lane (rendered as a Perfetto thread row). Host-side

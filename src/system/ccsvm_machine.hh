@@ -195,6 +195,8 @@ class CcsvmMachine
     /** The partitioned engine (bench/diagnostic access). */
     sim::PartEngine &engine() { return engine_; }
     sim::StatRegistry &stats() { return stats_; }
+    /** Every L1 and home bank (their names and counter totals). */
+    coherence::CacheSystem &caches() { return *caches_; }
     mem::PhysMem &physMem() { return phys_; }
     vm::Kernel &kernel() { return *kernel_; }
     dev::Mifd &mifd() { return *mifd_; }

@@ -22,15 +22,8 @@ namespace ccsvm::system
 inline std::uint64_t
 dirtyWritebacks(CcsvmMachine &m)
 {
-    std::uint64_t total = 0;
-    for (int b = 0; ; ++b) {
-        const std::string bank = "dir" + std::to_string(b);
-        if (!m.stats().hasCounter(bank + ".writebacks"))
-            break;
-        total += m.stats().get(bank + ".writebacks");
-        total += m.stats().get(bank + ".sharingWb");
-    }
-    return total;
+    return m.caches().bankTotal(".writebacks") +
+           m.caches().bankTotal(".sharingWb");
 }
 
 /** Dirty-read writebacks carried home by one cluster's requestors:
@@ -41,28 +34,14 @@ dirtyWritebacks(CcsvmMachine &m)
 inline std::uint64_t
 clusterSharingWritebacks(CcsvmMachine &m, const std::string &cluster)
 {
-    std::uint64_t total = 0;
-    for (int b = 0; ; ++b) {
-        const std::string bank = "dir" + std::to_string(b);
-        if (!m.stats().hasCounter(bank + ".sharingWb." + cluster))
-            break;
-        total += m.stats().get(bank + ".sharingWb." + cluster);
-    }
-    return total;
+    return m.caches().bankTotal(".sharingWb." + cluster);
 }
 
 /** Invalidations received across every CPU and MTTOP L1. */
 inline std::uint64_t
 l1Invalidations(CcsvmMachine &m)
 {
-    std::uint64_t total = 0;
-    for (int i = 0; i < m.numCpuCores(); ++i)
-        total += m.stats().get("cpu" + std::to_string(i) +
-                               ".l1.invs");
-    for (int j = 0; j < m.numMttopCores(); ++j)
-        total += m.stats().get("mttop" + std::to_string(j) +
-                               ".l1.invs");
-    return total;
+    return m.caches().l1Total(".invs");
 }
 
 } // namespace ccsvm::system

@@ -9,11 +9,10 @@
  * workload actually consumes (so the driver can warn when a flag is
  * set that the selected workload ignores), and a factory that runs it
  * on a caller-provided CcsvmMachine. The driver's dispatch,
- * `--list-workloads`, the unknown-workload error, the ignored-flag
+ * `--list-workloads`, the unknown-workload error and the ignored-flag
  * warning (whose watched flags are the union of every entry's
- * `flags`), and CI's synth smoke loop all enumerate this table, so
- * adding a workload is one registration in registry.cc (see README
- * "Workloads").
+ * `flags`) all enumerate this table, so adding a workload is one
+ * registration in registry.cc (see README "Workloads").
  */
 
 #ifndef CCSVM_WORKLOADS_REGISTRY_HH

@@ -645,16 +645,6 @@ class HeteroCoherenceP : public ::testing::TestWithParam<ProtocolPair>
         return pairAllowsDirtySharing(protocolPolicy(cpuProto()),
                                       protocolPolicy(mttopProto()));
     }
-
-    std::uint64_t
-    bankCounter(CohHarness &h, const char *name)
-    {
-        std::uint64_t total = 0;
-        for (int b = 0; b < kBanks; ++b)
-            total += h.stats.get("dir" + std::to_string(b) + "." +
-                                 name);
-        return total;
-    }
 };
 
 TEST_P(HeteroCoherenceP, SoleCopyFillFollowsRequestorCluster)
@@ -695,15 +685,15 @@ TEST_P(HeteroCoherenceP, CpuOwnerForwardToMttopFollowsPairVerdict)
     if (pairDirtyShares()) {
         EXPECT_EQ(st, DirState::O);
         EXPECT_EQ(owner, 0);
-        EXPECT_EQ(bankCounter(h, "sharingWb"), 0u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb"), 0u);
     } else {
         EXPECT_EQ(st, DirState::S);
         EXPECT_EQ(owner, noL1);
         // The MTTOP requestor carried the dirty data home; the
         // writeback is charged to its cluster.
-        EXPECT_EQ(bankCounter(h, "sharingWb"), 1u);
-        EXPECT_EQ(bankCounter(h, "sharingWb.mttop"), 1u);
-        EXPECT_EQ(bankCounter(h, "sharingWb.cpu"), 0u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb"), 1u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb.mttop"), 1u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb.cpu"), 0u);
     }
 }
 
@@ -719,9 +709,9 @@ TEST_P(HeteroCoherenceP, MttopOwnerDirtyDataIsNeverLost)
     EXPECT_EQ(h.load(0, 0x4000), 0x77u);
     h.drain();
     if (!pairDirtyShares()) {
-        EXPECT_EQ(bankCounter(h, "sharingWb"), 1u);
-        EXPECT_EQ(bankCounter(h, "sharingWb.cpu"), 1u);
-        EXPECT_EQ(bankCounter(h, "sharingWb.mttop"), 0u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb"), 1u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb.cpu"), 1u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb.mttop"), 0u);
         // The home copy is clean: the block's bytes at the L2 match.
         std::uint8_t blk[mem::blockBytes];
         Directory &bank = h.bank((0x4000 >> 6) % kBanks);
@@ -756,11 +746,11 @@ TEST_P(HeteroCoherenceP, MigratoryHandoffChargesTheWeakerCluster)
     const bool mttop_pair_shares =
         protocolPolicy(mttopProto()).allowsDirtySharing();
     if (!mttop_pair_shares) {
-        EXPECT_EQ(bankCounter(h, "sharingWb.mttop"),
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb.mttop"),
                   std::uint64_t(kRounds));
-        EXPECT_EQ(bankCounter(h, "sharingWb.cpu"), 0u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb.cpu"), 0u);
     } else {
-        EXPECT_EQ(bankCounter(h, "sharingWb"), 0u);
+        EXPECT_EQ(h.caches.bankTotal(".sharingWb"), 0u);
     }
 }
 
@@ -790,8 +780,8 @@ TEST_P(HeteroCoherenceP, HomogeneousPairMatchesSingleProtocolStats)
     script(legacy);
 
     for (const char *c :
-         {"getS", "getM", "sharingWb", "writebacks", "fetches"}) {
-        EXPECT_EQ(bankCounter(hetero, c), bankCounter(legacy, c))
+         {".getS", ".getM", ".sharingWb", ".writebacks", ".fetches"}) {
+        EXPECT_EQ(hetero.caches.bankTotal(c), legacy.caches.bankTotal(c))
             << "counter " << c;
     }
     for (int i = 0; i < kCpuL1s + kMttopL1s; ++i) {

@@ -511,15 +511,9 @@ TEST(Machine, HeterogeneousPairSharesOneCounterCorrectly)
 
     EXPECT_EQ(proc.peek<std::uint64_t>(counter), 16u * 8 + 40);
 
-    std::uint64_t wb = 0;
-    for (int b = 0;; ++b) {
-        const std::string bank = "dir" + std::to_string(b);
-        if (!m.stats().hasCounter(bank + ".sharingWb"))
-            break;
-        wb += m.stats().get(bank + ".sharingWb");
-    }
-    EXPECT_EQ(wb, clusterSharingWritebacks(m, "cpu") +
-                      clusterSharingWritebacks(m, "mttop"));
+    EXPECT_EQ(m.caches().bankTotal(".sharingWb"),
+              clusterSharingWritebacks(m, "cpu") +
+                  clusterSharingWritebacks(m, "mttop"));
 }
 
 } // namespace

@@ -177,15 +177,6 @@ class RegionProtocolTest
     : public ::testing::TestWithParam<Protocol>
 {};
 
-std::uint64_t
-sumDirCounter(CohHarness &h, const std::string &suffix)
-{
-    std::uint64_t total = 0;
-    for (int b = 0; b < h.caches.numBanks(); ++b)
-        total += h.stats.get("dir" + std::to_string(b) + suffix);
-    return total;
-}
-
 TEST_P(RegionProtocolTest, BypassRoundTripWithoutCaching)
 {
     CohHarness h(2, 2, {}, {}, GetParam());
@@ -206,9 +197,9 @@ TEST_P(RegionProtocolTest, BypassRoundTripWithoutCaching)
     unsigned sharers;
     EXPECT_FALSE(h.bank(pa >> mem::blockShift & 1).probe(
         pa, st, owner, sharers));
-    EXPECT_EQ(sumDirCounter(h, ".fetches"), 0u);
-    EXPECT_EQ(sumDirCounter(h, ".bypassReads"), 2u);
-    EXPECT_EQ(sumDirCounter(h, ".bypassWrites"), 1u);
+    EXPECT_EQ(h.caches.bankTotal(".fetches"), 0u);
+    EXPECT_EQ(h.caches.bankTotal(".bypassReads"), 2u);
+    EXPECT_EQ(h.caches.bankTotal(".bypassWrites"), 1u);
     // The final value landed in physical memory.
     EXPECT_EQ(h.phys.readScalar(pa, 8), 123u);
 }
@@ -225,7 +216,7 @@ TEST_P(RegionProtocolTest, BypassAtomicReturnsOldValue)
               42u);
     EXPECT_EQ(h.load(0, pa, 8, {RegionAttr::Bypass}), 45u);
     h.drain();
-    EXPECT_EQ(sumDirCounter(h, ".bypassWrites"), 2u);
+    EXPECT_EQ(h.caches.bankTotal(".bypassWrites"), 2u);
     for (int id = 0; id < h.caches.numL1s(); ++id)
         EXPECT_EQ(h.l1(id).pendingTransactions(), 0u);
 }
@@ -265,7 +256,7 @@ TEST_P(RegionProtocolTest, BypassHitsResidentL2Copy)
     // Served at the home without re-fetching: the fetch count stays
     // at the coherent traffic's level (5 blocks), and the L1 still
     // holds nothing.
-    EXPECT_EQ(sumDirCounter(h, ".fetches"), 5u);
+    EXPECT_EQ(h.caches.bankTotal(".fetches"), 5u);
     EXPECT_EQ(h.stateAt(0, first), CohState::I);
 }
 
@@ -309,7 +300,7 @@ TEST_P(RegionProtocolTest, OverrideMsiReadOfDirtyDataWritesBackHome)
     h.drain();
     EXPECT_EQ(h.stateAt(0, pa), CohState::S);
     EXPECT_EQ(h.stateAt(1, pa), CohState::S);
-    EXPECT_EQ(sumDirCounter(h, ".sharingWb"), 1u);
+    EXPECT_EQ(h.caches.bankTotal(".sharingWb"), 1u);
 }
 
 TEST_P(RegionProtocolTest, RegionClassSplitsDirectoryCounters)
@@ -332,10 +323,10 @@ TEST_P(RegionProtocolTest, RegionClassSplitsDirectoryCounters)
             {RegionAttr::ProtocolOverride, Protocol::MSI});
     h.drain();
 
-    EXPECT_EQ(sumDirCounter(h, ".invsSent.coherent"), 1u);
-    EXPECT_EQ(sumDirCounter(h, ".invsSent.override"), 1u);
-    EXPECT_EQ(sumDirCounter(h, ".fetches.coherent"), 1u);
-    EXPECT_EQ(sumDirCounter(h, ".fetches.override"), 1u);
+    EXPECT_EQ(h.caches.bankTotal(".invsSent.coherent"), 1u);
+    EXPECT_EQ(h.caches.bankTotal(".invsSent.override"), 1u);
+    EXPECT_EQ(h.caches.bankTotal(".fetches.coherent"), 1u);
+    EXPECT_EQ(h.caches.bankTotal(".fetches.override"), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, RegionProtocolTest,

@@ -198,8 +198,9 @@ integer(const Arg &a, T lo)
 
 /**
  * Parse a byte count: 0x-hex or decimal, optional K/M/G suffix. A
- * sign (which strtoull would wrap: "-4096" is 2^64 - 4096) and a
- * count past 2^64 - 1, suffix included, exit 2 naming the flag.
+ * leading zero is decimal, not octal ("020000" is 20,000). A sign
+ * (which strtoull would wrap: "-4096" is 2^64 - 4096) and a count
+ * past 2^64 - 1, suffix included, exit 2 naming the flag.
  */
 Addr
 parseBytes(const char *flag, const std::string &value)
@@ -215,7 +216,9 @@ parseBytes(const char *flag, const std::string &value)
         fail(syntax);
     errno = 0;
     char *end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
+    const bool hex = value[0] == '0' && (value[1] == 'x' || value[1] == 'X');
+    const unsigned long long v =
+        std::strtoull(value.c_str(), &end, hex ? 16 : 10);
     Addr unit = 1;
     if (end[0] && !end[1]) {
         switch (std::tolower(static_cast<unsigned char>(end[0]))) {
@@ -550,8 +553,8 @@ const Flag kFlags[] = {
          if (!sim::Tracer::parseCategories(a.value, mask)) {
              std::fprintf(stderr,
                           "ccsvm: --trace-categories wants a comma list "
-                          "of coh, noc, vm, kernel, engine or all, got "
-                          "'%s'\n",
+                          "of %s or all, got '%s'\n",
+                          sim::Tracer::catNameList().c_str(),
                           a.value);
              std::exit(2);
          }
