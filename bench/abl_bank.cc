@@ -35,6 +35,7 @@
 #include <cstdio>
 
 #include "cache/replacer.hh"
+#include "coherence/cache_system.hh"
 #include "coherence/slice_hash.hh"
 #include "system/ccsvm_machine.hh"
 #include "workloads/replay/replayer.hh"
@@ -89,7 +90,7 @@ bankValues(system::CcsvmMachine &m, SweepOutcome &o)
     std::uint64_t total_req = 0, max_req = 0, max_occ = 0;
     std::uint64_t evs = 0, evs_coh = 0;
     for (int b = 0; b < m.config().numL2Banks; ++b) {
-        const std::string dir = "dir" + std::to_string(b);
+        const std::string dir = coherence::CacheSystem::bankName(b);
         const std::uint64_t req = m.stats().get(dir + ".requests");
         total_req += req;
         max_req = std::max(max_req, req);

@@ -62,6 +62,24 @@ foreach(bad "--region;r:0x10000000:-4096:bypass"
   ccsvm_run(${bad} --workload spmm EXIT 2 MATCHES "^ccsvm: ${flag} ")
 endforeach()
 
+# --help names the size suffixes the parser takes: each suffix it
+# names runs, and any other letter is rejected as a syntax error.
+ccsvm_run(--help STDOUT help)
+if(NOT help MATCHES "decimal, ([A-Z/]+) suffixes")
+  message(FATAL_ERROR "--help names no --region size suffixes:\n${help}")
+endif()
+string(REPLACE "/" ";" named "${CMAKE_MATCH_1}")
+foreach(suffix K M G T P E)
+  set(region --region h:0x20000000:4${suffix}:bypass)
+  list(FIND named ${suffix} at)
+  if(at GREATER -1)
+    ccsvm_run(--workload synth:stream --iters 2 ${region})
+  else()
+    ccsvm_run(--workload synth:stream --iters 2 ${region} EXIT 2
+              MATCHES "^ccsvm: --region size needs a byte count")
+  endif()
+endforeach()
+
 # A leading zero is decimal, not octal: 020000 is 20,000 bytes, not a
 # page multiple (read as octal it would be 8,192 and run).
 ccsvm_run(--workload synth:stream --iters 2

@@ -26,6 +26,18 @@ forEachBlock(Addr pa, unsigned len, Fn fn)
     }
 }
 
+/** The delivery of @p msg to @p ctrl, an L1 or a home bank: the
+ * receiver and the message, by value. */
+template <typename Ctrl>
+noc::Network::Deliver
+deliveryTo(Ctrl &ctrl, const CohMsg &msg)
+{
+    auto deliver = [ctrl = &ctrl, msg] { ctrl->handleMessage(msg); };
+    static_assert(noc::Network::Deliver::holdsInline<decltype(deliver)>,
+                  "a delivery holds its receiver and message inline");
+    return deliver;
+}
+
 } // namespace
 
 std::vector<sim::EventQueue *>
@@ -76,34 +88,25 @@ CacheSystem::CacheSystem(const CacheSystemConfig &cfg,
     }
 }
 
-noc::Network::Deliver
-CacheSystem::deliveryTo(noc::NodeId to, CohMsg msg) const
-{
-    return [this, to, msg = std::move(msg)]() mutable {
-        if (to < numL1s())
-            l1(to).handleMessage(std::move(msg));
-        else
-            bank(to - numL1s()).handleMessage(std::move(msg));
-    };
-}
-
 void
-CacheSystem::send(noc::NodeId from, noc::NodeId to, CohMsg msg) const
+CacheSystem::send(noc::NodeId from, noc::NodeId to,
+                  const CohMsg &msg) const
 {
     const unsigned bytes = msg.wireBytes();
-    net_->send(from, to, bytes, deliveryTo(to, std::move(msg)));
+    if (to < numL1s())
+        net_->send(from, to, bytes, deliveryTo(l1(to), msg));
+    else
+        net_->send(from, to, bytes, deliveryTo(bank(to - numL1s()), msg));
 }
 
 void
-CacheSystem::send(noc::NodeId from, noc::NodeId to, CohMsg msg,
+CacheSystem::send(noc::NodeId from, noc::NodeId to, const CohMsg &msg,
                   sim::EventQueue &q, Tick delay) const
 {
-    const unsigned bytes = msg.wireBytes();
-    auto deliver = deliveryTo(to, std::move(msg));
-    q.scheduleIn(delay, [this, from, to, bytes,
-                         deliver = std::move(deliver)]() mutable {
-        net_->send(from, to, bytes, std::move(deliver));
-    });
+    auto later = [this, from, to, msg] { send(from, to, msg); };
+    static_assert(sim::Callback::holdsInline<decltype(later)>,
+                  "a delayed send holds its message inline");
+    q.scheduleIn(delay, later);
 }
 
 std::string

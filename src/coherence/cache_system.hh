@@ -104,22 +104,18 @@ class CacheSystem : public runtime::FunctionalMem
     /** Send @p msg over the network from node @p from to the
      * controller at node @p to (an L1 id, or a bank's node()); it is
      * handled there on arrival. */
-    void send(noc::NodeId from, noc::NodeId to, CohMsg msg) const;
+    void send(noc::NodeId from, noc::NodeId to, const CohMsg &msg) const;
 
     /** The delayed form: @p msg enters the network @p delay ticks
      * from now on @p q, the sender's queue (a bank's access latency).
-     * The message is wrapped once, now, and the delayed event holds
-     * that wrapper. */
-    void send(noc::NodeId from, noc::NodeId to, CohMsg msg,
+     * The delayed event holds the message itself. */
+    void send(noc::NodeId from, noc::NodeId to, const CohMsg &msg,
               sim::EventQueue &q, Tick delay) const;
 
     void funcRead(Addr pa, void *dst, unsigned len) override;
     void funcWrite(Addr pa, const void *src, unsigned len) override;
 
   private:
-    /** The closure that hands @p msg to the controller at @p to. */
-    noc::Network::Deliver deliveryTo(noc::NodeId to, CohMsg msg) const;
-
     std::vector<L1Cluster> clusters_;
     const SliceHash *hash_;
     noc::Network *net_;

@@ -373,8 +373,8 @@ Directory::processGetM(CohMsg &msg, L2Line *line)
     CohMsg rsp;
     rsp.blockAddr = msg.blockAddr;
     rsp.requestor = req;
-    rsp.ackCount = static_cast<int>(popcount(line->sharers)) -
-                   (isSharer(*line, req) ? 1 : 0);
+    rsp.ackCount = static_cast<std::uint8_t>(
+        popcount(line->sharers) - (isSharer(*line, req) ? 1 : 0));
     if (line->owner != noL1 && line->owner != req) {
         // Another L1 owns the block: it supplies the data.
         txn.forwarded = true;
@@ -500,8 +500,8 @@ Directory::processPutOwned(CohMsg &msg, L2Line *line)
 void
 Directory::processBypass(CohMsg &msg, L2Line *line)
 {
-    const ScalarOp op = msg.op;
-    const unsigned off = msg.reqOffset;
+    const ScalarOp op = msg.bypass.op;
+    const unsigned off = msg.bypass.reqOffset;
     ccsvm_assert(op.size > 0 && op.size <= 8 &&
                      off + op.size <= mem::blockBytes,
                  "malformed bypass op: off=%u size=%u", off, op.size);
@@ -515,20 +515,19 @@ Directory::processBypass(CohMsg &msg, L2Line *line)
 
     ++(op.writes() ? bypassWrites_ : bypassReads_);
 
-    // Capture only scalars: a CohMsg carries a 64-byte data array,
-    // and copying whole messages into nested std::function closures
-    // would put a heap allocation on every uncached op of a
-    // bypass-heavy sweep.
+    // Capture only scalars: the DRAM path below nests this closure
+    // in std::function completions, whose 16-byte buffer holds no
+    // 80-byte CohMsg, so capturing the message would put a heap
+    // allocation on every uncached op of a bypass-heavy sweep.
     const L1Id requestor = msg.sender;
     const Addr block = msg.blockAddr;
-    const std::uint64_t id = msg.bypassId;
+    const std::uint64_t id = msg.bypass.bypassId;
     auto respond = [this, requestor, block, id](std::uint64_t v,
                                                 Tick latency) {
         CohMsg rsp;
         rsp.type = MsgType::BypassResp;
         rsp.blockAddr = block;
-        rsp.bypassId = id;
-        rsp.op.wdata = v;
+        rsp.setBypass({.bypassId = id, .op = {.wdata = v}});
         sendToL1(requestor, std::move(rsp), latency);
     };
 

@@ -77,6 +77,9 @@ class Directory
     using SharerMask = std::uint32_t;
     /** L1s one directory can track: the bits of a SharerMask. */
     static constexpr int maxL1s = std::numeric_limits<SharerMask>::digits;
+    static_assert(maxL1s <=
+                      std::numeric_limits<decltype(CohMsg::sender)>::max(),
+                  "a message's one-byte L1 ids name every L1");
 
     Directory(const CacheSystem &sys, sim::EventQueue &eq,
               sim::StatRegistry &stats, const std::string &name,

@@ -236,27 +236,27 @@ L1Controller::issueBypass(MemRequest &req)
     msg.blockAddr = block;
     msg.sender = id_;
     msg.requestor = id_;
-    msg.reqOffset = static_cast<unsigned>(req.paddr - block);
-    msg.op = req.op;
-    msg.bypassId = nextBypassId_++;
-    bypassPending_.emplace(msg.bypassId) = &req;
+    msg.setBypass({.bypassId = nextBypassId_++,
+                   .reqOffset = static_cast<unsigned>(req.paddr - block),
+                   .op = req.op});
+    bypassPending_.emplace(msg.bypass.bypassId) = &req;
     sendToDir(std::move(msg));
 }
 
 void
 L1Controller::handleBypassResp(CohMsg &msg)
 {
-    auto it = bypassPending_.find(msg.bypassId);
+    auto it = bypassPending_.find(msg.bypass.bypassId);
     ccsvm_assert(it != bypassPending_.end(),
                  "BypassResp id %llu without pending op at L1 %d",
-                 (unsigned long long)msg.bypassId, id_);
+                 (unsigned long long)msg.bypass.bypassId, id_);
     MemRequest &req = *it->second;
     bypassPending_.erase(it);
     recordLatency(latBypass_, req);
     if (trc_.enabled(sim::traceCoh))
         trc_.complete(sim::traceCoh, lane_, "Bypass", req.issueTick,
                       eq_->now(), msg.blockAddr);
-    completeOp(req, msg.op.wdata);
+    completeOp(req, msg.bypass.op.wdata);
 }
 
 void

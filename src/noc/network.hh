@@ -12,9 +12,8 @@
 #ifndef CCSVM_NOC_NETWORK_HH
 #define CCSVM_NOC_NETWORK_HH
 
-#include <functional>
-
 #include "base/types.hh"
+#include "sim/eventq.hh"
 
 namespace ccsvm::noc
 {
@@ -26,7 +25,10 @@ using NodeId = int;
 class Network
 {
   public:
-    using Deliver = std::function<void()>;
+    /** What runs at the arrival tick: for a coherence message, the
+     * receiving controller and the message itself, 88 bytes, held
+     * inline so that the packet carrying it allocates nothing. */
+    using Deliver = sim::InlineCallback<88>;
 
     virtual ~Network() = default;
 

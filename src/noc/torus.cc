@@ -1,5 +1,7 @@
 #include "noc/torus.hh"
 
+#include <limits>
+
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -23,6 +25,14 @@ TorusNetwork::TorusNetwork(std::vector<sim::EventQueue *> node_queues,
                  "torus dimensions must be positive");
     ccsvm_assert(static_cast<int>(nodeQ_.size()) == numNodes(),
                  "torus: need one queue per node");
+    const int n = numNodes();
+    route_.reserve(static_cast<std::size_t>(n) * n);
+    for (NodeId at = 0; at < n; ++at) {
+        for (NodeId dst = 0; dst < n; ++dst) {
+            const NodeId next = nextHop(at, dst);
+            route_.push_back({next, next == at ? -1 : linkIndex(at, next)});
+        }
+    }
 }
 
 namespace
@@ -133,7 +143,11 @@ TorusNetwork::send(NodeId src, NodeId dst, unsigned bytes,
     ccsvm_assert(sim::activeQueue() == q,
                  "torus send from outside node %d's partition", src);
 
-    Packet pkt{dst, bytes, q->now(), std::move(deliver)};
+    const Tick ser = serializationTicks(bytes);
+    ccsvm_assert(ser <= std::numeric_limits<std::uint32_t>::max(),
+                 "a %u-byte packet takes over 2^32 ticks to serialize", bytes);
+    Packet pkt{q->now(), static_cast<std::uint32_t>(ser), src, dst,
+               bytes, std::move(deliver)};
     if (src == dst) {
         // Local delivery still pays one router traversal.
         q->schedule(edgeAt(q, cfg_.hopLatency),
@@ -143,7 +157,7 @@ TorusNetwork::send(NodeId src, NodeId dst, unsigned bytes,
                     sim::prioNetwork);
         return;
     }
-    forward(std::move(pkt), src);
+    forward(pkt);
 }
 
 void
@@ -158,26 +172,24 @@ TorusNetwork::arrive(Packet &pkt)
 }
 
 void
-TorusNetwork::forward(Packet pkt, NodeId at)
+TorusNetwork::forward(Packet &pkt)
 {
-    if (at == pkt.dst) {
+    if (pkt.at == pkt.dst) {
         arrive(pkt);
         return;
     }
-    const NodeId next = nextHop(at, pkt.dst);
-    const int link = linkIndex(at, next);
-
-    sim::EventQueue *q = nodeQ_[at];
-    const Tick ser = serializationTicks(pkt.bytes);
-    const Tick depart = std::max(edgeAt(q), linkFree_[link]);
-    linkFree_[link] = depart + ser;
-    const Tick arrive = depart + ser + cfg_.hopTicks();
+    const Step s = step(pkt.at, pkt.dst);
+    sim::EventQueue *q = nodeQ_[pkt.at];
+    const Tick depart = std::max(edgeAt(q), linkFree_[s.link]);
+    linkFree_[s.link] = depart + pkt.ser;
+    const Tick arrive = depart + pkt.ser + cfg_.hopTicks();
     ++hops_;
 
-    auto hop = [this, pkt = std::move(pkt), next]() mutable {
-        forward(std::move(pkt), next);
-    };
-    sim::EventQueue *nq = nodeQ_[next];
+    pkt.at = s.next;
+    auto hop = [this, pkt = std::move(pkt)]() mutable { forward(pkt); };
+    static_assert(sim::Callback::holdsInline<decltype(hop)>,
+                  "a hop holds its whole packet inline");
+    sim::EventQueue *nq = nodeQ_[s.next];
     if (nq == q) {
         q->schedule(arrive, std::move(hop), sim::prioNetwork);
     } else {

@@ -13,6 +13,7 @@
 #ifndef CCSVM_NOC_TORUS_HH
 #define CCSVM_NOC_TORUS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,11 @@ struct TorusConfig
  * another partition goes through PartEngine::post, which the
  * hop-latency floor makes legal), and the delivery runs in the
  * destination node's partition. A packet is one value moved from hop
- * to hop: its delivery closure, stamped with its injection tick, is
- * wrapped in nothing else, and each hop's event holds it inline.
+ * to hop: each hop's event holds it inline, delivery included, so a
+ * packet allocates nothing. The route is worked out once, at
+ * construction: a table gives the next hop and outgoing link for
+ * every (node, destination) pair, from nextHop and linkIndex, and a
+ * packet's serialization time is worked out once, at injection.
  */
 class TorusNetwork : public Network
 {
@@ -76,20 +80,38 @@ class TorusNetwork : public Network
     /** Minimal hop count between two nodes (for tests). */
     int hopCount(NodeId src, NodeId dst) const;
 
-  private:
-    struct Packet
-    {
-        NodeId dst;
-        unsigned bytes;
-        Tick start; ///< injection tick
-        Deliver deliver;
-    };
-
     /** Directional link index from @p from to adjacent @p to. */
     int linkIndex(NodeId from, NodeId to) const;
 
-    /** Advance @p pkt from node @p at; called once per hop. */
-    void forward(Packet pkt, NodeId at);
+    /** One step of a route: the next node and the link that leads
+     * there; link is -1 at the destination. */
+    struct Step
+    {
+        NodeId next;
+        int link;
+    };
+
+    /** The route table's step from @p at toward @p dst: nextHop and
+     * linkIndex, worked out at construction. */
+    Step
+    step(NodeId at, NodeId dst) const
+    {
+        return route_[static_cast<std::size_t>(at * numNodes() + dst)];
+    }
+
+  private:
+    struct Packet
+    {
+        Tick start;        ///< injection tick
+        std::uint32_t ser; ///< serialization ticks on each link
+        NodeId at;         ///< the node the packet has reached
+        NodeId dst;
+        unsigned bytes;
+        Deliver deliver;
+    };
+
+    /** Advance @p pkt from the node it is at; called once per hop. */
+    void forward(Packet &pkt);
 
     /** Record @p pkt's latency and trace span at its destination,
      * then deliver it. */
@@ -103,6 +125,9 @@ class TorusNetwork : public Network
     TorusConfig cfg_;
     /** The partition queue owning each node. */
     std::vector<sim::EventQueue *> nodeQ_;
+    /** The step from every node toward every destination, indexed
+     * at * numNodes() + dst. */
+    std::vector<Step> route_;
     /** busy-until tick per directional link (4 per node: +X -X +Y -Y).
      * Link at*4+dir is only touched by node @p at's partition. */
     std::vector<Tick> linkFree_;

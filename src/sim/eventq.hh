@@ -51,36 +51,39 @@ enum : int
 };
 
 /**
- * Move-only `void()` callable with inline storage: the event type.
+ * Move-only `void()` callable with inline storage for a capture of up
+ * to N bytes. Callback, the event type, holds 128; the network's
+ * delivery (noc::Network::Deliver) holds 88, a receiving controller
+ * and the 80 B CohMsg it receives.
  *
- * A capture of up to inlineBytes bytes (pointer-aligned, with a
- * noexcept move) is stored in the object itself. That covers the
- * memory path's frequent events: the NoC's per-hop closure (64 B), a
- * home bank's delayed send (56 B) and the L1 completion (16 B).
- * A larger capture falls back to one heap allocation. No event
- * captures a whole CohMsg (152 B): a message is wrapped once, in the
- * delivery closure the network carries. Moving relocates the capture
- * and leaves the source empty.
+ * A capture of up to N bytes (pointer-aligned, with a noexcept move)
+ * is stored in the object itself. Callback's 128 bytes cover the
+ * memory path's frequent events: a torus hop, which holds its whole
+ * packet and with it the delivery, a home bank's delayed send, which
+ * holds the message itself, and the L1 completion (16 B). A larger
+ * capture falls back to one heap allocation. Moving relocates the
+ * capture and leaves the source empty.
  */
-class Callback
+template <std::size_t N>
+class InlineCallback
 {
   public:
-    static constexpr std::size_t inlineBytes = 112;
+    static constexpr std::size_t inlineBytes = N;
 
-    Callback() noexcept = default;
+    InlineCallback() noexcept = default;
 
     /** Wrap @p f (implicit, like std::function's constructor). */
-    template <typename F, typename = std::enable_if_t<
-                              !std::is_same_v<std::decay_t<F>, Callback>>>
-    Callback(F &&f)
+    template <typename F, typename = std::enable_if_t<!std::is_same_v<
+                              std::decay_t<F>, InlineCallback>>>
+    InlineCallback(F &&f)
     {
         emplace(std::forward<F>(f));
     }
 
     /** Replace the held callable with @p f, constructed in place. */
-    template <typename F, typename = std::enable_if_t<
-                              !std::is_same_v<std::decay_t<F>, Callback>>>
-    Callback &
+    template <typename F, typename = std::enable_if_t<!std::is_same_v<
+                              std::decay_t<F>, InlineCallback>>>
+    InlineCallback &
     operator=(F &&f)
     {
         reset();
@@ -88,10 +91,10 @@ class Callback
         return *this;
     }
 
-    Callback(Callback &&o) noexcept { take(o); }
+    InlineCallback(InlineCallback &&o) noexcept { take(o); }
 
-    Callback &
-    operator=(Callback &&o) noexcept
+    InlineCallback &
+    operator=(InlineCallback &&o) noexcept
     {
         if (this != &o) {
             reset();
@@ -100,13 +103,19 @@ class Callback
         return *this;
     }
 
-    Callback(const Callback &) = delete;
-    Callback &operator=(const Callback &) = delete;
+    InlineCallback(const InlineCallback &) = delete;
+    InlineCallback &operator=(const InlineCallback &) = delete;
 
-    ~Callback() { reset(); }
+    ~InlineCallback() { reset(); }
 
     /** @pre *this holds a callable. */
     void operator()() { ops_->invoke(buf_); }
+
+    /** True when a callable of type F is held without a heap block. */
+    template <typename F>
+    static constexpr bool holdsInline = sizeof(F) <= inlineBytes &&
+        alignof(F) <= alignof(void *) &&
+        std::is_nothrow_move_constructible_v<F>;
 
   private:
     struct Ops
@@ -119,17 +128,12 @@ class Callback
         void (*destroy)(void *buf) noexcept;
     };
 
-    template <typename D>
-    static constexpr bool fitsInline =
-        sizeof(D) <= inlineBytes && alignof(D) <= alignof(void *) &&
-        std::is_nothrow_move_constructible_v<D>;
-
     /** The callable in @p buf: in place, or behind a heap pointer. */
     template <typename D>
     static D &
     held(void *buf) noexcept
     {
-        if constexpr (fitsInline<D>)
+        if constexpr (holdsInline<D>)
             return *std::launder(static_cast<D *>(buf));
         else
             return **std::launder(static_cast<D **>(buf));
@@ -141,7 +145,7 @@ class Callback
     {
         static constexpr Ops ops = [] {
             Ops o{[](void *buf) { held<D>(buf)(); }, nullptr, nullptr};
-            if constexpr (!fitsInline<D>) {
+            if constexpr (!holdsInline<D>) {
                 o.destroy = [](void *buf) noexcept {
                     delete &held<D>(buf);
                 };
@@ -168,7 +172,7 @@ class Callback
     emplace(F &&f)
     {
         using D = std::decay_t<F>;
-        if constexpr (fitsInline<D>)
+        if constexpr (holdsInline<D>)
             ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
         else
             ::new (static_cast<void *>(buf_)) D *(new D(std::forward<F>(f)));
@@ -176,7 +180,7 @@ class Callback
     }
 
     void
-    take(Callback &o) noexcept
+    take(InlineCallback &o) noexcept
     {
         ops_ = o.ops_;
         if (!ops_)
@@ -199,6 +203,9 @@ class Callback
     alignas(void *) unsigned char buf_[inlineBytes];
     const Ops *ops_ = nullptr;
 };
+
+/** The event type. */
+using Callback = InlineCallback<128>;
 
 /**
  * Deterministic discrete-event queue.

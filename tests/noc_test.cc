@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "noc/crossbar.hh"
@@ -94,19 +95,64 @@ TEST(TorusTest, XyRoutingGoesXFirst)
     EXPECT_EQ(t.net->nextHop(1, 5), 5);
 }
 
+TEST(TorusTest, RouteTableFollowsXyRouting)
+{
+    const std::pair<int, int> grids[] = {{5, 4}, {4, 4}, {6, 6},
+                                         {1, 6}, {6, 1}, {3, 3}};
+    for (const auto &[w, h] : grids) {
+        PartTorus t(w, h);
+        const TorusNetwork &net = *t.net;
+        for (NodeId src = 0; src < w * h; ++src) {
+            for (NodeId dst = 0; dst < w * h; ++dst) {
+                const TorusNetwork::Step s = net.step(src, dst);
+                ASSERT_EQ(s.next, net.nextHop(src, dst))
+                    << w << "x" << h << " " << src << " -> " << dst;
+                ASSERT_EQ(s.link,
+                          src == dst ? -1 : net.linkIndex(src, s.next))
+                    << w << "x" << h << " " << src << " -> " << dst;
+
+                // The table alone leads every packet home.
+                NodeId at = src;
+                int hops = 0;
+                while (at != dst && hops <= w + h) {
+                    at = net.step(at, dst).next;
+                    ++hops;
+                }
+                EXPECT_EQ(at, dst);
+                EXPECT_EQ(hops, net.hopCount(src, dst))
+                    << w << "x" << h << " " << src << " -> " << dst;
+            }
+        }
+    }
+}
+
 TEST(TorusTest, DeliveryLatencyMatchesHops)
 {
-    PartTorus t(4, 4);
-    Tick arrived = 0;
-    // 0 -> 2: two X hops. Each hop: serialization of 8 B at 12 GB/s
-    // (666 ps -> under one cycle) + 2-cycle hop latency.
-    t.send(0, 2, 8, [&] { arrived = now(); });
+    // Nine packets injected together, one per row of a 4x9 grid, so
+    // no two share a link: 8, 16 and 72 bytes over 0, 1 and 2 X hops.
+    // A hop departs on the next NoC clock edge, holds its link for
+    // the packet's own serialization time (bytes / 12 GB/s,
+    // truncated to ps: 666, 1,333 and 6,000) and arrives 2 cycles
+    // later; a local delivery costs one router traversal.
+    PartTorus t(4, 9);
+    const unsigned sizes[] = {8, 16, 72};
+    const Tick want[3][3] = {{2000, 2666, 3000 + 666 + 2000},
+                             {2000, 3333, 4000 + 1333 + 2000},
+                             {2000, 8000, 8000 + 6000 + 2000}};
+    Tick arrived[3][3] = {};
+    for (int s = 0; s < 3; ++s) {
+        for (int hops = 0; hops < 3; ++hops) {
+            const NodeId src = (s * 3 + hops) * 4;
+            t.send(src, src + hops, sizes[s],
+                   [&arrived, s, hops] { arrived[s][hops] = now(); });
+        }
+    }
     t.run();
-    EXPECT_GT(arrived, 0u);
-    // Two hops, each at least 2 NoC cycles: >= 4 ns.
-    EXPECT_GE(arrived, 4000u);
-    // And well under a microsecond.
-    EXPECT_LT(arrived, 10000u);
+    for (int s = 0; s < 3; ++s) {
+        for (int hops = 0; hops < 3; ++hops)
+            EXPECT_EQ(arrived[s][hops], want[s][hops])
+                << sizes[s] << " B over " << hops << " hops";
+    }
 }
 
 TEST(TorusTest, AllPairsDeliver)

@@ -442,7 +442,7 @@ const Flag kFlags[] = {
      "region-based coherence (see README \"Region-based coherence\"):"},
     {"--region", "N:B:S:A",
      "declare virtual region named N at page-aligned base B,\n"
-     "size S (0x-hex or decimal, K/M suffixes) with attribute A:\n"
+     "size S (0x-hex or decimal, K/M/G suffixes) with attribute A:\n"
      "coherent | bypass | readmostly | a protocol name\n"
      "(protocol name = coherent under that protocol; repeatable)",
      [](auto &o, auto &a) {
